@@ -11,7 +11,13 @@ Within a rung, the outer coordinates are integrated by adaptive composite
 Gauss panels (log-scaled on divisor coordinates, so dr/r becomes ds) and
 the innermost coordinate exactly: the fiber is a union of intervals from
 slicing, and the 1-d integral of poly(x)/x or poly(x) over each interval is
-a closed form.  Above mc_threshold dimensions (three by default) a
+a closed form.  Fibers come from a linear fast path or, for other cells,
+the compiled slicing.FiberKernel.  Each 15-node panel is one call of a
+vectorized integrand: outer levels map the recursion over the nodes, and
+the last outer level solves the panel's fibers and, for pointwise
+integrands, evaluates every inner Gauss point of the panel in one batch.
+Panels accepted only because the bisection reached max_depth are counted
+per rung and flagged.  Above mc_threshold dimensions (three by default) a
 stratified Monte-Carlo estimator with a counter-based generator replaces
 the tensor quadrature.
 """
@@ -26,8 +32,9 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .polyform import LogForm, Polynomial
-from .region import ProbeConfig, Region, RegionError
-from .slicing import slice_fiber
+from .region import ProbeConfig, Region, RegionError, fill_derived
+from .slicing import AxisRestriction, FiberKernel, merge_intervals, real_roots
+from .slicing import slice_fiber  # noqa: F401  (kept importable from this module)
 
 
 class IntegrationError(ValueError):
@@ -82,6 +89,7 @@ class Ladder:
     verdict: str = "inconclusive"  # converged | diverging | inconclusive
     limit: float | None = None
     error: float | None = None
+    capped: list = field(default_factory=list)  # per rung: panels accepted at max_depth
 
     def params(self):
         return [p for p, _, _ in self.entries]
@@ -169,16 +177,26 @@ def _gauss_nodes(n: int):
     return _GAUSS_CACHE[n]
 
 
-def _adaptive_1d(f: Callable[[float], float], a: float, b: float,
-                 tol: float, depth: int, err_acc: list) -> float:
+@dataclass
+class _QuadStats:
+    """Error estimate summed over accepted panels, and how many of those
+    were accepted only because the bisection reached max_depth."""
+
+    err: float = 0.0
+    capped: int = 0
+
+
+def _adaptive_1d(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
+                 tol: float, depth: int, stats: _QuadStats) -> float:
     """Adaptive 15-point Gauss with bisection; the tolerance budget halves
-    with each split so the accepted panel errors sum below `tol`."""
+    with each split so the accepted panel errors sum below `tol`.  f maps
+    the array of a panel's nodes to the array of integrand values, so each
+    panel is one call."""
     xs, ws = _gauss_nodes(15)
 
     def gauss(lo, hi):
-        mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
-        return half * sum(w * f(mid + half * x) for x, w in zip(xs, ws))
+        return half * float(ws @ f(0.5 * (lo + hi) + half * xs))
 
     def recurse(lo, hi, whole, budget, d):
         mid = 0.5 * (lo + hi)
@@ -186,7 +204,8 @@ def _adaptive_1d(f: Callable[[float], float], a: float, b: float,
         right = gauss(mid, hi)
         err = abs(left + right - whole)
         if err <= budget or d <= 0:
-            err_acc[0] += err
+            stats.err += err
+            stats.capped += err > budget
             return left + right
         return recurse(lo, mid, left, 0.5 * budget, d - 1) + recurse(
             mid, hi, right, 0.5 * budget, d - 1
@@ -196,19 +215,6 @@ def _adaptive_1d(f: Callable[[float], float], a: float, b: float,
         return 0.0
     whole = gauss(a, b)
     return recurse(a, b, whole, tol * max(1.0, abs(whole)), depth)
-
-
-def _poly_line_coeffs(coeff: Polynomial, base: Mapping[int, float], axis: int):
-    deg = coeff.degree_in(axis)
-    out = [0.0] * (deg + 1)
-    for exp, c in coeff.terms.items():
-        val = float(c)
-        for v, e in enumerate(exp):
-            if v == axis or e == 0:
-                continue
-            val *= base[v] ** e
-        out[exp[axis]] += val
-    return out
 
 
 def _line_signed(coeffs, a: float, b: float, log_weight: bool) -> float:
@@ -227,26 +233,12 @@ def _line_signed(coeffs, a: float, b: float, log_weight: bool) -> float:
     return total
 
 
-def _line_roots(coeffs, a: float, b: float):
-    arr = np.array(coeffs, dtype=float)
-    while arr.size and abs(arr[-1]) < 1e-300:
-        arr = arr[:-1]
-    if arr.size <= 1:
-        return []
-    if arr.size == 2:
-        roots = [-arr[0] / arr[1]]
-    else:
-        rs = np.roots(arr[::-1])
-        roots = [float(r.real) for r in rs if abs(r.imag) < 1e-9]
-    return sorted(r for r in roots if a < r < b)
-
-
 def _line_integral(coeffs, a: float, b: float, log_weight: bool, absolute: bool) -> float:
     if a >= b:
         return 0.0
     if not absolute:
         return _line_signed(coeffs, a, b, log_weight)
-    cuts = [a] + _line_roots(coeffs, a, b) + [b]
+    cuts = [a] + [r for r in real_roots(coeffs) if a < r < b] + [b]
     total = 0.0
     for lo, hi in zip(cuts, cuts[1:]):
         total += abs(_line_signed(coeffs, lo, hi, log_weight))
@@ -300,18 +292,9 @@ class Integrand:
         self.complex_valued = complex_valued
 
 
-def _full_point(region: Region, base: Mapping[int, float]) -> dict:
-    full = dict(base)
-    extras = region.cells[0].extra if region.cells else ()
-    for i, e in enumerate(extras):
-        if e.derived_from is not None and e.derived_from in full:
-            full[region.n + i] = math.sqrt(full[e.derived_from] ** 2 + 1.0)
-    return full
-
-
 class _FiberSolver:
     """Fiber intervals along one axis, with a direct interval-arithmetic
-    fast path for all-linear cells and generic slicing otherwise."""
+    fast path for all-linear cells and a compiled FiberKernel otherwise."""
 
     def __init__(self, region: Region, axis: int):
         self.region = region
@@ -336,7 +319,7 @@ class _FiberSolver:
                 self.linear.append(rows)
             else:
                 generic.append(cell)
-        self.generic_region = region.with_cells(generic) if generic else None
+        self.kernel = FiberKernel(region.with_cells(generic), axis) if generic else None
 
     def intervals(self, base: Mapping[int, float]) -> list:
         n = self.region.n
@@ -372,25 +355,19 @@ class _FiberSolver:
                     break
             if not empty and hi > lo:
                 out.append((lo, hi))
-        if self.generic_region is not None:
-            fs = slice_fiber(self.generic_region, base, self.axis, mode="float")
-            out.extend((float(a), float(b)) for a, b in fs.intervals)
-        out.sort()
-        merged = []
-        for lo, hi in out:
-            if merged and lo <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-            else:
-                merged.append((lo, hi))
-        return merged
+        if self.kernel is not None:
+            out.extend(self.kernel.intervals(vec)[0])
+        return merge_intervals(out)
 
 
 def _final_level_cuts(solver: "_FiberSolver", level_var: int,
-                      base: Mapping[int, float], lo: float, hi: float) -> list:
+                      base: Mapping[int, float], lo: float, hi: float,
+                      clip: Sequence[float] = ()) -> list:
     """Breakpoints, in the level variable, of the fiber structure of the
-    linear cells (crossings of the affine inner-bound candidates and
-    feasibility flips of rows without the inner variable).  Between
-    consecutive cuts the one-level-up integrand is analytic."""
+    linear cells (crossings of the affine inner-bound candidates, the box
+    and the excision bounds `clip` of the inner variable, and feasibility
+    flips of rows without the inner variable).  Between consecutive cuts
+    the one-level-up integrand is analytic."""
     n = solver.region.n
     vec = np.zeros(n)
     for v, val in base.items():
@@ -400,7 +377,7 @@ def _final_level_cuts(solver: "_FiberSolver", level_var: int,
     vec[level_var] = 0.0
     cuts = set()
     for rows in solver.linear:
-        cands = [(solver.lo_box, 0.0), (solver.hi_box, 0.0)]
+        cands = [(x, 0.0) for x in (solver.lo_box, solver.hi_box, *clip)]
         for a, rhs, _eq in rows:
             ci = a[solver.axis]
             cl = a[level_var]
@@ -418,120 +395,76 @@ def _final_level_cuts(solver: "_FiberSolver", level_var: int,
     return sorted(x for x in cuts if lo + 1e-13 < x < hi - 1e-13)
 
 
-def _fiber_integral(region: Region, base: dict, axis: int, eps: float,
+def _fiber_integral(solver: _FiberSolver, bases: Sequence[dict], eps: float,
                     integrand: Integrand, absolute: bool, cfg: QuadConfig,
-                    solver: "_FiberSolver | None" = None):
-    if solver is not None:
-        intervals = solver.intervals(base)
-    else:
-        fs = slice_fiber(region, base, axis, mode="float")
-        intervals = [(float(a), float(b)) for a, b in fs.intervals]
+                    line: AxisRestriction | None) -> np.ndarray:
+    """Inner integrals over the fibers through the base points of one
+    outer Gauss panel, one value per base.
+
+    Without a pointwise factor each fiber integral is a closed form in the
+    coefficients `line` gives on the line.  With one, the inner Gauss nodes
+    of every interval of every fiber are evaluated in one batch.
+    """
+    region, axis = solver.region, solver.axis
+    n = region.n
+    extras = region.cells[0].extra if region.cells else ()
     log_inner = axis in integrand.log_vars
-    if log_inner:
-        intervals = _clip_log(intervals, eps)
-    if not intervals:
-        return 0.0
-    full = _full_point(region, base)
+    points = np.zeros((len(bases), n + len(extras)))
+    fibers = []
+    for i, base in enumerate(bases):
+        for v, val in base.items():
+            points[i, v] = val
+        intervals = solver.intervals(base)
+        fibers.append(_clip_log(intervals, eps) if log_inner else intervals)
+    fill_derived(points, extras, n)
+    out = np.zeros(len(bases))
     if integrand.pointwise is None:
-        coeffs = _poly_line_coeffs(integrand.coeff, full, axis)
-        return sum(
-            _line_integral(coeffs, a, b, log_inner, absolute) for a, b in intervals
-        )
-    total = 0.0
+        for i, intervals in enumerate(fibers):
+            if intervals:
+                coeffs = line.coeffs(points[i, : integrand.coeff.nvars])[0]
+                out[i] = sum(_line_integral(coeffs, a, b, log_inner, absolute)
+                             for a, b in intervals)
+        return out
+
+    owner = [i for i, intervals in enumerate(fibers) for _ in intervals]
+    if not owner:
+        return out
     xs, ws = _gauss_nodes(cfg.nodes)
-    nvars = region.n + (len(region.cells[0].extra) if region.cells else 0)
-    for a, b in intervals:
-        if log_inner:
-            # x = sign * e^s over [log|a|, log|b|]
-            sgn = 1.0 if a > 0 else -1.0
-            s_lo, s_hi = math.log(abs(a)), math.log(abs(b))
-            if s_lo > s_hi:
-                s_lo, s_hi = s_hi, s_lo
-            mid, half = 0.5 * (s_lo + s_hi), 0.5 * (s_hi - s_lo)
-            svals = mid + half * xs
-            xvals = sgn * np.exp(svals)
-            orient = 1.0 if (absolute or sgn > 0) else -1.0
-            weights = ws * half * orient
-        else:
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            xvals = mid + half * xs
-            weights = ws * half
-        pts = np.zeros((len(xvals), nvars))
-        for v, val in full.items():
-            pts[:, v] = val
-        pts[:, axis] = xvals
-        extras = region.cells[0].extra if region.cells else ()
-        for i, e in enumerate(extras):
-            if e.derived_from is not None:
-                pts[:, region.n + i] = np.sqrt(pts[:, e.derived_from] ** 2 + 1.0)
-        vals = integrand.coeff.eval_many(pts[:, : integrand.coeff.nvars])
-        vals = vals * integrand.pointwise(pts)
-        if absolute:
-            vals = np.abs(vals)
-        total += float(np.real(np.sum(weights * vals)))
-    return total
+    a, b = np.array([ab for intervals in fibers for ab in intervals]).T
+    if log_inner:
+        # x = sign * e^s over [log|a|, log|b|]
+        sgn = np.where(a > 0, 1.0, -1.0)
+        s_a, s_b = np.log(np.abs(a)), np.log(np.abs(b))
+        mid, half = 0.5 * (s_a + s_b), 0.5 * np.abs(s_b - s_a)
+        xvals = sgn[:, None] * np.exp(mid[:, None] + half[:, None] * xs)
+        if not absolute:
+            half = half * sgn  # orientation of x -> s on the negative side
+    else:
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        xvals = mid[:, None] + half[:, None] * xs
+    weights = half[:, None] * ws
+    owner = np.repeat(owner, len(xs))
+    pts = points[owner]
+    pts[:, axis] = xvals.ravel()
+    fill_derived(pts, extras, n)
+    coeff = integrand.coeff
+    if coeff.is_constant():
+        vals = float(coeff.constant_value()) * integrand.pointwise(pts)
+    else:
+        vals = coeff.eval_many(pts[:, : coeff.nvars]) * integrand.pointwise(pts)
+    if absolute:
+        vals = np.abs(vals)
+    return np.bincount(owner, weights=np.real(weights.ravel() * vals), minlength=len(bases))
 
 
 def _rung_value(region: Region, integrand: Integrand, eps: float,
                 absolute: bool, cfg: QuadConfig, rung_index: int):
-    """One excision rung; returns (value, error_estimate, stderr)."""
+    """One excision rung; returns (value, error_estimate, stderr, capped),
+    capped counting the Gauss panels accepted at the depth cap."""
     box = region.bounding_box()
     n = region.n
     if n > cfg.mc_threshold:
         return _mc_rung(region, integrand, eps, absolute, cfg, rung_index)
-    # divisor coordinates go innermost: constraints coupling the radii then
-    # produce kinks (not jumps) in the outer integrands, and the singular
-    # direction is integrated by the exact closed form.
-    quad_vars = [v for v in range(n) if v >= region.p] + list(range(region.p))
-    inner = quad_vars[-1]
-    outers = quad_vars[:-1]
-    err_acc = [0.0]
-    solver = _FiberSolver(region, inner)
-
-    def level(d: int, base: dict):
-        if d == len(outers):
-            return _fiber_integral(region, base, inner, eps, integrand, absolute,
-                                   cfg, solver)
-        var = outers[d]
-        lo, hi = box[var]
-        tol_d = cfg.quad_tol * cfg.nested_shrink**d
-        final = d == len(outers) - 1
-        total = 0.0
-        if var in integrand.log_vars:
-            for s_lo, s_hi, sgn, orient in _log_pieces(lo, hi, eps):
-                factor = 1.0 if absolute else orient
-
-                def g(s, sgn=sgn):
-                    base[var] = sgn * math.exp(s)
-                    return level(d + 1, base)
-
-                if final:
-                    xcuts = _final_level_cuts(solver, var, base,
-                                              min(sgn * math.exp(s_lo), sgn * math.exp(s_hi)),
-                                              max(sgn * math.exp(s_lo), sgn * math.exp(s_hi)))
-                    scuts = sorted(math.log(abs(x)) for x in xcuts if x * sgn > 0)
-                else:
-                    scuts = []
-                segs = [s_lo] + [s for s in scuts if s_lo < s < s_hi] + [s_hi]
-                budget = tol_d / max(1, len(segs) - 1)
-                for a2, b2 in zip(segs, segs[1:]):
-                    total += factor * _adaptive_1d(
-                        g, a2, b2, budget, cfg.max_depth, err_acc
-                    )
-        else:
-
-            def g(x):
-                base[var] = x
-                return level(d + 1, base)
-
-            cuts = _final_level_cuts(solver, var, base, lo, hi) if final else []
-            segs = [lo] + cuts + [hi]
-            budget = tol_d / max(1, len(segs) - 1)
-            for a2, b2 in zip(segs, segs[1:]):
-                total += _adaptive_1d(g, a2, b2, budget, cfg.max_depth, err_acc)
-        base.pop(var, None)
-        return total
-
     if integrand.complex_valued and not absolute:
         # run twice against real and imaginary parts of the pointwise factor
         pw = integrand.pointwise
@@ -541,12 +474,75 @@ def _rung_value(region: Region, integrand: Integrand, eps: float,
                        lambda pts: np.imag(pw(pts)), False)
         vr = _rung_value(region, re, eps, absolute, cfg, rung_index)
         vi = _rung_value(region, im, eps, absolute, cfg, rung_index)
-        return complex(vr[0], vi[0]), vr[1] + vi[1], 0.0
+        return complex(vr[0], vi[0]), vr[1] + vi[1], 0.0, vr[3] + vi[3]
+    # divisor coordinates go innermost: constraints coupling the radii then
+    # produce kinks (not jumps) in the outer integrands, and the singular
+    # direction is integrated by the exact closed form.
+    quad_vars = [v for v in range(n) if v >= region.p] + list(range(region.p))
+    inner = quad_vars[-1]
+    outers = quad_vars[:-1]
+    stats = _QuadStats()
+    solver = _FiberSolver(region, inner)
+    # the excision clips the fibers of a log inner variable at +-eps
+    clip = (eps, -eps) if inner in integrand.log_vars and eps > 0 else ()
+    line = None
+    if integrand.pointwise is None:
+        line = AxisRestriction([integrand.coeff], inner, integrand.coeff.nvars)
 
-    value = level(0, {}) if n > 1 else _fiber_integral(
-        region, {}, 0, eps, integrand, absolute, cfg, solver
-    )
-    return value, err_acc[0], 0.0
+    def level(d: int, base: dict) -> float:
+        var = outers[d]
+        lo, hi = box[var]
+        tol_d = cfg.quad_tol * cfg.nested_shrink**d
+        final = d == len(outers) - 1
+
+        def values(xs: list) -> np.ndarray:
+            if final:
+                bases = [{**base, var: x} for x in xs]
+                return _fiber_integral(solver, bases, eps, integrand, absolute, cfg, line)
+            out = np.empty(len(xs))
+            for i, x in enumerate(xs):
+                base[var] = x
+                out[i] = level(d + 1, base)
+            return out
+
+        total = 0.0
+        if var in integrand.log_vars:
+            for s_lo, s_hi, sgn, orient in _log_pieces(lo, hi, eps):
+                factor = 1.0 if absolute else orient
+
+                def g(s, sgn=sgn):
+                    return values([sgn * math.exp(v) for v in s.tolist()])
+
+                if final:
+                    xcuts = _final_level_cuts(solver, var, base,
+                                              min(sgn * math.exp(s_lo), sgn * math.exp(s_hi)),
+                                              max(sgn * math.exp(s_lo), sgn * math.exp(s_hi)),
+                                              clip)
+                    scuts = sorted(math.log(abs(x)) for x in xcuts if x * sgn > 0)
+                else:
+                    scuts = []
+                segs = [s_lo] + [s for s in scuts if s_lo < s < s_hi] + [s_hi]
+                budget = tol_d / max(1, len(segs) - 1)
+                for a2, b2 in zip(segs, segs[1:]):
+                    total += factor * _adaptive_1d(g, a2, b2, budget, cfg.max_depth, stats)
+        else:
+
+            def g(x):
+                return values(x.tolist())
+
+            cuts = _final_level_cuts(solver, var, base, lo, hi, clip) if final else []
+            segs = [lo] + cuts + [hi]
+            budget = tol_d / max(1, len(segs) - 1)
+            for a2, b2 in zip(segs, segs[1:]):
+                total += _adaptive_1d(g, a2, b2, budget, cfg.max_depth, stats)
+        base.pop(var, None)
+        return total
+
+    if n > 1:
+        value = level(0, {})
+    else:
+        value = float(_fiber_integral(solver, [{}], eps, integrand, absolute, cfg, line)[0])
+    return value, stats.err, 0.0, stats.capped
 
 
 def _mc_rung(region: Region, integrand: Integrand, eps: float,
@@ -567,7 +563,7 @@ def _mc_rung(region: Region, integrand: Integrand, eps: float,
         else:
             pieces = [("lin", lo, hi, 1.0, 1.0)]
         if not pieces:
-            return 0.0, 0.0, 0.0
+            return 0.0, 0.0, 0.0, 0
         per_var.append(pieces)
 
     combos = [[]]
@@ -606,7 +602,7 @@ def _mc_rung(region: Region, integrand: Integrand, eps: float,
         spread = float(np.abs(vals - mean).std()) if budget > 1 else 0.0
         var_sum += (vol * spread) ** 2 / budget
     stderr = math.sqrt(var_sum)
-    return total, stderr, stderr
+    return total, stderr, stderr, 0
 
 
 # ---------------------------------------------------------------------------
@@ -633,21 +629,24 @@ def _build_ladder(region: Region, integrand: Integrand, cfg: QuadConfig,
                   absolute: bool) -> Ladder:
     entries = []
     if not integrand.log_vars or integrand.coeff.is_zero():
-        value, err, stderr = _rung_value(region, integrand, 0.0, absolute, cfg, 0)
+        value, err, stderr, capped = _rung_value(region, integrand, 0.0, absolute, cfg, 0)
         entries = [(0.0, value, stderr + err)]
-        ladder = Ladder(entries, "converged", value, err + stderr)
-        return ladder
+        return Ladder(entries, "converged", value, err + stderr, [capped])
     values = []
+    capped = []
     for k, eps in enumerate(cfg.rungs()):
-        value, err, stderr = _rung_value(region, integrand, eps, absolute, cfg, k)
+        value, err, stderr, hits = _rung_value(region, integrand, eps, absolute, cfg, k)
         entries.append((eps, value, stderr + err))
         values.append(value)
+        capped.append(hits)
         if cfg.early_stop and len(values) >= cfg.window + 1:
             tail = [abs(values[i + 1] - values[i]) for i in range(len(values) - 1)]
             noise = cfg.abs_tol + cfg.rel_tol * max(1.0, abs(value))
             if all(d <= noise for d in tail[-cfg.window:]):
                 break
-    return classify_ladder(entries, cfg)
+    ladder = classify_ladder(entries, cfg)
+    ladder.capped = capped
+    return ladder
 
 
 def integrate_log_form(region: Region, form: LogForm, cfg: QuadConfig | None = None,
@@ -666,6 +665,9 @@ def integrate_log_form(region: Region, form: LogForm, cfg: QuadConfig | None = N
     flags = ["orientation: standard orientation of R^n (signed references match up to orientation)"]
     if ladder.verdict == "diverging" or abs_ladder.verdict == "diverging":
         flags.append("diverging")
+    capped = sum(ladder.capped) + sum(abs_ladder.capped)
+    if capped:
+        flags.append(f"quadrature depth cap hit ({capped} panels)")
     return IntegralResult(value, error, absolute, ladder, abs_ladder, flags)
 
 
@@ -688,7 +690,7 @@ def integrate_mc(region: Region, form: LogForm, eps: float,
     """Stratified Monte-Carlo estimate of a single rung (oracle use)."""
     cfg = cfg or QuadConfig()
     integrand = _top_integrand(region, form)
-    value, err, stderr = _mc_rung(region, integrand, eps, absolute, cfg, 0)
+    value, err, stderr, _ = _mc_rung(region, integrand, eps, absolute, cfg, 0)
     return value, stderr
 
 
@@ -696,7 +698,7 @@ def quadrature_rung(region: Region, form: LogForm, eps: float,
                     cfg: QuadConfig | None = None, absolute: bool = False):
     cfg = cfg or QuadConfig()
     integrand = _top_integrand(region, form)
-    value, err, _ = _rung_value(region, integrand, eps, absolute, cfg, 0)
+    value, err, _, _ = _rung_value(region, integrand, eps, absolute, cfg, 0)
     return value, err
 
 
@@ -901,13 +903,7 @@ def _delta_probe_1d(region: Region, f: Polynomial, samples: int, cap: int, seed:
         coeffs = [0.0] * (shifted.degree() + 1)
         for exp, c in shifted.terms.items():
             coeffs[exp[0]] = float(c)
-        arr = np.array(coeffs)
-        while arr.size and abs(arr[-1]) < 1e-300:
-            arr = arr[:-1]
-        if arr.size <= 1:
-            continue
-        roots = np.roots(arr[::-1]) if arr.size > 2 else np.array([-arr[0] / arr[1]])
-        real = [float(r.real) for r in roots if abs(r.imag) < 1e-9]
+        real = real_roots(coeffs)
         pts = np.array([[r] for r in real]) if real else np.zeros((0, 1))
         count = int(region.members(pts).sum()) if len(pts) else 0
         if count:

@@ -103,6 +103,19 @@ class Cell:
         return f"Cell({self.constraints!r})"
 
 
+def fill_derived(pts: np.ndarray, extras: Sequence[ExtraVar], n: int) -> np.ndarray:
+    """Complete the derived auxiliary columns s = sqrt(t^2 + 1) in place.
+
+    pts is one point (1-d) or a batch of points (2-d, one per row) over the
+    ambient coordinates followed by the auxiliaries in `extras` order;
+    existential auxiliaries are left as they are.  Returns pts.
+    """
+    for i, e in enumerate(extras):
+        if e.derived_from is not None:
+            pts[..., n + i] = np.sqrt(pts[..., e.derived_from] ** 2 + 1.0)
+    return pts
+
+
 # ---------------------------------------------------------------------------
 # verdicts
 
@@ -549,23 +562,24 @@ class Region:
         """Sample base points and count connected components of the fibers
         along `axis`; an interval of positive length witnesses an infinite
         fiber."""
-        from .slicing import slice_fiber
+        from .slicing import FiberKernel
 
         box = self.bounding_box()
         rng = np.random.Generator(np.random.Philox(key=seed))
         base_vars = [v for v in range(self.n) if v != axis]
         scale = max(hi - lo for lo, hi in box) + 1e-30
+        kernel = FiberKernel(self, axis)
         max_count = 0
         for _ in range(samples):
-            base = {}
+            point = np.zeros(self.n)
             for v in base_vars:
                 lo, hi = box[v]
-                base[v] = float(rng.uniform(lo, hi))
-            fs = slice_fiber(self, base, axis, mode="float")
-            for lo, hi in fs.intervals:
+                point[v] = rng.uniform(lo, hi)
+            intervals, _ = kernel.intervals(point)
+            for lo, hi in intervals:
                 if hi - lo > length_tol * scale:
                     return FiberReport("infinite", 0, samples)
-            count = len(fs.intervals)
+            count = len(intervals)
             if count > cap:
                 return FiberReport("cap exceeded", count, samples)
             max_count = max(max_count, count)
@@ -927,9 +941,7 @@ def _cell_members(region: Region, cell: Cell, pts: np.ndarray, cfg: ProbeConfig)
     total = cell.nvars_total(n)
     full = np.zeros((pts.shape[0], total))
     full[:, :n] = pts
-    for i, e in enumerate(extras):
-        if e.derived_from is not None:
-            full[:, n + i] = np.sqrt(full[:, e.derived_from] ** 2 + 1.0)
+    fill_derived(full, extras, n)
     if not exist:
         return _eval_constraints(cell, full, cfg)
     grids = [np.linspace(extras[v - n].lo, extras[v - n].hi, cfg.exist_grid) for v in exist]
@@ -940,9 +952,7 @@ def _cell_members(region: Region, cell: Cell, pts: np.ndarray, cfg: ProbeConfig)
         trial = full.copy()
         for v, val in zip(exist, combo):
             trial[:, v] = val
-        for i, e in enumerate(extras):
-            if e.derived_from is not None:
-                trial[:, n + i] = np.sqrt(trial[:, e.derived_from] ** 2 + 1.0)
+        fill_derived(trial, extras, n)
         ok |= _eval_constraints(cell, trial, cfg, eq_tol_scale=50.0)
         if ok.all():
             break
@@ -1007,8 +1017,7 @@ def _newton_project(cell: Cell, region: Region, pts: np.ndarray, cfg: ProbeConfi
         step = (np.transpose(jac, (0, 2, 1)) @ y)[:, :, 0]  # (N, len(free))
         for col, v in enumerate(free):
             out[:, v] -= step[:, col]
-        for d_idx, src in derived.items():
-            out[:, d_idx] = np.sqrt(out[:, src] ** 2 + 1.0)
+        fill_derived(out, cell.extra, n)
     return out
 
 
@@ -1033,10 +1042,7 @@ def _probe_cell_dimension(region: Region, cell: Cell, cfg: ProbeConfig) -> int:
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
 
     exist = [n + i for i, e in enumerate(cell.extra) if e.derived_from is None]
-    pts = rng.uniform(lo, hi, size=(cfg.samples, total))
-    for i, e in enumerate(cell.extra):
-        if e.derived_from is not None:
-            pts[:, n + i] = np.sqrt(pts[:, e.derived_from] ** 2 + 1.0)
+    pts = fill_derived(rng.uniform(lo, hi, size=(cfg.samples, total)), cell.extra, n)
     pts = _newton_project(cell, region, pts, cfg)
     good = _eval_constraints(cell, pts, cfg, eq_tol_scale=10.0)
     inside_box = np.all((pts >= lo - radius) & (pts <= hi + radius), axis=1)
@@ -1050,9 +1056,7 @@ def _probe_cell_dimension(region: Region, cell: Cell, cfg: ProbeConfig) -> int:
         ball = rng.uniform(-radius, radius, size=(cfg.local_cloud, total))
         cloud = center[None, :] + ball
         np.clip(cloud, lo, hi, out=cloud)
-        for i, e in enumerate(cell.extra):
-            if e.derived_from is not None:
-                cloud[:, n + i] = np.sqrt(cloud[:, e.derived_from] ** 2 + 1.0)
+        fill_derived(cloud, cell.extra, n)
         cloud = _newton_project(cell, region, cloud, cfg)
         keep = _eval_constraints(cell, cloud, cfg, eq_tol_scale=10.0)
         keep &= np.linalg.norm(cloud - center[None, :], axis=1) <= 2.5 * radius

@@ -4,11 +4,21 @@ Root isolation is exact: Descartes sign-variation counts on interval
 transforms of the square-free part, bisected until each interval holds one
 root, with multiplicities recovered from the square-free decomposition.
 Slicing substitutes a base point into every constraint and keeps the
-intervals between critical values whose midpoints satisfy the cell.
+intervals between critical values whose midpoints satisfy the cell; exact
+and float slicing share that rule and differ only in arithmetic.
+
+Float slicing, the quadrature inner loop, goes through a FiberKernel
+compiled once per (region, axis): each cell's constraints are grouped by
+degree in the axis into a float exponent matrix and coefficient matrix
+(AxisRestriction), so restricting to the line through a base point is one
+small matrix product.  `real_roots` is the one float root finder: closed
+forms for degree 1 and 2, np.roots above, and one relative tolerance for
+imaginary parts.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -16,7 +26,7 @@ from typing import Mapping
 import numpy as np
 
 from .polyform import Polynomial, PolyError
-from .region import Region, RegionError
+from .region import Region, RegionError, fill_derived
 
 
 # ---------------------------------------------------------------------------
@@ -34,7 +44,7 @@ def _derive(coeffs):
 
 
 def _eval(coeffs, x):
-    total = Fraction(0)
+    total = 0
     for c in reversed(coeffs):
         total = total * x + c
     return total
@@ -257,6 +267,90 @@ def isolate_real_roots(poly, tol=Fraction(1, 10**12)) -> RootIntervals:
 
 
 # ---------------------------------------------------------------------------
+# float roots and compiled line restrictions
+
+
+def real_roots(coeffs) -> list:
+    """Sorted real roots of an ascending float coefficient list.
+
+    Trailing coefficients below 1e-300 are dropped.  Degrees 1 and 2 use
+    closed forms, the quadratic through the cancellation-free
+    q = -(b + sign(b) sqrt(disc)) / 2; higher degrees use np.roots.  A root
+    counts as real when its imaginary part is below 1e-9 * max(1, max|c|),
+    so a quadratic whose complex pair lies inside that window gives the
+    double root -b / 2a, twice, as np.roots would.
+    """
+    c = list(coeffs)
+    while c and abs(c[-1]) < 1e-300:
+        c.pop()
+    if len(c) <= 1:
+        return []
+    if len(c) == 2:
+        return [-c[0] / c[1]]
+    big = max(abs(v) for v in c)
+    window = 1e-9 * max(1.0, big)
+    if len(c) > 3:
+        roots = np.roots(c[::-1])
+        return sorted(float(r.real) for r in roots if abs(r.imag) < window)
+    # roots do not change under scaling; unit-size coefficients keep b^2 finite
+    c0, b, a = c[0] / big, c[1] / big, c[2] / big
+    disc = b * b - 4.0 * a * c0
+    if disc < 0.0:
+        if math.sqrt(-disc) / (2.0 * abs(a)) < window:
+            x = -b / (2.0 * a)
+            return [x, x]
+        return []
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    if q == 0.0:  # b = c0 = 0
+        return [0.0, 0.0]
+    x1, x2 = q / a, c0 / q
+    return [x1, x2] if x1 <= x2 else [x2, x1]
+
+
+class AxisRestriction:
+    """Polynomials restricted to the lines parallel to one axis, compiled
+    once into float arrays.
+
+    A term c * x^e adds c * prod_{v != axis} base_v^e_v to the coefficient
+    of x_axis^e_axis.  The distinct base monomials of all the polynomials
+    are the rows of one exponent matrix, so restricting at a base point is
+    one power table, one product and one matrix-vector product.
+    """
+
+    def __init__(self, polys, axis: int, nvars: int):
+        monos: dict = {}
+        entries = []  # (slot, monomial column, coefficient)
+        self.spans = []
+        slot = 0
+        for poly in polys:
+            for exp, c in poly.terms.items():
+                key = tuple(0 if v == axis else e for v, e in enumerate(exp))
+                key += (0,) * (nvars - len(key))
+                entries.append((slot + exp[axis], monos.setdefault(key, len(monos)), float(c)))
+            width = poly.degree_in(axis) + 1
+            self.spans.append((slot, slot + width))
+            slot += width
+        self.exps = np.array(list(monos), dtype=np.int64).reshape(len(monos), nvars)
+        self.matrix = np.zeros((slot, len(monos)))
+        for row, col, c in entries:
+            self.matrix[row, col] = c
+        # coefficients that no base coordinate enters are fixed once
+        self._fixed = None if self.exps.any() else self._split(self.matrix.sum(axis=1))
+
+    def _split(self, flat) -> list:
+        flat = flat.tolist()
+        return [flat[a:b] for a, b in self.spans]
+
+    def coeffs(self, point: np.ndarray) -> list:
+        """Ascending coefficient lists, one per polynomial, on the line
+        through `point` (values for all nvars coordinates; the axis entry is
+        ignored)."""
+        if self._fixed is not None:
+            return self._fixed
+        return self._split(self.matrix @ (point ** self.exps).prod(axis=1))
+
+
+# ---------------------------------------------------------------------------
 # fibers
 
 
@@ -271,144 +365,59 @@ class FiberSlices:
         return float(sum(hi - lo for lo, hi in self.intervals))
 
 
-def _restrict_to_axis(payload: Polynomial, base: Mapping[int, object], axis: int,
-                      exact: bool):
-    """Coefficient list (ascending) of the payload restricted to the line."""
-    deg = payload.degree_in(axis)
-    if exact:
-        coeffs = [Fraction(0)] * (deg + 1)
-    else:
-        coeffs = [0.0] * (deg + 1)
-    for exp, c in payload.terms.items():
-        value = c if exact else float(c)
-        for v, e in enumerate(exp):
-            if v == axis or e == 0:
-                continue
-            value = value * (base[v] ** e)
-        coeffs[exp[axis]] += value
-    return coeffs
+def _cell_fiber(restricted, lo_box, hi_box, roots, zero, feasible, tol, pieces) -> bool:
+    """Append the fiber pieces of one cell to `pieces`.
 
-
-def _real_roots_of_coeffs(coeffs, exact: bool, tol):
-    if exact:
-        trimmed = _trim(list(coeffs))
-        if len(trimmed) <= 1:
-            return []
-        if len(trimmed) == 2:
-            return [-trimmed[0] / trimmed[1]]
-        iso = isolate_real_roots(trimmed, tol)
-        return [(lo + hi) / 2 for lo, hi, _ in iso.intervals]
-    arr = np.array(coeffs, dtype=float)
-    while arr.size and abs(arr[-1]) < 1e-300:
-        arr = arr[:-1]
-    if arr.size <= 1:
-        return []
-    if arr.size == 2:
-        return [-arr[0] / arr[1]]
-    roots = np.roots(arr[::-1])
-    scale = max(1.0, float(np.max(np.abs(arr))))
-    return sorted(float(r.real) for r in roots if abs(r.imag) < 1e-9 * scale)
-
-
-def slice_fiber(region: Region, base, axis: int, mode: str = "exact",
-                tol=Fraction(1, 10**12)) -> FiberSlices:
-    """The fiber of the region over a base point, along one coordinate.
-
-    base maps every ambient coordinate except `axis` to a value.  Exact mode
-    requires rational base values; float mode uses numpy root finding (for
-    the quadrature inner loop).  When every constraint of a cell vanishes
-    identically on the line the cell contributes the whole box interval,
-    flagged degenerate.
+    restricted holds (ascending coefficients, equality) per constraint on
+    the line.  A coefficient of magnitude at most `zero` vanishes and an
+    inequality payload at most `feasible` holds (both 0 in exact
+    arithmetic).  With an equality constraint the fiber is the roots of the
+    first one that satisfy the rest; otherwise it is the intervals between
+    consecutive critical values whose midpoints satisfy the cell.  Returns
+    True when every constraint vanishes on the line: the cell then
+    contributes the whole box interval.
     """
-    exact = mode == "exact"
-    if isinstance(base, (list, tuple)):
-        base = {v: x for v, x in enumerate(base) if v != axis}
-    base = dict(base)
-    if exact:
-        base = {v: Fraction(x) for v, x in base.items()}
-    box = region.bounding_box()
-    lo_box, hi_box = box[axis]
-    if exact:
-        lo_box, hi_box = Fraction(lo_box), Fraction(hi_box)
-
-    pieces = []
-    degenerate = False
-    for cell in region.cells:
-        if any(e.derived_from is None for e in cell.extra):
-            raise RegionError("cannot slice a cell with existential variables")
-        full_base = dict(base)
-        for i, e in enumerate(cell.extra):
-            src = e.derived_from
-            if src == axis:
-                raise RegionError("cannot slice along a coordinate with a derived companion")
-            val = full_base[src]
-            s = (float(val) ** 2 + 1.0) ** 0.5
-            full_base[region.n + i] = Fraction(s) if exact else s
-        restricted = []
-        all_zero = True
-        feasible = True
-        for c in cell.constraints:
-            coeffs = _restrict_to_axis(c.payload, full_base, axis, exact)
-            nonzero = any(
-                (v != 0) if exact else (abs(v) > 1e-12) for v in coeffs
-            )
-            if not nonzero:
-                continue
-            all_zero = False
-            if len(coeffs) == 1:
-                v = coeffs[0]
-                bad = (v != 0) if c.equality else (v > (0 if exact else 1e-9))
-                if bad:
-                    feasible = False
-                    break
-                continue
-            restricted.append((coeffs, c.equality))
-        if not feasible:
+    lines = []
+    all_zero = True
+    for coeffs, equality in restricted:
+        if max(map(abs, coeffs), default=0) <= zero:
             continue
-        if all_zero and not restricted:
-            if cell.constraints:
-                degenerate = True
-                pieces.append((lo_box, hi_box))
+        all_zero = False
+        if len(coeffs) == 1:
+            v = coeffs[0]
+            if (v != 0) if equality else (v > feasible):
+                return False
             continue
+        lines.append((coeffs, equality))
+    if all_zero:
+        if restricted:
+            pieces.append((lo_box, hi_box))
+        return bool(restricted)
 
-        eqs = [rc for rc in restricted if rc[1]]
-        if eqs:
-            # candidate roots are isolated to width <= tol, so acceptance of
-            # the remaining constraints uses a matching tolerance
-            candidates = _real_roots_of_coeffs(eqs[0][0], exact, tol)
-            for root in candidates:
-                slack = _acceptance_slack(restricted, root, tol)
-                ok = True
-                for coeffs, equality in restricted:
-                    v = _eval(coeffs, root) if exact else _eval_f(coeffs, root)
-                    if equality:
-                        if abs(v) > slack:
-                            ok = False
-                            break
-                    elif v > slack:
-                        ok = False
-                        break
-                if ok and lo_box <= root <= hi_box:
-                    pieces.append((root, root))
-            continue
+    eq = next((coeffs for coeffs, equality in lines if equality), None)
+    if eq is not None:
+        # candidate roots are localized to width <= tol, so acceptance of
+        # the remaining constraints uses a matching tolerance
+        for root in roots(eq):
+            slack = _acceptance_slack(lines, root, tol)
+            if lo_box <= root <= hi_box and not any(
+                abs(v) > slack if equality else v > slack
+                for v, equality in ((_eval(c, root), e) for c, e in lines)
+            ):
+                pieces.append((root, root))
+        return False
 
-        critical = set()
-        for coeffs, _ in restricted:
-            for r in _real_roots_of_coeffs(coeffs, exact, tol):
-                if lo_box < r < hi_box:
-                    critical.add(r)
-        points = sorted(critical | {lo_box, hi_box})
-        for a, b in zip(points, points[1:]):
-            mid = (a + b) / 2
-            ok = True
-            for coeffs, _ in restricted:
-                v = _eval(coeffs, mid) if exact else _eval_f(coeffs, mid)
-                if (exact and v > 0) or (not exact and v > 1e-9):
-                    ok = False
-                    break
-            if ok:
-                pieces.append((a, b))
+    critical = {r for coeffs, _ in lines for r in roots(coeffs) if lo_box < r < hi_box}
+    points = sorted(critical | {lo_box, hi_box})
+    for a, b in zip(points, points[1:]):
+        mid = (a + b) / 2
+        if not any(_eval(coeffs, mid) > feasible for coeffs, _ in lines):
+            pieces.append((a, b))
+    return False
 
+
+def merge_intervals(pieces: list) -> list:
+    """Sort the (lo, hi) pieces in place and merge the overlapping ones."""
     pieces.sort()
     merged = []
     for lo, hi in pieces:
@@ -416,14 +425,117 @@ def slice_fiber(region: Region, base, axis: int, mode: str = "exact",
             merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
         else:
             merged.append((lo, hi))
-    return FiberSlices(base, axis, merged, degenerate)
+    return merged
 
 
-def _eval_f(coeffs, x):
-    total = 0.0
-    for c in reversed(coeffs):
-        total = total * x + c
-    return total
+def _check_sliceable(cell, axis: int):
+    if any(e.derived_from is None for e in cell.extra):
+        raise RegionError("cannot slice a cell with existential variables")
+    if any(e.derived_from == axis for e in cell.extra):
+        raise RegionError("cannot slice along a coordinate with a derived companion")
+
+
+class FiberKernel:
+    """Float fibers of a region along one axis, compiled once per
+    (region, axis).
+
+    Each cell's constraints become one AxisRestriction.  A solve completes
+    the cell's derived auxiliaries s = sqrt(t^2 + 1) at the base point,
+    restricts every constraint to the line and cuts it at the real roots
+    (`real_roots`): a restricted coefficient up to 1e-12 vanishes, a payload
+    up to 1e-9 is feasible, equality constraints give point fibers, and a
+    cell whose constraints all vanish on the line contributes the whole box
+    interval and marks the fiber degenerate.
+    """
+
+    def __init__(self, region: Region, axis: int, tol=Fraction(1, 10**12)):
+        lo, hi = region.bounding_box()[axis]
+        self.lo_box, self.hi_box = float(lo), float(hi)
+        self.n = region.n
+        self.tol = tol
+        self.cells = []
+        for cell in region.cells:
+            _check_sliceable(cell, axis)
+            restriction = AxisRestriction([c.payload for c in cell.constraints], axis,
+                                          cell.nvars_total(region.n))
+            self.cells.append((cell.extra, restriction, [c.equality for c in cell.constraints]))
+
+    def intervals(self, point: np.ndarray):
+        """(sorted disjoint intervals, degenerate) of the fiber through the
+        ambient point (its axis entry is ignored)."""
+        pieces = []
+        degenerate = False
+        for extras, restriction, equalities in self.cells:
+            full = point
+            if extras:
+                full = np.zeros(self.n + len(extras))
+                full[: self.n] = point[: self.n]
+                fill_derived(full, extras, self.n)
+            restricted = zip(restriction.coeffs(full), equalities)
+            degenerate |= _cell_fiber(list(restricted), self.lo_box, self.hi_box, real_roots,
+                                      1e-12, 1e-9, self.tol, pieces)
+        return merge_intervals(pieces), degenerate
+
+
+def _restrict_to_axis(payload: Polynomial, base: Mapping[int, object], axis: int):
+    """Exact coefficient list (ascending) of the payload restricted to the line."""
+    coeffs = [Fraction(0)] * (payload.degree_in(axis) + 1)
+    for exp, c in payload.terms.items():
+        value = c
+        for v, e in enumerate(exp):
+            if v != axis and e:
+                value = value * base[v] ** e
+        coeffs[exp[axis]] += value
+    return coeffs
+
+
+def _exact_roots(coeffs, tol) -> list:
+    trimmed = _trim(list(coeffs))
+    if len(trimmed) <= 1:
+        return []
+    if len(trimmed) == 2:
+        return [-trimmed[0] / trimmed[1]]
+    return [(lo + hi) / 2 for lo, hi, _ in isolate_real_roots(trimmed, tol).intervals]
+
+
+def slice_fiber(region: Region, base, axis: int, mode: str = "exact",
+                tol=Fraction(1, 10**12)) -> FiberSlices:
+    """The fiber of the region over a base point, along one coordinate.
+
+    base maps every ambient coordinate except `axis` to a value.  Exact mode
+    requires rational base values and isolates roots exactly; float mode
+    solves once with a FiberKernel (loops over many base points should build
+    the kernel once and call it directly).  When every constraint of a cell
+    vanishes identically on the line the cell contributes the whole box
+    interval, flagged degenerate.
+    """
+    if isinstance(base, (list, tuple)):
+        base = {v: x for v, x in enumerate(base) if v != axis}
+    base = dict(base)
+    n = region.n
+    point = np.zeros(n + max((len(cell.extra) for cell in region.cells), default=0))
+    for v, x in base.items():
+        if v < n:
+            point[v] = float(x)
+    if mode != "exact":
+        merged, degenerate = FiberKernel(region, axis, tol).intervals(point[:n])
+        return FiberSlices(base, axis, merged, degenerate)
+
+    base = {v: Fraction(x) for v, x in base.items()}
+    lo, hi = region.bounding_box()[axis]
+    lo_box, hi_box = Fraction(lo), Fraction(hi)
+    pieces = []
+    degenerate = False
+    for cell in region.cells:
+        _check_sliceable(cell, axis)
+        derived = fill_derived(point.copy(), cell.extra, n)
+        full_base = dict(base)
+        full_base.update({n + i: Fraction(float(derived[n + i])) for i in range(len(cell.extra))})
+        restricted = [(_restrict_to_axis(c.payload, full_base, axis), c.equality)
+                      for c in cell.constraints]
+        degenerate |= _cell_fiber(restricted, lo_box, hi_box,
+                                  lambda coeffs: _exact_roots(coeffs, tol), 0, 0, tol, pieces)
+    return FiberSlices(base, axis, merge_intervals(pieces), degenerate)
 
 
 def _acceptance_slack(restricted, root, tol):
@@ -454,13 +566,16 @@ def slice_sup_volume(region: Region, axis: int, fixed: Mapping[int, object],
     box = region.bounding_box()
     free = [v for v in range(region.n) if v != axis and v not in fixed]
     rng = np.random.Generator(np.random.Philox(key=seed))
+    kernel = FiberKernel(region, axis)
     best = 0.0
     count = max(1, samples) if free else 1
     for _ in range(count):
-        base = {v: float(x) for v, x in fixed.items()}
+        point = np.zeros(region.n)
+        for v, x in fixed.items():
+            point[v] = float(x)
         for v in free:
             lo, hi = box[v]
-            base[v] = float(rng.uniform(lo, hi))
-        fs = slice_fiber(region, base, axis, mode="float")
-        best = max(best, fs.total_length())
+            point[v] = rng.uniform(lo, hi)
+        intervals, _ = kernel.intervals(point)
+        best = max(best, float(sum(hi - lo for lo, hi in intervals)))
     return SupVolumeReport(best, count)

@@ -43,6 +43,14 @@ def test_s_half_dilogarithm():
     assert res.value == pytest.approx(LI2_HALF, abs=1e-6)
     assert res.ladder.verdict == "converged"
     assert res.absolute == pytest.approx(res.value, abs=1e-6)  # positive integrand
+    assert not any("depth cap" in flag for flag in res.flags)
+
+
+def test_depth_cap_hits_flagged():
+    res = integrate_log_form(load_region("s_half"), dlog2(), QuadConfig(max_depth=0))
+    hits = [flag for flag in res.flags if flag.startswith("quadrature depth cap hit (")]
+    assert len(hits) == 1 and hits[0].endswith(" panels)")
+    assert sum(res.ladder.capped) + sum(res.abs_ladder.capped) == int(hits[0].split("(")[1].split()[0])
 
 
 def test_shifted_square_product():

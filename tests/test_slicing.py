@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from helpers import load_region, region_of
 from logvol import PolyError, isolate_real_roots, slice_fiber, slice_sup_volume
 from logvol.region import RegionError
+from logvol.slicing import real_roots
 
 
 F = Fraction
@@ -109,11 +111,15 @@ def test_s_half_fiber_empty():
 
 def test_equality_fiber_is_points():
     A = region_of(2, 2, ["r2^2 - r1 = 0"], [(0, 1), (-1, 1)])
-    fs = slice_fiber(A, {0: F(1, 4)}, 1)
-    assert len(fs.intervals) == 2
-    for lo, hi in fs.intervals:
-        assert lo == hi
-    assert sorted(abs(float(lo)) for lo, _ in fs.intervals) == pytest.approx([0.5, 0.5])
+    for mode in ("exact", "float"):
+        fs = slice_fiber(A, {0: F(1, 4)}, 1, mode=mode)
+        assert len(fs.intervals) == 2
+        for lo, hi in fs.intervals:
+            assert lo == hi
+        assert sorted(abs(float(lo)) for lo, _ in fs.intervals) == pytest.approx([0.5, 0.5])
+        # tangent line: the double root is one point
+        fs = slice_fiber(A, {0: F(0)}, 1, mode=mode)
+        assert fs.intervals == [(0, 0)]
 
 
 def test_degenerate_fiber_flagged():
@@ -131,6 +137,84 @@ def test_existential_cells_rejected():
     A = Region(2, 1, [cell], "real", [(0, 1), (0, 1)])
     with pytest.raises(RegionError):
         slice_fiber(A, {0: F(1, 2)}, 1)
+
+
+def test_derived_auxiliary_fiber():
+    """A cell with s = sqrt(r1^2 + 1) next to a plain cell: r2 <= s - 1
+    gives [0, 1/4] at r1 = 3/4 in both modes; slicing along r1 is refused."""
+    from logvol.region import Cell, Constraint, ExtraVar, Region
+    from logvol import Polynomial
+
+    r1, r2, s = (Polynomial.var(3, i) for i in range(3))
+    lifted = Cell([Constraint(r2 - s + 1), Constraint(-r2)], (ExtraVar("s", 1.0, 2.0, 0),))
+    plain = Cell([Constraint(Polynomial.var(2, 1) - F(1, 10)), Constraint(-Polynomial.var(2, 1))])
+    A = Region(2, 1, [lifted, plain], "real", [(0, 1), (0, 1)])
+    for mode in ("exact", "float"):
+        fs = slice_fiber(A, {0: F(3, 4)}, 1, mode=mode)
+        assert [(float(lo), float(hi)) for lo, hi in fs.intervals] == [(0.0, pytest.approx(0.25))]
+        with pytest.raises(RegionError):
+            slice_fiber(A, {1: F(1, 2)}, 0, mode=mode)
+
+
+# ---------------------------------------------------------------------------
+# float kernel against exact slicing
+
+
+def _np_real_roots(coeffs):
+    scale = max(1.0, max(abs(c) for c in coeffs))
+    return sorted(r.real for r in np.roots(coeffs[::-1]) if abs(r.imag) < 1e-9 * scale)
+
+
+@pytest.mark.parametrize(
+    "coeffs, count",
+    [
+        ([-1.0, 0.0, 1.0], 2),                        # +-1
+        ([1.0 + 1e-7, -(2.0 + 1e-7), 1.0], 2),        # near-double root at 1
+        ([-1.0, 1.0, 1e-14], 2),                      # tiny leading coefficient
+        ([1e-10 + 1e-21, -2e-5, 1.0], 2),             # complex pair, |imag| ~ 3e-11
+        ([1e-10 + 1e-16, -2e-5, 1.0], 0),             # complex pair, |imag| ~ 1e-8
+        ([0.0, 3.0, 1.0], 2),                         # root at 0
+        ([0.0, 0.0, 2.0], 2),                         # double root at 0
+        ([-6.0, 11.0, -6.0, 1.0], 3),                 # cubic goes through np.roots
+    ],
+)
+def test_real_roots_match_np_roots(coeffs, count):
+    got = real_roots(coeffs)
+    want = _np_real_roots(coeffs)
+    assert len(got) == len(want) == count
+    for g, w in zip(got, want):
+        assert g == pytest.approx(w, rel=1e-7, abs=1e-12)
+
+
+def test_real_roots_degenerate_degrees():
+    assert real_roots([]) == [] and real_roots([2.0]) == []
+    assert real_roots([1.0, 2.0, 1e-301]) == [-0.5]  # negligible top coefficient dropped
+
+
+_FLOAT_VS_EXACT = ["s_half", "disk_c1", "quadrant_disk_c1", "triangle_p2", "nested_annulus_c2"]
+
+
+@given(
+    name=st.sampled_from(_FLOAT_VS_EXACT),
+    axis_pick=st.integers(0, 3),
+    grid=st.lists(st.integers(0, 96), min_size=3, max_size=3),
+)
+def test_float_fiber_matches_exact(name, axis_pick, grid):
+    """At rational base points the float kernel reproduces exact slicing to
+    1e-9 of the axis extent, with the same degenerate flag."""
+    A = load_region(name)
+    box = A.bounding_box()
+    axis = axis_pick % A.n
+    others = [v for v in range(A.n) if v != axis]
+    base = {v: F(box[v][0]) + (F(box[v][1]) - F(box[v][0])) * F(k, 96)
+            for v, k in zip(others, grid)}
+    exact = slice_fiber(A, base, axis, mode="exact")
+    flt = slice_fiber(A, base, axis, mode="float")
+    tol = 1e-9 * (box[axis][1] - box[axis][0])
+    assert flt.degenerate == exact.degenerate
+    assert len(flt.intervals) == len(exact.intervals)
+    for (flo, fhi), (elo, ehi) in zip(flt.intervals, exact.intervals):
+        assert abs(flo - float(elo)) <= tol and abs(fhi - float(ehi)) <= tol
 
 
 # ---------------------------------------------------------------------------
