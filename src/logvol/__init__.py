@@ -61,7 +61,6 @@ from .complexint import (
     ComplexIntError,
     ComplexLogForm,
     Partition,
-    PulledBackForm,
     RealTask,
     annulus_slice_decay,
     conjugate_region,

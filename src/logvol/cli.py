@@ -205,6 +205,8 @@ def _cmd_integrate_complex(args) -> int:
     print(f"error    {result.error:.3g}")
     print(f"absolute {result.absolute:.9g}")
     print(f"verdict  {result.verdict}")
+    for flag in result.flags:
+        print(f"note     {flag}")
     return 0 if result.verdict == "converged" else 2
 
 
@@ -262,6 +264,8 @@ def _cmd_decay_complex(args) -> int:
     print(str(report))
     for t, v in report.entries:
         print(f"  t={t:.6g} vol={v:.9g}")
+    for flag in report.flags:
+        print(f"note     {flag}")
     return 0 if report.verdict in ("decays to zero", "identically zero") else 2
 
 

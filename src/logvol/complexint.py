@@ -22,12 +22,21 @@ s_i^2 = tau_i^2 + 1) absorbing odd parities.  Dropped coordinates (tau_i
 for i in P, r_j for j in Q) are eliminated exactly when they enter every
 constraint affinely, and kept as existentially quantified auxiliaries
 otherwise.
+
+One construction path serves every entry point: `_partitions` enumerates
+the (term, partition) choices of a form, and `_pull_back` turns a (sector
+assignment, term, partition) into a `RealTask` laid out by `_task_index`,
+the same layout `transform_piece` gives the transformed region.
+`reduce_to_real_tasks` attaches each sector piece's transformed region,
+`annulus_slice_decay` builds its tasks once and transforms the piece again
+per radius, and `pullback_complex_log_form` returns the tasks without a
+region.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import product as iproduct
 from typing import Callable, Mapping, Sequence
@@ -40,6 +49,7 @@ from .integrate import (
     fit_decay_exponent,
     DecayFit,
     _build_ladder,
+    _cap_flags,
 )
 from .polyform import LogForm, Polynomial
 from .region import (
@@ -362,10 +372,15 @@ def transform_piece(piece: Region, alphas, partition: Partition,
     coordinates to values before projection.
     """
     nc = piece.n // 2
-    keep_r = sorted(set(partition.P) | set(partition.R))
-    keep_tau = sorted(set(partition.Q) | set(partition.R))
-    drops = sorted({nc + i for i in partition.P} | {j for j in partition.Q})
-    radius = [_radius_bound(piece, i) for i in range(nc)]
+    if sorted(partition.P + partition.Q + partition.R) != list(range(nc)):
+        raise ComplexIntError("the partition must cover every complex coordinate")
+    eliminate = eliminate or {}
+    eliminated = {("r", v) if v < nc else ("tau", v - nc) for v in eliminate}
+    index, n_task = _task_index(partition, eliminated)
+    # full polar order: r_1..r_n, tau_1..tau_n
+    layout = {(i if kind == "r" else nc + i): pos for (kind, i), pos in index.items()}
+    drops = [v for v in range(2 * nc) if v not in layout and v not in eliminate]
+    radius = [_radius_bound(piece, i) * (1 + 1e-9) for i in range(nc)]
 
     task_cells = []
     for cell in piece.cells:
@@ -388,7 +403,7 @@ def transform_piece(piece: Region, alphas, partition: Partition,
         for i in range(nc):
             r = Polynomial.var(nv, i)
             constraints.append(Constraint(-r, equality=False))
-            constraints.append(Constraint(r - Fraction(radius[i] * (1 + 1e-9)), equality=False))
+            constraints.append(Constraint(r - Fraction(radius[i]), equality=False))
             t = Polynomial.var(nv, nc + i)
             constraints.append(Constraint(t - 1, equality=False))
             constraints.append(Constraint(-t - 1, equality=False))
@@ -400,9 +415,8 @@ def transform_piece(piece: Region, alphas, partition: Partition,
                 for c in constraints
             ]
 
-        drop_here = [d for d in drops if not (eliminate and d in eliminate)]
         existential = []
-        for v in list(drop_here):
+        for v in drops:
             tau_of_s = v - nc if v >= nc else None
             if tau_of_s is not None and tau_of_s in s_needed:
                 existential.append(v)  # an s depends on this tau: keep it
@@ -413,21 +427,15 @@ def transform_piece(piece: Region, alphas, partition: Partition,
             else:
                 constraints = attempt
 
-        # final coordinate layout
-        kept = [i for i in keep_r] + [nc + j for j in keep_tau]
-        if eliminate:
-            kept = [v for v in kept if v not in eliminate]
-        n_task = len(kept)
-        mapping = {}
-        for pos, v in enumerate(kept):
-            mapping[v] = pos
+        # task coordinates, then existential auxiliaries, then the s_i
+        mapping = dict(layout)
         extras = []
         for pos, v in enumerate(existential):
             mapping[v] = n_task + pos
             if v >= nc:
                 extras.append(ExtraVar(f"tau{v - nc + 1}", -1.0, 1.0))
             else:
-                extras.append(ExtraVar(f"r{v + 1}", 0.0, radius[v] * (1 + 1e-9)))
+                extras.append(ExtraVar(f"r{v + 1}", 0.0, radius[v]))
         for j, i in enumerate(s_order):
             mapping[2 * nc + j] = n_task + len(existential) + j
         total = n_task + len(existential) + len(s_order)
@@ -451,24 +459,32 @@ def transform_piece(piece: Region, alphas, partition: Partition,
             raise ComplexIntError("projection left a dangling variable")
         task_cells.append(Cell(final, tuple(extras)))
 
-    # task box
-    box = []
-    for i in keep_r:
-        if eliminate and i in eliminate:
-            continue
-        box.append((Fraction(0), Fraction(radius[i] * (1 + 1e-9))))
-    for j in keep_tau:
-        if eliminate and (nc + j) in eliminate:
-            continue
-        box.append((Fraction(-1), Fraction(1)))
-    p_task = len([i for i in keep_r if not (eliminate and i in eliminate)])
-    shell = Region(len(box), p_task, [], "real", box, piece.name)
+    box = [
+        (Fraction(0), Fraction(radius[i])) if kind == "r" else (Fraction(-1), Fraction(1))
+        for kind, i in index
+    ]
+    p_task = sum(kind == "r" for kind, _ in index)
+    shell = Region(n_task, p_task, [], "real", box, piece.name)
     cells = []
     for cell in task_cells:
         simp = simplify_cell(shell, cell)
         if simp is not None:
             cells.append(simp)
-    return Region(len(box), p_task, cells, "real", box, piece.name)
+    return Region(n_task, p_task, cells, "real", box, piece.name)
+
+
+def _task_index(partition: Partition, eliminated=frozenset()):
+    """Task coordinate layout of a partition: {("r", i) | ("tau", j): position}
+    with r_(P+R) first, then tau_(Q+R), each ascending; coordinates listed in
+    `eliminated` are fixed and take no position."""
+    keep_r = sorted(set(partition.P) | set(partition.R))
+    keep_tau = sorted(set(partition.Q) | set(partition.R))
+    labels = [("r", i) for i in keep_r] + [("tau", j) for j in keep_tau]
+    index = {}
+    for label in labels:
+        if label not in eliminated:
+            index[label] = len(index)
+    return index, len(index)
 
 
 # ---------------------------------------------------------------------------
@@ -477,11 +493,16 @@ def transform_piece(piece: Region, alphas, partition: Partition,
 
 @dataclass
 class RealTask:
-    """One (sector, term, partition) quadrature job in real coordinates."""
+    """phi_{P,Q,R} of one (sector, term, partition) choice as a quadrature
+    job in real coordinates: a polynomial complex coefficient (split into
+    real and imaginary parts over the task coordinates), the bounded smooth
+    prefactor prod (tau^2+1)^(-e/2), and the positions of the task
+    coordinates carrying dr/r factors.  `region` is the transformed sector
+    piece, None when the record comes from pullback_complex_log_form."""
 
     sector: tuple
     partition: Partition
-    region: Region
+    region: Region | None
     poly_re: Polynomial        # over task + auxiliary variables
     poly_im: Polynomial
     prefactor: list            # (tau position, half power e): (tau^2+1)^(-e/2)
@@ -595,50 +616,51 @@ def _coefficient_eval(re: Polynomial, im: Polynomial, partition: Partition,
     return f
 
 
-@dataclass
-class PulledBackForm:
-    """phi_{P,Q,R} data for one (sector, partition) choice: a polynomial
-    complex coefficient (split into real and imaginary parts over the task
-    coordinates), the bounded smooth prefactor prod (tau^2+1)^(-e/2), and
-    the positions of the task coordinates carrying dr/r factors."""
+def _partitions(form: ComplexLogForm):
+    """(re, im, partition) for every term a * (dz/z ...) ^ dzbar_R of the form
+    and every split of its remaining coordinates into dr/r (P) and dtau (Q)."""
+    for re, im, R in form.terms:
+        rest = [i for i in range(form.n) if i not in R]
+        for bits in iproduct((0, 1), repeat=len(rest)):
+            P = tuple(i for i, b in zip(rest, bits) if b == 0)
+            Q = tuple(i for i, b in zip(rest, bits) if b == 1)
+            yield re, im, Partition(P, Q, R)
 
-    partition: Partition
-    poly_re: Polynomial
-    poly_im: Polynomial
-    prefactor: list
-    log_positions: tuple
-    coeff_eval: Callable | None = None
+
+def _pull_back(re: Polynomial, im: Polynomial, partition: Partition, alphas,
+               region: Region | None = None, eliminated=frozenset()) -> RealTask:
+    """The task of one (sector assignment, term, partition) choice, in the
+    layout transform_piece gives the region when it eliminates `eliminated`.
+
+    A constant coefficient is folded into the polynomial part; any other is
+    kept as a pointwise factor.
+    """
+    nc = len(alphas)
+    index, n_task = _task_index(partition, eliminated)
+    pre, pim, prefactor, logpos = _partition_form(partition, alphas, n_task, index, nc)
+    coeff = _coefficient_eval(re, im, partition, alphas, index, nc)
+    if coeff is None:
+        c0, c1 = re.constant_value(), im.constant_value()
+        pre, pim = pre * c0 - pim * c1, pim * c0 + pre * c1
+    return RealTask(alphas, partition, region, pre, pim, prefactor, logpos, coeff)
 
 
 def pullback_complex_log_form(form: ComplexLogForm, alphas,
                               partition: Partition) -> list:
     """Pull one sector's worth of the form back to real task data.
 
-    Returns one PulledBackForm per form term whose dzbar block matches the
-    partition's R; the polynomial part carries i per dtau factor and
-    i^(1-alpha) (-2)(tau_k + i) per paired block, and the denominators
+    Returns one RealTask (without a region) per form term whose dzbar block
+    matches the partition's R; the polynomial part carries i per dtau factor
+    and i^(1-alpha) (-2)(tau_k + i) per paired block, and the denominators
     (tau^2+1) and (tau^2+1)^(3/2) ride along as pointwise prefactors.
     """
-    nc = form.n
     if partition.degree() != form.degree:
         raise ComplexIntError(
             f"partition degree {partition.degree()} does not match the form "
             f"degree {form.degree}"
         )
-    out = []
-    for re, im, R in form.terms:
-        if tuple(R) != partition.R:
-            continue
-        index, n_task = _task_index(partition)
-        pre, pim, prefactor, logpos = _partition_form(
-            partition, alphas, n_task, index, nc
-        )
-        coeff = _coefficient_eval(re, im, partition, alphas, index, nc)
-        if coeff is None:
-            c0, c1 = re.constant_value(), im.constant_value()
-            pre, pim = pre * c0 - pim * c1, pim * c0 + pre * c1
-        out.append(PulledBackForm(partition, pre, pim, prefactor, logpos, coeff))
-    return out
+    return [_pull_back(re, im, part, alphas)
+            for re, im, part in _partitions(form) if part == partition]
 
 
 def split_projective_charts(region: Region, form: ComplexLogForm,
@@ -716,24 +738,6 @@ def split_projective_charts(region: Region, form: ComplexLogForm,
     return piece, flipped
 
 
-def _task_index(partition: Partition, eliminate_done: set = frozenset()):
-    keep_r = sorted(set(partition.P) | set(partition.R))
-    keep_tau = sorted(set(partition.Q) | set(partition.R))
-    index = {}
-    pos = 0
-    for i in keep_r:
-        if ("r", i) in eliminate_done:
-            continue
-        index[("r", i)] = pos
-        pos += 1
-    for j in keep_tau:
-        if ("tau", j) in eliminate_done:
-            continue
-        index[("tau", j)] = pos
-        pos += 1
-    return index, pos
-
-
 def reduce_to_real_tasks(region: Region, form: ComplexLogForm, m: int,
                          probe: ProbeConfig | None = None,
                          check_gate: bool = True) -> list:
@@ -749,28 +753,10 @@ def reduce_to_real_tasks(region: Region, form: ComplexLogForm, m: int,
             raise ComplexIntError(f"admissibility gate failed: {verdict}")
     tasks = []
     for alphas, _piece, originals in _sector_pieces(region):
-        piece = originals
-        for re, im, R in form.terms:
-            rest = [i for i in range(nc) if i not in R]
-            for bits in iproduct((0, 1), repeat=len(rest)):
-                P = tuple(i for i, b in zip(rest, bits) if b == 0)
-                Q = tuple(i for i, b in zip(rest, bits) if b == 1)
-                part = Partition(P, Q, R)
-                index, n_task = _task_index(part)
-                task_region = transform_piece(piece, alphas, part)
-                if not task_region.cells:
-                    continue
-                pre, pim, prefactor, logpos = _partition_form(
-                    part, alphas, n_task, index, nc
-                )
-                coeff = _coefficient_eval(re, im, part, alphas, index, nc)
-                if coeff is None:
-                    c0, c1 = re.constant_value(), im.constant_value()
-                    pre, pim = pre * c0 - pim * c1, pim * c0 + pre * c1
-                tasks.append(
-                    RealTask(alphas, part, task_region, pre, pim, prefactor,
-                             logpos, coeff)
-                )
+        for re, im, part in _partitions(form):
+            task_region = transform_piece(originals, alphas, part)
+            if task_region.cells:
+                tasks.append(_pull_back(re, im, part, alphas, task_region))
     return tasks
 
 
@@ -801,6 +787,7 @@ class ComplexIntegralResult:
     absolute: float
     verdict: str
     tasks: list = field(default_factory=list)
+    flags: list = field(default_factory=list)
 
     def __str__(self):
         return (
@@ -810,34 +797,49 @@ class ComplexIntegralResult:
 
 
 def _integrate_task(task: RealTask, cfg: QuadConfig, absolute: bool = False):
+    """(value, error, ladder); the error is nan while the ladder has not
+    settled on a limit."""
     integrand = task.integrand()
     ladder = _build_ladder(task.region, integrand, cfg, absolute=absolute)
     value = ladder.limit if ladder.limit is not None else ladder.values()[-1]
-    error = ladder.error if ladder.error is not None else 0.0
-    return value, error, ladder.verdict
+    error = ladder.error if ladder.error is not None else float("nan")
+    return value, error, ladder
 
 
 def integrate_admissible(region: Region, form: ComplexLogForm, m: int,
                          cfg: QuadConfig | None = None,
                          probe: ProbeConfig | None = None) -> ComplexIntegralResult:
-    """Sum of the reduced real tasks, real and imaginary parts separately."""
+    """Sum of the reduced real tasks, real and imaginary parts separately.
+
+    The verdict is "converged" only when every task's signed and absolute
+    ladders converge, "diverging" when any of them diverges, and
+    "inconclusive" otherwise.
+    """
     cfg = cfg or QuadConfig()
     tasks = reduce_to_real_tasks(region, form, m, probe)
     total = 0j
     error = 0.0
     absolute = 0.0
-    verdict = "converged"
+    verdicts = set()
+    ladders = []
     detail = []
     for task in tasks:
-        value, err, v = _integrate_task(task, cfg, absolute=False)
-        abs_val, abs_err, _ = _integrate_task(task, cfg, absolute=True)
-        if v == "diverging":
-            verdict = "diverging"
+        value, err, ladder = _integrate_task(task, cfg, absolute=False)
+        abs_val, _, abs_ladder = _integrate_task(task, cfg, absolute=True)
+        verdicts |= {ladder.verdict, abs_ladder.verdict}
+        ladders += [ladder, abs_ladder]
         total += complex(value)
         error += err
         absolute += abs(abs_val)
         detail.append((task, value, err))
-    return ComplexIntegralResult(total, error, absolute, verdict, detail)
+    if "diverging" in verdicts:
+        verdict = "diverging"
+    elif verdicts <= {"converged"}:
+        verdict = "converged"
+    else:
+        verdict = "inconclusive"
+    return ComplexIntegralResult(total, error, absolute, verdict, detail,
+                                 _cap_flags(ladders))
 
 
 # ---------------------------------------------------------------------------
@@ -850,6 +852,7 @@ class AnnulusDecayReport:
     fit: DecayFit | None
     verdict: str
     monotone: bool
+    flags: list = field(default_factory=list)
 
     def __str__(self):
         if self.fit is None:
@@ -876,6 +879,8 @@ def annulus_slice_decay(region: Region, form: ComplexLogForm, m: int,
         raise ComplexIntError("annulus slices need at least two complex coordinates")
     if form.degree != m - 1:
         raise ComplexIntError("the slice form must have total degree m - 1")
+    if not all(re.is_constant() and im.is_constant() for re, im, _ in form.terms):
+        raise ComplexIntError("annulus decay supports constant coefficients")
     bound_z2 = True
     verdict = region.is_admissible(m, probe)
     if not verdict.ok:
@@ -886,52 +891,41 @@ def annulus_slice_decay(region: Region, form: ComplexLogForm, m: int,
                                   "the divisor locus is not inside D")
     ts = list(ts) if ts is not None else [2.0**-k for k in range(2, 11)]
 
-    pieces = [(alphas, orig) for alphas, _aug, orig in _sector_pieces(region)]
+    # r_1 = t is fixed on the slice, so dr_1 restricts to zero: only the
+    # partitions with z_1 in Q contribute
+    pieces = [
+        (alphas, orig, [_pull_back(re, im, part, alphas, eliminated={("r", 0)})
+                        for re, im, part in _partitions(form) if 0 in part.Q])
+        for alphas, _aug, orig in _sector_pieces(region)
+    ]
+    r1 = Polynomial.var(2 * nc, 0)
+    r2 = Polynomial.var(2 * nc, 1)
     entries = []
+    ladders = []
     for t in ts:
+        rows = [(r1 - Fraction(t), True)]
+        if bound_z2:
+            rows.append((r2 - Fraction(t), False))
         vol = 0.0
-        for alphas, piece in pieces:
-            for re, im, R in form.terms:
-                rest = [i for i in range(nc) if i not in R]
-                for bits in iproduct((0, 1), repeat=len(rest)):
-                    P = tuple(i for i, b in zip(rest, bits) if b == 0)
-                    Q = tuple(i for i, b in zip(rest, bits) if b == 1)
-                    if 0 not in Q:
-                        continue  # dr_1 restricts to zero on the slice
-                    part = Partition(P, Q, R)
-                    poly_extra = []
-                    nvp = 2 * nc
-                    r1 = Polynomial.var(nvp, 0)
-                    poly_extra.append((r1 - Fraction(t), True))
-                    if bound_z2:
-                        r2 = Polynomial.var(nvp, 1)
-                        poly_extra.append((r2 - Fraction(t), False))
-                    task_region = transform_piece(
-                        piece, alphas, part,
-                        extra_polar_constraints=poly_extra,
-                        eliminate={0: t},
-                    )
-                    if not task_region.cells:
-                        continue
-                    index, n_task = _task_index(part, eliminate_done={("r", 0)})
-                    pre, pim, prefactor, logpos = _partition_form(
-                        part, alphas, n_task, index, nc
-                    )
-                    if not (re.is_constant() and im.is_constant()):
-                        raise ComplexIntError(
-                            "annulus decay supports constant coefficients"
-                        )
-                    c = (re.constant_value(), im.constant_value())
-                    pre, pim = pre * c[0] - pim * c[1], pim * c[0] + pre * c[1]
-                    task = RealTask(alphas, part, task_region, pre, pim,
-                                    prefactor, logpos, None)
-                    abs_val, _, _ = _integrate_task(task, cfg, absolute=True)
-                    vol += abs(abs_val)
+        for alphas, piece, tasks in pieces:
+            for task in tasks:
+                task_region = transform_piece(
+                    piece, alphas, task.partition,
+                    extra_polar_constraints=rows, eliminate={0: t},
+                )
+                if not task_region.cells:
+                    continue
+                abs_val, _, ladder = _integrate_task(
+                    replace(task, region=task_region), cfg, absolute=True
+                )
+                ladders.append(ladder)
+                vol += abs(abs_val)
         entries.append((t, vol))
+    flags = _cap_flags(ladders)
     if all(v <= cfg.abs_tol for _, v in entries):
-        return AnnulusDecayReport(entries, None, "identically zero", True)
+        return AnnulusDecayReport(entries, None, "identically zero", True, flags)
     fit = fit_decay_exponent(entries)
     ordered = sorted(entries)  # ascending t
     monotone = all(a[1] <= b[1] + cfg.abs_tol for a, b in zip(ordered, ordered[1:]))
     verdict_txt = "decays to zero" if fit.exponent > 0.05 else "no decay detected"
-    return AnnulusDecayReport(entries, fit, verdict_txt, monotone)
+    return AnnulusDecayReport(entries, fit, verdict_txt, monotone, flags)

@@ -649,6 +649,13 @@ def _build_ladder(region: Region, integrand: Integrand, cfg: QuadConfig,
     return ladder
 
 
+def _cap_flags(ladders) -> list:
+    """The depth-cap flag of a result built from these ladders, if any panel
+    was accepted at max_depth."""
+    capped = sum(sum(ladder.capped) for ladder in ladders)
+    return [f"quadrature depth cap hit ({capped} panels)"] if capped else []
+
+
 def integrate_log_form(region: Region, form: LogForm, cfg: QuadConfig | None = None,
                        integrand: Integrand | None = None) -> IntegralResult:
     """Signed integral with the standard orientation of R^n, plus the
@@ -665,9 +672,7 @@ def integrate_log_form(region: Region, form: LogForm, cfg: QuadConfig | None = N
     flags = ["orientation: standard orientation of R^n (signed references match up to orientation)"]
     if ladder.verdict == "diverging" or abs_ladder.verdict == "diverging":
         flags.append("diverging")
-    capped = sum(ladder.capped) + sum(abs_ladder.capped)
-    if capped:
-        flags.append(f"quadrature depth cap hit ({capped} panels)")
+    flags += _cap_flags([ladder, abs_ladder])
     return IntegralResult(value, error, absolute, ladder, abs_ladder, flags)
 
 

@@ -195,84 +195,59 @@ def feasible_point(a_ub, b_ub, a_eq, b_eq, nvars: int):
     return res.point
 
 
-def rank_of_rows(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank via Gaussian elimination."""
-    mat = [list(map(Fraction, row)) for row in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    row_at = 0
+def _rref(mat: list, ncols: int) -> list:
+    """Exact Gauss-Jordan elimination of `mat` in place over its first ncols
+    columns (later columns ride along); returns the pivot columns, pivot r
+    being the leading 1 of row r.  Rows past the pivots are zero there."""
+    pivots = []
     for col in range(ncols):
+        row_at = len(pivots)
+        if row_at == len(mat):
+            break
         pivot = next((r for r in range(row_at, len(mat)) if mat[r][col] != 0), None)
         if pivot is None:
             continue
         mat[row_at], mat[pivot] = mat[pivot], mat[row_at]
+        piv = mat[row_at][col]
+        mat[row_at] = [v / piv for v in mat[row_at]]
         for r in range(len(mat)):
             if r != row_at and mat[r][col] != 0:
-                factor = mat[r][col] / mat[row_at][col]
+                factor = mat[r][col]
                 mat[r] = [a - factor * b for a, b in zip(mat[r], mat[row_at])]
-        row_at += 1
-        rank += 1
-        if row_at == len(mat):
-            break
-    return rank
+        pivots.append(col)
+    return pivots
+
+
+def rank_of_rows(rows: Sequence[Sequence[Fraction]]) -> int:
+    """Exact rank via Gaussian elimination."""
+    mat = [list(map(Fraction, row)) for row in rows]
+    return len(_rref(mat, len(mat[0]) if mat else 0))
 
 
 def particular_solution(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction],
                         nvars: int):
     """One exact solution of rows . x = rhs, or None when inconsistent."""
     mat = [list(map(Fraction, row)) + [Fraction(b)] for row, b in zip(rows, rhs)]
-    pivots = []
-    row_at = 0
-    for col in range(nvars):
-        pivot = next((r for r in range(row_at, len(mat)) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[row_at], mat[pivot] = mat[pivot], mat[row_at]
-        piv = mat[row_at][col]
-        mat[row_at] = [v / piv for v in mat[row_at]]
-        for r in range(len(mat)):
-            if r != row_at and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[row_at])]
-        pivots.append(col)
-        row_at += 1
-        if row_at == len(mat):
-            break
-    for r in range(row_at, len(mat)):
-        if mat[r][-1] != 0:
-            return None
+    pivots = _rref(mat, nvars)
+    if any(row[-1] != 0 for row in mat[len(pivots):]):
+        return None
     x = [Fraction(0)] * nvars
-    for r, col in enumerate(pivots):
-        x[col] = mat[r][-1]
+    for row, col in zip(mat, pivots):
+        x[col] = row[-1]
     return x
 
 
 def nullspace_basis(rows: Sequence[Sequence[Fraction]], nvars: int) -> list:
     """Exact basis of the homogeneous solution space of rows . x = 0."""
-    mat = [list(map(Fraction, row)) for row in rows if any(v != 0 for v in row)]
-    pivots = []
-    row_at = 0
-    for col in range(nvars):
-        pivot = next((r for r in range(row_at, len(mat)) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[row_at], mat[pivot] = mat[pivot], mat[row_at]
-        piv = mat[row_at][col]
-        mat[row_at] = [v / piv for v in mat[row_at]]
-        for r in range(len(mat)):
-            if r != row_at and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[row_at])]
-        pivots.append(col)
-        row_at += 1
-        if row_at == len(mat):
-            break
-    free = [c for c in range(nvars) if c not in pivots]
+    mat = [list(map(Fraction, row)) for row in rows]
+    pivots = _rref(mat, nvars)
     basis = []
-    for f in free:
+    for f in range(nvars):
+        if f in pivots:
+            continue
         vec = [Fraction(0)] * nvars
         vec[f] = Fraction(1)
-        for r, col in enumerate(pivots):
-            vec[col] = -mat[r][f]
+        for row, col in zip(mat, pivots):
+            vec[col] = -row[f]
         basis.append(vec)
     return basis

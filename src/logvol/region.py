@@ -501,20 +501,9 @@ class Region:
             for cell, d in cell_dims:
                 if d < 0:
                     continue
-                in_divisor_locus = False
-                for t in range(nc):
-                    nv = cell.nvars_total(self.n)
-                    dt = [
-                        Constraint(Polynomial.var(nv, 2 * t) - 1, equality=True),
-                        Constraint(Polynomial.var(nv, 2 * t + 1), equality=True),
-                    ]
-                    dcell = Cell(list(cell.constraints) + dt, cell.extra)
-                    d_dt, h2 = _cell_dimension(sub, dcell, cfg)
-                    heuristic = heuristic or h2
-                    if d_dt == d:
-                        in_divisor_locus = True
-                        break
-                if not in_divisor_locus:
+                inside, h2 = _in_divisor_locus(sub, cell, d, cfg)
+                heuristic = heuristic or h2
+                if not inside:
                     d_excl = max(d_excl, d)
             need = m - 2 * len(face)
             if d_excl >= 0 and d_excl > need:
@@ -526,26 +515,11 @@ class Region:
         if self.kind != "complex":
             raise RegionError("only meaningful for complex regions")
         cfg = cfg or ProbeConfig()
-        nc = self.n // 2
         for i in range(self.p):
             sub = self.face_intersection((i,))
             for cell in sub.cells:
                 d, _ = _cell_dimension(sub, cell, cfg)
-                if d < 0:
-                    continue
-                contained = False
-                for t in range(nc):
-                    nv = cell.nvars_total(self.n)
-                    dt = [
-                        Constraint(Polynomial.var(nv, 2 * t) - 1, equality=True),
-                        Constraint(Polynomial.var(nv, 2 * t + 1), equality=True),
-                    ]
-                    dcell = Cell(list(cell.constraints) + dt, cell.extra)
-                    d_dt, _ = _cell_dimension(sub, dcell, cfg)
-                    if d_dt == d:
-                        contained = True
-                        break
-                if not contained:
+                if d >= 0 and not _in_divisor_locus(sub, cell, d, cfg)[0]:
                     return False
         return True
 
@@ -1029,6 +1003,24 @@ def _cell_dimension(region: Region, cell: Cell, cfg: ProbeConfig):
     if simp.is_linear():
         return _exact_cell_dimension(region, simp), False
     return _probe_cell_dimension(region, simp, cfg), True
+
+
+def _in_divisor_locus(region: Region, cell: Cell, dim: int, cfg: ProbeConfig):
+    """(inside, used_heuristic): whether the cell, of dimension dim, lies in
+    some D_t = {z_t = 1} in the dimension-theoretic sense, i.e. its
+    intersection with D_t keeps the full dimension."""
+    nv = cell.nvars_total(region.n)
+    heuristic = False
+    for t in range(region.n // 2):
+        dt = [
+            Constraint(Polynomial.var(nv, 2 * t) - 1, equality=True),
+            Constraint(Polynomial.var(nv, 2 * t + 1), equality=True),
+        ]
+        d_dt, h = _cell_dimension(region, Cell(list(cell.constraints) + dt, cell.extra), cfg)
+        heuristic = heuristic or h
+        if d_dt == dim:
+            return True, heuristic
+    return False, heuristic
 
 
 def _probe_cell_dimension(region: Region, cell: Cell, cfg: ProbeConfig) -> int:

@@ -149,6 +149,54 @@ def test_volume_pair_pullback_matches_identity():
     assert pulled.log_positions == ()
 
 
+def _pullback_cases():
+    """(region, form, m, check_gate): the admissible corpus, the P/Q split of
+    a single dz/z (whose m = 1 gate the 2-dimensional disk cannot pass) and
+    the non-constant coefficient a = z1."""
+    cases = [(region, form, m, True) for region, form, m in admissible_corpus()]
+    cases.append((
+        load_region("quadrant_disk_c1"),
+        ComplexLogForm(1, 0, [(Polynomial.const(2, 1), Polynomial.zero(2), ())]),
+        1, False,
+    ))
+    cases.append((
+        load_region("disk_c1"),
+        ComplexLogForm(1, 1, [(Polynomial.var(2, 0), Polynomial.var(2, 1), (0,))]),
+        2, True,
+    ))
+    return cases
+
+
+def test_pullback_matches_reduced_tasks():
+    """pullback_complex_log_form and reduce_to_real_tasks build the same task
+    data for every sector and partition the reduction keeps."""
+    from logvol import pullback_complex_log_form
+
+    rng = np.random.Generator(np.random.Philox(key=5))
+    seen = set()
+    for region, form, m, gate in _pullback_cases():
+        for task in reduce_to_real_tasks(region, form, m, check_gate=gate):
+            (pulled,) = pullback_complex_log_form(form, task.sector, task.partition)
+            assert pulled.region is None
+            assert pulled.sector == task.sector
+            assert pulled.partition == task.partition
+            assert pulled.poly_re == task.poly_re
+            assert pulled.poly_im == task.poly_im
+            assert pulled.prefactor == task.prefactor
+            assert pulled.log_positions == task.log_positions
+            assert (pulled.coeff_eval is None) == (task.coeff_eval is None)
+            if task.coeff_eval is not None:
+                pts = np.stack([rng.uniform(0.05, 1.0, size=20),
+                                rng.uniform(-1.0, 1.0, size=20)], axis=1)
+                assert np.array_equal(pulled.coeff_eval(pts), task.coeff_eval(pts))
+            p = task.partition
+            seen.add((bool(p.P), bool(p.Q), bool(p.R), task.coeff_eval is None))
+    # P-only, Q-only, R-only and mixed partitions, constant and not
+    assert {(True, False, False, True), (False, True, False, True),
+            (False, False, True, True), (True, False, True, True),
+            (False, True, True, True), (False, False, True, False)} <= seen
+
+
 def test_pullback_partition_degree_validated():
     from logvol import pullback_complex_log_form
 
@@ -268,6 +316,46 @@ def test_reduction_gate():
 # admissible integration
 
 
+def test_unsettled_task_ladder_is_inconclusive(monkeypatch):
+    """A task whose ladder has not settled makes the whole result
+    inconclusive with an unknown (nan) error, and its depth-cap count is
+    reported."""
+    import logvol.complexint as ci
+    from logvol import Ladder
+
+    calls = []
+
+    def unsettled(region, integrand, cfg, absolute):
+        calls.append(absolute)
+        return Ladder([(0.1, 1.0, 0.0), (0.01, 2.0, 0.0)], "inconclusive", capped=[1, 2])
+
+    monkeypatch.setattr(ci, "_build_ladder", unsettled)
+    res = integrate_admissible(
+        load_region("quadrant_disk_c1"), ComplexLogForm.volume_like(1, (0,)), 2
+    )
+    assert calls and calls.count(True) == calls.count(False)
+    assert res.verdict == "inconclusive"
+    assert math.isnan(res.error)
+    assert res.flags == [f"quadrature depth cap hit ({3 * len(calls)} panels)"]
+
+
+def test_diverging_absolute_ladder_takes_precedence(monkeypatch):
+    import logvol.complexint as ci
+    from logvol import Ladder
+
+    def ladder(region, integrand, cfg, absolute):
+        if absolute:
+            return Ladder([(0.1, 1.0, 0.0), (0.01, 5.0, 0.0)], "diverging", capped=[0, 0])
+        return Ladder([(0.0, 1.0, 0.0)], "converged", 1.0, 1e-12, capped=[0])
+
+    monkeypatch.setattr(ci, "_build_ladder", ladder)
+    res = integrate_admissible(
+        load_region("quadrant_disk_c1"), ComplexLogForm.volume_like(1, (0,)), 2
+    )
+    assert res.verdict == "diverging"
+    assert res.flags == []
+
+
 def test_full_disk_vanishes():
     res = integrate_admissible(load_region("disk_c1"), ComplexLogForm.volume_like(1, (0,)), 2)
     assert res.value.real == pytest.approx(0.0, abs=1e-9)
@@ -353,6 +441,23 @@ def test_annulus_decay_linear_rate():
     assert report.monotone
     for t, vol in report.entries:
         assert vol == pytest.approx(8 * math.pi**2 * t, rel=1e-3)
+
+
+def test_annulus_decay_rejects_nonconstant_coefficient_first(monkeypatch):
+    import logvol.complexint as ci
+
+    calls = []
+    transform = ci.transform_piece
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return transform(*args, **kwargs)
+
+    monkeypatch.setattr(ci, "transform_piece", counted)
+    form = ComplexLogForm.volume_like(2, (1,), coeff_re=Polynomial.var(4, 2))
+    with pytest.raises(ComplexIntError, match="constant coefficients"):
+        annulus_slice_decay(load_region("nested_annulus_c2"), form, 4, ts=[0.25])
+    assert calls == []
 
 
 def test_annulus_decay_empty_slices():

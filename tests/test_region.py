@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from helpers import box_region, load_region, region_of
 from logvol import ProbeConfig, Region, RegionError, parse_region
+from logvol import linprog
 from logvol.region import parse_constraint
 
 
@@ -359,3 +361,52 @@ def test_probe_repeatability_fixed_seed():
     A = region_of(2, 0, ["x1^2 + x2^2 - 1 = 0"], [(-2, 2), (-2, 2)])
     values = {A.dimension(ProbeConfig(seed=0)).value for _ in range(5)}
     assert values == {1}
+
+
+# ---------------------------------------------------------------------------
+# exact linear algebra: rank, particular solution and nullspace share one RREF
+
+
+_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@given(
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    entries=st.lists(_fractions, min_size=16, max_size=16),
+    zero_mask=st.lists(st.booleans(), min_size=16, max_size=16),
+    y=st.lists(_fractions, min_size=4, max_size=4),
+    rhs_shift=st.lists(_fractions, min_size=4, max_size=4),
+)
+def test_exact_linear_algebra_properties(shape, entries, zero_mask, y, rhs_shift):
+    nrows, ncols = shape
+    # zeros make rank-deficient matrices common
+    rows = [[Fraction(0) if zero_mask[r * 4 + c] else entries[r * 4 + c]
+             for c in range(ncols)] for r in range(nrows)]
+
+    def apply(vec):
+        return [sum(a * v for a, v in zip(row, vec)) for row in rows]
+
+    rank = linprog.rank_of_rows(rows)
+    assert 0 <= rank <= min(nrows, ncols)
+    assert linprog.rank_of_rows([list(col) for col in zip(*rows)]) == rank
+
+    basis = linprog.nullspace_basis(rows, ncols)
+    assert len(basis) == ncols - rank
+    for vec in basis:
+        assert apply(vec) == [0] * nrows
+    if basis:
+        assert linprog.rank_of_rows(basis) == len(basis)
+
+    # a right-hand side in the column space is always solved
+    rhs = apply(y[:ncols])
+    x0 = linprog.particular_solution(rows, rhs, ncols)
+    assert x0 is not None and apply(x0) == rhs
+
+    # an arbitrary one is solved exactly when it does not raise the rank
+    rhs = [a + b for a, b in zip(rhs, rhs_shift)]
+    x0 = linprog.particular_solution(rows, rhs, ncols)
+    augmented = [row + [b] for row, b in zip(rows, rhs)]
+    consistent = linprog.rank_of_rows(augmented) == rank
+    assert (x0 is not None) == consistent
+    if x0 is not None:
+        assert apply(x0) == rhs
