@@ -738,19 +738,32 @@ def split_projective_charts(region: Region, form: ComplexLogForm,
     return piece, flipped
 
 
+PROBE_GATE_FLAG = "admissibility gate used the sampled probe"
+
+
+def _check_degrees(region: Region, form: ComplexLogForm, m: int):
+    if form.n != region.n // 2:
+        raise ComplexIntError("form and region have different complex dimensions")
+    if form.degree != m:
+        raise ComplexIntError(f"form degree {form.degree} does not match m={m}")
+
+
+def _admissibility_gate(region: Region, m: int, probe: ProbeConfig | None) -> list:
+    """Raise unless the region is m-admissible; the result's provenance
+    flags (the probe flag when the verdict used the sampled probe)."""
+    verdict = region.is_admissible(m, probe)
+    if not verdict.ok:
+        raise ComplexIntError(f"admissibility gate failed: {verdict}")
+    return [PROBE_GATE_FLAG] if verdict.heuristic else []
+
+
 def reduce_to_real_tasks(region: Region, form: ComplexLogForm, m: int,
                          probe: ProbeConfig | None = None,
                          check_gate: bool = True) -> list:
     """All (sector, term, partition) tasks of an admissible integral."""
-    nc = region.n // 2
-    if form.n != nc:
-        raise ComplexIntError("form and region have different complex dimensions")
-    if form.degree != m:
-        raise ComplexIntError(f"form degree {form.degree} does not match m={m}")
+    _check_degrees(region, form, m)
     if check_gate:
-        verdict = region.is_admissible(m, probe)
-        if not verdict.ok:
-            raise ComplexIntError(f"admissibility gate failed: {verdict}")
+        _admissibility_gate(region, m, probe)
     tasks = []
     for alphas, _piece, originals in _sector_pieces(region):
         for re, im, part in _partitions(form):
@@ -816,7 +829,9 @@ def integrate_admissible(region: Region, form: ComplexLogForm, m: int,
     "inconclusive" otherwise.
     """
     cfg = cfg or QuadConfig()
-    tasks = reduce_to_real_tasks(region, form, m, probe)
+    _check_degrees(region, form, m)
+    flags = _admissibility_gate(region, m, probe)
+    tasks = reduce_to_real_tasks(region, form, m, probe, check_gate=False)
     total = 0j
     error = 0.0
     absolute = 0.0
@@ -839,7 +854,7 @@ def integrate_admissible(region: Region, form: ComplexLogForm, m: int,
     else:
         verdict = "inconclusive"
     return ComplexIntegralResult(total, error, absolute, verdict, detail,
-                                 _cap_flags(ladders))
+                                 flags + _cap_flags(ladders))
 
 
 # ---------------------------------------------------------------------------
@@ -883,8 +898,11 @@ def annulus_slice_decay(region: Region, form: ComplexLogForm, m: int,
         raise ComplexIntError("annulus decay supports constant coefficients")
     bound_z2 = True
     verdict = region.is_admissible(m, probe)
+    heuristic = verdict.heuristic
     if not verdict.ok:
-        if region.meets_divisors_only_in_d(probe):
+        inside, h = region.meets_divisors_only_in_d(probe)
+        heuristic = heuristic or h
+        if inside:
             bound_z2 = False
         else:
             raise ComplexIntError(f"gate failed: not admissible ({verdict}) and "
@@ -921,7 +939,7 @@ def annulus_slice_decay(region: Region, form: ComplexLogForm, m: int,
                 ladders.append(ladder)
                 vol += abs(abs_val)
         entries.append((t, vol))
-    flags = _cap_flags(ladders)
+    flags = ([PROBE_GATE_FLAG] if heuristic else []) + _cap_flags(ladders)
     if all(v <= cfg.abs_tol for _, v in entries):
         return AnnulusDecayReport(entries, None, "identically zero", True, flags)
     fit = fit_decay_exponent(entries)

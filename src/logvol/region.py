@@ -409,18 +409,27 @@ class Region:
 
     def is_allowable(self, faces: Iterable[tuple] | None = None,
                      cfg: ProbeConfig | None = None) -> AllowVerdict:
-        """dim(A cap H_I) < dim H_I for the listed faces (default: all)."""
+        """dim(A cap H_I) < dim H_I for the listed faces (default: all).
+
+        A face J containing an already checked face I with A cap H_I exactly
+        empty is skipped: H_J lies in H_I, so A cap H_J is empty too.
+        """
         if self.kind == "complex":
             raise RegionError("allowability is defined for real regions")
         cfg = cfg or ProbeConfig()
         face_list = list(faces) if faces is not None else list(self.faces())
         violations = []
         heuristic = False
+        empty = []  # faces I with A cap H_I exactly empty
         for face in face_list:
             face = tuple(sorted(face))
+            if any(set(I) <= set(face) for I in empty):
+                continue
             sub = self.face_intersection(face)
             d = sub.dimension(cfg)
             heuristic = heuristic or d.heuristic
+            if d.value < 0 and not d.heuristic:
+                empty.append(face)
             need = self.n - len(face)
             if d.value >= need:
                 violations.append((face, d.value, need))
@@ -510,18 +519,25 @@ class Region:
                 violations.append((face, d_excl, need + 1))
         return AllowVerdict(not violations, violations, heuristic)
 
-    def meets_divisors_only_in_d(self, cfg: ProbeConfig | None = None) -> bool:
-        """Whether A cap (union H_i) is contained in D (dimension-detected)."""
+    def meets_divisors_only_in_d(self, cfg: ProbeConfig | None = None) -> tuple:
+        """(inside, used_heuristic): whether A cap (union H_i) is contained
+        in D (dimension-detected), and whether that used the sampled probe."""
         if self.kind != "complex":
             raise RegionError("only meaningful for complex regions")
         cfg = cfg or ProbeConfig()
+        heuristic = False
         for i in range(self.p):
             sub = self.face_intersection((i,))
             for cell in sub.cells:
-                d, _ = _cell_dimension(sub, cell, cfg)
-                if d >= 0 and not _in_divisor_locus(sub, cell, d, cfg)[0]:
-                    return False
-        return True
+                d, h = _cell_dimension(sub, cell, cfg)
+                heuristic = heuristic or h
+                if d < 0:
+                    continue
+                inside, h2 = _in_divisor_locus(sub, cell, d, cfg)
+                heuristic = heuristic or h2
+                if not inside:
+                    return False, heuristic
+        return True, heuristic
 
     # -- fiber probe ---------------------------------------------------------
 
@@ -709,19 +725,42 @@ def _linear_system(region: Region, cell: Cell, with_box: bool = True):
 def _affine_hull_rows(n: int, system):
     """Equality rows (homogeneous part, rhs) cutting out the affine hull of a
     feasible linear cell, restricted to the first n (ambient) columns.
-    Returns None when the cell is infeasible."""
+    Returns None when the cell is infeasible.
+
+    Every feasible point found on the way (the first one and each LP
+    optimum) is kept as a witness: a row a.x <= b with a.w < b at some
+    witness w is not an implicit equality, so its LP is skipped.
+    """
     a_ub, b_ub, a_eq, b_eq = system
     nv = len(a_ub[0]) if a_ub else (len(a_eq[0]) if a_eq else n)
-    if linprog.feasible_point(a_ub, b_ub, a_eq, b_eq, nv) is None:
+    first = linprog.feasible_point(a_ub, b_ub, a_eq, b_eq, nv)
+    if first is None:
         return None
+    witnesses = [first]
     rows = [(list(a), Fraction(b)) for a, b in zip(a_eq, b_eq)]
     for a, b in zip(a_ub, b_ub):
         if all(v == 0 for v in a):
             continue
+        b = Fraction(b)
+        if any(_dot(a, w) < b for w in witnesses):
+            continue
         res = linprog.solve_lp([-v for v in a], a_ub, b_ub, a_eq, b_eq)
-        if res.status == linprog.OPTIMAL and Fraction(b) + res.value == 0:
-            rows.append((list(a), Fraction(b)))
+        if res.status != linprog.OPTIMAL:
+            continue
+        witnesses.append(res.point)
+        if b + res.value == 0:
+            rows.append((list(a), b))
     return [(row[:n], b) for row, b in rows]
+
+
+def _dot(a, x):
+    return sum(u * v for u, v in zip(a, x))
+
+
+def _satisfies(system, x) -> bool:
+    a_ub, b_ub, a_eq, b_eq = system
+    return (all(_dot(a, x) <= b for a, b in zip(a_ub, b_ub))
+            and all(_dot(a, x) == b for a, b in zip(a_eq, b_eq)))
 
 
 def _hull_contains_face(rows, J, n) -> bool:
@@ -751,27 +790,36 @@ def _exact_cell_dimension(region: Region, cell: Cell):
 # constraint simplification
 
 
-def _positive_on_cell(region: Region, cell: Cell, var: int) -> bool:
-    """Certify var > 0 on the cell via the linear subsystem plus a one-step
-    interval bound from constraints of the form c - k * monomial <= 0."""
+def _positive_on_cell(region: Region, cell: Cell, var: int, system, witnesses: list) -> bool:
+    """Certify var > 0 on the cell via its linear subsystem `system` plus a
+    one-step interval bound from constraints of the form c - k * monomial
+    <= 0.
+
+    `witnesses` are feasible points of `system`.  One with w[var] <= 0
+    already bounds min var by 0, so the min-LP is skipped; otherwise the
+    LP runs and its optimum joins the witnesses.
+    """
     nv = cell.nvars_total(region.n)
-    sys = _linear_system(region, cell, with_box=True)
-    a_ub, b_ub, a_eq, b_eq = sys
-    obj = [Fraction(0)] * nv
-    obj[var] = Fraction(1)
-    res = linprog.solve_lp(obj, a_ub, b_ub, a_eq, b_eq, maximize=False)
-    if res.status == linprog.OPTIMAL and res.value > 0:
-        return True
-    if res.status == linprog.INFEASIBLE:
+    if all(w[var] > 0 for w in witnesses):
+        obj = [Fraction(0)] * nv
+        obj[var] = Fraction(1)
+        res = linprog.solve_lp(obj, *system, maximize=False)
+        if res.status == linprog.INFEASIBLE:
+            return False
+        if res.status == linprog.OPTIMAL:
+            witnesses.append(res.point)
+            if res.value > 0:
+                return True
+    return _positive_by_intervals(region, cell, var)
+
+
+def _positive_by_intervals(region: Region, cell: Cell, var: int) -> bool:
+    """Interval pass: c <= k * prod x^e with positive constant c forces each
+    participating nonnegative variable away from zero once the others are
+    bounded above by the box."""
+    if region.box is None:
         return False
-    # interval pass: c <= k * prod x^e with positive constant c forces each
-    # participating nonnegative variable away from zero once the others are
-    # bounded above.
-    boxes = None
-    if region.box is not None:
-        boxes = list(region.box) + [(e.lo, e.hi) for e in cell.extra]
-    if boxes is None:
-        return False
+    boxes = list(region.box) + [(e.lo, e.hi) for e in cell.extra]
     lo = [Fraction(b[0]) for b in boxes]
     hi = [Fraction(b[1]) for b in boxes]
     if lo[var] > 0:
@@ -813,6 +861,8 @@ def simplify_cell(region: Region, cell: Cell, max_rounds: int | None = None) -> 
     if max_rounds is None:
         max_rounds = max(8, 2 * len(constraints))
     solved: set[int] = set()
+    proven = None  # the constraint list last shown feasible
+    witnesses = []  # feasible points of the linear subsystem
     for _ in range(max_rounds):
         changed = False
 
@@ -868,17 +918,31 @@ def simplify_cell(region: Region, cell: Cell, max_rounds: int | None = None) -> 
             if changed:
                 break
 
-        # divide out certified-positive monomial factors
+        # divide out certified-positive monomial factors.  Feasible points
+        # of the round's linear system settle most positivity LPs; they are
+        # kept across rounds while they still satisfy the system, and an
+        # infeasible system makes the cell empty (no later step enlarges it)
         probe_cell = Cell(constraints, cell.extra)
+        contents = [() if c.payload.is_zero() else c.payload.content_monomial()
+                    for c in constraints]
+        if any(any(e) for e in contents):
+            system = _linear_system(region, probe_cell, with_box=True)
+            witnesses = [w for w in witnesses if _satisfies(system, w)]
+            if not witnesses and (system[0] or system[2]):
+                point = linprog.feasible_point(*system, nv)
+                if point is None:
+                    return None
+                witnesses.append(point)
+            if witnesses:
+                proven = constraints
         new_constraints = []
-        for c in constraints:
+        for c, content in zip(constraints, contents):
             if c.payload.is_zero():
                 changed = True
                 continue
-            content = c.payload.content_monomial()
             divisor = [0] * nv
             for v, e in enumerate(content):
-                if e > 0 and _positive_on_cell(region, probe_cell, v):
+                if e > 0 and _positive_on_cell(region, probe_cell, v, system, witnesses):
                     divisor[v] = e
             if any(divisor):
                 new_constraints.append(
@@ -887,18 +951,18 @@ def simplify_cell(region: Region, cell: Cell, max_rounds: int | None = None) -> 
                 changed = True
             else:
                 new_constraints.append(c)
-        constraints = new_constraints
-
         if not changed:
             break
+        constraints = new_constraints
 
-    # exact infeasibility of the linear subsystem settles emptiness
+    # exact infeasibility of the linear subsystem settles emptiness, unless
+    # the last round already found a point of this very system
     probe_cell = Cell(constraints, cell.extra)
-    sys = _linear_system(region, probe_cell, with_box=True)
-    a_ub, b_ub, a_eq, b_eq = sys
-    if a_ub or a_eq:
-        if linprog.feasible_point(a_ub, b_ub, a_eq, b_eq, nv) is None:
-            return None
+    if constraints is not proven:
+        a_ub, b_ub, a_eq, b_eq = _linear_system(region, probe_cell, with_box=True)
+        if a_ub or a_eq:
+            if linprog.feasible_point(a_ub, b_ub, a_eq, b_eq, nv) is None:
+                return None
     return probe_cell
 
 

@@ -22,6 +22,7 @@ from logvol import (
     sector_decompose,
     task_allowability,
 )
+from logvol.complexint import PROBE_GATE_FLAG
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +337,8 @@ def test_unsettled_task_ladder_is_inconclusive(monkeypatch):
     assert calls and calls.count(True) == calls.count(False)
     assert res.verdict == "inconclusive"
     assert math.isnan(res.error)
-    assert res.flags == [f"quadrature depth cap hit ({3 * len(calls)} panels)"]
+    assert res.flags == [PROBE_GATE_FLAG,
+                         f"quadrature depth cap hit ({3 * len(calls)} panels)"]
 
 
 def test_diverging_absolute_ladder_takes_precedence(monkeypatch):
@@ -353,7 +355,43 @@ def test_diverging_absolute_ladder_takes_precedence(monkeypatch):
         load_region("quadrant_disk_c1"), ComplexLogForm.volume_like(1, (0,)), 2
     )
     assert res.verdict == "diverging"
-    assert res.flags == []
+    assert res.flags == [PROBE_GATE_FLAG]
+
+
+def test_gate_provenance_flag():
+    """The flag appears exactly when the admissibility gate rests on the
+    sampled probe: the quarter disk is a nonlinear cell, the square is not."""
+    form = ComplexLogForm.volume_like(1, (0,))
+    res = integrate_admissible(load_region("quadrant_disk_c1"), form, 2)
+    assert res.flags == [PROBE_GATE_FLAG]
+    square = region_of(2, 1, ["-zr1 <= 0", "zr1 - 1 <= 0", "-zi1 <= 0", "zi1 - 1 <= 0"],
+                       [(0, 1), (0, 1)], kind="complex")
+    res = integrate_admissible(square, form, 2)
+    assert res.verdict == "converged" and res.flags == []
+
+
+@pytest.mark.parametrize("cell,flagged", [
+    # a square in z1 times a square off the z2 divisor: no divisor contact
+    (["1/2 - zr1 <= 0", "zr1 - 1 <= 0", "-zi1 <= 0", "zi1 - 1/2 <= 0",
+      "1/2 - zr2 <= 0", "zr2 - 1 <= 0", "-zi2 <= 0", "zi2 - 1/2 <= 0"], False),
+    # |z2 - 1| <= |z1|: meets H_1 only at z2 = 1, a nonlinear cell there
+    (["(zr2 - 1)^2 + zi2^2 - zr1^2 - zi1^2 <= 0"], True),
+])
+def test_annulus_gate_provenance_through_fallback(monkeypatch, cell, flagged):
+    """Both regions are full-dimensional, so not 3-admissible, and the
+    annulus gate falls back to the divisor-locus test, which passes; the
+    flag follows whether the gate used the probe."""
+    import logvol.complexint as ci
+    from logvol import Ladder
+
+    monkeypatch.setattr(ci, "_integrate_task", lambda task, cfg, absolute: (
+        1.0, 0.0, Ladder([(0.0, 1.0, 0.0)], "converged", 1.0, 0.0, capped=[0])))
+    region = region_of(4, 1, cell, [(0, 1), (0, 1), (0, 2), (0, 1)], kind="complex")
+    assert not region.is_admissible(3).ok
+    assert region.meets_divisors_only_in_d() == (True, flagged)
+    report = annulus_slice_decay(region, ComplexLogForm.volume_like(2, ()), 3,
+                                 ts=[2.0**-k for k in range(2, 6)])
+    assert report.flags == ([PROBE_GATE_FLAG] if flagged else [])
 
 
 def test_full_disk_vanishes():

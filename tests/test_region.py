@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from hypothesis import given, strategies as st
 
 from helpers import box_region, load_region, region_of
 from logvol import ProbeConfig, Region, RegionError, parse_region
-from logvol import linprog
-from logvol.region import parse_constraint
+from logvol import Polynomial, linprog
+from logvol import region as region_mod
+from logvol.region import Cell, Constraint, parse_constraint
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +219,8 @@ def test_divisor_locus_in_d_detection():
         [(-1, 1), (-1, 1), (0, 2), (-1, 1)],
         kind="complex",
     )
-    assert A.meets_divisors_only_in_d()
-    assert not load_region("disk_times_circle_c2").meets_divisors_only_in_d()
+    assert A.meets_divisors_only_in_d()[0]
+    assert not load_region("disk_times_circle_c2").meets_divisors_only_in_d()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -410,3 +412,212 @@ def test_exact_linear_algebra_properties(shape, entries, zero_mask, y, rhs_shift
     assert (x0 is not None) == consistent
     if x0 is not None:
         assert apply(x0) == rhs
+
+
+# ---------------------------------------------------------------------------
+# exact layer: witness reuse and face pruning against the one-LP-per-question
+# reference
+
+
+def _reference_positive_on_cell(region, cell, var):
+    """One min-LP per variable, then the interval pass."""
+    nv = cell.nvars_total(region.n)
+    obj = [Fraction(0)] * nv
+    obj[var] = Fraction(1)
+    res = linprog.solve_lp(obj, *region_mod._linear_system(region, cell), maximize=False)
+    if res.status == linprog.OPTIMAL and res.value > 0:
+        return True
+    if res.status == linprog.INFEASIBLE:
+        return False
+    return region_mod._positive_by_intervals(region, cell, var)
+
+
+def _reference_simplify_cell(region, cell):
+    """simplify_cell as one LP per positivity question, no early exit on an
+    infeasible round and a final feasibility LP in every case."""
+    constraints = list(cell.constraints)
+    nv = cell.nvars_total(region.n)
+    solved = set()
+    for _ in range(max(8, 2 * len(constraints))):
+        changed = False
+        kept = []
+        for c in constraints:
+            if c.payload.is_constant():
+                v = c.payload.constant_value()
+                if (c.equality and v != 0) or (not c.equality and v > 0):
+                    return None
+                changed = True
+                continue
+            kept.append(c)
+        constraints = kept
+        for idx, c in enumerate(constraints):
+            aff = c.payload.as_affine() if c.equality else None
+            if aff is None:
+                continue
+            coeffs, offset = aff
+            pivot = next((v for v in range(nv) if coeffs[v] != 0 and v not in solved), None)
+            if pivot is None:
+                continue
+            terms = {(0,) * nv: -offset / coeffs[pivot]}
+            for v in range(nv):
+                if v != pivot and coeffs[v] != 0:
+                    terms[tuple(int(u == v) for u in range(nv))] = -coeffs[v] / coeffs[pivot]
+            comps = [Polynomial(nv, terms) if v == pivot else Polynomial.var(nv, v)
+                     for v in range(nv)]
+            new = []
+            for j, other in enumerate(constraints):
+                if j != idx and other.payload.uses_var(pivot):
+                    other = Constraint(other.payload.compose(comps), other.equality)
+                    changed = True
+                new.append(other)
+            constraints = new
+            solved.add(pivot)
+            if changed:
+                break
+        probe_cell = Cell(constraints, cell.extra)
+        new = []
+        for c in constraints:
+            if c.payload.is_zero():
+                changed = True
+                continue
+            divisor = [e if e > 0 and _reference_positive_on_cell(region, probe_cell, v) else 0
+                       for v, e in enumerate(c.payload.content_monomial())]
+            if any(divisor):
+                c = Constraint(c.payload.divide_monomial(divisor), c.equality)
+                changed = True
+            new.append(c)
+        constraints = new
+        if not changed:
+            break
+    probe_cell = Cell(constraints, cell.extra)
+    a_ub, b_ub, a_eq, b_eq = region_mod._linear_system(region, probe_cell)
+    if (a_ub or a_eq) and linprog.feasible_point(a_ub, b_ub, a_eq, b_eq, nv) is None:
+        return None
+    return probe_cell
+
+
+def _reference_affine_hull_rows(n, system):
+    """One LP per inequality row."""
+    a_ub, b_ub, a_eq, b_eq = system
+    nv = len(a_ub[0]) if a_ub else (len(a_eq[0]) if a_eq else n)
+    if linprog.feasible_point(a_ub, b_ub, a_eq, b_eq, nv) is None:
+        return None
+    rows = [(list(a), Fraction(b)) for a, b in zip(a_eq, b_eq)]
+    for a, b in zip(a_ub, b_ub):
+        if all(v == 0 for v in a):
+            continue
+        res = linprog.solve_lp([-v for v in a], a_ub, b_ub, a_eq, b_eq)
+        if res.status == linprog.OPTIMAL and Fraction(b) + res.value == 0:
+            rows.append((list(a), Fraction(b)))
+    return [(row[:n], b) for row, b in rows]
+
+
+_small = st.integers(-2, 2)
+_row = st.tuples(
+    st.lists(_small, min_size=3, max_size=3),   # linear coefficients
+    st.integers(-2, 2),                          # constant
+    st.sampled_from(["<=", "<=", "<=", "="]),
+    st.sampled_from([None, None, 0, 1, 2]),     # monomial factor, if any
+)
+
+
+@given(rows=st.lists(_row, min_size=1, max_size=6), boxed=st.booleans(),
+       face=st.sampled_from([(), (0,), (1,), (0, 1)]))
+def test_exact_layer_matches_one_lp_reference(rows, boxed, face):
+    """Random small cells, linear or with one monomial factor, with and
+    without equalities and often infeasible: simplify_cell and the affine
+    hull give exactly the reference output."""
+    names = ["r1", "r2", "x3"]
+    texts = []
+    for coeffs, const, op, factor in rows:
+        expr = " + ".join(f"({a})*{v}" for a, v in zip(coeffs, names)) + f" + ({const})"
+        if factor is not None:
+            expr = f"{names[factor]}*({expr})"
+        texts.append(f"{expr} {op} 0")
+    A = region_of(3, 2, texts, [(0, 1), (0, 1), (-1, 1)] if boxed else None)
+    sub = A.face_intersection(face)
+    cell = sub.cells[0]
+    got = region_mod.simplify_cell(sub, cell)
+    want = _reference_simplify_cell(sub, cell)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got == want
+    if cell.is_linear():
+        system = region_mod._linear_system(sub, cell)
+        assert region_mod._affine_hull_rows(3, system) == _reference_affine_hull_rows(3, system)
+
+
+@given(n=st.integers(2, 4), boxed=st.booleans(),
+       w=st.lists(st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=4),
+                  min_size=4, max_size=4),
+       level=st.one_of(st.fractions(min_value=Fraction(1, 8), max_value=6, max_denominator=8),
+                       st.lists(st.booleans(), min_size=4, max_size=4)))
+def test_weighted_corner_matches_face_rule(n, boxed, w, level):
+    """{0 <= r_i <= 1, sum w_i r_i >= c}: face I is violated exactly when
+    sum_{j not in I} w_j > c, and the verdict is exact.  The level is drawn
+    either freely or as a sum of weights, where the face rule has ties."""
+    w = w[:n]
+    c = level if isinstance(level, Fraction) else sum(x for x, b in zip(w, level) if b)
+    if c <= 0:
+        c = w[0]
+    names = [f"r{i + 1}" for i in range(n)]
+    cons = [f"-{v} <= 0" for v in names] + [f"{v} - 1 <= 0" for v in names]
+    cons.append(" + ".join(f"{x}*{v}" for x, v in zip(w, names)) + f" - {c} >= 0")
+    A = region_of(n, n, cons, [(0, 1)] * n if boxed else None)
+    v = A.is_allowable()
+    want = [I for I in A.faces() if sum(x for j, x in enumerate(w) if j not in I) > c]
+    assert [face for face, _, _ in v.violations] == want
+    assert not v.heuristic and v.ok == (not want)
+
+
+def _count_lps(monkeypatch):
+    calls = []
+    original = linprog.solve_lp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(linprog, "solve_lp", counted)
+    return calls
+
+
+def _unit_corner(n, c):
+    names = [f"r{i + 1}" for i in range(n)]
+    cons = [f"-{v} <= 0" for v in names] + [f"{v} - 1 <= 0" for v in names]
+    return region_of(n, n, cons + [" + ".join(names) + f" >= {c}"])
+
+
+def test_unit_corner_lp_counts(monkeypatch):
+    """Counts, not timings.  The corner sum r >= 5 is one point, so every
+    face above the singletons is pruned (one LP per question took 810 LPs).
+    The corner sum r >= 1 is violated on the faces of size 1 and 2 and
+    nonempty on all but the last; witnesses settle most of its LPs (one LP
+    per question took 342)."""
+    calls = _count_lps(monkeypatch)
+    v = _unit_corner(5, 5).is_allowable()
+    assert v.ok and not v.heuristic
+    assert len(calls) <= 10
+    calls.clear()
+    v = _unit_corner(4, 1).is_allowable()
+    assert [face for face, _, _ in v.violations] == [
+        *combinations(range(4), 1), *combinations(range(4), 2)]
+    assert len(calls) <= 170
+
+
+@pytest.mark.parametrize("heuristic", [False, True])
+def test_only_exactly_empty_faces_prune(monkeypatch, heuristic):
+    """Every face is reported empty; an exact answer prunes all supersets of
+    the singletons, a sampled one prunes nothing."""
+    seen = []
+
+    def empty(region, cell, cfg):
+        seen.append(tuple(i for i in range(region.p)
+                          if Constraint(Polynomial.var(region.n, i), equality=True)
+                          in cell.constraints))
+        return -1, heuristic
+
+    monkeypatch.setattr(region_mod, "_cell_dimension", empty)
+    v = load_region("unit_box_p2").is_allowable()
+    assert v.ok and v.heuristic == heuristic
+    assert seen == ([(0,), (1,), (0, 1)] if heuristic else [(0,), (1,)])
