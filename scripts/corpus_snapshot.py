@@ -1,0 +1,77 @@
+"""Print a snapshot of logvol's answers on the region corpus.
+
+The snapshot holds `logvol check` on every file in regions/, the README's
+integrate-complex, decay, probe-fibers and decay-complex commands, each
+with its stdout, stderr and exit code, and the signed and absolute ladder
+CSVs (`Ladder.to_csv`, full precision) of the top dlog form on s_half,
+s_one, unit_box_p2 and interval_half_one.  Two snapshots diffed against
+each other show whether a change moved any verdict, flag, note or value:
+
+    python scripts/corpus_snapshot.py > before.txt
+    (apply the change)
+    python scripts/corpus_snapshot.py > after.txt
+    diff before.txt after.txt
+
+It takes about half a minute, most of it in decay-complex.
+"""
+
+import contextlib
+import io
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from logvol import integrate_log_form, parse_region  # noqa: E402
+from logvol.cli import parse_real_form, run  # noqa: E402
+
+REGIONS = ROOT / "regions"
+
+README_COMMANDS = [
+    ["integrate-complex", "regions/quadrant_disk_c1.region", "--form", "dz1/z1 ^ dzbar1",
+     "--m", "2"],
+    ["decay", "regions/s_one.region", "--u", "r1", "--form", "dr2/r2"],
+    ["decay-complex", "regions/nested_annulus_c2.region", "--form",
+     "dz1/z1 ^ dz2/z2 ^ dzbar2", "--m", "4"],
+    ["probe-fibers", "regions/triangle_p2.region", "--axis", "r2"],
+]
+
+LADDERS = [
+    ("s_half", "dr1/r1 ^ dr2/r2"),
+    ("s_one", "dr1/r1 ^ dr2/r2"),
+    ("unit_box_p2", "dr1/r1 ^ dr2/r2"),
+    ("interval_half_one", "dr1/r1"),
+]
+
+
+def cli(argv: list) -> None:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    print(f"$ logvol {' '.join(argv)}")
+    print(out.getvalue(), end="")
+    for line in err.getvalue().splitlines():
+        print(f"stderr: {line}")
+    print(f"exit {code}")
+    print()
+
+
+def main() -> None:
+    for path in sorted(REGIONS.glob("*.region")):
+        cli(["check", f"regions/{path.name}"])
+    for argv in README_COMMANDS:
+        cli(argv)
+    for name, text in LADDERS:
+        region = parse_region((REGIONS / f"{name}.region").read_text())
+        result = integrate_log_form(region, parse_real_form(text, region))
+        print(f"# {name} {text} signed")
+        print(result.ladder.to_csv(), end="")
+        print(f"# {name} {text} absolute")
+        print(result.abs_ladder.to_csv())
+
+
+if __name__ == "__main__":
+    os.chdir(ROOT)  # the printed commands name regions/ relative to the repo
+    main()

@@ -11,10 +11,10 @@ Within a rung, the outer coordinates are integrated by adaptive composite
 Gauss panels (log-scaled on divisor coordinates, so dr/r becomes ds) and
 the innermost coordinate exactly: the fiber is a union of intervals from
 slicing, and the 1-d integral of poly(x)/x or poly(x) over each interval is
-a closed form.  Fibers come from a linear fast path or, for other cells,
-the compiled slicing.FiberKernel.  Each 15-node panel is one call of a
-vectorized integrand: outer levels map the recursion over the nodes, and
-the last outer level solves the panel's fibers and, for pointwise
+a closed form.  Fibers come from the compiled slicing.FiberKernel for
+every cell.  Each 15-node panel is one call of a vectorized integrand:
+outer levels map the recursion over the nodes, and the last outer level
+solves the panel's 15 fibers in one kernel call and, for pointwise
 integrands, evaluates every inner Gauss point of the panel in one batch.
 Panels accepted only because the bisection reached max_depth are counted
 per rung and flagged.  Above mc_threshold dimensions (three by default) a
@@ -33,7 +33,7 @@ import numpy as np
 
 from .polyform import LogForm, Polynomial
 from .region import ProbeConfig, Region, RegionError, fill_derived
-from .slicing import AxisRestriction, FiberKernel, merge_intervals, real_roots
+from .slicing import AxisRestriction, FiberKernel, real_roots
 from .slicing import slice_fiber  # noqa: F401  (kept importable from this module)
 
 
@@ -64,10 +64,6 @@ class QuadConfig:
     rel_tol: float = 1e-7
     window: int = 3
     shrink: float = 1.5
-    # early_stop quits once the last `window` diffs are below tolerance;
-    # off by default because a region whose fibers only open up below the
-    # current excision radius would be misread as settled.
-    early_stop: bool = False
 
     def __post_init__(self):
         if self.eps0 <= 0:
@@ -293,71 +289,22 @@ class Integrand:
 
 
 class _FiberSolver:
-    """Fiber intervals along one axis, with a direct interval-arithmetic
-    fast path for all-linear cells and a compiled FiberKernel otherwise."""
+    """The fibers along one axis through the base points of one Gauss
+    panel (FiberKernel), and the affine rows (coefficients, rhs) of the
+    linear cells, which `_final_level_cuts` reads."""
 
     def __init__(self, region: Region, axis: int):
         self.region = region
         self.axis = axis
-        box = region.bounding_box()
-        self.lo_box = float(box[axis][0])
-        self.hi_box = float(box[axis][1])
-        self.linear = []
-        generic = []
-        for cell in region.cells:
-            if not cell.extra and all(c.is_linear() for c in cell.constraints):
-                rows = []
-                for c in cell.constraints:
-                    coeffs, offset = c.payload.as_affine()
-                    rows.append(
-                        (
-                            np.array([float(v) for v in coeffs]),
-                            float(-offset),
-                            c.equality,
-                        )
-                    )
-                self.linear.append(rows)
-            else:
-                generic.append(cell)
-        self.kernel = FiberKernel(region.with_cells(generic), axis) if generic else None
+        self.kernel = FiberKernel(region, axis)
+        affine = [[c.payload.as_affine() for c in cell.constraints]
+                  for cell in region.cells if cell.is_linear()]
+        self.linear = [[(np.array(coeffs, dtype=float), float(-offset)) for coeffs, offset in rows]
+                       for rows in affine]
 
-    def intervals(self, base: Mapping[int, float]) -> list:
-        n = self.region.n
-        vec = np.zeros(n)
-        for v, val in base.items():
-            if v < n:
-                vec[v] = val
-        out = []
-        for rows in self.linear:
-            lo, hi = self.lo_box, self.hi_box
-            empty = False
-            for a, rhs, eq in rows:
-                c = a[self.axis]
-                rest = float(a @ vec) - c * vec[self.axis]
-                rem = rhs - rest
-                tol = 1e-9 * (1.0 + abs(rhs))
-                if eq:
-                    if abs(c) > 1e-12:
-                        empty = True  # point fiber: measure zero
-                        break
-                    if abs(rem) > tol:
-                        empty = True
-                        break
-                elif c > 1e-12:
-                    hi = min(hi, rem / c)
-                elif c < -1e-12:
-                    lo = max(lo, rem / c)
-                elif rem < -tol:
-                    empty = True
-                    break
-                if hi <= lo:
-                    empty = True
-                    break
-            if not empty and hi > lo:
-                out.append((lo, hi))
-        if self.kernel is not None:
-            out.extend(self.kernel.intervals(vec)[0])
-        return merge_intervals(out)
+    def intervals(self, points: np.ndarray) -> list:
+        """The merged fiber intervals through each row of `points`."""
+        return self.kernel.intervals_many(points)[0]
 
 
 def _final_level_cuts(solver: "_FiberSolver", level_var: int,
@@ -377,8 +324,8 @@ def _final_level_cuts(solver: "_FiberSolver", level_var: int,
     vec[level_var] = 0.0
     cuts = set()
     for rows in solver.linear:
-        cands = [(x, 0.0) for x in (solver.lo_box, solver.hi_box, *clip)]
-        for a, rhs, _eq in rows:
+        cands = [(x, 0.0) for x in (solver.kernel.lo_box, solver.kernel.hi_box, *clip)]
+        for a, rhs in rows:
             ci = a[solver.axis]
             cl = a[level_var]
             rem = rhs - float(a @ vec)
@@ -410,20 +357,19 @@ def _fiber_integral(solver: _FiberSolver, bases: Sequence[dict], eps: float,
     extras = region.cells[0].extra if region.cells else ()
     log_inner = axis in integrand.log_vars
     points = np.zeros((len(bases), n + len(extras)))
-    fibers = []
     for i, base in enumerate(bases):
         for v, val in base.items():
             points[i, v] = val
-        intervals = solver.intervals(base)
-        fibers.append(_clip_log(intervals, eps) if log_inner else intervals)
+    fibers = solver.intervals(points)
+    if log_inner:
+        fibers = [_clip_log(intervals, eps) for intervals in fibers]
     fill_derived(points, extras, n)
     out = np.zeros(len(bases))
     if integrand.pointwise is None:
+        table = line.table(points[:, : integrand.coeff.nvars])[0].T.tolist()
         for i, intervals in enumerate(fibers):
-            if intervals:
-                coeffs = line.coeffs(points[i, : integrand.coeff.nvars])[0]
-                out[i] = sum(_line_integral(coeffs, a, b, log_inner, absolute)
-                             for a, b in intervals)
+            out[i] = sum(_line_integral(table[i], a, b, log_inner, absolute)
+                         for a, b in intervals)
         return out
 
     owner = [i for i, intervals in enumerate(fibers) for _ in intervals]
@@ -632,18 +578,11 @@ def _build_ladder(region: Region, integrand: Integrand, cfg: QuadConfig,
         value, err, stderr, capped = _rung_value(region, integrand, 0.0, absolute, cfg, 0)
         entries = [(0.0, value, stderr + err)]
         return Ladder(entries, "converged", value, err + stderr, [capped])
-    values = []
     capped = []
     for k, eps in enumerate(cfg.rungs()):
         value, err, stderr, hits = _rung_value(region, integrand, eps, absolute, cfg, k)
         entries.append((eps, value, stderr + err))
-        values.append(value)
         capped.append(hits)
-        if cfg.early_stop and len(values) >= cfg.window + 1:
-            tail = [abs(values[i + 1] - values[i]) for i in range(len(values) - 1)]
-            noise = cfg.abs_tol + cfg.rel_tol * max(1.0, abs(value))
-            if all(d <= noise for d in tail[-cfg.window:]):
-                break
     ladder = classify_ladder(entries, cfg)
     ladder.capped = capped
     return ladder

@@ -558,14 +558,13 @@ class Region:
         rng = np.random.Generator(np.random.Philox(key=seed))
         base_vars = [v for v in range(self.n) if v != axis]
         scale = max(hi - lo for lo, hi in box) + 1e-30
-        kernel = FiberKernel(self, axis)
-        max_count = 0
-        for _ in range(samples):
-            point = np.zeros(self.n)
+        points = np.zeros((samples, self.n))
+        for point in points:
             for v in base_vars:
-                lo, hi = box[v]
-                point[v] = rng.uniform(lo, hi)
-            intervals, _ = kernel.intervals(point)
+                point[v] = rng.uniform(*box[v])
+        fibers, _ = FiberKernel(self, axis).intervals_many(points)
+        max_count = 0
+        for intervals in fibers:
             for lo, hi in intervals:
                 if hi - lo > length_tol * scale:
                     return FiberReport("infinite", 0, samples)
@@ -694,7 +693,9 @@ def _affine_parts(cell_n: int, c: Constraint):
 
 
 def _linear_system(region: Region, cell: Cell, with_box: bool = True):
-    """(a_ub, b_ub, a_eq, b_eq) over the full cell variable list."""
+    """(a_ub, b_ub, a_eq, b_eq) over the full cell variable list.  A box
+    row is left out when a row of the cell (an equality counts as two)
+    already bounds that variable at least as tightly."""
     nv = cell.nvars_total(region.n)
     a_ub, b_ub, a_eq, b_eq = [], [], [], []
     for c in cell.constraints:
@@ -709,17 +710,27 @@ def _linear_system(region: Region, cell: Cell, with_box: bool = True):
             a_ub.append(coeffs)
             b_ub.append(rhs)
     if with_box and region.box is not None:
+        own = list(zip(a_ub + a_eq, b_ub + b_eq))
+        own += [([-c for c in a], -b) for a, b in zip(a_eq, b_eq)]
         boxes = list(region.box) + [(e.lo, e.hi) for e in cell.extra]
         for v, (lo, hi) in enumerate(boxes):
-            row_hi = [Fraction(0)] * nv
-            row_hi[v] = Fraction(1)
-            a_ub.append(row_hi)
-            b_ub.append(Fraction(hi))
-            row_lo = [Fraction(0)] * nv
-            row_lo[v] = Fraction(-1)
-            a_ub.append(row_lo)
-            b_ub.append(-Fraction(lo))
+            for sign, bound in ((1, Fraction(hi)), (-1, -Fraction(lo))):
+                if not _bounds_var(own, v, sign, bound):
+                    row = [Fraction(0)] * nv
+                    row[v] = Fraction(sign)
+                    a_ub.append(row)
+                    b_ub.append(bound)
     return a_ub, b_ub, a_eq, b_eq
+
+
+def _bounds_var(rows, v: int, sign: int, bound) -> bool:
+    """Some row k * x_v <= b (no other variable) with sign * k > 0 implies
+    sign * x_v <= bound."""
+    for a, b in rows:
+        k = sign * a[v]
+        if k > 0 and b / k <= bound and not any(c for i, c in enumerate(a) if i != v):
+            return True
+    return False
 
 
 def _affine_hull_rows(n: int, system):

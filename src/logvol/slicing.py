@@ -8,12 +8,12 @@ intervals between critical values whose midpoints satisfy the cell; exact
 and float slicing share that rule and differ only in arithmetic.
 
 Float slicing, the quadrature inner loop, goes through a FiberKernel
-compiled once per (region, axis): each cell's constraints are grouped by
-degree in the axis into a float exponent matrix and coefficient matrix
-(AxisRestriction), so restricting to the line through a base point is one
-small matrix product.  `real_roots` is the one float root finder: closed
-forms for degree 1 and 2, np.roots above, and one relative tolerance for
-imaginary parts.
+compiled once per (region, axis) into float exponent and coefficient
+matrices (AxisRestriction), so restricting to the lines through a whole
+Gauss panel is one matrix product, and each cell is cut and tested for all
+of its rows and points at once.  `real_roots` is the one float root
+finder: closed forms for degree 1 and 2, np.roots above, and one relative
+tolerance for imaginary parts.
 """
 
 from __future__ import annotations
@@ -313,41 +313,37 @@ class AxisRestriction:
 
     A term c * x^e adds c * prod_{v != axis} base_v^e_v to the coefficient
     of x_axis^e_axis.  The distinct base monomials of all the polynomials
-    are the rows of one exponent matrix, so restricting at a base point is
-    one power table, one product and one matrix-vector product.
+    are the rows of one exponent matrix, so restricting at k base points is
+    one power table and one matrix product.  Polynomial i has widths[i]
+    ascending coefficients, zero-padded to a common width of at least 2;
+    groups index the polynomials of width 2 and of width above 2.
     """
 
     def __init__(self, polys, axis: int, nvars: int):
+        self.widths = w = np.array([poly.degree_in(axis) + 1 for poly in polys], dtype=np.int64)
+        self.width = max(2, w.max(initial=0))
+        self.groups = (np.flatnonzero(w == 2), np.flatnonzero(w > 2))
         monos: dict = {}
         entries = []  # (slot, monomial column, coefficient)
-        self.spans = []
-        slot = 0
-        for poly in polys:
+        for i, poly in enumerate(polys):
             for exp, c in poly.terms.items():
                 key = tuple(0 if v == axis else e for v, e in enumerate(exp))
                 key += (0,) * (nvars - len(key))
-                entries.append((slot + exp[axis], monos.setdefault(key, len(monos)), float(c)))
-            width = poly.degree_in(axis) + 1
-            self.spans.append((slot, slot + width))
-            slot += width
+                entries.append((i * self.width + exp[axis], monos.setdefault(key, len(monos)),
+                                float(c)))
         self.exps = np.array(list(monos), dtype=np.int64).reshape(len(monos), nvars)
-        self.matrix = np.zeros((slot, len(monos)))
+        self.matrix = np.zeros((len(polys) * self.width, len(monos)))
         for row, col, c in entries:
             self.matrix[row, col] = c
-        # coefficients that no base coordinate enters are fixed once
-        self._fixed = None if self.exps.any() else self._split(self.matrix.sum(axis=1))
 
-    def _split(self, flat) -> list:
-        flat = flat.tolist()
-        return [flat[a:b] for a, b in self.spans]
-
-    def coeffs(self, point: np.ndarray) -> list:
-        """Ascending coefficient lists, one per polynomial, on the line
-        through `point` (values for all nvars coordinates; the axis entry is
-        ignored)."""
-        if self._fixed is not None:
-            return self._fixed
-        return self._split(self.matrix @ (point ** self.exps).prod(axis=1))
+    def table(self, points: np.ndarray) -> np.ndarray:
+        """(polys, width, k) coefficients on the lines through the k rows
+        of `points` (values for all nvars coordinates; the axis entry is
+        ignored).  einsum, unlike a BLAS product, sums each entry in the
+        same order for every k, so a fiber does not depend on its panel."""
+        monomials = (points[:, None, :] ** self.exps).prod(axis=2)
+        flat = np.einsum("sm,km->sk", self.matrix, monomials)
+        return flat.reshape(len(self.widths), self.width, len(points))
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +370,8 @@ def _cell_fiber(restricted, lo_box, hi_box, roots, zero, feasible, tol, pieces) 
     arithmetic).  With an equality constraint the fiber is the roots of the
     first one that satisfy the rest; otherwise it is the intervals between
     consecutive critical values whose midpoints satisfy the cell.  Returns
-    True when every constraint vanishes on the line: the cell then
-    contributes the whole box interval.
+    True when every constraint vanishes on the line (vacuously so for a cell
+    without constraints): the cell then contributes the whole box interval.
     """
     lines = []
     all_zero = True
@@ -390,9 +386,8 @@ def _cell_fiber(restricted, lo_box, hi_box, roots, zero, feasible, tol, pieces) 
             continue
         lines.append((coeffs, equality))
     if all_zero:
-        if restricted:
-            pieces.append((lo_box, hi_box))
-        return bool(restricted)
+        pieces.append((lo_box, hi_box))
+        return True
 
     eq = next((coeffs for coeffs, equality in lines if equality), None)
     if eq is not None:
@@ -435,17 +430,20 @@ def _check_sliceable(cell, axis: int):
         raise RegionError("cannot slice along a coordinate with a derived companion")
 
 
+_ZERO = 1e-12      # a restricted coefficient this small vanishes
+_FEASIBLE = 1e-9   # an inequality payload this small holds
+
+
 class FiberKernel:
     """Float fibers of a region along one axis, compiled once per
-    (region, axis).
+    (region, axis) and solved for many base points (a Gauss panel, a
+    sample) in one call.
 
-    Each cell's constraints become one AxisRestriction.  A solve completes
-    the cell's derived auxiliaries s = sqrt(t^2 + 1) at the base point,
-    restricts every constraint to the line and cuts it at the real roots
-    (`real_roots`): a restricted coefficient up to 1e-12 vanishes, a payload
-    up to 1e-9 is feasible, equality constraints give point fibers, and a
-    cell whose constraints all vanish on the line contributes the whole box
-    interval and marks the fiber degenerate.
+    A solve completes each cell's derived auxiliaries s = sqrt(t^2 + 1),
+    restricts its constraints (one AxisRestriction per cell) to every line
+    at once and applies `_cell_fiber`'s rule, with a coefficient up to
+    1e-12 vanishing and a payload up to 1e-9 holding: point by point for a
+    cell with an equality, for all rows and points together otherwise.
     """
 
     def __init__(self, region: Region, axis: int, tol=Fraction(1, 10**12)):
@@ -460,21 +458,72 @@ class FiberKernel:
                                           cell.nvars_total(region.n))
             self.cells.append((cell.extra, restriction, [c.equality for c in cell.constraints]))
 
-    def intervals(self, point: np.ndarray):
-        """(sorted disjoint intervals, degenerate) of the fiber through the
-        ambient point (its axis entry is ignored)."""
-        pieces = []
-        degenerate = False
+    def intervals_many(self, points: np.ndarray):
+        """(fibers, degenerate): for each row of `points` (ambient
+        coordinates; the axis entry is ignored) the sorted disjoint
+        intervals of the fiber through it, and whether some cell vanished
+        on the line."""
+        k = len(points)
+        pieces = [[] for _ in range(k)]
+        degenerate = np.zeros(k, dtype=bool)
         for extras, restriction, equalities in self.cells:
-            full = point
+            full = points[:, : self.n]
             if extras:
-                full = np.zeros(self.n + len(extras))
-                full[: self.n] = point[: self.n]
+                full = np.zeros((k, self.n + len(extras)))
+                full[:, : self.n] = points[:, : self.n]
                 fill_derived(full, extras, self.n)
-            restricted = zip(restriction.coeffs(full), equalities)
-            degenerate |= _cell_fiber(list(restricted), self.lo_box, self.hi_box, real_roots,
-                                      1e-12, 1e-9, self.tol, pieces)
-        return merge_intervals(pieces), degenerate
+            coef = restriction.table(full)
+            if any(equalities):
+                for j in range(k):
+                    restricted = [(coef[i, :w, j].tolist(), eq)
+                                  for i, (w, eq) in enumerate(zip(restriction.widths, equalities))]
+                    degenerate[j] |= _cell_fiber(restricted, self.lo_box, self.hi_box,
+                                                 real_roots, _ZERO, _FEASIBLE, self.tol, pieces[j])
+            else:
+                degenerate |= self._inequality_pieces(coef, restriction, pieces)
+        return [merge_intervals(p) for p in pieces], degenerate.tolist()
+
+    def _inequality_pieces(self, coef: np.ndarray, restriction: AxisRestriction, pieces: list):
+        """`_cell_fiber` for a cell of inequalities, coef (rows, width, k),
+        at k points at once: degree-1 roots in numpy, higher ones through
+        `real_roots`, candidates clipped to the box and sorted per point,
+        one Horner pass at the midpoints.  Returns the (k,) mask of lines on
+        which every row vanishes; those get the whole box."""
+        lin, high = restriction.groups
+        lo, hi = self.lo_box, self.hi_box
+        k = coef.shape[2]
+        # rows that do not vanish on the line; a failing constant row is then
+        # over the tolerance at every midpoint
+        active = np.abs(coef).max(axis=1) > _ZERO
+        whole = ~active.any(axis=0)
+        # the box ends, then up to width - 1 roots per row; unused slots hold lo
+        cands = np.full((2 + len(lin) + int((restriction.widths[high] - 1).sum()), k), lo)
+        cands[1] = hi
+        c1 = coef[lin, 1]  # as in real_roots, |c1| < 1e-300 leaves no root
+        np.divide(coef[lin, 0], -c1, out=cands[2: 2 + len(lin)],
+                  where=active[lin] & (np.abs(c1) >= 1e-300))
+        fill = [2 + len(lin)] * k
+        for r in high.tolist():
+            for j, (live, column) in enumerate(zip(active[r].tolist(), coef[r].T.tolist())):
+                if live:
+                    roots = real_roots(column)
+                    cands[fill[j]: fill[j] + len(roots), j] = roots
+                    fill[j] += len(roots)
+        np.clip(cands, lo, hi, out=cands)
+        cands.sort(axis=0)
+        a, b = cands[:-1], cands[1:]
+        mid = (a + b) / 2
+        vals = coef[:, -1, None, :]
+        for w in range(coef.shape[1] - 2, -1, -1):
+            vals = vals * mid + coef[:, w, None, :]
+        over = ((vals > _FEASIBLE) & active[:, None, :]).any(axis=0)
+        cols, idx = np.nonzero(((b > a) & ~over & ~whole).T)
+        a_cols, b_cols = a.T.tolist(), b.T.tolist()
+        for j, i in zip(cols.tolist(), idx.tolist()):
+            pieces[j].append((a_cols[j][i], b_cols[j][i]))
+        for j in np.flatnonzero(whole).tolist():
+            pieces[j].append((lo, hi))
+        return whole
 
 
 def _restrict_to_axis(payload: Polynomial, base: Mapping[int, object], axis: int):
@@ -518,8 +567,8 @@ def slice_fiber(region: Region, base, axis: int, mode: str = "exact",
         if v < n:
             point[v] = float(x)
     if mode != "exact":
-        merged, degenerate = FiberKernel(region, axis, tol).intervals(point[:n])
-        return FiberSlices(base, axis, merged, degenerate)
+        fibers, degenerate = FiberKernel(region, axis, tol).intervals_many(point[None, :n])
+        return FiberSlices(base, axis, fibers[0], degenerate[0])
 
     base = {v: Fraction(x) for v, x in base.items()}
     lo, hi = region.bounding_box()[axis]
@@ -566,16 +615,13 @@ def slice_sup_volume(region: Region, axis: int, fixed: Mapping[int, object],
     box = region.bounding_box()
     free = [v for v in range(region.n) if v != axis and v not in fixed]
     rng = np.random.Generator(np.random.Philox(key=seed))
-    kernel = FiberKernel(region, axis)
-    best = 0.0
     count = max(1, samples) if free else 1
-    for _ in range(count):
-        point = np.zeros(region.n)
-        for v, x in fixed.items():
-            point[v] = float(x)
+    points = np.zeros((count, region.n))
+    for v, x in fixed.items():
+        points[:, v] = float(x)
+    for point in points:
         for v in free:
-            lo, hi = box[v]
-            point[v] = rng.uniform(lo, hi)
-        intervals, _ = kernel.intervals(point)
-        best = max(best, float(sum(hi - lo for lo, hi in intervals)))
+            point[v] = rng.uniform(*box[v])
+    fibers, _ = FiberKernel(region, axis).intervals_many(points)
+    best = max(float(sum(hi - lo for lo, hi in intervals)) for intervals in fibers)
     return SupVolumeReport(best, count)

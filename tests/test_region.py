@@ -582,10 +582,10 @@ def _count_lps(monkeypatch):
     return calls
 
 
-def _unit_corner(n, c):
+def _unit_corner(n, c, box=None):
     names = [f"r{i + 1}" for i in range(n)]
     cons = [f"-{v} <= 0" for v in names] + [f"{v} - 1 <= 0" for v in names]
-    return region_of(n, n, cons + [" + ".join(names) + f" >= {c}"])
+    return region_of(n, n, cons + [" + ".join(names) + f" >= {c}"], box)
 
 
 def test_unit_corner_lp_counts(monkeypatch):
@@ -603,6 +603,31 @@ def test_unit_corner_lp_counts(monkeypatch):
     assert [face for face, _, _ in v.violations] == [
         *combinations(range(4), 1), *combinations(range(4), 2)]
     assert len(calls) <= 170
+
+
+def test_declared_box_adds_no_lps(monkeypatch):
+    """Declaring the box [0, 1]^4 that the corner's rows already carry
+    leaves the verdict and the LP count of the undeclared corner (75); with
+    the box rows appended a second time it took 107."""
+    calls = _count_lps(monkeypatch)
+    want = _unit_corner(4, 1).is_allowable()
+    bare_calls = len(calls)
+    calls.clear()
+    v = _unit_corner(4, 1, [(0, 1)] * 4).is_allowable()
+    assert v.violations == want.violations and v.ok == want.ok and not v.heuristic
+    assert len(calls) <= 75 and len(calls) <= bare_calls
+
+
+def test_box_rows_skip_only_implied_bounds():
+    """A box row is dropped when a cell row (an equality counts both ways)
+    bounds the variable at least as tightly, and kept otherwise."""
+    A = region_of(3, 3, ["2*r1 - 1 <= 0", "-r2 <= 0", "r2 - 2 <= 0", "r3 - 1/4 = 0"],
+                  [(0, 1)] * 3)
+    a_ub, b_ub, a_eq, b_eq = region_mod._linear_system(A, A.cells[0])
+    rows = {(tuple(a), b) for a, b in zip(a_ub, b_ub)}
+    box = {row for row in rows if sum(map(abs, row[0])) == 1}
+    assert box == {((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 1, 0), 2), ((0, 1, 0), 1)}
+    assert len(a_ub) == 5 and len(a_eq) == 1
 
 
 @pytest.mark.parametrize("heuristic", [False, True])

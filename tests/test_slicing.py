@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from helpers import load_region, region_of
-from logvol import PolyError, isolate_real_roots, slice_fiber, slice_sup_volume
-from logvol.region import RegionError
-from logvol.slicing import real_roots
+from logvol import PolyError, Polynomial, isolate_real_roots, slice_fiber, slice_sup_volume
+from logvol.region import Cell, Constraint, Region, RegionError
+from logvol.slicing import FiberKernel, merge_intervals, real_roots
 
 
 F = Fraction
@@ -129,6 +129,23 @@ def test_degenerate_fiber_flagged():
     assert fs.intervals == [(0, 1)]
 
 
+def test_unconstrained_cell_is_the_whole_box():
+    """A cell without constraints (substitute_coordinate leaves one when
+    every row was about the fixed coordinate) is the whole box, as for
+    membership: both slicing modes give the box, flagged degenerate, and
+    dr1/r1 ^ dx2 over [1/2, 1] x [0, 1] integrates to ln 2."""
+    import math
+    from logvol import LogForm, integrate_log_form
+
+    A = region_of(2, 1, [], [(F(1, 2), 1), (0, 1)])
+    assert A.members(np.array([[0.75, 0.5]])).all()
+    for mode in ("exact", "float"):
+        fs = slice_fiber(A, {0: F(3, 4)}, 1, mode=mode)
+        assert fs.intervals == [(0, 1)] and fs.degenerate
+    form = LogForm.dlog(2, 1, 0).wedge(LogForm.dx(2, 1, 1))
+    assert integrate_log_form(A, form).value == pytest.approx(math.log(2), abs=1e-9)
+
+
 def test_existential_cells_rejected():
     from logvol.region import Cell, Constraint, ExtraVar, Region
     from logvol import Polynomial
@@ -191,30 +208,186 @@ def test_real_roots_degenerate_degrees():
     assert real_roots([1.0, 2.0, 1e-301]) == [-0.5]  # negligible top coefficient dropped
 
 
-_FLOAT_VS_EXACT = ["s_half", "disk_c1", "quadrant_disk_c1", "triangle_p2", "nested_annulus_c2"]
+_FLOAT_VS_EXACT = ["s_half", "disk_c1", "quadrant_disk_c1", "triangle_p2", "nested_annulus_c2",
+                   "cubic", "vanishing"]
+
+
+def _float_vs_exact_region(name):
+    if name == "cubic":
+        # degree 3 in r2: up to three pieces per fiber, roots through np.roots
+        return region_of(2, 2, ["r2^3 - 3/2*r2^2 + 11/16*r2 - 3/32 - 1/100*r1 <= 0", "-r1 <= 0"],
+                         [(0, 1), (0, 1)])
+    if name == "vanishing":
+        # every constraint vanishes on the line r1 = 0: the whole box, degenerate
+        return region_of(2, 2, ["r1*r2 - r1 <= 0", "r1^2*r2 - r1^2 <= 0"], [(0, 1), (0, 2)])
+    return load_region(name)
 
 
 @given(
     name=st.sampled_from(_FLOAT_VS_EXACT),
     axis_pick=st.integers(0, 3),
     grid=st.lists(st.integers(0, 96), min_size=3, max_size=3),
+    panel=st.lists(st.integers(0, 96), min_size=15, max_size=15),
 )
-def test_float_fiber_matches_exact(name, axis_pick, grid):
+@example(name="cubic", axis_pick=1, grid=[0, 0, 0], panel=list(range(0, 96, 6))[:15])
+@example(name="vanishing", axis_pick=1, grid=[0, 0, 0], panel=[0, 0, 48, 96, 0, *range(10)])
+@example(name="s_half", axis_pick=1, grid=[0, 0, 0], panel=list(range(20, 95, 5)))
+def test_float_fiber_matches_exact(name, axis_pick, grid, panel):
     """At rational base points the float kernel reproduces exact slicing to
-    1e-9 of the axis extent, with the same degenerate flag."""
-    A = load_region(name)
+    1e-9 of the axis extent, with the same degenerate flag, for a whole
+    panel of points solved in one call; `slice_fiber(mode="float")` gives
+    the same as the batch."""
+    A = _float_vs_exact_region(name)
     box = A.bounding_box()
     axis = axis_pick % A.n
     others = [v for v in range(A.n) if v != axis]
-    base = {v: F(box[v][0]) + (F(box[v][1]) - F(box[v][0])) * F(k, 96)
-            for v, k in zip(others, grid)}
-    exact = slice_fiber(A, base, axis, mode="exact")
-    flt = slice_fiber(A, base, axis, mode="float")
+
+    def at(v, k):
+        return F(box[v][0]) + (F(box[v][1]) - F(box[v][0])) * F(k, 96)
+
+    bases = [{v: at(v, k) for v, k in zip(others, [step, *grid[1:]])} for step in panel]
+    points = np.zeros((len(bases), A.n))
+    for row, base in zip(points, bases):
+        for v, x in base.items():
+            row[v] = float(x)
+    fibers, degenerate = FiberKernel(A, axis).intervals_many(points)
     tol = 1e-9 * (box[axis][1] - box[axis][0])
-    assert flt.degenerate == exact.degenerate
-    assert len(flt.intervals) == len(exact.intervals)
-    for (flo, fhi), (elo, ehi) in zip(flt.intervals, exact.intervals):
-        assert abs(flo - float(elo)) <= tol and abs(fhi - float(ehi)) <= tol
+    for base, intervals, flag in zip(bases, fibers, degenerate):
+        exact = slice_fiber(A, base, axis, mode="exact")
+        assert flag == exact.degenerate
+        assert len(intervals) == len(exact.intervals)
+        for (flo, fhi), (elo, ehi) in zip(intervals, exact.intervals):
+            assert abs(flo - float(elo)) <= tol and abs(fhi - float(ehi)) <= tol
+        single = slice_fiber(A, base, axis, mode="float")
+        assert (single.intervals, single.degenerate) == (intervals, flag)
+    if (name, axis, panel) == ("s_half", 1, list(range(20, 95, 5))):
+        assert [] in fibers and any(fibers)  # r1 < 1/2 is empty, r1 > 1/2 is not
+    if (name, axis, panel[:4]) == ("vanishing", 1, [0, 0, 48, 96]):
+        assert degenerate[:4] == [True, True, False, False]
+
+
+# ---------------------------------------------------------------------------
+# the batched kernel against the former interval-arithmetic fast path
+
+
+def _interval_arithmetic_fiber(region, axis, point):
+    """The float fiber of all-linear cells by interval arithmetic, as the
+    quadrature computed it before the kernel served every cell: each row
+    a.x <= rhs clips [lo, hi] at rem / a_axis; a row without the axis empties
+    the cell when it fails by more than 1e-9 (1 + |rhs|); an equality row
+    through the axis gives a point fiber, which has measure zero and is
+    dropped."""
+    lo_box, hi_box = region.bounding_box()[axis]
+    out = []
+    for cell in region.cells:
+        lo, hi = float(lo_box), float(hi_box)
+        empty = False
+        for c in cell.constraints:
+            coeffs, offset = c.payload.as_affine()
+            a = np.array([float(v) for v in coeffs])
+            rhs = float(-offset)
+            ci = a[axis]
+            rem = rhs - (float(a @ point) - ci * point[axis])
+            tol = 1e-9 * (1.0 + abs(rhs))
+            if c.equality:
+                if abs(ci) > 1e-12 or abs(rem) > tol:
+                    empty = True
+                    break
+            elif ci > 1e-12:
+                hi = min(hi, rem / ci)
+            elif ci < -1e-12:
+                lo = max(lo, rem / ci)
+            elif rem < -tol:
+                empty = True
+                break
+            if hi <= lo:
+                empty = True
+                break
+        if not empty and hi > lo:
+            out.append((lo, hi))
+    return merge_intervals(out)
+
+
+def _clear_of_boundaries(region, axis, point) -> bool:
+    """Every row's payload is more than 1e-9 (1 + |rhs|) away from zero at
+    the ends of every piece on the line, other than at the row's own root
+    (twice that, so that it also holds at the midpoints).  There the former
+    relative tolerance and the kernel's absolute one agree."""
+    lo_box, hi_box = region.bounding_box()[axis]
+    for cell in region.cells:
+        rows = []
+        for c in cell.constraints:
+            coeffs, offset = c.payload.as_affine()
+            a = np.array([float(v) for v in coeffs])
+            rhs = float(-offset)
+            rest = float(a @ point) - a[axis] * point[axis]
+            rows.append((a[axis], rest - rhs, rhs))
+        cuts = [float(lo_box), float(hi_box)]
+        cuts += [-c0 / ci for ci, c0, _ in rows if ci != 0 and lo_box < -c0 / ci < hi_box]
+        for ci, c0, rhs in rows:
+            own = -c0 / ci if ci != 0 else None
+            for x in cuts:
+                if x != own and abs(ci * x + c0) <= 2e-9 * (1.0 + abs(rhs)):
+                    return False
+    return True
+
+
+_SCALES = [F(1, 1000), F(1, 10), F(1), F(10), F(1000)]
+
+
+@st.composite
+def _linear_regions(draw):
+    """(region, axis): 1-2 cells of 1-4 random inequalities in 2-3
+    variables, coefficients and extent at scales 1e-3 ... 1e3, some rows
+    without the axis; the box is declared or comes from bounding rows."""
+    n = draw(st.integers(2, 3))
+    axis = draw(st.integers(0, n - 1))
+    extent = draw(st.sampled_from(_SCALES))
+    declared = draw(st.booleans())
+    cells = []
+    for _ in range(draw(st.integers(1, 2))):
+        rows = []
+        if not declared:
+            for v in range(n):
+                unit = tuple(int(i == v) for i in range(n))
+                rows.append(Polynomial(n, {unit: F(1), (0,) * n: -extent}))
+                rows.append(Polynomial(n, {unit: F(-1)}))
+        for _ in range(draw(st.integers(1, 4))):
+            weight = draw(st.sampled_from(_SCALES))
+            a = [F(draw(st.integers(-4, 4)), draw(st.integers(1, 3))) for _ in range(n)]
+            if draw(st.booleans()):
+                a[axis] = F(0)
+            if not any(a):
+                a[(axis + 1) % n] = F(1)
+            rhs = F(draw(st.integers(-6, 6)), draw(st.integers(1, 3))) * extent
+            terms = {tuple(int(i == v) for i in range(n)): weight * c for v, c in enumerate(a) if c}
+            terms[(0,) * n] = -weight * rhs
+            rows.append(Polynomial(n, terms))
+        cells.append(Cell([Constraint(row) for row in rows]))
+    box = [(0, extent)] * n if declared else None
+    return Region(n, n, cells, "real", box), axis
+
+
+@given(case=_linear_regions(), seed=st.integers(0, 2**32 - 1))
+def test_linear_cells_match_interval_arithmetic(case, seed):
+    """On all-linear cells the batched kernel gives, for every point of a
+    15-point panel clear of the row boundaries, the intervals of the former
+    interval-arithmetic fast path to 1e-12 of the axis extent."""
+    region, axis = case
+    box = region.bounding_box()
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    points = np.array([[rng.uniform(lo, hi) for lo, hi in box] for _ in range(15)])
+    points[:, axis] = 0.0
+    fibers, degenerate = FiberKernel(region, axis).intervals_many(points)
+    tol = 1e-12 * (box[axis][1] - box[axis][0])
+    for point, intervals, flag in zip(points, fibers, degenerate):
+        assert not flag
+        if not _clear_of_boundaries(region, axis, point):
+            continue
+        want = _interval_arithmetic_fiber(region, axis, point)
+        assert len(intervals) == len(want)
+        for (lo, hi), (wlo, whi) in zip(intervals, want):
+            assert abs(lo - wlo) <= tol and abs(hi - whi) <= tol
 
 
 # ---------------------------------------------------------------------------
