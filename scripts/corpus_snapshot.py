@@ -1,8 +1,9 @@
 """Print a snapshot of logvol's answers on the region corpus.
 
 The snapshot holds `logvol check` on every file in regions/, the README's
-integrate-complex, decay, probe-fibers and decay-complex commands, each
-with its stdout, stderr and exit code, and the signed and absolute ladder
+integrate, integrate-complex, decay, probe-fibers and decay-complex
+commands, each with its stdout, stderr and exit code (and the ladder CSV
+that `integrate --out` writes), and the signed and absolute ladder
 CSVs (`Ladder.to_csv`, full precision) of the top dlog form on s_half,
 s_one, unit_box_p2 and interval_half_one.  Two snapshots diffed against
 each other show whether a change moved any verdict, flag, note or value:
@@ -12,13 +13,14 @@ each other show whether a change moved any verdict, flag, note or value:
     python scripts/corpus_snapshot.py > after.txt
     diff before.txt after.txt
 
-It takes about half a minute, most of it in decay-complex.
+It takes a few seconds.
 """
 
 import contextlib
 import io
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -30,6 +32,8 @@ from logvol.cli import parse_real_form, run  # noqa: E402
 REGIONS = ROOT / "regions"
 
 README_COMMANDS = [
+    ["integrate", "regions/s_half.region", "--form", "dr1/r1 ^ dr2/r2", "--out", "ladder.csv"],
+    ["integrate", "regions/unit_box_p2.region", "--form", "dr1/r1 ^ dr2/r2"],
     ["integrate-complex", "regions/quadrant_disk_c1.region", "--form", "dz1/z1 ^ dzbar1",
      "--m", "2"],
     ["decay", "regions/s_one.region", "--u", "r1", "--form", "dr2/r2"],
@@ -47,14 +51,24 @@ LADDERS = [
 
 
 def cli(argv: list) -> None:
+    """Run one command and print its output; an `--out` file is written to
+    a temporary directory and printed after the exit code."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        real = [os.path.join(tmp, a) if i and argv[i - 1] == "--out" else a
+                for i, a in enumerate(argv)]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(real)
+        written = {a: Path(r).read_text() for a, r in zip(argv, real)
+                   if a != r and Path(r).exists()}
     print(f"$ logvol {' '.join(argv)}")
     print(out.getvalue(), end="")
     for line in err.getvalue().splitlines():
         print(f"stderr: {line}")
     print(f"exit {code}")
+    for name, text in written.items():
+        print(f"# {name}")
+        print(text, end="")
     print()
 
 

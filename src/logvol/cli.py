@@ -186,11 +186,11 @@ def _cmd_integrate(args) -> int:
     print(f"value    {result.value:.9g}")
     print(f"error    {result.error:.3g}")
     print(f"absolute {result.absolute:.9g}")
-    print(f"verdict  {result.ladder.verdict}")
+    print(f"verdict  {result.verdict}")
     for flag in result.flags:
         print(f"note     {flag}")
     _write_out(args, result.ladder.to_csv())
-    return 0 if result.ladder.verdict == "converged" else 2
+    return 0 if result.verdict == "converged" else 2
 
 
 def _cmd_integrate_complex(args) -> int:
@@ -330,7 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--form", help="wedge expression, e.g. 'dr1/r1 ^ dr2/r2'")
         p.add_argument("--m", type=int, help="total real degree for complex checks")
         p.add_argument("--u", help="slice monomial, e.g. 'r1' or 'r1*r2^2'")
-        p.add_argument("--eps0", type=float)
+        p.add_argument("--eps0", type=float,
+                       help="first excision radius, relative to the region's "
+                            "log-coordinate scale")
         p.add_argument("--ladder", type=int)
         p.add_argument("--ratio", type=float)
         p.add_argument("--seed", type=int)

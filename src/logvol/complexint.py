@@ -50,6 +50,7 @@ from .integrate import (
     DecayFit,
     _build_ladder,
     _cap_flags,
+    combined_verdict,
 )
 from .polyform import LogForm, Polynomial
 from .region import (
@@ -809,24 +810,24 @@ class ComplexIntegralResult:
         )
 
 
-def _integrate_task(task: RealTask, cfg: QuadConfig, absolute: bool = False):
-    """(value, error, ladder); the error is nan while the ladder has not
-    settled on a limit."""
-    integrand = task.integrand()
-    ladder = _build_ladder(task.region, integrand, cfg, absolute=absolute)
-    value = ladder.limit if ladder.limit is not None else ladder.values()[-1]
-    error = ladder.error if ladder.error is not None else float("nan")
-    return value, error, ladder
+def _integrate_task(task: RealTask, cfg: QuadConfig, ladders: Sequence[str]) -> list:
+    """(value, error, ladder) for each requested ladder ("signed" or
+    "absolute"), all from one quadrature pass per rung; the error is nan
+    while a ladder has not settled on a limit."""
+    return [(*ladder.estimate(), ladder)
+            for ladder in _build_ladder(task.region, task.integrand(), cfg, ladders)]
 
 
 def integrate_admissible(region: Region, form: ComplexLogForm, m: int,
                          cfg: QuadConfig | None = None,
                          probe: ProbeConfig | None = None) -> ComplexIntegralResult:
-    """Sum of the reduced real tasks, real and imaginary parts separately.
+    """Sum of the reduced real tasks.  Each task's signed ladder (real and
+    imaginary parts) and absolute ladder come from one quadrature pass per
+    rung.
 
-    The verdict is "converged" only when every task's signed and absolute
-    ladders converge, "diverging" when any of them diverges, and
-    "inconclusive" otherwise.
+    The verdict is combined_verdict over every task's signed and absolute
+    ladders: "converged" only when all of them converge, "diverging" when
+    any of them diverges, and "inconclusive" otherwise.
     """
     cfg = cfg or QuadConfig()
     _check_degrees(region, form, m)
@@ -835,25 +836,17 @@ def integrate_admissible(region: Region, form: ComplexLogForm, m: int,
     total = 0j
     error = 0.0
     absolute = 0.0
-    verdicts = set()
     ladders = []
     detail = []
     for task in tasks:
-        value, err, ladder = _integrate_task(task, cfg, absolute=False)
-        abs_val, _, abs_ladder = _integrate_task(task, cfg, absolute=True)
-        verdicts |= {ladder.verdict, abs_ladder.verdict}
+        (value, err, ladder), (abs_val, _, abs_ladder) = _integrate_task(
+            task, cfg, ("signed", "absolute"))
         ladders += [ladder, abs_ladder]
         total += complex(value)
         error += err
         absolute += abs(abs_val)
         detail.append((task, value, err))
-    if "diverging" in verdicts:
-        verdict = "diverging"
-    elif verdicts <= {"converged"}:
-        verdict = "converged"
-    else:
-        verdict = "inconclusive"
-    return ComplexIntegralResult(total, error, absolute, verdict, detail,
+    return ComplexIntegralResult(total, error, absolute, combined_verdict(ladders), detail,
                                  flags + _cap_flags(ladders))
 
 
@@ -933,8 +926,8 @@ def annulus_slice_decay(region: Region, form: ComplexLogForm, m: int,
                 )
                 if not task_region.cells:
                     continue
-                abs_val, _, ladder = _integrate_task(
-                    replace(task, region=task_region), cfg, absolute=True
+                (abs_val, _, ladder), = _integrate_task(
+                    replace(task, region=task_region), cfg, ("absolute",)
                 )
                 ladders.append(ladder)
                 vol += abs(abs_val)

@@ -3,9 +3,19 @@
 The singular integral is approximated through an excision ladder: for a
 decreasing sequence eps_k the form is integrated over the part of the
 region with |r_i| >= eps_k for every divisor coordinate carrying a dr/r
-factor, and the rung values are extrapolated.  Convergence of the ladder is
-the numerical counterpart of absolute convergence; divergence is a verdict,
-not an exception.
+factor, and the rung values are extrapolated.  eps_k is relative to the
+region's scale (the largest |bound| of a log coordinate in the bounding
+box), so a ladder is invariant under r_i -> c r_i.  Each integral gets a
+signed and an absolute ladder; convergence of the absolute ladder is the
+numerical counterpart of absolute convergence, and a result is
+"converged" only when every ladder behind it converges (combined_verdict).
+Divergence is a verdict, not an exception.
+
+One quadrature pass per rung serves every ladder asked for: the integrand
+is vector valued, one component per weighted part (the real and imaginary
+parts with the oriented measure, the modulus with the unoriented one), so
+each panel solves its fibers and evaluates its points once, and a panel is
+accepted only when every component meets its own tolerance.
 
 Within a rung, the outer coordinates are integrated by adaptive composite
 Gauss panels (log-scaled on divisor coordinates, so dr/r becomes ds) and
@@ -19,7 +29,8 @@ integrands, evaluates every inner Gauss point of the panel in one batch.
 Panels accepted only because the bisection reached max_depth are counted
 per rung and flagged.  Above mc_threshold dimensions (three by default) a
 stratified Monte-Carlo estimator with a counter-based generator replaces
-the tensor quadrature.
+the tensor quadrature; it too draws one sample set for every ladder of a
+rung.
 """
 
 from __future__ import annotations
@@ -45,9 +56,12 @@ class IntegrationError(ValueError):
 class QuadConfig:
     """Quadrature and ladder settings.
 
-    eps0 / ratio / ladder_len fix the excision rungs eps0 * ratio**-k;
-    window and shrink control the convergence verdict (the last `window`
-    successive differences must each shrink by at least `shrink`).
+    eps0 / ratio / ladder_len fix the excision rungs eps0 * ratio**-k,
+    relative to the region's log-coordinate scale L: rung k excises
+    |r_v| < eps0 * ratio**-k * L, L the largest max(|lo_v|, |hi_v|) of a
+    log coordinate's bounding-box range.  window and shrink control the
+    convergence verdict (the last `window` successive differences must
+    each shrink by at least `shrink`).
     """
 
     eps0: float = 2.0**-4
@@ -92,6 +106,12 @@ class Ladder:
 
     def values(self):
         return [v for _, v, _ in self.entries]
+
+    def estimate(self):
+        """(value, error): the limit and its error, or the last rung and nan
+        while the ladder has not settled on a limit."""
+        value = self.limit if self.limit is not None else self.values()[-1]
+        return value, self.error if self.error is not None else float("nan")
 
     def to_csv(self) -> str:
         lines = ["param,value,stderr"]
@@ -152,10 +172,16 @@ class IntegralResult:
     abs_ladder: Ladder | None = None
     flags: list = field(default_factory=list)
 
+    @property
+    def verdict(self) -> str:
+        """The combined verdict of the signed and absolute ladders
+        (combined_verdict): absolute convergence is the paper's notion."""
+        return combined_verdict([lad for lad in (self.ladder, self.abs_ladder) if lad is not None])
+
     def __str__(self):
         return (
             f"value={self.value:.9g} +/- {self.error:.2g} "
-            f"(abs integral {self.absolute:.9g}, ladder {self.ladder.verdict})"
+            f"(abs integral {self.absolute:.9g}, {self.verdict})"
         )
 
 
@@ -173,44 +199,50 @@ def _gauss_nodes(n: int):
     return _GAUSS_CACHE[n]
 
 
-@dataclass
 class _QuadStats:
-    """Error estimate summed over accepted panels, and how many of those
-    were accepted only because the bisection reached max_depth."""
+    """Per component: the error estimate summed over accepted panels, and
+    how many of those were accepted only because the bisection reached
+    max_depth."""
 
-    err: float = 0.0
-    capped: int = 0
+    def __init__(self, k: int):
+        self.err = [0.0] * k
+        self.capped = [0] * k
 
 
 def _adaptive_1d(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                 tol: float, depth: int, stats: _QuadStats) -> float:
-    """Adaptive 15-point Gauss with bisection; the tolerance budget halves
-    with each split so the accepted panel errors sum below `tol`.  f maps
-    the array of a panel's nodes to the array of integrand values, so each
-    panel is one call."""
+                 tol: float, depth: int, stats: _QuadStats) -> list:
+    """Adaptive 15-point Gauss with bisection on a vector-valued integrand;
+    each component's budget tol * max(1, |whole|) halves with each split,
+    so its accepted panel errors sum below it, and a panel is accepted only
+    when every component is within budget.  f maps the array of a panel's
+    nodes to a (components, nodes) array, so each panel is one call.  The
+    few components are kept in lists: per panel, list arithmetic costs less
+    than numpy calls on arrays this small."""
     xs, ws = _gauss_nodes(15)
 
     def gauss(lo, hi):
         half = 0.5 * (hi - lo)
-        return half * float(ws @ f(0.5 * (lo + hi) + half * xs))
+        return [half * float(ws @ row) for row in f(0.5 * (lo + hi) + half * xs)]
 
     def recurse(lo, hi, whole, budget, d):
         mid = 0.5 * (lo + hi)
         left = gauss(lo, mid)
         right = gauss(mid, hi)
-        err = abs(left + right - whole)
-        if err <= budget or d <= 0:
-            stats.err += err
-            stats.capped += err > budget
-            return left + right
-        return recurse(lo, mid, left, 0.5 * budget, d - 1) + recurse(
-            mid, hi, right, 0.5 * budget, d - 1
-        )
+        total = [x + y for x, y in zip(left, right)]
+        err = [abs(t - w) for t, w in zip(total, whole)]
+        if d <= 0 or all(e <= b for e, b in zip(err, budget)):
+            for c, (e, b) in enumerate(zip(err, budget)):
+                stats.err[c] += e
+                stats.capped[c] += e > b
+            return total
+        budget = [0.5 * b for b in budget]
+        return [x + y for x, y in zip(recurse(lo, mid, left, budget, d - 1),
+                                      recurse(mid, hi, right, budget, d - 1))]
 
     if a >= b:
-        return 0.0
+        return [0.0] * len(stats.err)
     whole = gauss(a, b)
-    return recurse(a, b, whole, tol * max(1.0, abs(whole)), depth)
+    return recurse(a, b, whole, [tol * max(1.0, abs(w)) for w in whole], depth)
 
 
 def _line_signed(coeffs, a: float, b: float, log_weight: bool) -> float:
@@ -343,14 +375,17 @@ def _final_level_cuts(solver: "_FiberSolver", level_var: int,
 
 
 def _fiber_integral(solver: _FiberSolver, bases: Sequence[dict], eps: float,
-                    integrand: Integrand, absolute: bool, cfg: QuadConfig,
+                    integrand: Integrand, parts: Sequence[str], cfg: QuadConfig,
                     line: AxisRestriction | None) -> np.ndarray:
     """Inner integrals over the fibers through the base points of one
-    outer Gauss panel, one value per base.
+    outer Gauss panel: a (len(parts), len(bases)) array.
 
-    Without a pointwise factor each fiber integral is a closed form in the
-    coefficients `line` gives on the line.  With one, the inner Gauss nodes
-    of every interval of every fiber are evaluated in one batch.
+    Each part weights the same integrand values: "re" and "im" take the
+    real and imaginary part with the oriented measure, "abs" the modulus
+    with the unoriented one.  Without a pointwise factor each fiber
+    integral is a closed form in the coefficients `line` gives on the line
+    (the coefficient is real, so "im" is zero).  With one, the inner Gauss
+    nodes of every interval of every fiber are evaluated in one batch.
     """
     region, axis = solver.region, solver.axis
     n = region.n
@@ -364,12 +399,15 @@ def _fiber_integral(solver: _FiberSolver, bases: Sequence[dict], eps: float,
     if log_inner:
         fibers = [_clip_log(intervals, eps) for intervals in fibers]
     fill_derived(points, extras, n)
-    out = np.zeros(len(bases))
+    out = np.zeros((len(parts), len(bases)))
     if integrand.pointwise is None:
         table = line.table(points[:, : integrand.coeff.nvars])[0].T.tolist()
-        for i, intervals in enumerate(fibers):
-            out[i] = sum(_line_integral(table[i], a, b, log_inner, absolute)
-                         for a, b in intervals)
+        for j, part in enumerate(parts):
+            if part == "im":
+                continue
+            for i, intervals in enumerate(fibers):
+                out[j, i] = sum(_line_integral(table[i], a, b, log_inner, part == "abs")
+                                for a, b in intervals)
         return out
 
     owner = [i for i, intervals in enumerate(fibers) for _ in intervals]
@@ -383,12 +421,12 @@ def _fiber_integral(solver: _FiberSolver, bases: Sequence[dict], eps: float,
         s_a, s_b = np.log(np.abs(a)), np.log(np.abs(b))
         mid, half = 0.5 * (s_a + s_b), 0.5 * np.abs(s_b - s_a)
         xvals = sgn[:, None] * np.exp(mid[:, None] + half[:, None] * xs)
-        if not absolute:
-            half = half * sgn  # orientation of x -> s on the negative side
     else:
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         xvals = mid[:, None] + half[:, None] * xs
-    weights = half[:, None] * ws
+    weights = (half[:, None] * ws).ravel()
+    # the signed parts carry the orientation of x -> s on the negative side
+    oriented = ((half * sgn)[:, None] * ws).ravel() if log_inner else weights
     owner = np.repeat(owner, len(xs))
     pts = points[owner]
     pts[:, axis] = xvals.ravel()
@@ -398,36 +436,52 @@ def _fiber_integral(solver: _FiberSolver, bases: Sequence[dict], eps: float,
         vals = float(coeff.constant_value()) * integrand.pointwise(pts)
     else:
         vals = coeff.eval_many(pts[:, : coeff.nvars]) * integrand.pointwise(pts)
-    if absolute:
-        vals = np.abs(vals)
-    return np.bincount(owner, weights=np.real(weights.ravel() * vals), minlength=len(bases))
+    for j, part in enumerate(parts):
+        if part == "abs":
+            weighted = weights * np.abs(vals)
+        else:
+            weighted = oriented * (np.real(vals) if part == "re" else np.imag(vals))
+        out[j] = np.bincount(owner, weights=weighted, minlength=len(bases))
+    return out
+
+
+def _ladder_parts(integrand: Integrand, ladders: Sequence[str]) -> list:
+    """The weighted parts (see _fiber_integral) behind each requested
+    ladder: "re" and "im" for a signed ladder of a complex-valued
+    integrand, "re" for a signed real one, "abs" for an absolute one."""
+    parts = []
+    for kind in ladders:
+        if kind == "absolute":
+            parts.append(("abs",))
+        elif kind == "signed":
+            parts.append(("re", "im") if integrand.complex_valued else ("re",))
+        else:
+            raise IntegrationError(f"unknown ladder {kind!r}")
+    return parts
 
 
 def _rung_value(region: Region, integrand: Integrand, eps: float,
-                absolute: bool, cfg: QuadConfig, rung_index: int):
-    """One excision rung; returns (value, error_estimate, stderr, capped),
-    capped counting the Gauss panels accepted at the depth cap."""
+                ladders: Sequence[str], cfg: QuadConfig, rung_index: int) -> list:
+    """One excision rung of every requested ladder ("signed" or "absolute")
+    from one quadrature pass; returns one (value, error_estimate, stderr,
+    capped) per ladder, capped counting the Gauss panels accepted at the
+    depth cap.  A complex signed value sums the errors and caps of its
+    real and imaginary parts."""
     box = region.bounding_box()
     n = region.n
     if n > cfg.mc_threshold:
-        return _mc_rung(region, integrand, eps, absolute, cfg, rung_index)
-    if integrand.complex_valued and not absolute:
-        # run twice against real and imaginary parts of the pointwise factor
-        pw = integrand.pointwise
-        re = Integrand(integrand.coeff, integrand.log_vars,
-                       lambda pts: np.real(pw(pts)), False)
-        im = Integrand(integrand.coeff, integrand.log_vars,
-                       lambda pts: np.imag(pw(pts)), False)
-        vr = _rung_value(region, re, eps, absolute, cfg, rung_index)
-        vi = _rung_value(region, im, eps, absolute, cfg, rung_index)
-        return complex(vr[0], vi[0]), vr[1] + vi[1], 0.0, vr[3] + vi[3]
+        return _mc_rung(region, integrand, eps, ladders, cfg, rung_index)
+    groups = _ladder_parts(integrand, ladders)
+    parts = [part for group in groups for part in group]
+    # outer log levels orient the signed parts only
+    signed = np.array([part != "abs" for part in parts])
     # divisor coordinates go innermost: constraints coupling the radii then
     # produce kinks (not jumps) in the outer integrands, and the singular
     # direction is integrated by the exact closed form.
     quad_vars = [v for v in range(n) if v >= region.p] + list(range(region.p))
     inner = quad_vars[-1]
     outers = quad_vars[:-1]
-    stats = _QuadStats()
+    stats = _QuadStats(len(parts))
     solver = _FiberSolver(region, inner)
     # the excision clips the fibers of a log inner variable at +-eps
     clip = (eps, -eps) if inner in integrand.log_vars and eps > 0 else ()
@@ -435,7 +489,7 @@ def _rung_value(region: Region, integrand: Integrand, eps: float,
     if integrand.pointwise is None:
         line = AxisRestriction([integrand.coeff], inner, integrand.coeff.nvars)
 
-    def level(d: int, base: dict) -> float:
+    def level(d: int, base: dict) -> np.ndarray:
         var = outers[d]
         lo, hi = box[var]
         tol_d = cfg.quad_tol * cfg.nested_shrink**d
@@ -444,17 +498,17 @@ def _rung_value(region: Region, integrand: Integrand, eps: float,
         def values(xs: list) -> np.ndarray:
             if final:
                 bases = [{**base, var: x} for x in xs]
-                return _fiber_integral(solver, bases, eps, integrand, absolute, cfg, line)
-            out = np.empty(len(xs))
+                return _fiber_integral(solver, bases, eps, integrand, parts, cfg, line)
+            out = np.empty((len(parts), len(xs)))
             for i, x in enumerate(xs):
                 base[var] = x
-                out[i] = level(d + 1, base)
+                out[:, i] = level(d + 1, base)
             return out
 
-        total = 0.0
+        total = np.zeros(len(parts))
         if var in integrand.log_vars:
             for s_lo, s_hi, sgn, orient in _log_pieces(lo, hi, eps):
-                factor = 1.0 if absolute else orient
+                factor = np.where(signed, orient, 1.0)
 
                 def g(s, sgn=sgn):
                     return values([sgn * math.exp(v) for v in s.tolist()])
@@ -485,15 +539,24 @@ def _rung_value(region: Region, integrand: Integrand, eps: float,
         return total
 
     if n > 1:
-        value = level(0, {})
+        totals = level(0, {})
     else:
-        value = float(_fiber_integral(solver, [{}], eps, integrand, absolute, cfg, line)[0])
-    return value, stats.err, 0.0, stats.capped
+        totals = _fiber_integral(solver, [{}], eps, integrand, parts, cfg, line)[:, 0]
+    out, j = [], 0
+    for group in groups:
+        k = len(group)
+        value = complex(totals[j], totals[j + 1]) if k == 2 else float(totals[j])
+        out.append((value, sum(stats.err[j:j + k]), 0.0, sum(stats.capped[j:j + k])))
+        j += k
+    return out
 
 
 def _mc_rung(region: Region, integrand: Integrand, eps: float,
-             absolute: bool, cfg: QuadConfig, rung_index: int):
-    """Stratified Monte-Carlo over the per-coordinate domain pieces."""
+             ladders: Sequence[str], cfg: QuadConfig, rung_index: int) -> list:
+    """Stratified Monte-Carlo over the per-coordinate domain pieces: one
+    sample set serves every requested ladder; one (value, stderr, stderr,
+    0) per ladder."""
+    absolute = [parts == ("abs",) for parts in _ladder_parts(integrand, ladders)]
     box = region.bounding_box()
     n = region.n
     if region.cells and any(e.derived_from is None for c in region.cells for e in c.extra):
@@ -509,23 +572,22 @@ def _mc_rung(region: Region, integrand: Integrand, eps: float,
         else:
             pieces = [("lin", lo, hi, 1.0, 1.0)]
         if not pieces:
-            return 0.0, 0.0, 0.0, 0
+            return [(0.0, 0.0, 0.0, 0)] * len(ladders)
         per_var.append(pieces)
 
     combos = [[]]
     for pieces in per_var:
         combos = [c + [p] for c in combos for p in pieces]
     rng = np.random.Generator(np.random.Philox(key=cfg.seed * 1000003 + rung_index))
-    total = 0.0 + (0j if integrand.complex_valued and not absolute else 0.0)
-    var_sum = 0.0
+    totals = [0j if integrand.complex_valued and not a else 0.0 for a in absolute]
+    var_sums = [0.0] * len(ladders)
     budget = max(16, cfg.mc_budget // max(1, len(combos)))
     for combo in combos:
         vol = 1.0
         orient = 1.0
         for kind, a, b, sgn, osign in combo:
             vol *= b - a
-            if not absolute:
-                orient *= osign
+            orient *= osign
         if vol <= 0:
             continue
         u = rng.uniform(0.0, 1.0, size=(budget, n))
@@ -540,15 +602,13 @@ def _mc_rung(region: Region, integrand: Integrand, eps: float,
         if integrand.pointwise is not None:
             full = pts
             vals = vals * integrand.pointwise(full)
-        if absolute:
-            vals = np.abs(vals)
-        vals = np.where(inside, vals, 0.0)
-        mean = vals.mean()
-        total += orient * vol * mean
-        spread = float(np.abs(vals - mean).std()) if budget > 1 else 0.0
-        var_sum += (vol * spread) ** 2 / budget
-    stderr = math.sqrt(var_sum)
-    return total, stderr, stderr, 0
+        for j, absolute_j in enumerate(absolute):
+            weighted = np.where(inside, np.abs(vals) if absolute_j else vals, 0.0)
+            mean = weighted.mean()
+            totals[j] += (1.0 if absolute_j else orient) * vol * mean
+            spread = float(np.abs(weighted - mean).std()) if budget > 1 else 0.0
+            var_sums[j] += (vol * spread) ** 2 / budget
+    return [(total, math.sqrt(v), math.sqrt(v), 0) for total, v in zip(totals, var_sums)]
 
 
 # ---------------------------------------------------------------------------
@@ -571,21 +631,42 @@ def _top_integrand(region: Region, form: LogForm) -> Integrand:
     return Integrand(coeff, tuple(range(form.p)))
 
 
+def _log_scale(region: Region, integrand: Integrand) -> float:
+    """The largest max(|lo|, |hi|) of the bounding box over the integrand's
+    log coordinates: the excision ladder is relative to it."""
+    box = region.bounding_box()
+    return max(max(abs(box[v][0]), abs(box[v][1])) for v in integrand.log_vars) or 1.0
+
+
 def _build_ladder(region: Region, integrand: Integrand, cfg: QuadConfig,
-                  absolute: bool) -> Ladder:
-    entries = []
+                  ladders: Sequence[str]) -> list:
+    """One Ladder per requested kind ("signed" or "absolute"), all from one
+    quadrature pass per rung.  Rung k excises |r_v| < eps0 * ratio**-k * L
+    on every log coordinate, L the region's log-coordinate scale
+    (_log_scale); the entries record the applied eps."""
     if not integrand.log_vars or integrand.coeff.is_zero():
-        value, err, stderr, capped = _rung_value(region, integrand, 0.0, absolute, cfg, 0)
-        entries = [(0.0, value, stderr + err)]
-        return Ladder(entries, "converged", value, err + stderr, [capped])
-    capped = []
-    for k, eps in enumerate(cfg.rungs()):
-        value, err, stderr, hits = _rung_value(region, integrand, eps, absolute, cfg, k)
-        entries.append((eps, value, stderr + err))
-        capped.append(hits)
-    ladder = classify_ladder(entries, cfg)
-    ladder.capped = capped
-    return ladder
+        return [Ladder([(0.0, value, stderr + err)], "converged", value, err + stderr, [capped])
+                for value, err, stderr, capped
+                in _rung_value(region, integrand, 0.0, ladders, cfg, 0)]
+    scale = _log_scale(region, integrand)
+    epss = [eps * scale for eps in cfg.rungs()]
+    rungs = [_rung_value(region, integrand, eps, ladders, cfg, k) for k, eps in enumerate(epss)]
+    out = []
+    for j in range(len(ladders)):
+        ladder = classify_ladder([(eps, rung[j][0], rung[j][2] + rung[j][1])
+                                  for eps, rung in zip(epss, rungs)], cfg)
+        ladder.capped = [rung[j][3] for rung in rungs]
+        out.append(ladder)
+    return out
+
+
+def combined_verdict(ladders: Sequence[Ladder]) -> str:
+    """"diverging" when any ladder diverges, "converged" only when every
+    ladder converges, "inconclusive" otherwise."""
+    verdicts = {ladder.verdict for ladder in ladders}
+    if "diverging" in verdicts:
+        return "diverging"
+    return "converged" if verdicts <= {"converged"} else "inconclusive"
 
 
 def _cap_flags(ladders) -> list:
@@ -601,13 +682,9 @@ def integrate_log_form(region: Region, form: LogForm, cfg: QuadConfig | None = N
     absolute integral and the excision ladders behind both."""
     cfg = cfg or QuadConfig()
     integrand = integrand or _top_integrand(region, form)
-    ladder = _build_ladder(region, integrand, cfg, absolute=False)
-    abs_ladder = _build_ladder(region, integrand, cfg, absolute=True)
-    value = ladder.limit if ladder.limit is not None else ladder.values()[-1]
-    error = ladder.error if ladder.error is not None else float("nan")
-    absolute = (
-        abs_ladder.limit if abs_ladder.limit is not None else abs_ladder.values()[-1]
-    )
+    ladder, abs_ladder = _build_ladder(region, integrand, cfg, ("signed", "absolute"))
+    value, error = ladder.estimate()
+    absolute, _ = abs_ladder.estimate()
     flags = ["orientation: standard orientation of R^n (signed references match up to orientation)"]
     if ladder.verdict == "diverging" or abs_ladder.verdict == "diverging":
         flags.append("diverging")
@@ -615,18 +692,22 @@ def integrate_log_form(region: Region, form: LogForm, cfg: QuadConfig | None = N
     return IntegralResult(value, error, absolute, ladder, abs_ladder, flags)
 
 
+def _kind(absolute: bool) -> str:
+    return "absolute" if absolute else "signed"
+
+
 def integrate_abs(region: Region, form: LogForm, cfg: QuadConfig | None = None) -> float:
     cfg = cfg or QuadConfig()
     integrand = _top_integrand(region, form)
-    ladder = _build_ladder(region, integrand, cfg, absolute=True)
-    return ladder.limit if ladder.limit is not None else ladder.values()[-1]
+    ladder, = _build_ladder(region, integrand, cfg, ("absolute",))
+    return ladder.estimate()[0]
 
 
 def excision_ladder(region: Region, form: LogForm, cfg: QuadConfig | None = None,
                     absolute: bool = False) -> Ladder:
     cfg = cfg or QuadConfig()
     integrand = _top_integrand(region, form)
-    return _build_ladder(region, integrand, cfg, absolute)
+    return _build_ladder(region, integrand, cfg, (_kind(absolute),))[0]
 
 
 def integrate_mc(region: Region, form: LogForm, eps: float,
@@ -634,7 +715,7 @@ def integrate_mc(region: Region, form: LogForm, eps: float,
     """Stratified Monte-Carlo estimate of a single rung (oracle use)."""
     cfg = cfg or QuadConfig()
     integrand = _top_integrand(region, form)
-    value, err, stderr, _ = _mc_rung(region, integrand, eps, absolute, cfg, 0)
+    value, err, stderr, _ = _mc_rung(region, integrand, eps, (_kind(absolute),), cfg, 0)[0]
     return value, stderr
 
 
@@ -642,7 +723,7 @@ def quadrature_rung(region: Region, form: LogForm, eps: float,
                     cfg: QuadConfig | None = None, absolute: bool = False):
     cfg = cfg or QuadConfig()
     integrand = _top_integrand(region, form)
-    value, err, _, _ = _rung_value(region, integrand, eps, absolute, cfg, 0)
+    value, err, _, _ = _rung_value(region, integrand, eps, (_kind(absolute),), cfg, 0)[0]
     return value, err
 
 

@@ -46,6 +46,19 @@ def test_integrate_box_diverges_exit_two():
     assert code == 2 and "diverging" in out
 
 
+def test_integrate_absolute_divergence_exits_two(tmp_path):
+    """dr1/r1 on [-1/2, 1]: the signed ladder settles on ln 2, the absolute
+    one diverges, so the verdict is diverging and the exit code 2."""
+    region = tmp_path / "two_sided.region"
+    region.write_text(json.dumps({
+        "ambient_dim": 1, "divisor_count": 1, "box": [["-1/2", 1]],
+        "cells": [{"constraints": ["-1/2 - r1 <= 0", "r1 - 1 <= 0"]}],
+    }))
+    code, out = invoke("integrate", str(region), "--form", "dr1/r1")
+    assert "verdict  diverging" in out.splitlines()
+    assert code == 2
+
+
 def test_integrate_writes_ladder_csv(tmp_path):
     out_file = tmp_path / "ladder.csv"
     code, _ = invoke("integrate", INTERVAL, "--form", "dr1/r1", "--out", str(out_file))

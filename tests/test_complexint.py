@@ -326,15 +326,16 @@ def test_unsettled_task_ladder_is_inconclusive(monkeypatch):
 
     calls = []
 
-    def unsettled(region, integrand, cfg, absolute):
-        calls.append(absolute)
-        return Ladder([(0.1, 1.0, 0.0), (0.01, 2.0, 0.0)], "inconclusive", capped=[1, 2])
+    def unsettled(region, integrand, cfg, ladders):
+        calls.extend(ladders)
+        return [Ladder([(0.1, 1.0, 0.0), (0.01, 2.0, 0.0)], "inconclusive", capped=[1, 2])
+                for _ in ladders]
 
     monkeypatch.setattr(ci, "_build_ladder", unsettled)
     res = integrate_admissible(
         load_region("quadrant_disk_c1"), ComplexLogForm.volume_like(1, (0,)), 2
     )
-    assert calls and calls.count(True) == calls.count(False)
+    assert calls and calls.count("absolute") == calls.count("signed")
     assert res.verdict == "inconclusive"
     assert math.isnan(res.error)
     assert res.flags == [PROBE_GATE_FLAG,
@@ -345,12 +346,13 @@ def test_diverging_absolute_ladder_takes_precedence(monkeypatch):
     import logvol.complexint as ci
     from logvol import Ladder
 
-    def ladder(region, integrand, cfg, absolute):
-        if absolute:
+    def ladder(kind):
+        if kind == "absolute":
             return Ladder([(0.1, 1.0, 0.0), (0.01, 5.0, 0.0)], "diverging", capped=[0, 0])
         return Ladder([(0.0, 1.0, 0.0)], "converged", 1.0, 1e-12, capped=[0])
 
-    monkeypatch.setattr(ci, "_build_ladder", ladder)
+    monkeypatch.setattr(ci, "_build_ladder",
+                        lambda region, integrand, cfg, ladders: [ladder(k) for k in ladders])
     res = integrate_admissible(
         load_region("quadrant_disk_c1"), ComplexLogForm.volume_like(1, (0,)), 2
     )
@@ -384,14 +386,39 @@ def test_annulus_gate_provenance_through_fallback(monkeypatch, cell, flagged):
     import logvol.complexint as ci
     from logvol import Ladder
 
-    monkeypatch.setattr(ci, "_integrate_task", lambda task, cfg, absolute: (
-        1.0, 0.0, Ladder([(0.0, 1.0, 0.0)], "converged", 1.0, 0.0, capped=[0])))
+    monkeypatch.setattr(ci, "_integrate_task", lambda task, cfg, ladders: [
+        (1.0, 0.0, Ladder([(0.0, 1.0, 0.0)], "converged", 1.0, 0.0, capped=[0]))
+        for _ in ladders])
     region = region_of(4, 1, cell, [(0, 1), (0, 1), (0, 2), (0, 1)], kind="complex")
     assert not region.is_admissible(3).ok
     assert region.meets_divisors_only_in_d() == (True, flagged)
     report = annulus_slice_decay(region, ComplexLogForm.volume_like(2, ()), 3,
                                  ts=[2.0**-k for k in range(2, 6)])
     assert report.flags == ([PROBE_GATE_FLAG] if flagged else [])
+
+
+@pytest.mark.parametrize("name", ["quadrant_disk_c1", "disk_c1"])
+def test_one_pass_complex_ladders_match_part_by_part(name):
+    """A complex task's signed ladder (real and imaginary parts) and its
+    absolute ladder come from one quadrature pass per rung; each part
+    equals that part integrated on its own, as a real-valued integrand."""
+    from logvol.integrate import Integrand, _build_ladder
+
+    cfg = QuadConfig()
+    tasks = reduce_to_real_tasks(load_region(name), ComplexLogForm.volume_like(1, (0,)), 2)
+    assert tasks
+    for task in tasks:
+        integrand = task.integrand()
+        signed, absolute = _build_ladder(task.region, integrand, cfg, ("signed", "absolute"))
+        pw = integrand.pointwise
+        re, = _build_ladder(task.region, Integrand(integrand.coeff, integrand.log_vars,
+                                                   lambda pts: np.real(pw(pts))), cfg, ("signed",))
+        im, = _build_ladder(task.region, Integrand(integrand.coeff, integrand.log_vars,
+                                                   lambda pts: np.imag(pw(pts))), cfg, ("signed",))
+        alone, = _build_ladder(task.region, integrand, cfg, ("absolute",))
+        assert signed.entries == [(eps, complex(a, b), ea + eb)
+                                  for (eps, a, ea), (_, b, eb) in zip(re.entries, im.entries)]
+        assert absolute.entries == alone.entries
 
 
 def test_full_disk_vanishes():

@@ -1,8 +1,12 @@
 """Excision ladders, quadrature, decay fits, bound checks."""
 
 import math
+from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import LI2_HALF, box_region, load_region, region_of
 from logvol import (
@@ -89,6 +93,92 @@ def test_two_sided_interval_cancels_signed():
     res = integrate_log_form(A, form)
     assert res.value == pytest.approx(0.0, abs=1e-9)
     assert res.absolute == pytest.approx(2 * math.log(2), abs=1e-9)
+
+
+def s_a(a: Fraction, c: Fraction):
+    """S_a = {0 <= r1 <= c, 0 <= r2 <= a c, r1 + r2 >= c}: dr1/r1 ^ dr2/r2
+    integrates to Li2(a) at every scale c."""
+    return region_of(2, 2, ["-r1 <= 0", f"r1 - {c} <= 0", "-r2 <= 0",
+                            f"r2 - {a * c} <= 0", f"r1 + r2 >= {c}"],
+                     [(0, c), (0, a * c)])
+
+
+@settings(max_examples=6, deadline=None)
+@given(a=st.fractions(Fraction(1, 12), Fraction(11, 12), max_denominator=12),
+       k=st.integers(-3, 3))
+@example(a=Fraction(1, 2), k=-3)
+def test_dilog_ladder_is_scale_invariant(a, k):
+    """The excision ladder is relative to the box, so S_a at c = 10^k gives
+    Li2(a) with both ladders converged, the same as at c = 1."""
+    res = integrate_log_form(s_a(a, Fraction(10) ** k), dlog2())
+    assert res.ladder.verdict == res.abs_ladder.verdict == "converged"
+    oracle = float(mpmath.polylog(2, mpmath.mpf(a.numerator) / a.denominator))
+    assert abs(res.value - oracle) <= min(1e-6, res.error)
+    unit = integrate_log_form(s_a(a, Fraction(1)), dlog2())
+    assert res.value == pytest.approx(unit.value, rel=1e-12, abs=0)
+
+
+def test_tiny_interval_is_not_excised_away():
+    A = region_of(1, 1, ["1/1000000 - r1 <= 0", "r1 - 1/500000 <= 0"],
+                  [(Fraction(1, 10**6), Fraction(2, 10**6))])
+    res = integrate_log_form(A, LogForm.dlog(1, 1, 0))
+    assert res.value == pytest.approx(math.log(2), abs=1e-12)
+    assert res.verdict == "converged"
+
+
+def test_signed_convergence_with_diverging_absolute_is_diverging():
+    """dr1/r1 on [-1/2, 1]: the signed ladder settles on ln 2 (a principal
+    value), the absolute one diverges, so the integral is not absolutely
+    convergent."""
+    A = region_of(1, 1, ["-1/2 - r1 <= 0", "r1 - 1 <= 0"], [(Fraction(-1, 2), 1)])
+    res = integrate_log_form(A, LogForm.dlog(1, 1, 0))
+    assert res.ladder.verdict == "converged"
+    assert res.abs_ladder.verdict == "diverging"
+    assert res.verdict == "diverging"
+
+
+def test_one_pass_ladders_match_single_ladders():
+    """Both ladders of integrate_log_form come from one quadrature pass per
+    rung; on s_half each is entry for entry the ladder computed alone."""
+    res = integrate_log_form(load_region("s_half"), dlog2())
+    alone = excision_ladder(load_region("s_half"), dlog2())
+    alone_abs = excision_ladder(load_region("s_half"), dlog2(), absolute=True)
+    assert res.ladder.entries == alone.entries
+    assert res.abs_ladder.entries == alone_abs.entries
+    assert res.ladder.capped == alone.capped and res.abs_ladder.capped == alone_abs.capped
+
+
+def test_one_pass_signed_and_absolute_differ():
+    """x2 dr1/r1 ^ dx2 on [1/2, 1] x [-1, 1]: the signed integral cancels,
+    the absolute one is ln 2."""
+    A = box_region([(Fraction(1, 2), 1), (-1, 1)], p=1)
+    form = LogForm.dlog(2, 1, 0).wedge(LogForm.dx(2, 1, 1)).scale(
+        parse_poly("x2", ["r1", "x2"]))
+    res = integrate_log_form(A, form)
+    assert res.verdict == "converged"
+    assert abs(res.value) <= res.error
+    _, abs_error = res.abs_ladder.estimate()
+    assert abs(res.absolute - math.log(2)) <= abs_error < 1e-6
+
+
+@pytest.mark.parametrize("negative", [0, 1])
+@pytest.mark.parametrize("pointwise", [False, True])
+def test_one_pass_orients_only_the_signed_part(negative, pointwise):
+    """dr1/r1 ^ dr2/r2 with one coordinate on [-1, -1/2] and the other on
+    [1/2, 1]: signed -(ln 2)^2, absolute (ln 2)^2, whether the negative
+    coordinate is the outer (r1) or the inner (r2) one, through the
+    closed-form inner integral and through the pointwise one."""
+    from logvol.integrate import Integrand
+
+    bounds = [(Fraction(1, 2), 1), (Fraction(1, 2), 1)]
+    bounds[negative] = (-1, Fraction(-1, 2))
+    integrand = None
+    if pointwise:
+        integrand = Integrand(Polynomial.const(2, 1), (0, 1), lambda pts: np.ones(len(pts)))
+    res = integrate_log_form(box_region(bounds, p=2), dlog2(), integrand=integrand)
+    assert res.verdict == "converged"
+    assert res.value == pytest.approx(-math.log(2) ** 2, abs=1e-9)
+    assert res.absolute == pytest.approx(math.log(2) ** 2, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
