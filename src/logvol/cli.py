@@ -317,65 +317,63 @@ def _cmd_probe_fibers(args) -> int:
     return 0 if report.verdict == "finite" else 2
 
 
+# every flag's definition; each command below lists the ones its handler reads
+_FLAGS = {
+    "region": dict(help="region file (JSON)"),
+    "--form": dict(help="wedge expression, e.g. 'dr1/r1 ^ dr2/r2'"),
+    "--m": dict(type=int, help="total real degree for complex checks"),
+    "--u": dict(help="slice monomial, e.g. 'r1' or 'r1*r2^2'"),
+    "--eps0": dict(type=float, help="first excision radius, relative to the region's "
+                                    "log-coordinate scale"),
+    "--ladder": dict(type=int),
+    "--ratio": dict(type=float),
+    "--seed": dict(type=int),
+    "--mc-budget": dict(type=int, dest="mc_budget"),
+    "--nodes": dict(type=int),
+    "--out": dict(help="write the ladder CSV / DOT export here"),
+    "--cap": dict(type=int),
+    "--tol": dict(type=float),
+    "--poly": dict(help="make the polynomial meet the faces properly"),
+    "--p": dict(type=int, help="number of divisor coordinates"),
+    "--n": dict(type=int, help="ambient dimension (defaults to p)"),
+    "--witness": dict(action="append", help="witness polynomial (repeatable)"),
+    "--map": dict(help="comma separated polynomial components"),
+    "--f": dict(help="comma separated map components"),
+    "--a": dict(help="coefficient function (default 1)"),
+    "--axis": dict(help="coordinate name, e.g. r2 or x3"),
+    "--samples": dict(type=int),
+}
+
+# the QuadConfig flags of _quad_config (--seed also seeds the probe)
+_QUAD = ("--eps0", "--ladder", "--ratio", "--seed", "--mc-budget", "--nodes")
+
+_COMMANDS = {
+    "check": ("allowability / admissibility verdict", ("region", "--m", "--seed")),
+    "integrate": ("integrate a logarithmic form", ("region", "--form", *_QUAD, "--out")),
+    "integrate-complex": ("integrate an (n, m-n)-form", ("region", "--form", "--m", *_QUAD)),
+    "blowup": ("properness / strictness towers",
+               ("--poly", "--p", "--n", "--witness", "--cap", "--out")),
+    "decay": ("slice volume decay fit", ("region", "--form", "--u", *_QUAD, "--out")),
+    "decay-complex": ("annulus slice decay fit", ("region", "--form", "--m", *_QUAD)),
+    "stokes": ("boundary vs differential residual", ("--m", "--map", "--form", *_QUAD, "--tol")),
+    "bound-check": ("pushforward volume bound", ("region", "--f", "--a", *_QUAD)),
+    "probe-fibers": ("sampled fiber cardinality",
+                     ("region", "--axis", "--samples", "--cap", "--seed")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="logvol",
         description="allowability checks and singular integration on semi-algebraic regions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, region=True):
-        if region:
-            p.add_argument("region", help="region file (JSON)")
-        p.add_argument("--form", help="wedge expression, e.g. 'dr1/r1 ^ dr2/r2'")
-        p.add_argument("--m", type=int, help="total real degree for complex checks")
-        p.add_argument("--u", help="slice monomial, e.g. 'r1' or 'r1*r2^2'")
-        p.add_argument("--eps0", type=float,
-                       help="first excision radius, relative to the region's "
-                            "log-coordinate scale")
-        p.add_argument("--ladder", type=int)
-        p.add_argument("--ratio", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--mc-budget", type=int, dest="mc_budget")
-        p.add_argument("--nodes", type=int)
-        p.add_argument("--out", help="write the ladder CSV / DOT export here")
-        p.add_argument("--cap", type=int)
-        p.add_argument("--tol", type=float)
-
-    common(sub.add_parser("check", help="allowability / admissibility verdict"))
-    common(sub.add_parser("integrate", help="integrate a logarithmic form"))
-    common(sub.add_parser("integrate-complex", help="integrate an (n, m-n)-form"))
-    p = sub.add_parser("blowup", help="properness / strictness towers")
-    p.add_argument("region", nargs="?", help="region file (witness mode)")
-    p.add_argument("--poly", help="make the polynomial meet the faces properly")
-    p.add_argument("--p", type=int, help="number of divisor coordinates")
-    p.add_argument("--n", type=int, help="ambient dimension (defaults to p)")
-    p.add_argument("--witness", action="append", help="witness polynomial (repeatable)")
-    p.add_argument("--cap", type=int)
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int)
-    common(sub.add_parser("decay", help="slice volume decay fit"))
-    common(sub.add_parser("decay-complex", help="annulus slice decay fit"))
-    p = sub.add_parser("stokes", help="boundary vs differential residual")
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--map", help="comma separated polynomial components")
-    p.add_argument("--form", help="integrand on the target, e.g. 'x1 ^ dx2'")
-    p.add_argument("--eps0", type=float)
-    p.add_argument("--ladder", type=int)
-    p.add_argument("--ratio", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--mc-budget", type=int, dest="mc_budget")
-    p.add_argument("--nodes", type=int)
-    p.add_argument("--out")
-    p.add_argument("--tol", type=float)
-    p = sub.add_parser("bound-check", help="pushforward volume bound")
-    common(p)
-    p.add_argument("--f", help="comma separated map components")
-    p.add_argument("--a", help="coefficient function (default 1)")
-    p = sub.add_parser("probe-fibers", help="sampled fiber cardinality")
-    common(p)
-    p.add_argument("--axis", help="coordinate name, e.g. r2 or x3")
-    p.add_argument("--samples", type=int)
+    for command, (help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        if command == "blowup":
+            p.add_argument("region", nargs="?", help="region file (witness mode)")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 

@@ -23,6 +23,13 @@ for i in P, r_j for j in Q) are eliminated exactly when they enter every
 constraint affinely, and kept as existentially quantified auxiliaries
 otherwise.
 
+There is one map and one lift.  `_ROTATIONS` is the only statement of the
+sector rotation: `sector_constraints` reads the rows |y1| <= x1 off it,
+`_polar_xy` is the float map behind `polar_map` and pointwise
+coefficients, and `_polar_factor` gives the exact image of
+zr_i^a zi_i^b s_i^(2 mult) as a `Polynomial`, from which `_lift_payload`
+builds every lifted constraint.
+
 One construction path serves every entry point: `_partitions` enumerates
 the (term, partition) choices of a form, and `_pull_back` turns a (sector
 assignment, term, partition) into a `RealTask` laid out by `_task_index`,
@@ -38,6 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iproduct
 from typing import Callable, Mapping, Sequence
 
@@ -72,7 +80,9 @@ class ComplexIntError(ValueError):
 # sectors and the polar map
 
 
-# rotation z = i^(a-1) zeta: (zr, zi) in terms of (x1, y1) = (re, im of zeta)
+# rotation z = i^(a-1) zeta: (zr, zi) in terms of (x1, y1) = (re, im of zeta).
+# The only statement of the sector map: the exact lift, the float map and
+# the sector rows are all read off this table.
 _ROTATIONS = {
     1: ((1, 0), (0, 1)),    # zr = x1,  zi = y1
     2: ((0, -1), (1, 0)),   # zr = -y1, zi = x1
@@ -81,13 +91,13 @@ _ROTATIONS = {
 }
 
 
-def _sector_affines(sector: int):
-    """(c1, c2) with zr = r c1(tau)/s, zi = r c2(tau)/s; affine in tau."""
+def _polar_xy(r, tau, sector: int):
+    """(zr, zi) of the polar point (r, tau) of a sector, elementwise on
+    arrays: x1 = r/s and y1 = r tau/s with s = sqrt(tau^2 + 1), rotated."""
+    s = np.sqrt(tau * tau + 1.0)
+    x1, y1 = r / s, r * tau / s
     (a11, a12), (a21, a22) = _ROTATIONS[sector]
-    # x1 = r/s, y1 = r tau / s
-    c1 = (Fraction(a11), Fraction(a12))  # constant, tau coefficient
-    c2 = (Fraction(a21), Fraction(a22))
-    return c1, c2
+    return a11 * x1 + a12 * y1, a21 * x1 + a22 * y1
 
 
 def polar_map(r: float, tau: float, sector: int = 1):
@@ -96,10 +106,8 @@ def polar_map(r: float, tau: float, sector: int = 1):
         raise ComplexIntError("tau must lie in [-1, 1]")
     if r < 0:
         raise ComplexIntError("r must be nonnegative")
-    s = math.sqrt(tau * tau + 1.0)
-    x1, y1 = r / s, r * tau / s
-    (a11, a12), (a21, a22) = _ROTATIONS[sector]
-    return (a11 * x1 + a12 * y1, a21 * x1 + a22 * y1)
+    zr, zi = _polar_xy(r, tau, sector)
+    return (float(zr), float(zi))
 
 
 def polar_inverse(x: float, y: float, sector: int = 1):
@@ -118,20 +126,21 @@ def polar_inverse(x: float, y: float, sector: int = 1):
 
 
 def sector_constraints(sector: int, nvars: int, zr: int, zi: int) -> list:
-    """Two linear inequalities cutting the closed sector out of the plane."""
-    x = Polynomial.var(nvars, zr)
-    y = Polynomial.var(nvars, zi)
-    if sector == 1:
-        rows = [y - x, -y - x]
-    elif sector == 2:
-        rows = [x - y, -x - y]
-    elif sector == 3:
-        rows = [y + x, -y + x]
-    elif sector == 4:
-        rows = [x + y, -x + y]
-    else:
+    """Two linear inequalities cutting the closed sector out of the plane:
+    |y1| <= x1 for zeta = i^(1-a) z, whose x1 = a11 zr + a21 zi and
+    y1 = a12 zr + a22 zi each read one coordinate."""
+    if sector not in _ROTATIONS:
         raise ComplexIntError(f"unknown sector {sector}")
-    return [Constraint(row, equality=False) for row in rows]
+    (a11, a12), (a21, a22) = _ROTATIONS[sector]
+    y_var = zr if a12 else zi
+    x_var, x_sign = (zr, a11) if a11 else (zi, a21)
+
+    def unit(v):
+        return tuple(int(k == v) for k in range(nvars))
+
+    return [Constraint(Polynomial(nvars, {unit(y_var): sign, unit(x_var): -x_sign}),
+                       equality=False)
+            for sign in (1, -1)]
 
 
 def sector_decompose(region: Region) -> list:
@@ -228,23 +237,22 @@ class ComplexLogForm:
         evaluating it at the conjugate point.
         """
         sign = -1 if self.n % 2 else 1
-        flips = []
-        for re, im, R in self.terms:
-            comps = []
-            for v in range(2 * self.n):
-                var = Polynomial.var(2 * self.n, v)
-                comps.append(-var if v % 2 else var)
-            flips.append((sign * re.compose(comps), -sign * im.compose(comps), R))
+        comps = _conjugation(2 * self.n)
+        flips = [(sign * re.compose(comps), -sign * im.compose(comps), R)
+                 for re, im, R in self.terms]
         return ComplexLogForm(self.n, self.anti_degree, flips)
+
+
+def _conjugation(nvars: int) -> list:
+    """Components of (zr, zi) -> (zr, -zi) on every coordinate pair."""
+    return [-Polynomial.var(nvars, v) if v % 2 else Polynomial.var(nvars, v)
+            for v in range(nvars)]
 
 
 def conjugate_region(region: Region) -> Region:
     if region.kind != "complex":
         raise ComplexIntError("conjugation expects a complex region")
-    comps = []
-    for v in range(region.n):
-        var = Polynomial.var(region.n, v)
-        comps.append(-var if v % 2 else var)
+    comps = _conjugation(region.n)
     cells = []
     for cell in region.cells:
         if cell.extra:
@@ -264,95 +272,40 @@ def conjugate_region(region: Region) -> Region:
 # the exact polar lift of constraints
 
 
-def _mul_in(term_map, var, power=1):
-    """Multiply a {key: coeff} map by var**power; keys are sorted tuples of
-    ((kind, index), exponent) pairs with kind in {"v", "s"}."""
-    out = {}
-    for key, c in term_map.items():
-        kd = dict(key)
-        kd[var] = kd.get(var, 0) + power
-        out[tuple(sorted(kd.items()))] = c
-    return out
+@lru_cache(maxsize=None)
+def _polar_factor(nc: int, i: int, sector: int, a: int, b: int, mult: int) -> Polynomial:
+    """zr_i^a zi_i^b s_i^(2 mult) over (r_1..r_n, tau_1..tau_n, s_1..s_n).
+
+    The polar map gives zr_i = r_i c1(tau_i) / s_i and zi_i = r_i c2(tau_i)
+    / s_i with c1, c2 the rows of the sector's rotation, so the factor is
+    r^(a+b) c1^a c2^b (tau^2 + 1)^k s^e with 2k + e = 2 mult - a - b.
+    """
+    nv = 3 * nc
+    r = Polynomial.var(nv, i)
+    tau = Polynomial.var(nv, nc + i)
+    (a11, a12), (a21, a22) = _ROTATIONS[sector]
+    k, e = divmod(2 * mult - a - b, 2)
+    return (r ** (a + b) * (a11 + a12 * tau) ** a * (a21 + a22 * tau) ** b
+            * (tau * tau + 1) ** k * Polynomial.var(nv, 2 * nc + i) ** e)
 
 
-def _mul_affine(term_map, affine, tau_var):
-    c0, c1 = affine
-    out = {}
-    for key, c in term_map.items():
-        if c0 != 0:
-            out[key] = out.get(key, Fraction(0)) + c * c0
-        if c1 != 0:
-            kd = dict(key)
-            kd[tau_var] = kd.get(tau_var, 0) + 1
-            k2 = tuple(sorted(kd.items()))
-            out[k2] = out.get(k2, Fraction(0)) + c * c1
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _mul_tau_sq_plus_1(term_map, tau_var, power):
-    for _ in range(power):
-        plus = _mul_in(_mul_in(term_map, tau_var), tau_var)
-        out = dict(plus)
-        for key, c in term_map.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        term_map = {k: v for k, v in out.items() if v != 0}
-    return term_map
-
-
-def _lift_payload(payload: Polynomial, alphas, nc: int):
-    """Constraint payload in (zr, zi) -> payload over (r_1..r_n, tau_1..tau_n,
-    s_i ...) with denominators cleared; returns (poly-as-dict, s_needed)."""
-    pair_deg = []
-    for i in range(nc):
-        d = 0
-        for exp in payload.terms:
-            d = max(d, exp[2 * i] + exp[2 * i + 1])
-        pair_deg.append(d)
-    mult = [(d + 1) // 2 for d in pair_deg]  # multiply by (tau^2+1)^mult[i]
-    s_needed = set()
+def _lift_payload(payload: Polynomial, alphas, nc: int) -> Polynomial:
+    """A constraint payload over (zr, zi) pulled back to (r_1..r_n,
+    tau_1..tau_n, s_1..s_n) with its denominators cleared: the payload at
+    the polar point times prod_i s_i^(2 mult_i), mult_i = ceil(d_i / 2) for
+    the pair degree d_i."""
+    mult = [(max((exp[2 * i] + exp[2 * i + 1] for exp in payload.terms), default=0) + 1) // 2
+            for i in range(nc)]
+    # summed in one dict: cheaper than repeated additions, and a monomial
+    # keeps its first position even when it cancels on the way
     work: dict = {}
     for exp, coeff in payload.terms.items():
-        factor_terms = {(): coeff}
+        term = Polynomial.const(3 * nc, coeff)
         for i in range(nc):
-            a_e, b_e = exp[2 * i], exp[2 * i + 1]
-            d = a_e + b_e
-            if d == 0 and mult[i] == 0:
-                continue
-            c1, c2 = _sector_affines(alphas[i])
-            r_var = ("v", i)
-            tau_var = ("v", nc + i)
-            if d:
-                factor_terms = _mul_in(factor_terms, r_var, d)
-                for _ in range(a_e):
-                    factor_terms = _mul_affine(factor_terms, c1, tau_var)
-                for _ in range(b_e):
-                    factor_terms = _mul_affine(factor_terms, c2, tau_var)
-            resid = 2 * mult[i] - d  # residual power of s after clearing
-            if resid:
-                factor_terms = _mul_tau_sq_plus_1(factor_terms, tau_var, resid // 2)
-                if resid % 2:
-                    s_needed.add(i)
-                    factor_terms = _mul_in(factor_terms, ("s", i))
-        for key, c in factor_terms.items():
-            work[key] = work.get(key, Fraction(0)) + c
-    work = {k: v for k, v in work.items() if v != 0}
-    return work, s_needed
-
-
-def _pack_lifted(work: dict, nc: int, s_order: list) -> Polynomial:
-    nv = 2 * nc + len(s_order)
-    s_pos = {i: 2 * nc + j for j, i in enumerate(s_order)}
-    terms = {}
-    for key, c in work.items():
-        exp = [0] * nv
-        for (kind, idx), e in key:
-            if kind == "s":
-                exp[s_pos[idx]] = e
-            else:
-                exp[idx] = e
-        key2 = tuple(exp)
-        terms[key2] = terms.get(key2, Fraction(0)) + c
-    return Polynomial(nv, terms)
+            term = _polar_factor(nc, i, alphas[i], exp[2 * i], exp[2 * i + 1], mult[i]) * term
+        for key, c in term.terms.items():
+            work[key] = work.get(key, 0) + c
+    return Polynomial(3 * nc, work)
 
 
 def _radius_bound(region: Region, i: int) -> float:
@@ -387,17 +340,16 @@ def transform_piece(piece: Region, alphas, partition: Partition,
     for cell in piece.cells:
         if cell.extra:
             raise ComplexIntError("complex cells with auxiliaries are not supported")
-        works = []
-        s_needed = set()
-        for c in cell.constraints:
-            w, s_n = _lift_payload(c.payload, alphas, nc)
-            works.append((w, c.equality))
-            s_needed |= s_n
-        s_order = sorted(s_needed)
+        lifted = [(_lift_payload(c.payload, alphas, nc), c.equality)
+                  for c in cell.constraints]
+        # keep the s_i some constraint uses, packed after r and tau
+        s_order = [i for i in range(nc)
+                   if any(p.uses_var(2 * nc + i) for p, _ in lifted)]
         nv = 2 * nc + len(s_order)
-        constraints = [
-            Constraint(_pack_lifted(w, nc, s_order), eq) for w, eq in works
-        ]
+        pack = list(range(2 * nc)) + [0] * nc
+        for j, i in enumerate(s_order):
+            pack[2 * nc + i] = 2 * nc + j
+        constraints = [Constraint(p.map_vars(pack, nv), eq) for p, eq in lifted]
         for payload, eq in extra_polar_constraints:
             constraints.append(Constraint(payload.map_vars(list(range(2 * nc)), nv), eq))
         # polar domain rows
@@ -419,7 +371,7 @@ def transform_piece(piece: Region, alphas, partition: Partition,
         existential = []
         for v in drops:
             tau_of_s = v - nc if v >= nc else None
-            if tau_of_s is not None and tau_of_s in s_needed:
+            if tau_of_s is not None and tau_of_s in s_order:
                 existential.append(v)  # an s depends on this tau: keep it
                 continue
             attempt = eliminate_var_linear(constraints, v, nv)
@@ -605,13 +557,8 @@ def _coefficient_eval(re: Polynomial, im: Polynomial, partition: Partition,
     def f(pts: np.ndarray) -> np.ndarray:
         zpts = np.zeros((pts.shape[0], 2 * nc))
         for i in needed:
-            r = pts[:, task_index[("r", i)]]
-            tau = pts[:, task_index[("tau", i)]]
-            s = np.sqrt(tau * tau + 1.0)
-            (a11, a12), (a21, a22) = _ROTATIONS[alphas[i]]
-            x1, y1 = r / s, r * tau / s
-            zpts[:, 2 * i] = a11 * x1 + a12 * y1
-            zpts[:, 2 * i + 1] = a21 * x1 + a22 * y1
+            zpts[:, 2 * i], zpts[:, 2 * i + 1] = _polar_xy(
+                pts[:, task_index[("r", i)]], pts[:, task_index[("tau", i)]], alphas[i])
         return re.eval_many(zpts) + 1j * im.eval_many(zpts)
 
     return f

@@ -22,6 +22,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .linprog import _rref
+
 
 class PolyError(ValueError):
     pass
@@ -587,38 +589,20 @@ class MonomialMap:
         return out
 
     def numeric_inverse(self, target: Sequence[float]) -> list:
-        """Invert on the positive orthant by solving the log-linear system."""
+        """Invert on the positive orthant: log|source| = E^-1 log|target /
+        coeff| for the exponent matrix E, inverted exactly."""
         if self.n_source != self.n_target:
             raise PolyError("only square maps are invertible")
         n = self.n_source
-        mat = [[Fraction(exps[j]) for j in range(n)] for _, exps in self.components]
-        rhs = [
-            float(np.log(abs(t) / abs(float(c))))
-            for t, (c, _) in zip(target, self.components)
-        ]
-        # exact forward elimination on the exponent matrix, float back-substitution
-        import copy
-
-        a = copy.deepcopy(mat)
-        b = list(rhs)
-        perm = list(range(n))
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-            if pivot is None:
-                raise PolyError("chart exponent matrix is singular")
-            a[col], a[pivot] = a[pivot], a[col]
-            b[col], b[pivot] = b[pivot], b[col]
-            for r in range(col + 1, n):
-                if a[r][col] != 0:
-                    factor = a[r][col] / a[col][col]
-                    for k in range(col, n):
-                        a[r][k] -= factor * a[col][k]
-                    b[r] -= float(factor) * b[col]
-        logs = [0.0] * n
-        for row in range(n - 1, -1, -1):
-            s = b[row] - sum(float(a[row][k]) * logs[k] for k in range(row + 1, n))
-            logs[row] = s / float(a[row][row])
-        return [float(np.exp(v)) for v in logs]
+        # [E | I] reduces to [I | E^-1] exactly when E is invertible
+        mat = [[Fraction(e) for e in exps] + [Fraction(int(k == i)) for k in range(n)]
+               for i, (_, exps) in enumerate(self.components)]
+        if len(_rref(mat, n)) < n:
+            raise PolyError("chart exponent matrix is singular")
+        logs = [float(np.log(abs(t) / abs(float(c))))
+                for t, (c, _) in zip(target, self.components)]
+        return [float(np.exp(sum(float(a) * v for a, v in zip(row[n:], logs))))
+                for row in mat]
 
     def __repr__(self):
         return f"MonomialMap({self.components})"

@@ -234,6 +234,7 @@ class Region:
             for lo, hi in box
         ]
         self.name = name
+        self._bbox = None
         for cell in self.cells:
             for c in cell.constraints:
                 if c.payload.nvars != cell.nvars_total(self.n):
@@ -263,15 +264,8 @@ class Region:
         return (
             (self.n, self.p, self.kind) == (other.n, other.p, other.kind)
             and self.cells == other.cells
-            and self._box_key() == other._box_key()
+            and self.box == other.box
         )
-
-    def _box_key(self):
-        if self.box is None:
-            return None
-        return [(Fraction(lo) if not isinstance(lo, float) else lo,
-                 Fraction(hi) if not isinstance(hi, float) else hi)
-                for lo, hi in self.box]
 
     def __repr__(self):
         return f"Region(n={self.n}, p={self.p}, kind={self.kind}, cells={len(self.cells)})"
@@ -337,7 +331,13 @@ class Region:
     # -- boxes --------------------------------------------------------------
 
     def bounding_box(self) -> list:
-        """The declared box, or an exact LP-derived one for linear regions."""
+        """The declared box, or an exact LP-derived one for linear regions;
+        computed on first use, each call returns a fresh list."""
+        if self._bbox is None:
+            self._bbox = self._bounding_box()
+        return list(self._bbox)
+
+    def _bounding_box(self) -> list:
         if self.box is not None:
             return [(float(lo), float(hi)) for lo, hi in self.box]
         box = []

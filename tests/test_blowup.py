@@ -16,6 +16,7 @@ from logvol import (
     strict_transform,
     verify_proper,
 )
+from logvol.polyform import MonomialMap, PolyError
 
 R2 = ["r1", "r2"]
 
@@ -63,6 +64,12 @@ def test_chart_round_trip_numeric_inverse():
             target = chart.map.apply(list(pt))
             back = chart.map.numeric_inverse(target)
             assert np.allclose(back, pt, rtol=1e-12, atol=1e-12)
+
+
+def test_singular_chart_map_has_no_inverse():
+    chart = MonomialMap(2, [(1, (1, 1)), (2, (2, 2))])
+    with pytest.raises(PolyError, match="chart exponent matrix is singular"):
+        chart.numeric_inverse([1.0, 2.0])
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,17 @@ def test_reports_are_deterministic():
     assert probes[0] == probes[1]
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", S_HALF, "--eps0", "0.1"),
+    ("integrate", S_HALF, "--form", "dr1/r1 ^ dr2/r2", "--cap", "3"),
+    ("blowup", "--poly", "r1 + r2^2", "--p", "2", "--seed", "1"),
+])
+def test_flags_a_command_ignores_are_rejected(argv):
+    """A subcommand accepts only the flags its handler reads."""
+    code, out = invoke(*argv)
+    assert code == 1 and out == ""
+
+
 def test_every_shipped_region_round_trips():
     for path in sorted(REGIONS.glob("*.region")):
         region = parse_region(path.read_text())

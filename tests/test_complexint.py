@@ -1,9 +1,12 @@
 """Sector reduction, polar pullbacks and admissible integration."""
 
 import math
+from fractions import Fraction
+from itertools import product as iproduct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import load_region, region_of
 from logvol import (
@@ -22,7 +25,7 @@ from logvol import (
     sector_decompose,
     task_allowability,
 )
-from logvol.complexint import PROBE_GATE_FLAG
+from logvol.complexint import PROBE_GATE_FLAG, _lift_payload, sector_constraints
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +132,154 @@ def test_sector_tiling_measures_disk():
     stderr = 4.0 * math.sqrt(0.25 / len(pts))
     assert piece_area == pytest.approx(total_area, abs=6 * stderr)
     assert total_area == pytest.approx(math.pi, abs=6 * stderr)
+
+
+def test_sector_rows_match_the_hand_written_rows():
+    """The rows read off the rotation table are the four sectors' |y| <= x
+    rows as once written out by hand, in the same order and term order."""
+    x, y = Polynomial.var(3, 0), Polynomial.var(3, 1)
+    want = {1: [y - x, -y - x], 2: [x - y, -x - y], 3: [y + x, -y + x], 4: [x + y, -x + y]}
+    for sector, rows in want.items():
+        got = sector_constraints(sector, 3, 0, 1)
+        assert [list(c.payload.terms.items()) for c in got] == \
+            [list(row.terms.items()) for row in rows]
+        assert not any(c.equality for c in got)
+    with pytest.raises(ComplexIntError):
+        sector_constraints(5, 3, 0, 1)
+
+
+# ---------------------------------------------------------------------------
+# the exact polar lift
+
+# Reference lift: a sparse algebra on sorted ((kind, index), exponent) keys
+# that states the sector map z = i^(a-1) r (1 + i tau) / s with
+# zr = r c1(tau) / s and zi = r c2(tau) / s, (constant, tau coefficient).
+_REF_AFFINES = {1: ((1, 0), (0, 1)), 2: ((0, -1), (1, 0)),
+                3: ((-1, 0), (0, -1)), 4: ((0, 1), (-1, 0))}
+
+
+def _ref_mul_in(term_map, var, power=1):
+    out = {}
+    for key, c in term_map.items():
+        kd = dict(key)
+        kd[var] = kd.get(var, 0) + power
+        out[tuple(sorted(kd.items()))] = c
+    return out
+
+
+def _ref_mul_affine(term_map, affine, tau_var):
+    c0, c1 = affine
+    out = {}
+    for key, c in term_map.items():
+        if c0 != 0:
+            out[key] = out.get(key, Fraction(0)) + c * c0
+        if c1 != 0:
+            kd = dict(key)
+            kd[tau_var] = kd.get(tau_var, 0) + 1
+            k2 = tuple(sorted(kd.items()))
+            out[k2] = out.get(k2, Fraction(0)) + c * c1
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def _ref_mul_tau_sq_plus_1(term_map, tau_var, power):
+    for _ in range(power):
+        out = dict(_ref_mul_in(_ref_mul_in(term_map, tau_var), tau_var))
+        for key, c in term_map.items():
+            out[key] = out.get(key, Fraction(0)) + c
+        term_map = {k: v for k, v in out.items() if v != 0}
+    return term_map
+
+
+def _ref_lift(payload, alphas, nc):
+    """(lifted polynomial over r, tau, s_1..s_n; the set of s_i it needs)."""
+    mult = [(max((e[2 * i] + e[2 * i + 1] for e in payload.terms), default=0) + 1) // 2
+            for i in range(nc)]
+    s_needed = set()
+    work = {}
+    for exp, coeff in payload.terms.items():
+        factor = {(): coeff}
+        for i in range(nc):
+            a_e, b_e = exp[2 * i], exp[2 * i + 1]
+            d = a_e + b_e
+            if d == 0 and mult[i] == 0:
+                continue
+            c1, c2 = _REF_AFFINES[alphas[i]]
+            tau_var = ("v", nc + i)
+            if d:
+                factor = _ref_mul_in(factor, ("v", i), d)
+                for _ in range(a_e):
+                    factor = _ref_mul_affine(factor, c1, tau_var)
+                for _ in range(b_e):
+                    factor = _ref_mul_affine(factor, c2, tau_var)
+            resid = 2 * mult[i] - d
+            if resid:
+                factor = _ref_mul_tau_sq_plus_1(factor, tau_var, resid // 2)
+                if resid % 2:
+                    s_needed.add(i)
+                    factor = _ref_mul_in(factor, ("s", i))
+        for key, c in factor.items():
+            work[key] = work.get(key, Fraction(0)) + c
+    terms = {}
+    for key, c in work.items():
+        if c == 0:
+            continue
+        exp = [0] * (3 * nc)
+        for (kind, idx), e in key:
+            exp[2 * nc + idx if kind == "s" else idx] = e
+        terms[tuple(exp)] = c
+    return Polynomial(3 * nc, terms), s_needed
+
+
+@st.composite
+def _payloads(draw):
+    nc = draw(st.integers(1, 2))
+    exps = st.tuples(*[st.integers(0, 3)] * (2 * nc))
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
+    terms = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=6))
+    return nc, Polynomial(2 * nc, terms)
+
+
+@settings(max_examples=60)
+@given(_payloads())
+@example((2, Polynomial(4, {(2, 0, 2, 0): 1, (2, 0, 0, 2): -1, (0, 2, 2, 0): 1,
+                            (0, 2, 0, 2): 1, (2, 2, 2, 2): 1})))
+def test_lift_matches_reference(case):
+    """Same polynomial, same term order and same s variables as the
+    reference algebra, for every sector assignment.  In the explicit
+    example the monomial r1^2 r2^2 tau1^2 tau2^2 cancels after two payload
+    terms and comes back with the third; it keeps its first position."""
+    nc, payload = case
+    for alphas in iproduct((1, 2, 3, 4), repeat=nc):
+        got = _lift_payload(payload, alphas, nc)
+        want, s_needed = _ref_lift(payload, alphas, nc)
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert {i for i in range(nc) if got.uses_var(2 * nc + i)} == s_needed
+
+
+_ROTATION = {1: 1, 2: 1j, 3: -1, 4: -1j}  # i^(a-1)
+
+
+@settings(max_examples=30)
+@given(_payloads(), st.integers(0, 2**32 - 1))
+def test_lift_is_the_cleared_payload_at_the_polar_point(case, seed):
+    """At random (r, tau) the lift equals s^(2 mult) payload(z) with
+    z = i^(a-1) r (1 + i tau) / s, within 1e-12 of the payload's scale."""
+    nc, payload = case
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    mult = [(max(e[2 * i] + e[2 * i + 1] for e in payload.terms) + 1) // 2 for i in range(nc)]
+    for alphas in iproduct((1, 2, 3, 4), repeat=nc):
+        lifted = _lift_payload(payload, alphas, nc)
+        r = rng.uniform(0.1, 2.0, size=(8, nc))
+        tau = rng.uniform(-1.0, 1.0, size=(8, nc))
+        s = np.sqrt(tau**2 + 1.0)
+        z = np.array([_ROTATION[a] for a in alphas]) * r * (1 + 1j * tau) / s
+        zpts = np.stack([z.real, z.imag], axis=2).reshape(8, 2 * nc)
+        clear = np.prod(s ** (2 * np.array(mult)), axis=1)
+        want = clear * payload.eval_many(zpts)
+        scale = clear * Polynomial(2 * nc, {e: abs(c) for e, c in payload.terms.items()}
+                                   ).eval_many(np.abs(zpts))
+        got = lifted.eval_many(np.hstack([r, tau, s]))
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from logvol import (
     LogForm,
     Polynomial,
     QuadConfig,
+    Region,
     RegionError,
     deformation_limit_check,
     excision_ladder,
@@ -24,6 +25,7 @@ from logvol import (
     parse_poly,
     pushforward_bound_check,
     slice_decay_report,
+    linprog,
 )
 from logvol.integrate import quadrature_rung, slice_region_and_form
 
@@ -48,6 +50,27 @@ def test_s_half_dilogarithm():
     assert res.ladder.verdict == "converged"
     assert res.absolute == pytest.approx(res.value, abs=1e-6)  # positive integrand
     assert not any("depth cap" in flag for flag in res.flags)
+
+
+def test_box_less_region_solves_its_box_once(monkeypatch):
+    """Without a declared box the bounding box takes 2n exact LPs; it is
+    computed once per region, so the whole ladder on s_half makes 4 (every
+    rung re-solving them made 100)."""
+    boxed = load_region("s_half")
+    region = Region(boxed.n, boxed.p, boxed.cells, boxed.kind, None, boxed.name)
+    calls = []
+    original = linprog.solve_lp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(linprog, "solve_lp", counted)
+    res = integrate_log_form(region, dlog2())
+    assert len(calls) <= 4
+    assert region.bounding_box() == [(0.5, 1.0), (0.0, 0.5)]
+    assert res.value == pytest.approx(LI2_HALF, abs=1e-6)
+    assert res.verdict == "converged"
 
 
 def test_depth_cap_hits_flagged():
