@@ -4,8 +4,10 @@ The snapshot holds `logvol check` on every file in regions/, the README's
 integrate, integrate-complex, decay, probe-fibers and decay-complex
 commands, each with its stdout, stderr and exit code (and the ladder CSV
 that `integrate --out` writes), and the signed and absolute ladder
-CSVs (`Ladder.to_csv`, full precision) of the top dlog form on s_half,
-s_one, unit_box_p2 and interval_half_one.  Two snapshots diffed against
+CSVs (`Ladder.to_csv`, full precision) of the top dlog form on the regions
+in LADDERS: positive, negative and sign-changing log coordinates, a region
+far below unit scale, and a 4-d product that takes the Monte-Carlo rung.
+Two snapshots diffed against
 each other show whether a change moved any verdict, flag, note or value:
 
     python scripts/corpus_snapshot.py > before.txt
@@ -47,6 +49,10 @@ LADDERS = [
     ("s_one", "dr1/r1 ^ dr2/r2"),
     ("unit_box_p2", "dr1/r1 ^ dr2/r2"),
     ("interval_half_one", "dr1/r1"),
+    ("interval_micro", "dr1/r1"),
+    ("interval_across_zero", "dr1/r1"),
+    ("negative_square", "dr1/r1 ^ dr2/r2"),
+    ("s_half_times_s_three_quarters", "dr1/r1 ^ dr2/r2 ^ dr3/r3 ^ dr4/r4"),
 ]
 
 

@@ -95,14 +95,7 @@ class BlowupTower:
         parent = self.charts[chart_id]
         new_ids = []
         for pivot in center:
-            comps = []
-            for v in range(self.n):
-                exps = [0] * self.n
-                exps[v] = 1
-                if v in center and v != pivot:
-                    exps[pivot] += 1
-                comps.append((Fraction(1), tuple(exps)))
-            local = MonomialMap(self.n, comps)
+            local = _pivot_chart(self.n, center, pivot)
             composed = parent.map.compose(local)
             box = []
             for v in range(self.n):
@@ -219,15 +212,24 @@ def _is_proper(f: Polynomial, divisors: Sequence[int]) -> bool:
     return _min_degree_over(f, divisors) == 0
 
 
-def _stage_child_transform(g: Polynomial, center, pivot, n) -> Polynomial:
+def _pivot_chart(n: int, center, pivot: int) -> MonomialMap:
+    """The chart of the blow-up along `center` that keeps `pivot`:
+    r_v -> r_v r_pivot for the other center coordinates, the rest fixed."""
     comps = []
     for v in range(n):
         exps = [0] * n
         exps[v] = 1
         if v in center and v != pivot:
             exps[pivot] += 1
-        comps.append(Polynomial.monomial(n, exps, 1))
-    total = g.compose(comps)
+        comps.append((Fraction(1), tuple(exps)))
+    return MonomialMap(n, comps)
+
+
+def _stage_child_transform(g: Polynomial, center, pivot, n) -> Polynomial:
+    """The strict transform of g in the chart _pivot_chart(n, center,
+    pivot), dividing out the new exceptional coordinate."""
+    local = _pivot_chart(n, center, pivot)
+    total = g.compose([local.component_poly(v) for v in range(n)])
     content = total.content_monomial()
     divisor = [0] * n
     divisor[pivot] = content[pivot]

@@ -52,12 +52,14 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .integrate import (
+    ABS_TOL,
     Integrand,
     QuadConfig,
-    fit_decay_exponent,
     DecayFit,
     _build_ladder,
     _cap_flags,
+    _decay_ts,
+    _decay_verdict,
     combined_verdict,
 )
 from .polyform import LogForm, Polynomial
@@ -836,6 +838,7 @@ def annulus_slice_decay(region: Region, form: ComplexLogForm, m: int,
         raise ComplexIntError("the slice form must have total degree m - 1")
     if not all(re.is_constant() and im.is_constant() for re, im, _ in form.terms):
         raise ComplexIntError("annulus decay supports constant coefficients")
+    ts = _decay_ts(ts)
     bound_z2 = True
     verdict = region.is_admissible(m, probe)
     heuristic = verdict.heuristic
@@ -847,7 +850,6 @@ def annulus_slice_decay(region: Region, form: ComplexLogForm, m: int,
         else:
             raise ComplexIntError(f"gate failed: not admissible ({verdict}) and "
                                   "the divisor locus is not inside D")
-    ts = list(ts) if ts is not None else [2.0**-k for k in range(2, 11)]
 
     # r_1 = t is fixed on the slice, so dr_1 restricts to zero: only the
     # partitions with z_1 in Q contribute
@@ -880,10 +882,7 @@ def annulus_slice_decay(region: Region, form: ComplexLogForm, m: int,
                 vol += abs(abs_val)
         entries.append((t, vol))
     flags = ([PROBE_GATE_FLAG] if heuristic else []) + _cap_flags(ladders)
-    if all(v <= cfg.abs_tol for _, v in entries):
-        return AnnulusDecayReport(entries, None, "identically zero", True, flags)
-    fit = fit_decay_exponent(entries)
+    fit, verdict_txt = _decay_verdict(entries)
     ordered = sorted(entries)  # ascending t
-    monotone = all(a[1] <= b[1] + cfg.abs_tol for a, b in zip(ordered, ordered[1:]))
-    verdict_txt = "decays to zero" if fit.exponent > 0.05 else "no decay detected"
+    monotone = all(a[1] <= b[1] + ABS_TOL for a, b in zip(ordered, ordered[1:]))
     return AnnulusDecayReport(entries, fit, verdict_txt, monotone, flags)

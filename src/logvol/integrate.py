@@ -27,10 +27,14 @@ outer levels map the recursion over the nodes, and the last outer level
 solves the panel's 15 fibers in one kernel call and, for pointwise
 integrands, evaluates every inner Gauss point of the panel in one batch.
 Panels accepted only because the bisection reached max_depth are counted
-per rung and flagged.  Above mc_threshold dimensions (three by default) a
-stratified Monte-Carlo estimator with a counter-based generator replaces
-the tensor quadrature; it too draws one sample set for every ladder of a
-rung.
+per rung and flagged.  Above three dimensions a stratified Monte-Carlo
+estimator with a counter-based generator replaces the tensor quadrature;
+it too draws one sample set for every ladder of a rung.
+
+Every rung path (the outer Gauss levels, the inner fibers and the
+Monte-Carlo rung) reads the part of a coordinate range it integrates from
+one helper, `_rung_pieces`: a log coordinate keeps |x| >= eps on each side
+and is integrated in u = log|x|.
 """
 
 from __future__ import annotations
@@ -52,6 +56,17 @@ class IntegrationError(ValueError):
     pass
 
 
+# convergence verdict of a ladder: rung differences below
+# ABS_TOL + REL_TOL * |value| are noise, and the last _WINDOW differences
+# must each shrink by at least _SHRINK for a geometric extrapolation
+ABS_TOL = 1e-9
+REL_TOL = 1e-7
+_WINDOW = 3
+_SHRINK = 1.5
+_NESTED_SHRINK = 0.02  # quadrature tolerance factor per nesting level
+_MC_DIMENSION = 3  # tensor quadrature up to this many coordinates
+
+
 @dataclass(frozen=True)
 class QuadConfig:
     """Quadrature and ladder settings.
@@ -59,9 +74,10 @@ class QuadConfig:
     eps0 / ratio / ladder_len fix the excision rungs eps0 * ratio**-k,
     relative to the region's log-coordinate scale L: rung k excises
     |r_v| < eps0 * ratio**-k * L, L the largest max(|lo_v|, |hi_v|) of a
-    log coordinate's bounding-box range.  window and shrink control the
-    convergence verdict (the last `window` successive differences must
-    each shrink by at least `shrink`).
+    log coordinate's bounding-box range.  nodes is the Gauss rule of the
+    inner fibers, max_depth and quad_tol bound the adaptive outer panels,
+    and mc_budget and seed drive the Monte-Carlo rung used above three
+    coordinates.
     """
 
     eps0: float = 2.0**-4
@@ -70,14 +86,8 @@ class QuadConfig:
     nodes: int = 15
     max_depth: int = 24
     quad_tol: float = 1e-8
-    nested_shrink: float = 0.02  # tolerance factor per nesting level
     mc_budget: int = 40000
-    mc_threshold: int = 3  # tensor quadrature up to this many coordinates
     seed: int = 0
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-7
-    window: int = 3
-    shrink: float = 1.5
 
     def __post_init__(self):
         if self.eps0 <= 0:
@@ -86,8 +96,8 @@ class QuadConfig:
             raise IntegrationError("the ladder needs at least 3 rungs")
         if self.ratio <= 1:
             raise IntegrationError("the ladder ratio must exceed 1")
-        if self.abs_tol <= 0 or self.rel_tol <= 0 or self.quad_tol <= 0:
-            raise IntegrationError("tolerances must be positive")
+        if self.quad_tol <= 0:
+            raise IntegrationError("quad_tol must be positive")
 
     def rungs(self):
         return [self.eps0 * self.ratio**-k for k in range(self.ladder_len)]
@@ -125,7 +135,7 @@ class Ladder:
         return "\n".join(lines) + "\n"
 
 
-def classify_ladder(entries, cfg: QuadConfig) -> Ladder:
+def classify_ladder(entries) -> Ladder:
     ladder = Ladder(list(entries))
     values = ladder.values()
     stderrs = [s for _, _, s in entries]
@@ -134,8 +144,8 @@ def classify_ladder(entries, cfg: QuadConfig) -> Ladder:
         return ladder
     diffs = [values[i + 1] - values[i] for i in range(len(values) - 1)]
     scale = max(1.0, abs(values[-1]))
-    noise = cfg.abs_tol + cfg.rel_tol * scale + 3.0 * max(stderrs)
-    w = min(cfg.window, len(diffs))
+    noise = ABS_TOL + REL_TOL * scale + 3.0 * max(stderrs)
+    w = min(_WINDOW, len(diffs))
     tail = diffs[-w:]
     if all(abs(d) <= noise for d in tail):
         ladder.verdict = "converged"
@@ -143,11 +153,11 @@ def classify_ladder(entries, cfg: QuadConfig) -> Ladder:
         ladder.error = noise + max(abs(d) for d in tail)
         return ladder
     shrinking = all(
-        abs(tail[i + 1]) <= abs(tail[i]) / cfg.shrink for i in range(len(tail) - 1)
+        abs(tail[i + 1]) <= abs(tail[i]) / _SHRINK for i in range(len(tail) - 1)
     )
     if shrinking and len(tail) >= 2:
         rho = abs(tail[-1]) / abs(tail[-2]) if abs(tail[-2]) else 0.0
-        rho = min(rho, 1.0 / cfg.shrink)
+        rho = min(rho, 1.0 / _SHRINK)
         geom = rho / (1.0 - rho)
         ladder.verdict = "converged"
         ladder.limit = values[-1] + tail[-1] * geom
@@ -273,29 +283,43 @@ def _line_integral(coeffs, a: float, b: float, log_weight: bool, absolute: bool)
     return total
 
 
-def _clip_log(intervals, eps: float):
+def _rung_pieces(ranges, eps: float, log: bool) -> list:
+    """The pieces (a, b, sgn) of a coordinate's ranges (a, b) that the rung
+    at eps integrates.  A log coordinate keeps |x| >= eps, the positive
+    side of each range before the negative one; sgn is the sign of x on
+    the piece, which is integrated in u = log|x| (x = sgn * e^u) and whose
+    signed parts sgn orients.  A linear coordinate keeps each range whole,
+    with sgn = 0 and u = x."""
+    if not log:
+        return [(a, b, 0.0) for a, b in ranges]
     out = []
-    for a, b in intervals:
+    for a, b in ranges:
         a, b = float(a), float(b)
-        if b > eps:
-            out.append((max(a, eps), b))
-        if a < -eps:
-            out.append((a, min(b, -eps)))
-    return [(a, b) for a, b in out if b > a]
+        if b > eps and b > a:
+            out.append((max(a, eps), b, 1.0))
+        if a < -eps and b > a:
+            out.append((a, min(b, -eps), -1.0))
+    return out
 
 
-def _log_pieces(lo: float, hi: float, eps: float):
-    """((s_lo, s_hi, sign_of_x, orientation_sign)) pieces for a log coordinate."""
-    pieces = []
-    if hi > eps:
-        a = max(lo, eps)
-        if hi > a:
-            pieces.append((math.log(a), math.log(hi), 1.0, 1.0))
-    if lo < -eps:
-        b = min(hi, -eps)
-        if b > lo:
-            pieces.append((math.log(-b), math.log(-lo), -1.0, -1.0))
-    return pieces
+# The scalar maps between x and u on a piece.  The vectorized fiber and
+# Monte-Carlo code apply them with np.exp / np.log; numpy's SIMD results
+# can differ from libm's in the last bit, so neither replaces the other.
+
+
+def _u_of(xs: list, sgn: float) -> list:
+    return [math.log(abs(x)) for x in xs] if sgn else xs
+
+
+def _x_of(us: list, sgn: float) -> list:
+    return [sgn * math.exp(u) for u in us] if sgn else us
+
+
+def _u_range(a: float, b: float, sgn: float) -> list:
+    """The piece's u-range, low end first: u falls as x rises on the
+    negative side."""
+    ends = _u_of([a, b], sgn)
+    return ends[::-1] if sgn < 0 else ends
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +421,7 @@ def _fiber_integral(solver: _FiberSolver, bases: Sequence[dict], eps: float,
             points[i, v] = val
     fibers = solver.intervals(points)
     if log_inner:
-        fibers = [_clip_log(intervals, eps) for intervals in fibers]
+        fibers = [_rung_pieces(intervals, eps, True) for intervals in fibers]
     fill_derived(points, extras, n)
     out = np.zeros((len(parts), len(bases)))
     if integrand.pointwise is None:
@@ -406,18 +430,19 @@ def _fiber_integral(solver: _FiberSolver, bases: Sequence[dict], eps: float,
             if part == "im":
                 continue
             for i, intervals in enumerate(fibers):
-                out[j, i] = sum(_line_integral(table[i], a, b, log_inner, part == "abs")
-                                for a, b in intervals)
+                out[j, i] = sum(_line_integral(table[i], ab[0], ab[1], log_inner, part == "abs")
+                                for ab in intervals)
         return out
 
     owner = [i for i, intervals in enumerate(fibers) for _ in intervals]
     if not owner:
         return out
     xs, ws = _gauss_nodes(cfg.nodes)
-    a, b = np.array([ab for intervals in fibers for ab in intervals]).T
+    spans = np.array([ab for intervals in fibers for ab in intervals])
+    a, b = spans[:, 0], spans[:, 1]
     if log_inner:
-        # x = sign * e^s over [log|a|, log|b|]
-        sgn = np.where(a > 0, 1.0, -1.0)
+        # _x_of in numpy: x = sgn * e^s over [log|a|, log|b|]
+        sgn = spans[:, 2]
         s_a, s_b = np.log(np.abs(a)), np.log(np.abs(b))
         mid, half = 0.5 * (s_a + s_b), 0.5 * np.abs(s_b - s_a)
         xvals = sgn[:, None] * np.exp(mid[:, None] + half[:, None] * xs)
@@ -469,12 +494,13 @@ def _rung_value(region: Region, integrand: Integrand, eps: float,
     real and imaginary parts."""
     box = region.bounding_box()
     n = region.n
-    if n > cfg.mc_threshold:
+    if n > _MC_DIMENSION:
         return _mc_rung(region, integrand, eps, ladders, cfg, rung_index)
     groups = _ladder_parts(integrand, ladders)
     parts = [part for group in groups for part in group]
-    # outer log levels orient the signed parts only
-    signed = np.array([part != "abs" for part in parts])
+    # a negative log piece flips the orientation of the signed parts only
+    flip = np.array([1.0 if part == "abs" else -1.0 for part in parts])
+    keep = np.ones(len(parts))
     # divisor coordinates go innermost: constraints coupling the radii then
     # produce kinks (not jumps) in the outer integrands, and the singular
     # direction is integrated by the exact closed form.
@@ -491,8 +517,7 @@ def _rung_value(region: Region, integrand: Integrand, eps: float,
 
     def level(d: int, base: dict) -> np.ndarray:
         var = outers[d]
-        lo, hi = box[var]
-        tol_d = cfg.quad_tol * cfg.nested_shrink**d
+        tol_d = cfg.quad_tol * _NESTED_SHRINK**d
         final = d == len(outers) - 1
 
         def values(xs: list) -> np.ndarray:
@@ -506,35 +531,18 @@ def _rung_value(region: Region, integrand: Integrand, eps: float,
             return out
 
         total = np.zeros(len(parts))
-        if var in integrand.log_vars:
-            for s_lo, s_hi, sgn, orient in _log_pieces(lo, hi, eps):
-                factor = np.where(signed, orient, 1.0)
+        for a, b, sgn in _rung_pieces([box[var]], eps, var in integrand.log_vars):
+            u_lo, u_hi = _u_range(a, b, sgn)
+            factor = flip if sgn < 0 else keep
 
-                def g(s, sgn=sgn):
-                    return values([sgn * math.exp(v) for v in s.tolist()])
+            def g(u, sgn=sgn):
+                return values(_x_of(u.tolist(), sgn))
 
-                if final:
-                    xcuts = _final_level_cuts(solver, var, base,
-                                              min(sgn * math.exp(s_lo), sgn * math.exp(s_hi)),
-                                              max(sgn * math.exp(s_lo), sgn * math.exp(s_hi)),
-                                              clip)
-                    scuts = sorted(math.log(abs(x)) for x in xcuts if x * sgn > 0)
-                else:
-                    scuts = []
-                segs = [s_lo] + [s for s in scuts if s_lo < s < s_hi] + [s_hi]
-                budget = tol_d / max(1, len(segs) - 1)
-                for a2, b2 in zip(segs, segs[1:]):
-                    total += factor * _adaptive_1d(g, a2, b2, budget, cfg.max_depth, stats)
-        else:
-
-            def g(x):
-                return values(x.tolist())
-
-            cuts = _final_level_cuts(solver, var, base, lo, hi, clip) if final else []
-            segs = [lo] + cuts + [hi]
+            cuts = _u_of(_final_level_cuts(solver, var, base, a, b, clip), sgn) if final else []
+            segs = [u_lo] + sorted(u for u in cuts if u_lo < u < u_hi) + [u_hi]
             budget = tol_d / max(1, len(segs) - 1)
             for a2, b2 in zip(segs, segs[1:]):
-                total += _adaptive_1d(g, a2, b2, budget, cfg.max_depth, stats)
+                total += factor * _adaptive_1d(g, a2, b2, budget, cfg.max_depth, stats)
         base.pop(var, None)
         return total
 
@@ -561,19 +569,9 @@ def _mc_rung(region: Region, integrand: Integrand, eps: float,
     n = region.n
     if region.cells and any(e.derived_from is None for c in region.cells for e in c.extra):
         raise IntegrationError("Monte-Carlo path cannot handle existential variables")
-    per_var = []
-    for v in range(n):
-        lo, hi = box[v]
-        if v in integrand.log_vars:
-            pieces = [
-                ("log", s_lo, s_hi, sgn, orient)
-                for s_lo, s_hi, sgn, orient in _log_pieces(lo, hi, eps)
-            ]
-        else:
-            pieces = [("lin", lo, hi, 1.0, 1.0)]
-        if not pieces:
-            return [(0.0, 0.0, 0.0, 0)] * len(ladders)
-        per_var.append(pieces)
+    per_var = [_rung_pieces([box[v]], eps, v in integrand.log_vars) for v in range(n)]
+    if not all(per_var):
+        return [(0.0, 0.0, 0.0, 0)] * len(ladders)
 
     combos = [[]]
     for pieces in per_var:
@@ -583,25 +581,22 @@ def _mc_rung(region: Region, integrand: Integrand, eps: float,
     var_sums = [0.0] * len(ladders)
     budget = max(16, cfg.mc_budget // max(1, len(combos)))
     for combo in combos:
-        vol = 1.0
-        orient = 1.0
-        for kind, a, b, sgn, osign in combo:
-            vol *= b - a
-            orient *= osign
+        ranges = [_u_range(*piece) for piece in combo]
+        vol = math.prod(b - a for a, b in ranges)
+        orient = math.prod(sgn or 1.0 for _, _, sgn in combo)
         if vol <= 0:
             continue
         u = rng.uniform(0.0, 1.0, size=(budget, n))
         pts = np.zeros((budget, n))
-        for v, (kind, a, b, sgn, osign) in enumerate(combo):
+        for v, ((_, _, sgn), (a, b)) in enumerate(zip(combo, ranges)):
             t = a + (b - a) * u[:, v]
-            pts[:, v] = sgn * np.exp(t) if kind == "log" else t
+            pts[:, v] = sgn * np.exp(t) if sgn else t  # _x_of in numpy
         inside = region.members(pts)
         vals = integrand.coeff.eval_many(pts).astype(
             complex if integrand.complex_valued else float
         )
         if integrand.pointwise is not None:
-            full = pts
-            vals = vals * integrand.pointwise(full)
+            vals = vals * integrand.pointwise(pts)
         for j, absolute_j in enumerate(absolute):
             weighted = np.where(inside, np.abs(vals) if absolute_j else vals, 0.0)
             mean = weighted.mean()
@@ -654,7 +649,7 @@ def _build_ladder(region: Region, integrand: Integrand, cfg: QuadConfig,
     out = []
     for j in range(len(ladders)):
         ladder = classify_ladder([(eps, rung[j][0], rung[j][2] + rung[j][1])
-                                  for eps, rung in zip(epss, rungs)], cfg)
+                                  for eps, rung in zip(epss, rungs)])
         ladder.capped = [rung[j][3] for rung in rungs]
         out.append(ladder)
     return out
@@ -780,6 +775,28 @@ def default_t_ladder():
     return [2.0**-k for k in range(2, 11)]
 
 
+def _decay_ts(ts: Sequence[float] | None) -> list:
+    """The slice values of a decay report, `ts` or the default ladder.  A
+    decay law needs four positive ones; that is checked before any slice
+    is built."""
+    ts = list(ts) if ts is not None else default_t_ladder()
+    positive = sum(t > 0 for t in ts)
+    if positive < 4:
+        raise IntegrationError(
+            f"need at least 4 positive slice values to fit a decay law, got {positive}"
+        )
+    return ts
+
+
+def _decay_verdict(entries: Sequence[tuple]) -> tuple:
+    """(fit, verdict) of (t, vol) slice entries; no fit when every volume
+    is within ABS_TOL of zero."""
+    if all(v <= ABS_TOL for _, v in entries):
+        return None, "identically zero"
+    fit = fit_decay_exponent(entries)
+    return fit, "decays to zero" if fit.exponent > 0.05 else "no decay detected"
+
+
 def slice_region_and_form(region: Region, u: Mapping[int, int], form: LogForm, t: float):
     """The slice {u = t} as a region in one fewer coordinate, with the form
     restricted to it.
@@ -872,7 +889,7 @@ def slice_decay_report(region: Region, u: Mapping[int, int], form: LogForm,
                        probe: ProbeConfig | None = None) -> DecayReport:
     """Fit vol(A cap {u = t}) ~ C t^alpha over a ladder of slice values."""
     cfg = cfg or QuadConfig()
-    ts = list(ts) if ts is not None else default_t_ladder()
+    ts = _decay_ts(ts)
     verdict_allow = region.is_allowable(cfg=probe)
     if not verdict_allow.ok:
         raise RegionError(f"precondition: region is not allowable ({verdict_allow})")
@@ -883,11 +900,7 @@ def slice_decay_report(region: Region, u: Mapping[int, int], form: LogForm,
             entries.append((t, 0.0))
             continue
         entries.append((t, integrate_abs(sliced, reduced, cfg)))
-    if all(v <= cfg.abs_tol for _, v in entries):
-        return DecayReport(dict(u), entries, None, "identically zero",
-                           verdict_allow.heuristic)
-    fit = fit_decay_exponent(entries)
-    verdict = "decays to zero" if fit.exponent > 0.05 else "no decay detected"
+    fit, verdict = _decay_verdict(entries)
     return DecayReport(dict(u), entries, fit, verdict, verdict_allow.heuristic)
 
 
@@ -973,7 +986,7 @@ def pushforward_bound_check(region: Region, fs: Sequence[Polynomial], a: Polynom
             return BoundReport(lhs, delta * max_a * image_vol, None, max_a,
                                image_vol, "inconclusive")
         rhs = delta * max_a * image_vol
-        verdict = "pass" if lhs <= rhs + cfg.abs_tol else "fail"
+        verdict = "pass" if lhs <= rhs + ABS_TOL else "fail"
         return BoundReport(lhs, rhs, delta, max_a, image_vol, verdict)
     return BoundReport(lhs, float("nan"), None, max_a, float("nan"), "inconclusive")
 
@@ -998,9 +1011,9 @@ def deformation_limit_check(region: Region, comps: Sequence[Polynomial],
 
     v0 = at(0.0)
     entries = [(t, at(t), 0.0) for t in sorted(ts, reverse=True)]
-    ladder = classify_ladder(entries, cfg)
+    ladder = classify_ladder(entries)
     limit = ladder.limit if ladder.limit is not None else entries[-1][1]
-    tol = cfg.abs_tol + cfg.rel_tol * max(1.0, abs(v0)) + (ladder.error or 0.0)
+    tol = ABS_TOL + REL_TOL * max(1.0, abs(v0)) + (ladder.error or 0.0)
     if ladder.verdict == "converged" and abs(limit - v0) <= tol:
         ladder.verdict = "converged"
         ladder.limit = limit

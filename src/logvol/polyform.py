@@ -498,9 +498,6 @@ class NewtonData:
         self.points = points
         self.generators = generators
 
-    def min_total_degree(self) -> int:
-        return min(sum(pt) for pt in self.points)
-
     def has_constant(self) -> bool:
         if not self.points:
             return False
@@ -811,32 +808,15 @@ class LogForm:
 
         def factor_pullback(slot) -> LogForm:
             kind, idx = slot
-            coeff, exps = mapping.components[idx]
-            if kind == 0:
-                out = LogForm.zero(ns, p_source, 1)
-                for k in range(p_source):
-                    if exps[k]:
-                        out = out + LogForm.term(
-                            ns, p_source, Polynomial.const(ns, exps[k]), (k,), ()
-                        )
-                return out
+            if kind == 1:
+                return _differential(comps[idx], p_source)
+            # dr/r of a monomial c u^e is sum_k e_k du_k/u_k
+            _, exps = mapping.components[idx]
             out = LogForm.zero(ns, p_source, 1)
-            mono = Polynomial.monomial(ns, exps, coeff)
-            for k in range(ns):
-                e = exps[k]
-                if not e:
-                    continue
-                if k < p_source:
-                    out = out + LogForm.term(ns, p_source, e * mono, (k,), ())
-                else:
-                    dropped = list(exps)
-                    dropped[k] -= 1
+            for k in range(p_source):
+                if exps[k]:
                     out = out + LogForm.term(
-                        ns,
-                        p_source,
-                        Polynomial.monomial(ns, dropped, coeff * e),
-                        (),
-                        (k,),
+                        ns, p_source, Polynomial.const(ns, exps[k]), (k,), ()
                     )
             return out
 
@@ -861,28 +841,13 @@ class LogForm:
         if len(comps) != self.n:
             raise PolyError("need one component per target coordinate")
         ns = comps[0].nvars
-
-        def d_component(h: Polynomial) -> LogForm:
-            out = LogForm.zero(ns, p_source, 1)
-            for v in range(ns):
-                dv = h.partial(v)
-                if dv.is_zero():
-                    continue
-                if v < p_source:
-                    out = out + LogForm.term(
-                        ns, p_source, Polynomial.var(ns, v) * dv, (v,), ()
-                    )
-                else:
-                    out = out + LogForm.term(ns, p_source, dv, (), (v,))
-            return out
-
         result = LogForm.zero(ns, p_source, self.degree)
         for (I, J), coeff in self.terms.items():
             if I:
                 raise PolyError("log factors cannot be pulled back along a general map")
             piece = LogForm.term(ns, p_source, coeff.compose(list(comps)), (), ())
             for j in J:
-                piece = piece.wedge(d_component(comps[j]))
+                piece = piece.wedge(_differential(comps[j], p_source))
                 if piece.is_zero():
                     break
             if not piece.is_zero():
@@ -946,3 +911,10 @@ class LogForm:
     def __repr__(self):
         names = [f"v{i}" for i in range(self.n)]
         return f"LogForm({self.to_text(names)})"
+
+
+def _differential(h: Polynomial, p: int) -> LogForm:
+    """dh of a polynomial as a 1-form with p divisor coordinates: the
+    exterior derivative of the 0-form h, r_v dh/dr_v dr_v/r_v in a
+    divisor coordinate."""
+    return LogForm.term(h.nvars, p, h, (), ()).exterior_d()

@@ -181,24 +181,28 @@ class FiberReport:
 
 @dataclass(frozen=True)
 class ProbeConfig:
-    """Settings for the sampled dimension probe.
+    """The seed of the sampled dimension probe; its other settings are the
+    module constants below."""
 
-    The relative singular value cutoff must sit above the curvature scale
-    radius/diameter of the manifolds being probed; with the default
-    radius of diameter/64 a cutoff of 0.2 separates tangent directions
-    from curvature for the unit-scale corpus.
-    """
-
-    samples: int = 4096
-    theta: float = 0.2
-    radius_divisor: float = 64.0
     seed: int = 0
-    centers: int = 8
-    local_cloud: int = 64
-    newton_iters: int = 30
-    eq_tol: float = 1e-8
-    ineq_tol: float = 1e-7
-    exist_grid: int = 65
+
+
+# The probe projects _SAMPLES random points onto the equalities and reads
+# the local dimension off a cloud of _LOCAL_CLOUD points around each of
+# the first _CENTERS accepted ones: the count of singular values above
+# _THETA times the largest.  That cutoff must sit above the curvature scale
+# radius/diameter of the manifolds probed; with a radius of
+# diameter/_RADIUS_DIVISOR, 0.2 separates tangent directions from
+# curvature for the unit-scale corpus.
+_SAMPLES = 4096
+_THETA = 0.2
+_RADIUS_DIVISOR = 64.0
+_CENTERS = 8
+_LOCAL_CLOUD = 64
+_NEWTON_ITERS = 30  # Gauss-Newton steps of the projection
+_EQ_TOL = 1e-8  # residual to which an equality holds
+_INEQ_TOL = 1e-7  # slack to which an inequality holds
+_EXIST_GRID = 65  # grid values per existential extra in membership tests
 
 
 # ---------------------------------------------------------------------------
@@ -378,12 +382,11 @@ class Region:
 
     # -- membership ----------------------------------------------------------
 
-    def members(self, pts: np.ndarray, cfg: ProbeConfig | None = None) -> np.ndarray:
+    def members(self, pts: np.ndarray) -> np.ndarray:
         """Boolean membership for an (N, n) array of ambient points."""
-        cfg = cfg or ProbeConfig()
         inside = np.zeros(pts.shape[0], dtype=bool)
         for cell in self.cells:
-            inside |= _cell_members(self, cell, pts, cfg)
+            inside |= _cell_members(self, cell, pts)
         return inside
 
     # -- dimension -------------------------------------------------------------
@@ -598,9 +601,6 @@ class Region:
             cells_doc.append({"constraints": rows})
         doc["cells"] = cells_doc
         return doc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_document(), indent=2)
 
 
 def _shift_index(idx, removed):
@@ -981,7 +981,7 @@ def simplify_cell(region: Region, cell: Cell, max_rounds: int | None = None) -> 
 # sampled dimension probe
 
 
-def _cell_members(region: Region, cell: Cell, pts: np.ndarray, cfg: ProbeConfig) -> np.ndarray:
+def _cell_members(region: Region, cell: Cell, pts: np.ndarray) -> np.ndarray:
     """Membership of ambient points; existential extras are grid-searched,
     derived extras computed."""
     n = region.n
@@ -992,8 +992,8 @@ def _cell_members(region: Region, cell: Cell, pts: np.ndarray, cfg: ProbeConfig)
     full[:, :n] = pts
     fill_derived(full, extras, n)
     if not exist:
-        return _eval_constraints(cell, full, cfg)
-    grids = [np.linspace(extras[v - n].lo, extras[v - n].hi, cfg.exist_grid) for v in exist]
+        return _eval_constraints(cell, full)
+    grids = [np.linspace(extras[v - n].lo, extras[v - n].hi, _EXIST_GRID) for v in exist]
     ok = np.zeros(pts.shape[0], dtype=bool)
     mesh = np.meshgrid(*grids, indexing="ij")
     combos = np.stack([m.ravel() for m in mesh], axis=1)
@@ -1002,25 +1002,24 @@ def _cell_members(region: Region, cell: Cell, pts: np.ndarray, cfg: ProbeConfig)
         for v, val in zip(exist, combo):
             trial[:, v] = val
         fill_derived(trial, extras, n)
-        ok |= _eval_constraints(cell, trial, cfg, eq_tol_scale=50.0)
+        ok |= _eval_constraints(cell, trial, eq_tol_scale=50.0)
         if ok.all():
             break
     return ok
 
 
-def _eval_constraints(cell: Cell, full: np.ndarray, cfg: ProbeConfig,
-                      eq_tol_scale: float = 1.0) -> np.ndarray:
+def _eval_constraints(cell: Cell, full: np.ndarray, eq_tol_scale: float = 1.0) -> np.ndarray:
     ok = np.ones(full.shape[0], dtype=bool)
     for c in cell.constraints:
         vals = c.payload.eval_many(full)
         if c.equality:
-            ok &= np.abs(vals) <= cfg.eq_tol * eq_tol_scale
+            ok &= np.abs(vals) <= _EQ_TOL * eq_tol_scale
         else:
-            ok &= vals <= cfg.ineq_tol
+            ok &= vals <= _INEQ_TOL
     return ok
 
 
-def _newton_project(cell: Cell, region: Region, pts: np.ndarray, cfg: ProbeConfig) -> np.ndarray:
+def _newton_project(cell: Cell, region: Region, pts: np.ndarray) -> np.ndarray:
     """Project points onto the zero set of the cell's equality constraints.
 
     Gauss-Newton with the minimum-norm step, batched over all points.
@@ -1043,9 +1042,9 @@ def _newton_project(cell: Cell, region: Region, pts: np.ndarray, cfg: ProbeConfi
     out = pts.copy()
     k = len(eqs)
     eye = np.eye(k)
-    for _ in range(cfg.newton_iters):
+    for _ in range(_NEWTON_ITERS):
         gvals = np.stack([g.eval_many(out) for g in eqs], axis=1)  # (N, k)
-        if np.max(np.abs(gvals)) < cfg.eq_tol * 0.1:
+        if np.max(np.abs(gvals)) < _EQ_TOL * 0.1:
             break
         full_jac = np.stack(
             [
@@ -1105,27 +1104,27 @@ def _probe_cell_dimension(region: Region, cell: Cell, cfg: ProbeConfig) -> int:
     lo = np.array([b[0] for b in boxes])
     hi = np.array([b[1] for b in boxes])
     diam = float(np.linalg.norm(hi - lo)) or 1.0
-    radius = diam / cfg.radius_divisor
+    radius = diam / _RADIUS_DIVISOR
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
 
     exist = [n + i for i, e in enumerate(cell.extra) if e.derived_from is None]
-    pts = fill_derived(rng.uniform(lo, hi, size=(cfg.samples, total)), cell.extra, n)
-    pts = _newton_project(cell, region, pts, cfg)
-    good = _eval_constraints(cell, pts, cfg, eq_tol_scale=10.0)
+    pts = fill_derived(rng.uniform(lo, hi, size=(_SAMPLES, total)), cell.extra, n)
+    pts = _newton_project(cell, region, pts)
+    good = _eval_constraints(cell, pts, eq_tol_scale=10.0)
     inside_box = np.all((pts >= lo - radius) & (pts <= hi + radius), axis=1)
     accepted = pts[good & inside_box]
     if accepted.shape[0] == 0:
         return -1
 
     best = 0
-    centers = accepted[: cfg.centers]
+    centers = accepted[:_CENTERS]
     for center in centers:
-        ball = rng.uniform(-radius, radius, size=(cfg.local_cloud, total))
+        ball = rng.uniform(-radius, radius, size=(_LOCAL_CLOUD, total))
         cloud = center[None, :] + ball
         np.clip(cloud, lo, hi, out=cloud)
         fill_derived(cloud, cell.extra, n)
-        cloud = _newton_project(cell, region, cloud, cfg)
-        keep = _eval_constraints(cell, cloud, cfg, eq_tol_scale=10.0)
+        cloud = _newton_project(cell, region, cloud)
+        keep = _eval_constraints(cell, cloud, eq_tol_scale=10.0)
         keep &= np.linalg.norm(cloud - center[None, :], axis=1) <= 2.5 * radius
         local = cloud[keep]
         if local.shape[0] < max(4, n + 1):
@@ -1135,7 +1134,7 @@ def _probe_cell_dimension(region: Region, cell: Cell, cfg: ProbeConfig) -> int:
         sv = np.linalg.svd(disp, compute_uv=False)
         if sv.size == 0 or sv[0] == 0:
             continue
-        dim = int(np.sum(sv >= cfg.theta * sv[0]))
+        dim = int(np.sum(sv >= _THETA * sv[0]))
         best = max(best, dim)
     return best
 

@@ -147,9 +147,6 @@ class RootIntervals:
 
     intervals: list  # (lo, hi, multiplicity); lo == hi marks an exact root
 
-    def roots_float(self):
-        return [float((lo + hi) / 2) for lo, hi, _ in self.intervals]
-
     def __len__(self):
         return len(self.intervals)
 

@@ -676,6 +676,26 @@ def test_annulus_decay_rejects_nonconstant_coefficient_first(monkeypatch):
     assert calls == []
 
 
+def test_annulus_decay_needs_four_radii_before_any_slice(monkeypatch):
+    """Fewer than four radii cannot fit a decay law; that is rejected
+    before any slice task is integrated."""
+    import logvol.complexint as ci
+    from logvol import IntegrationError
+
+    calls = []
+    integrate_task = ci._integrate_task
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return integrate_task(*args, **kwargs)
+
+    monkeypatch.setattr(ci, "_integrate_task", counted)
+    form = ComplexLogForm.volume_like(2, (1,))
+    with pytest.raises(IntegrationError, match="at least 4"):
+        annulus_slice_decay(load_region("nested_annulus_c2"), form, 4, ts=[0.5, 0.125])
+    assert calls == []
+
+
 def test_annulus_decay_empty_slices():
     region = region_of(
         4, 2,

@@ -340,13 +340,34 @@ def test_additivity_under_hyperplane_splits():
 
 
 def test_quadrature_matches_mc_oracle():
+    """The tensor rung and the Monte-Carlo rung agree, also on a negative
+    log side, where the signed parts carry the orientation of x -> log|x|."""
     cfg = QuadConfig(mc_budget=200000)
-    for A, form in [(load_region("s_half"), dlog2()),
-                    (load_region("shifted_square"), dlog2())]:
-        eps = 2.0**-6
-        quad, _ = quadrature_rung(A, form, eps, cfg)
-        mc, stderr = integrate_mc(A, form, eps, cfg)
+    eps = 2.0**-6
+    for name, absolute in [("s_half", False), ("shifted_square", False),
+                           ("negative_square", False), ("negative_square", True)]:
+        A = load_region(name)
+        quad, _ = quadrature_rung(A, dlog2(), eps, cfg, absolute)
+        mc, stderr = integrate_mc(A, dlog2(), eps, cfg, absolute)
         assert abs(mc - quad) <= 3 * stderr + 1e-6
+        if name == "negative_square":
+            # [-1, -1/2] x [1/2, 1]: -(ln 2)^2 signed, (ln 2)^2 absolute
+            assert quad == pytest.approx((1 if absolute else -1) * math.log(2) ** 2, abs=1e-9)
+
+
+def test_rung_pieces_keep_each_side_of_the_excision():
+    """A log coordinate keeps |x| >= eps, positive side first, and maps
+    each side to u = log|x| with x = sgn e^u; a linear one stays whole."""
+    from logvol.integrate import _rung_pieces, _u_range, _x_of
+
+    pos, neg = _rung_pieces([(-0.5, 1.0)], 0.125, True)
+    assert pos == (0.125, 1.0, 1.0)
+    assert neg == (-0.5, -0.125, -1.0)
+    assert _u_range(*neg) == [math.log(0.125), math.log(0.5)]
+    assert _x_of([math.log(0.5)], -1.0) == [-0.5]
+    assert _rung_pieces([(0.0, 0.125), (-0.125, 0.1)], 0.125, True) == []
+    lin, = _rung_pieces([(-0.5, 1.0)], 0.125, False)
+    assert (_u_range(*lin), _x_of([0.25], lin[2])) == ([-0.5, 1.0], [0.25])
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +415,22 @@ def test_slice_decay_identically_zero():
     A = load_region("s_half")
     report = slice_decay_report(A, {0: 1}, LogForm.dlog(2, 2, 1))
     assert report.verdict == "identically zero"
+
+
+def test_slice_decay_needs_four_slice_values_before_any_slice(monkeypatch):
+    import logvol.integrate as integrate
+
+    calls = []
+    integrate_abs_ = integrate.integrate_abs
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return integrate_abs_(*args, **kwargs)
+
+    monkeypatch.setattr(integrate, "integrate_abs", counted)
+    with pytest.raises(IntegrationError, match="at least 4"):
+        slice_decay_report(load_region("s_one"), {0: 1}, LogForm.dlog(2, 2, 1), ts=[0.5, 0.25])
+    assert calls == []
 
 
 def test_slice_decay_gate_fires():
