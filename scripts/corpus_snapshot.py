@@ -6,8 +6,12 @@ commands, each with its stdout, stderr and exit code (and the ladder CSV
 that `integrate --out` writes), and the signed and absolute ladder
 CSVs (`Ladder.to_csv`, full precision) of the top dlog form on the regions
 in LADDERS: positive, negative and sign-changing log coordinates, a region
-far below unit scale, and a 4-d product that takes the Monte-Carlo rung.
-Two snapshots diffed against
+far below unit scale, one whose log coordinates differ in scale by six
+decades, and a 4-d product that takes the Monte-Carlo rung.  It also
+prints the exact-layer verdicts the CLI does not: `is_strictly_allowable`
+on every face and `is_almost_strictly_allowable` of each real region, and
+`is_admissible(m)` for nc <= m <= 2 nc and `meets_divisors_only_in_d` of
+each complex one.  Two snapshots diffed against
 each other show whether a change moved any verdict, flag, note or value:
 
     python scripts/corpus_snapshot.py > before.txt
@@ -52,6 +56,7 @@ LADDERS = [
     ("interval_micro", "dr1/r1"),
     ("interval_across_zero", "dr1/r1"),
     ("negative_square", "dr1/r1 ^ dr2/r2"),
+    ("mixed_extent", "dr1/r1 ^ dr2/r2"),
     ("s_half_times_s_three_quarters", "dr1/r1 ^ dr2/r2 ^ dr3/r3 ^ dr4/r4"),
 ]
 
@@ -78,9 +83,27 @@ def cli(argv: list) -> None:
     print()
 
 
+def exact_verdicts(name: str, region) -> None:
+    """The strictness verdicts of a real region, the admissibility verdicts
+    of a complex one."""
+    if region.kind == "real":
+        for face in region.faces():
+            ids = ",".join(str(i + 1) for i in face)
+            print(f"# {name} strict face={{{ids}}}: {region.is_strictly_allowable(face)}")
+        print(f"# {name} almost strict: {region.is_almost_strictly_allowable()}")
+        return
+    nc = region.n // 2
+    for m in range(nc, 2 * nc + 1):
+        print(f"# {name} admissible m={m}: {region.is_admissible(m)}")
+    print(f"# {name} meets divisors only in D: {region.meets_divisors_only_in_d()}")
+
+
 def main() -> None:
     for path in sorted(REGIONS.glob("*.region")):
         cli(["check", f"regions/{path.name}"])
+    for path in sorted(REGIONS.glob("*.region")):
+        exact_verdicts(path.stem, parse_region(path.read_text()))
+    print()
     for argv in README_COMMANDS:
         cli(argv)
     for name, text in LADDERS:

@@ -29,8 +29,7 @@ from .region import (
     Region,
     RegionError,
     simplify_cell,
-    _affine_hull_rows,
-    _linear_system,
+    _cell_hull,
 )
 
 
@@ -160,13 +159,15 @@ def strict_transform(f: Polynomial, chart: Chart) -> Polynomial:
     """Pull back along the chart and divide out the exceptional monomial."""
     if f.is_zero():
         raise BlowupError("the zero polynomial has no strict transform")
-    n = chart.map.n_source
-    comps = [chart.map.component_poly(i) for i in range(chart.map.n_target)]
-    total = f.compose(comps)
+    return _strict_part(f, chart.map, chart.exceptional)
+
+
+def _strict_part(f: Polynomial, chart_map: MonomialMap, exceptional) -> Polynomial:
+    """f composed with chart_map, with the content of the exceptional
+    coordinates divided out."""
+    total = f.compose([chart_map.component_poly(i) for i in range(chart_map.n_target)])
     content = total.content_monomial()
-    divisor = [0] * n
-    for v in chart.exceptional:
-        divisor[v] = content[v]
+    divisor = [content[v] if v in exceptional else 0 for v in range(chart_map.n_source)]
     if any(divisor):
         total = total.divide_monomial(divisor)
     return total
@@ -225,19 +226,6 @@ def _pivot_chart(n: int, center, pivot: int) -> MonomialMap:
     return MonomialMap(n, comps)
 
 
-def _stage_child_transform(g: Polynomial, center, pivot, n) -> Polynomial:
-    """The strict transform of g in the chart _pivot_chart(n, center,
-    pivot), dividing out the new exceptional coordinate."""
-    local = _pivot_chart(n, center, pivot)
-    total = g.compose([local.component_poly(v) for v in range(n)])
-    content = total.content_monomial()
-    divisor = [0] * n
-    divisor[pivot] = content[pivot]
-    if any(divisor):
-        total = total.divide_monomial(divisor)
-    return total
-
-
 def make_proper(f: Polynomial, p: int, cap: int = 64,
                 base_box: Sequence | None = None,
                 divisors: Sequence[int] | None = None) -> BlowupTower:
@@ -272,9 +260,10 @@ def make_proper(f: Polynomial, p: int, cap: int = 64,
         cur = _min_degree_over(g, divisors)
         best = None
         for center in combinations(divisors, 2):
+            # the strict transform of g in each child chart
             worst = max(
                 _min_degree_over(
-                    _stage_child_transform(g, center, pivot, n), divisors
+                    _strict_part(g, _pivot_chart(n, center, pivot), {pivot}), divisors
                 )
                 for pivot in center
             )
@@ -304,15 +293,12 @@ def verify_proper(f: Polynomial, tower: BlowupTower,
 
 
 def _vanishes_on_cell_hull(region: Region, cell: Cell, poly: Polynomial) -> bool:
-    simp = simplify_cell(region, cell)
-    if simp is None:
+    hull = _cell_hull(region, cell)
+    if hull is None:
         return True  # empty cell: vacuous
-    if not simp.is_linear():
-        raise BlowupError("witness verification needs piecewise-linear intersections")
-    system = _linear_system(region, simp, with_box=True)
-    rows = _affine_hull_rows(region.n, system)
+    rows = hull[1]
     if rows is None:
-        return True
+        raise BlowupError("witness verification needs piecewise-linear intersections")
     hom = [a for a, _ in rows]
     rhs = [b for _, b in rows]
     x0 = linprog.particular_solution(hom, rhs, region.n)

@@ -140,14 +140,10 @@ def _quad_config(args) -> QuadConfig:
         kw["eps0"] = args.eps0
     if args.ladder is not None:
         kw["ladder_len"] = args.ladder
-    if args.ratio is not None:
-        kw["ratio"] = args.ratio
     if args.seed is not None:
         kw["seed"] = args.seed
     if args.mc_budget is not None:
         kw["mc_budget"] = args.mc_budget
-    if args.nodes is not None:
-        kw["nodes"] = args.nodes
     return QuadConfig(**kw)
 
 
@@ -326,10 +322,8 @@ _FLAGS = {
     "--eps0": dict(type=float, help="first excision radius, relative to the region's "
                                     "log-coordinate scale"),
     "--ladder": dict(type=int),
-    "--ratio": dict(type=float),
     "--seed": dict(type=int),
     "--mc-budget": dict(type=int, dest="mc_budget"),
-    "--nodes": dict(type=int),
     "--out": dict(help="write the ladder CSV / DOT export here"),
     "--cap": dict(type=int),
     "--tol": dict(type=float),
@@ -345,7 +339,7 @@ _FLAGS = {
 }
 
 # the QuadConfig flags of _quad_config (--seed also seeds the probe)
-_QUAD = ("--eps0", "--ladder", "--ratio", "--seed", "--mc-budget", "--nodes")
+_QUAD = ("--eps0", "--ladder", "--seed", "--mc-budget")
 
 _COMMANDS = {
     "check": ("allowability / admissibility verdict", ("region", "--m", "--seed")),

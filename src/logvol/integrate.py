@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -65,25 +66,24 @@ _WINDOW = 3
 _SHRINK = 1.5
 _NESTED_SHRINK = 0.02  # quadrature tolerance factor per nesting level
 _MC_DIMENSION = 3  # tensor quadrature up to this many coordinates
+_RATIO = 2.0  # eps_{k+1} = eps_k / _RATIO along the excision ladder
+_NODES = 15  # points of the Gauss rule, on the outer panels and the inner fibers
 
 
 @dataclass(frozen=True)
 class QuadConfig:
     """Quadrature and ladder settings.
 
-    eps0 / ratio / ladder_len fix the excision rungs eps0 * ratio**-k,
-    relative to the region's log-coordinate scale L: rung k excises
-    |r_v| < eps0 * ratio**-k * L, L the largest max(|lo_v|, |hi_v|) of a
-    log coordinate's bounding-box range.  nodes is the Gauss rule of the
-    inner fibers, max_depth and quad_tol bound the adaptive outer panels,
-    and mc_budget and seed drive the Monte-Carlo rung used above three
-    coordinates.
+    eps0 / ladder_len fix the excision rungs eps0 * _RATIO**-k, relative
+    to the region's log-coordinate scale L: rung k excises
+    |r_v| < eps0 * _RATIO**-k * L, L the largest max(|lo_v|, |hi_v|) of a
+    log coordinate's bounding-box range.  max_depth and quad_tol bound the
+    adaptive outer panels, and mc_budget and seed drive the Monte-Carlo
+    rung used above three coordinates.
     """
 
     eps0: float = 2.0**-4
     ladder_len: int = 12
-    ratio: float = 2.0
-    nodes: int = 15
     max_depth: int = 24
     quad_tol: float = 1e-8
     mc_budget: int = 40000
@@ -94,13 +94,11 @@ class QuadConfig:
             raise IntegrationError("eps0 must be positive")
         if self.ladder_len < 3:
             raise IntegrationError("the ladder needs at least 3 rungs")
-        if self.ratio <= 1:
-            raise IntegrationError("the ladder ratio must exceed 1")
         if self.quad_tol <= 0:
             raise IntegrationError("quad_tol must be positive")
 
     def rungs(self):
-        return [self.eps0 * self.ratio**-k for k in range(self.ladder_len)]
+        return [self.eps0 * _RATIO**-k for k in range(self.ladder_len)]
 
 
 @dataclass
@@ -199,14 +197,11 @@ class IntegralResult:
 # low level quadrature pieces
 
 
-_GAUSS_CACHE: dict = {}
-
-
-def _gauss_nodes(n: int):
-    if n not in _GAUSS_CACHE:
-        x, w = np.polynomial.legendre.leggauss(n)
-        _GAUSS_CACHE[n] = (x, w)
-    return _GAUSS_CACHE[n]
+@lru_cache(maxsize=None)
+def _gauss_nodes():
+    """The _NODES-point Gauss rule, computed on first use: importing
+    numpy.polynomial slows the import of logvol by tens of milliseconds."""
+    return np.polynomial.legendre.leggauss(_NODES)
 
 
 class _QuadStats:
@@ -221,14 +216,14 @@ class _QuadStats:
 
 def _adaptive_1d(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
                  tol: float, depth: int, stats: _QuadStats) -> list:
-    """Adaptive 15-point Gauss with bisection on a vector-valued integrand;
+    """Adaptive _NODES-point Gauss with bisection on a vector-valued integrand;
     each component's budget tol * max(1, |whole|) halves with each split,
     so its accepted panel errors sum below it, and a panel is accepted only
     when every component is within budget.  f maps the array of a panel's
     nodes to a (components, nodes) array, so each panel is one call.  The
     few components are kept in lists: per panel, list arithmetic costs less
     than numpy calls on arrays this small."""
-    xs, ws = _gauss_nodes(15)
+    xs, ws = _gauss_nodes()
 
     def gauss(lo, hi):
         half = 0.5 * (hi - lo)
@@ -399,7 +394,7 @@ def _final_level_cuts(solver: "_FiberSolver", level_var: int,
 
 
 def _fiber_integral(solver: _FiberSolver, bases: Sequence[dict], eps: float,
-                    integrand: Integrand, parts: Sequence[str], cfg: QuadConfig,
+                    integrand: Integrand, parts: Sequence[str],
                     line: AxisRestriction | None) -> np.ndarray:
     """Inner integrals over the fibers through the base points of one
     outer Gauss panel: a (len(parts), len(bases)) array.
@@ -437,7 +432,7 @@ def _fiber_integral(solver: _FiberSolver, bases: Sequence[dict], eps: float,
     owner = [i for i, intervals in enumerate(fibers) for _ in intervals]
     if not owner:
         return out
-    xs, ws = _gauss_nodes(cfg.nodes)
+    xs, ws = _gauss_nodes()
     spans = np.array([ab for intervals in fibers for ab in intervals])
     a, b = spans[:, 0], spans[:, 1]
     if log_inner:
@@ -523,7 +518,7 @@ def _rung_value(region: Region, integrand: Integrand, eps: float,
         def values(xs: list) -> np.ndarray:
             if final:
                 bases = [{**base, var: x} for x in xs]
-                return _fiber_integral(solver, bases, eps, integrand, parts, cfg, line)
+                return _fiber_integral(solver, bases, eps, integrand, parts, line)
             out = np.empty((len(parts), len(xs)))
             for i, x in enumerate(xs):
                 base[var] = x
@@ -549,7 +544,7 @@ def _rung_value(region: Region, integrand: Integrand, eps: float,
     if n > 1:
         totals = level(0, {})
     else:
-        totals = _fiber_integral(solver, [{}], eps, integrand, parts, cfg, line)[:, 0]
+        totals = _fiber_integral(solver, [{}], eps, integrand, parts, line)[:, 0]
     out, j = [], 0
     for group in groups:
         k = len(group)
@@ -636,20 +631,28 @@ def _log_scale(region: Region, integrand: Integrand) -> float:
 def _build_ladder(region: Region, integrand: Integrand, cfg: QuadConfig,
                   ladders: Sequence[str]) -> list:
     """One Ladder per requested kind ("signed" or "absolute"), all from one
-    quadrature pass per rung.  Rung k excises |r_v| < eps0 * ratio**-k * L
+    quadrature pass per rung.  Rung k excises |r_v| < eps0 * _RATIO**-k * L
     on every log coordinate, L the region's log-coordinate scale
-    (_log_scale); the entries record the applied eps."""
+    (_log_scale); the entries record the applied eps.
+
+    A rung that keeps nothing of a log coordinate whose box range is
+    nonempty says nothing about the limit, so every ladder with such a
+    rung is "inconclusive".  eps falls along the ladder, so the first rung
+    keeps the least."""
     if not integrand.log_vars or integrand.coeff.is_zero():
         return [Ladder([(0.0, value, stderr + err)], "converged", value, err + stderr, [capped])
                 for value, err, stderr, capped
                 in _rung_value(region, integrand, 0.0, ladders, cfg, 0)]
     scale = _log_scale(region, integrand)
     epss = [eps * scale for eps in cfg.rungs()]
+    box = region.bounding_box()
+    blind = any(box[v][0] < box[v][1] and not _rung_pieces([box[v]], epss[0], True)
+                for v in integrand.log_vars)
     rungs = [_rung_value(region, integrand, eps, ladders, cfg, k) for k, eps in enumerate(epss)]
     out = []
     for j in range(len(ladders)):
-        ladder = classify_ladder([(eps, rung[j][0], rung[j][2] + rung[j][1])
-                                  for eps, rung in zip(epss, rungs)])
+        entries = [(eps, rung[j][0], rung[j][2] + rung[j][1]) for eps, rung in zip(epss, rungs)]
+        ladder = Ladder(entries) if blind else classify_ladder(entries)
         ladder.capped = [rung[j][3] for rung in rungs]
         out.append(ladder)
     return out

@@ -6,9 +6,11 @@ an intersection H_I.  For complex regions the ambient has paired (zr_i,
 zi_i) coordinates, the divisor H_i is {zr_i = zi_i = 0} and D_i is
 {zr_i = 1, zi_i = 0}.
 
-Dimension is exact (rational LP, implicit-equality detection, affine-hull
-rank) on piecewise-linear cells and a seeded sampling probe elsewhere;
-every verdict that used the probe carries a "heuristic" flag.
+Every verdict rests on one question per cell: is it empty, and what are
+its affine hull and dimension; `_cell_hull` alone answers it.  Dimension
+is exact (rational LP, implicit-equality detection, affine-hull rank) on
+piecewise-linear cells and a seeded sampling probe elsewhere; every
+verdict that used the probe carries a "heuristic" flag.
 """
 
 from __future__ import annotations
@@ -203,6 +205,7 @@ _NEWTON_ITERS = 30  # Gauss-Newton steps of the projection
 _EQ_TOL = 1e-8  # residual to which an equality holds
 _INEQ_TOL = 1e-7  # slack to which an inequality holds
 _EXIST_GRID = 65  # grid values per existential extra in membership tests
+_LENGTH_TOL = 1e-9  # relative length of a fiber interval that is not a point
 
 
 # ---------------------------------------------------------------------------
@@ -453,16 +456,12 @@ class Region:
         sub = self.face_intersection(face)
         hulls = []
         for cell in sub.cells:
-            simp = simplify_cell(sub, cell)
-            if simp is None:
+            hull = _cell_hull(sub, cell)
+            if hull is None:
                 continue
-            if not simp.is_linear():
+            if hull[1] is None:
                 return StrictVerdict("unknown", face)
-            sys = _linear_system(sub, simp, with_box=True)
-            rows = _affine_hull_rows(self.n, sys)
-            if rows is None:
-                continue  # infeasible cell
-            hulls.append(rows)
+            hulls.append(hull[1])
         candidates = [
             J
             for k in range(0, self.p + 1)
@@ -501,22 +500,11 @@ class Region:
         heuristic = False
         # nonempty faces first, then the empty face (whose condition is the
         # global bound dim(A minus D) <= m)
-        face_list = list(self.faces()) + [()]
-        for face in face_list:
-            sub = self.face_intersection(face)
-            cell_dims = []
-            for cell in sub.cells:
-                d, h = _cell_dimension(sub, cell, cfg)
-                heuristic = heuristic or h
-                cell_dims.append((cell, d))
+        for face in list(self.faces()) + [()]:
             d_excl = -1
-            for cell, d in cell_dims:
-                if d < 0:
-                    continue
-                inside, h2 = _in_divisor_locus(sub, cell, d, cfg)
-                heuristic = heuristic or h2
-                if not inside:
-                    d_excl = max(d_excl, d)
+            for d, h in self._dims_outside_d(face, cfg):
+                heuristic = heuristic or h
+                d_excl = max(d_excl, d)
             need = m - 2 * len(face)
             if d_excl >= 0 and d_excl > need:
                 violations.append((face, d_excl, need + 1))
@@ -524,23 +512,29 @@ class Region:
 
     def meets_divisors_only_in_d(self, cfg: ProbeConfig | None = None) -> tuple:
         """(inside, used_heuristic): whether A cap (union H_i) is contained
-        in D (dimension-detected), and whether that used the sampled probe."""
+        in D (dimension-detected), and whether that used the sampled probe.
+        The answer is settled at the first cell found outside D."""
         if self.kind != "complex":
             raise RegionError("only meaningful for complex regions")
         cfg = cfg or ProbeConfig()
         heuristic = False
         for i in range(self.p):
-            sub = self.face_intersection((i,))
-            for cell in sub.cells:
-                d, h = _cell_dimension(sub, cell, cfg)
+            for d, h in self._dims_outside_d((i,), cfg):
                 heuristic = heuristic or h
-                if d < 0:
-                    continue
-                inside, h2 = _in_divisor_locus(sub, cell, d, cfg)
-                heuristic = heuristic or h2
-                if not inside:
+                if d >= 0:
                     return False, heuristic
         return True, heuristic
+
+    def _dims_outside_d(self, face: tuple, cfg: ProbeConfig):
+        """For each cell of A cap H_face in turn: (its dimension, or -1 when
+        it is empty or lies in D; whether deciding that used the probe)."""
+        sub = self.face_intersection(face)
+        for cell in sub.cells:
+            d, h = _cell_dimension(sub, cell, cfg)
+            if d >= 0:
+                inside, h2 = _in_divisor_locus(sub, cell, d, cfg)
+                d, h = (-1 if inside else d), h or h2
+            yield d, h
 
     # -- fiber probe ---------------------------------------------------------
 
@@ -550,11 +544,10 @@ class Region:
         samples: int = 64,
         cap: int = 64,
         seed: int = 0,
-        length_tol: float = 1e-9,
     ) -> FiberReport:
         """Sample base points and count connected components of the fibers
-        along `axis`; an interval of positive length witnesses an infinite
-        fiber."""
+        along `axis`; an interval longer than _LENGTH_TOL times the box's
+        largest side witnesses an infinite fiber."""
         from .slicing import FiberKernel
 
         box = self.bounding_box()
@@ -569,7 +562,7 @@ class Region:
         max_count = 0
         for intervals in fibers:
             for lo, hi in intervals:
-                if hi - lo > length_tol * scale:
+                if hi - lo > _LENGTH_TOL * scale:
                     return FiberReport("infinite", 0, samples)
             count = len(intervals)
             if count > cap:
@@ -733,21 +726,24 @@ def _bounds_var(rows, v: int, sign: int, bound) -> bool:
     return False
 
 
-def _affine_hull_rows(n: int, system):
+def _affine_hull_rows(n: int, system, witnesses=()):
     """Equality rows (homogeneous part, rhs) cutting out the affine hull of a
     feasible linear cell, restricted to the first n (ambient) columns.
     Returns None when the cell is infeasible.
 
-    Every feasible point found on the way (the first one and each LP
-    optimum) is kept as a witness: a row a.x <= b with a.w < b at some
-    witness w is not an implicit equality, so its LP is skipped.
+    The given `witnesses` that satisfy the system exactly are its first
+    feasible points; only when none does is one solved for.  Each LP
+    optimum joins them: a row a.x <= b with a.w < b at some witness w is
+    not an implicit equality, so its LP is skipped.
     """
     a_ub, b_ub, a_eq, b_eq = system
     nv = len(a_ub[0]) if a_ub else (len(a_eq[0]) if a_eq else n)
-    first = linprog.feasible_point(a_ub, b_ub, a_eq, b_eq, nv)
-    if first is None:
-        return None
-    witnesses = [first]
+    witnesses = [w for w in witnesses if _satisfies(system, w)]
+    if not witnesses:
+        first = linprog.feasible_point(a_ub, b_ub, a_eq, b_eq, nv)
+        if first is None:
+            return None
+        witnesses.append(first)
     rows = [(list(a), Fraction(b)) for a, b in zip(a_eq, b_eq)]
     for a, b in zip(a_ub, b_ub):
         if all(v == 0 for v in a):
@@ -786,15 +782,20 @@ def _hull_contains_face(rows, J, n) -> bool:
     return True
 
 
-def _exact_cell_dimension(region: Region, cell: Cell):
-    system = _linear_system(region, cell, with_box=True)
-    rows = _affine_hull_rows(cell.nvars_total(region.n), system)
+def _cell_hull(region: Region, cell: Cell):
+    """None when the cell is empty, else (simplified cell, the equality
+    rows (a, b) of its affine hull over the ambient coordinates, or None
+    when the simplified cell is not linear)."""
+    found = []
+    simp = simplify_cell(region, cell, found)
+    if simp is None:
+        return None
+    if not simp.is_linear():
+        return simp, None
+    rows = _affine_hull_rows(region.n, _linear_system(region, simp, with_box=True), found)
     if rows is None:
-        return -1
-    hom = [a for a, _ in rows if any(v != 0 for v in a)]
-    if not hom:
-        return region.n
-    return region.n - linprog.rank_of_rows(hom)
+        return None
+    return simp, rows
 
 
 # ---------------------------------------------------------------------------
@@ -863,18 +864,20 @@ def _positive_by_intervals(region: Region, cell: Cell, var: int) -> bool:
     return False
 
 
-def simplify_cell(region: Region, cell: Cell, max_rounds: int | None = None) -> Cell | None:
+def simplify_cell(region: Region, cell: Cell, found: list | None = None) -> Cell | None:
     """Equivalent cell with linear equalities propagated, constants
     resolved and certified-positive monomial factors divided out.
-    Returns None when the cell is provably empty."""
+    Returns None when the cell is provably empty.
+
+    The feasible points of linear subsystems met on the way are appended
+    to `found`, when given; those that satisfy the returned cell's linear
+    system spare `_affine_hull_rows` its first LP."""
     constraints = list(cell.constraints)
     nv = cell.nvars_total(region.n)
-    if max_rounds is None:
-        max_rounds = max(8, 2 * len(constraints))
     solved: set[int] = set()
     proven = None  # the constraint list last shown feasible
     witnesses = []  # feasible points of the linear subsystem
-    for _ in range(max_rounds):
+    for _ in range(max(8, 2 * len(constraints))):
         changed = False
 
         # resolve constant payloads
@@ -970,10 +973,14 @@ def simplify_cell(region: Region, cell: Cell, max_rounds: int | None = None) -> 
     # the last round already found a point of this very system
     probe_cell = Cell(constraints, cell.extra)
     if constraints is not proven:
-        a_ub, b_ub, a_eq, b_eq = _linear_system(region, probe_cell, with_box=True)
-        if a_ub or a_eq:
-            if linprog.feasible_point(a_ub, b_ub, a_eq, b_eq, nv) is None:
+        system = _linear_system(region, probe_cell, with_box=True)
+        if system[0] or system[2]:
+            point = linprog.feasible_point(*system, nv)
+            if point is None:
                 return None
+            witnesses.append(point)
+    if found is not None:
+        found.extend(witnesses)
     return probe_cell
 
 
@@ -1070,13 +1077,16 @@ def _newton_project(cell: Cell, region: Region, pts: np.ndarray) -> np.ndarray:
 
 
 def _cell_dimension(region: Region, cell: Cell, cfg: ProbeConfig):
-    """(dimension, used_heuristic) of one cell."""
-    simp = simplify_cell(region, cell)
-    if simp is None:
+    """(dimension, used_heuristic) of one cell: n minus the rank of its
+    affine hull when the simplified cell is linear, the sampled probe's
+    answer otherwise."""
+    hull = _cell_hull(region, cell)
+    if hull is None:
         return -1, False
-    if simp.is_linear():
-        return _exact_cell_dimension(region, simp), False
-    return _probe_cell_dimension(region, simp, cfg), True
+    simp, rows = hull
+    if rows is None:
+        return _probe_cell_dimension(region, simp, cfg), True
+    return region.n - linprog.rank_of_rows([a for a, _ in rows if any(a)]), False
 
 
 def _in_divisor_locus(region: Region, cell: Cell, dim: int, cfg: ProbeConfig):

@@ -358,7 +358,7 @@ class FiberSlices:
         return float(sum(hi - lo for lo, hi in self.intervals))
 
 
-def _cell_fiber(restricted, lo_box, hi_box, roots, zero, feasible, tol, pieces) -> bool:
+def _cell_fiber(restricted, lo_box, hi_box, roots, zero, feasible, pieces) -> bool:
     """Append the fiber pieces of one cell to `pieces`.
 
     restricted holds (ascending coefficients, equality) per constraint on
@@ -388,10 +388,10 @@ def _cell_fiber(restricted, lo_box, hi_box, roots, zero, feasible, tol, pieces) 
 
     eq = next((coeffs for coeffs, equality in lines if equality), None)
     if eq is not None:
-        # candidate roots are localized to width <= tol, so acceptance of
-        # the remaining constraints uses a matching tolerance
+        # candidate roots are localized to width <= _ROOT_TOL, so acceptance
+        # of the remaining constraints uses a matching tolerance
         for root in roots(eq):
-            slack = _acceptance_slack(lines, root, tol)
+            slack = _acceptance_slack(lines, root)
             if lo_box <= root <= hi_box and not any(
                 abs(v) > slack if equality else v > slack
                 for v, equality in ((_eval(c, root), e) for c, e in lines)
@@ -429,6 +429,7 @@ def _check_sliceable(cell, axis: int):
 
 _ZERO = 1e-12      # a restricted coefficient this small vanishes
 _FEASIBLE = 1e-9   # an inequality payload this small holds
+_ROOT_TOL = Fraction(1, 10**12)  # width of an exactly isolated root's interval
 
 
 class FiberKernel:
@@ -443,11 +444,10 @@ class FiberKernel:
     cell with an equality, for all rows and points together otherwise.
     """
 
-    def __init__(self, region: Region, axis: int, tol=Fraction(1, 10**12)):
+    def __init__(self, region: Region, axis: int):
         lo, hi = region.bounding_box()[axis]
         self.lo_box, self.hi_box = float(lo), float(hi)
         self.n = region.n
-        self.tol = tol
         self.cells = []
         for cell in region.cells:
             _check_sliceable(cell, axis)
@@ -475,7 +475,7 @@ class FiberKernel:
                     restricted = [(coef[i, :w, j].tolist(), eq)
                                   for i, (w, eq) in enumerate(zip(restriction.widths, equalities))]
                     degenerate[j] |= _cell_fiber(restricted, self.lo_box, self.hi_box,
-                                                 real_roots, _ZERO, _FEASIBLE, self.tol, pieces[j])
+                                                 real_roots, _ZERO, _FEASIBLE, pieces[j])
             else:
                 degenerate |= self._inequality_pieces(coef, restriction, pieces)
         return [merge_intervals(p) for p in pieces], degenerate.tolist()
@@ -535,17 +535,16 @@ def _restrict_to_axis(payload: Polynomial, base: Mapping[int, object], axis: int
     return coeffs
 
 
-def _exact_roots(coeffs, tol) -> list:
+def _exact_roots(coeffs) -> list:
     trimmed = _trim(list(coeffs))
     if len(trimmed) <= 1:
         return []
     if len(trimmed) == 2:
         return [-trimmed[0] / trimmed[1]]
-    return [(lo + hi) / 2 for lo, hi, _ in isolate_real_roots(trimmed, tol).intervals]
+    return [(lo + hi) / 2 for lo, hi, _ in isolate_real_roots(trimmed, _ROOT_TOL).intervals]
 
 
-def slice_fiber(region: Region, base, axis: int, mode: str = "exact",
-                tol=Fraction(1, 10**12)) -> FiberSlices:
+def slice_fiber(region: Region, base, axis: int, mode: str = "exact") -> FiberSlices:
     """The fiber of the region over a base point, along one coordinate.
 
     base maps every ambient coordinate except `axis` to a value.  Exact mode
@@ -564,7 +563,7 @@ def slice_fiber(region: Region, base, axis: int, mode: str = "exact",
         if v < n:
             point[v] = float(x)
     if mode != "exact":
-        fibers, degenerate = FiberKernel(region, axis, tol).intervals_many(point[None, :n])
+        fibers, degenerate = FiberKernel(region, axis).intervals_many(point[None, :n])
         return FiberSlices(base, axis, fibers[0], degenerate[0])
 
     base = {v: Fraction(x) for v, x in base.items()}
@@ -579,15 +578,14 @@ def slice_fiber(region: Region, base, axis: int, mode: str = "exact",
         full_base.update({n + i: Fraction(float(derived[n + i])) for i in range(len(cell.extra))})
         restricted = [(_restrict_to_axis(c.payload, full_base, axis), c.equality)
                       for c in cell.constraints]
-        degenerate |= _cell_fiber(restricted, lo_box, hi_box,
-                                  lambda coeffs: _exact_roots(coeffs, tol), 0, 0, tol, pieces)
+        degenerate |= _cell_fiber(restricted, lo_box, hi_box, _exact_roots, 0, 0, pieces)
     return FiberSlices(base, axis, merge_intervals(pieces), degenerate)
 
 
-def _acceptance_slack(restricted, root, tol):
+def _acceptance_slack(restricted, root):
     """Constraint tolerance matched to the root localization width: the
-    payload can move by about |payload'| * tol across the interval."""
-    width = float(tol) if float(tol) > 0 else 1e-12
+    payload can move by about |payload'| * _ROOT_TOL across the interval."""
+    width = float(_ROOT_TOL)
     scale = 1.0
     for coeffs, _ in restricted:
         deriv = sum(

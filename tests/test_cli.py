@@ -46,6 +46,15 @@ def test_integrate_box_diverges_exit_two():
     assert code == 2 and "diverging" in out
 
 
+def test_integrate_with_blind_rungs_is_inconclusive():
+    """mixed_extent's first rungs keep nothing of r2 (its extent is 2e-6 of
+    a ladder scale of 1): the verdict is inconclusive and the exit code 2."""
+    code, out = invoke("integrate", str(REGIONS / "mixed_extent.region"),
+                       "--form", "dr1/r1 ^ dr2/r2")
+    assert "verdict  inconclusive" in out.splitlines()
+    assert code == 2
+
+
 def test_integrate_absolute_divergence_exits_two(tmp_path):
     """dr1/r1 on [-1/2, 1]: the signed ladder settles on ln 2, the absolute
     one diverges, so the verdict is diverging and the exit code 2."""

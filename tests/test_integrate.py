@@ -149,6 +149,23 @@ def test_tiny_interval_is_not_excised_away():
     assert res.verdict == "converged"
 
 
+@pytest.mark.parametrize("low, blind", [(Fraction(1, 10**6), 12), (Fraction(1, 10**4), 9)])
+def test_rungs_that_excise_a_whole_log_coordinate_are_no_evidence(low, blind):
+    """dr1/r1 ^ dr2/r2 on [1/2, 1] x [low, 2 low] is (ln 2)^2, but the
+    ladder scale is 1, so the first `blind` rungs keep nothing of r2 and
+    are exactly 0.  A ladder with such a rung is inconclusive, with no
+    limit and no error, even where its last rungs reach the value."""
+    A = region_of(2, 2, ["1/2 - r1 <= 0", "r1 - 1 <= 0", f"{low} - r2 <= 0", f"r2 - {2 * low} <= 0"],
+                  [(Fraction(1, 2), 1), (low, 2 * low)])
+    res = integrate_log_form(A, dlog2())
+    for ladder in (res.ladder, res.abs_ladder):
+        assert ladder.values()[:blind] == [0.0] * blind
+        assert (ladder.verdict, ladder.limit, ladder.error) == ("inconclusive", None, None)
+    assert res.verdict == "inconclusive"
+    if blind < len(res.ladder.entries):
+        assert res.ladder.values()[-1] == pytest.approx(math.log(2) ** 2, abs=1e-9)
+
+
 def test_signed_convergence_with_diverging_absolute_is_diverging():
     """dr1/r1 on [-1/2, 1]: the signed ladder settles on ln 2 (a principal
     value), the absolute one diverges, so the integral is not absolutely

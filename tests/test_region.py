@@ -526,7 +526,9 @@ _row = st.tuples(
 def test_exact_layer_matches_one_lp_reference(rows, boxed, face):
     """Random small cells, linear or with one monomial factor, with and
     without equalities and often infeasible: simplify_cell and the affine
-    hull give exactly the reference output."""
+    hull give exactly the reference output, the hull also when it starts
+    from the feasible points simplify_cell found, of the cell or of its
+    simplified form (those points need not satisfy the system)."""
     names = ["r1", "r2", "x3"]
     texts = []
     for coeffs, const, op, factor in rows:
@@ -537,14 +539,18 @@ def test_exact_layer_matches_one_lp_reference(rows, boxed, face):
     A = region_of(3, 2, texts, [(0, 1), (0, 1), (-1, 1)] if boxed else None)
     sub = A.face_intersection(face)
     cell = sub.cells[0]
-    got = region_mod.simplify_cell(sub, cell)
+    found = []
+    got = region_mod.simplify_cell(sub, cell, found)
     want = _reference_simplify_cell(sub, cell)
     assert (got is None) == (want is None)
     if got is not None:
         assert got == want
-    if cell.is_linear():
-        system = region_mod._linear_system(sub, cell)
-        assert region_mod._affine_hull_rows(3, system) == _reference_affine_hull_rows(3, system)
+    for linear in (cell, got):
+        if linear is not None and linear.is_linear():
+            system = region_mod._linear_system(sub, linear)
+            want_rows = _reference_affine_hull_rows(3, system)
+            for witnesses in ((), found):
+                assert region_mod._affine_hull_rows(3, system, witnesses) == want_rows
 
 
 @given(n=st.integers(2, 4), boxed=st.booleans(),
@@ -593,7 +599,8 @@ def test_unit_corner_lp_counts(monkeypatch):
     face above the singletons is pruned (one LP per question took 810 LPs).
     The corner sum r >= 1 is violated on the faces of size 1 and 2 and
     nonempty on all but the last; witnesses settle most of its LPs (one LP
-    per question took 342)."""
+    per question took 342, and 75 before the affine hull started from the
+    feasible points simplify_cell had found)."""
     calls = _count_lps(monkeypatch)
     v = _unit_corner(5, 5).is_allowable()
     assert v.ok and not v.heuristic
@@ -602,20 +609,21 @@ def test_unit_corner_lp_counts(monkeypatch):
     v = _unit_corner(4, 1).is_allowable()
     assert [face for face, _, _ in v.violations] == [
         *combinations(range(4), 1), *combinations(range(4), 2)]
-    assert len(calls) <= 170
+    assert len(calls) <= 51
 
 
 def test_declared_box_adds_no_lps(monkeypatch):
     """Declaring the box [0, 1]^4 that the corner's rows already carry
-    leaves the verdict and the LP count of the undeclared corner (75); with
-    the box rows appended a second time it took 107."""
+    leaves the verdict and the LP count of the undeclared corner (51); with
+    the box rows appended a second time it took 107 (before the affine hull
+    started from simplify_cell's feasible points)."""
     calls = _count_lps(monkeypatch)
     want = _unit_corner(4, 1).is_allowable()
     bare_calls = len(calls)
     calls.clear()
     v = _unit_corner(4, 1, [(0, 1)] * 4).is_allowable()
     assert v.violations == want.violations and v.ok == want.ok and not v.heuristic
-    assert len(calls) <= 75 and len(calls) <= bare_calls
+    assert len(calls) <= 51 and len(calls) <= bare_calls
 
 
 def test_box_rows_skip_only_implied_bounds():
