@@ -840,10 +840,11 @@ def annulus_slice_decay(region: Region, form: ComplexLogForm, m: int,
         raise ComplexIntError("annulus decay supports constant coefficients")
     ts = _decay_ts(ts)
     bound_z2 = True
-    verdict = region.is_admissible(m, probe)
+    memo: dict = {}  # the two halves of the gate share each face's answer
+    verdict = region.is_admissible(m, probe, memo)
     heuristic = verdict.heuristic
     if not verdict.ok:
-        inside, h = region.meets_divisors_only_in_d(probe)
+        inside, h = region.meets_divisors_only_in_d(probe, memo)
         heuristic = heuristic or h
         if inside:
             bound_z2 = False

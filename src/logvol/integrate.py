@@ -22,14 +22,19 @@ Gauss panels (log-scaled on divisor coordinates, so dr/r becomes ds) and
 the innermost coordinate exactly: the fiber is a union of intervals from
 slicing, and the 1-d integral of poly(x)/x or poly(x) over each interval is
 a closed form.  Fibers come from the compiled slicing.FiberKernel for
-every cell.  Each 15-node panel is one call of a vectorized integrand:
-outer levels map the recursion over the nodes, and the last outer level
-solves the panel's 15 fibers in one kernel call and, for pointwise
-integrands, evaluates every inner Gauss point of the panel in one batch.
-Panels accepted only because the bisection reached max_depth are counted
-per rung and flagged.  Above three dimensions a stratified Monte-Carlo
-estimator with a counter-based generator replaces the tensor quadrature;
-it too draws one sample set for every ladder of a rung.
+every cell.  Each outer level is one array program: `_adaptive_1d` runs
+all of the level's 1-d integrals (every base point, piece and segment) in
+lockstep, and each bisection round sends the nodes of every open panel
+through one call of the next level, or, on the last outer level, through
+one kernel call that solves all their fibers and, for pointwise
+integrands, evaluates every inner Gauss point in one batch.  A fiber
+depends on its own base point alone, and each integral's value and error
+records are summed in depth-first bisection order, so a rung does not
+depend on how its panels were batched.  Panels accepted only because the
+bisection reached max_depth are counted per rung and flagged.  Above three
+dimensions a stratified Monte-Carlo estimator with a counter-based
+generator replaces the tensor quadrature; it too draws one sample set for
+every ladder of a rung.
 
 Every rung path (the outer Gauss levels, the inner fibers and the
 Monte-Carlo rung) reads the part of a coordinate range it integrates from
@@ -68,6 +73,7 @@ _NESTED_SHRINK = 0.02  # quadrature tolerance factor per nesting level
 _MC_DIMENSION = 3  # tensor quadrature up to this many coordinates
 _RATIO = 2.0  # eps_{k+1} = eps_k / _RATIO along the excision ladder
 _NODES = 15  # points of the Gauss rule, on the outer panels and the inner fibers
+_FIBER_BATCH = 512  # fibers per _fiber_integral call: bounds the arrays of one call
 
 
 @dataclass(frozen=True)
@@ -204,50 +210,106 @@ def _gauss_nodes():
     return np.polynomial.legendre.leggauss(_NODES)
 
 
-class _QuadStats:
-    """Per component: the error estimate summed over accepted panels, and
-    how many of those were accepted only because the bisection reached
-    max_depth."""
+class _Node:
+    """A range of one lockstep integral: its Gauss value `whole`, error
+    budget and remaining depth; the (value, records) of its two halves once
+    evaluated; then either the accepted (total, record) or its two
+    children."""
 
-    def __init__(self, k: int):
-        self.err = [0.0] * k
-        self.capped = [0] * k
+    __slots__ = ("job", "lo", "hi", "whole", "budget", "depth", "halves", "accepted", "children")
+
+    def __init__(self, job: int, lo: float, hi: float, depth: int, whole=None, budget=None):
+        self.job, self.lo, self.hi, self.depth = job, lo, hi, depth
+        self.whole, self.budget = whole, budget
+        self.accepted = self.children = None
 
 
-def _adaptive_1d(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                 tol: float, depth: int, stats: _QuadStats) -> list:
-    """Adaptive _NODES-point Gauss with bisection on a vector-valued integrand;
-    each component's budget tol * max(1, |whole|) halves with each split,
-    so its accepted panel errors sum below it, and a panel is accepted only
-    when every component is within budget.  f maps the array of a panel's
-    nodes to a (components, nodes) array, so each panel is one call.  The
-    few components are kept in lists: per panel, list arithmetic costs less
-    than numpy calls on arrays this small."""
+def _adaptive_1d(f: Callable, jobs: Sequence[tuple], depth: int, k: int) -> list:
+    """Adaptive _NODES-point Gauss with bisection on a vector-valued
+    integrand, run in lockstep on many independent 1-d integrals.
+
+    jobs are (a, b, tol).  Each component's budget tol * max(1, |whole|)
+    halves with each split, so its accepted panel errors sum below it, and
+    a panel is accepted only when every component is within budget or the
+    bisection has split it `depth` times.  Each round evaluates the halves
+    of every open panel of every job in one call f(nodes, owners): nodes
+    is the (panels, _NODES) array of their nodes, owners the job of each
+    panel, and f returns the (k, panels * _NODES) values with, per node,
+    the list of accepted-panel records (err, budget) of the integrals
+    behind that node (None when there are none).
+
+    Returns one (value, records) per job.  The value sums the accepted
+    panels pairwise up the bisection tree, and the records list the job's
+    accepted panels together with those behind its nodes, both in the
+    order a depth-first bisection visits them, so neither depends on how
+    the jobs were batched.  Per panel, list arithmetic on the few
+    components costs less than numpy calls on arrays this small.
+    """
     xs, ws = _gauss_nodes()
+    m = len(xs)
 
-    def gauss(lo, hi):
+    def evaluate(spans):
+        """(value, records) of the Gauss rule on each (job, lo, hi)."""
+        if not spans:
+            return iter(())
+        lo = np.array([lo for _, lo, _ in spans])
+        hi = np.array([hi for _, _, hi in spans])
         half = 0.5 * (hi - lo)
-        return [half * float(ws @ row) for row in f(0.5 * (lo + hi) + half * xs)]
+        vals, behind = f(0.5 * (lo + hi)[:, None] + half[:, None] * xs, [j for j, _, _ in spans])
+        out = []
+        for p, h in enumerate(half.tolist()):
+            seg = slice(p * m, p * m + m)
+            records = [r for node in behind[seg] for r in node] if behind is not None else []
+            out.append(([h * float(ws @ row[seg]) for row in vals], records))
+        return iter(out)
 
-    def recurse(lo, hi, whole, budget, d):
-        mid = 0.5 * (lo + hi)
-        left = gauss(lo, mid)
-        right = gauss(mid, hi)
-        total = [x + y for x, y in zip(left, right)]
-        err = [abs(t - w) for t, w in zip(total, whole)]
-        if d <= 0 or all(e <= b for e, b in zip(err, budget)):
-            for c, (e, b) in enumerate(zip(err, budget)):
-                stats.err[c] += e
-                stats.capped[c] += e > b
-            return total
-        budget = [0.5 * b for b in budget]
-        return [x + y for x, y in zip(recurse(lo, mid, left, budget, d - 1),
-                                      recurse(mid, hi, right, budget, d - 1))]
+    def halves(node):
+        mid = 0.5 * (node.lo + node.hi)
+        return [(node.job, node.lo, mid), (node.job, mid, node.hi)]
 
-    if a >= b:
-        return [0.0] * len(stats.err)
-    whole = gauss(a, b)
-    return recurse(a, b, whole, [tol * max(1.0, abs(w)) for w in whole], depth)
+    # the first round evaluates each job's whole range with its two halves
+    roots = [_Node(j, a, b, depth) for j, (a, b, _) in enumerate(jobs) if a < b]
+    evals = evaluate([span for node in roots for span in [(node.job, node.lo, node.hi), *halves(node)]])
+    root_records = []
+    for node in roots:
+        node.whole, records = next(evals)
+        node.budget = [jobs[node.job][2] * max(1.0, abs(w)) for w in node.whole]
+        node.halves = next(evals), next(evals)
+        root_records.append(records)
+    fresh = roots
+    while fresh:
+        split = []
+        for node in fresh:
+            (left, _), (right, _) = node.halves
+            total = [x + y for x, y in zip(left, right)]
+            err = [abs(t - w) for t, w in zip(total, node.whole)]
+            if node.depth <= 0 or all(e <= b for e, b in zip(err, node.budget)):
+                node.accepted = total, (err, node.budget)
+                continue
+            budget = [0.5 * b for b in node.budget]
+            (_, lo, mid), (_, _, hi) = halves(node)
+            node.children = (_Node(node.job, lo, mid, node.depth - 1, left, budget),
+                             _Node(node.job, mid, hi, node.depth - 1, right, budget))
+            split += node.children
+        evals = evaluate([span for node in split for span in halves(node)])
+        for node in split:
+            node.halves = next(evals), next(evals)
+        fresh = split
+
+    def walk(node, records):
+        records += node.halves[0][1]
+        records += node.halves[1][1]
+        if node.accepted is not None:
+            records.append(node.accepted[1])
+            return node.accepted[0]
+        left = walk(node.children[0], records)
+        right = walk(node.children[1], records)
+        return [x + y for x, y in zip(left, right)]
+
+    out = [([0.0] * k, []) for _ in jobs]
+    for node, records in zip(roots, root_records):
+        out[node.job] = walk(node, records), records
+    return out
 
 
 def _line_signed(coeffs, a: float, b: float, log_weight: bool) -> float:
@@ -358,19 +420,16 @@ class _FiberSolver:
         return self.kernel.intervals_many(points)[0]
 
 
-def _final_level_cuts(solver: "_FiberSolver", level_var: int,
-                      base: Mapping[int, float], lo: float, hi: float,
-                      clip: Sequence[float] = ()) -> list:
+def _final_level_cuts(solver: "_FiberSolver", level_var: int, point: np.ndarray,
+                      lo: float, hi: float, clip: Sequence[float] = ()) -> list:
     """Breakpoints, in the level variable, of the fiber structure of the
-    linear cells (crossings of the affine inner-bound candidates, the box
-    and the excision bounds `clip` of the inner variable, and feasibility
-    flips of rows without the inner variable).  Between consecutive cuts
-    the one-level-up integrand is analytic."""
-    n = solver.region.n
-    vec = np.zeros(n)
-    for v, val in base.items():
-        if v < n:
-            vec[v] = val
+    linear cells through the base point (its ambient coordinates; those of
+    the level and inner variables are ignored): crossings of the affine
+    inner-bound candidates, the box and the excision bounds `clip` of the
+    inner variable, and feasibility flips of rows without the inner
+    variable.  Between consecutive cuts the one-level-up integrand is
+    analytic."""
+    vec = point.copy()
     vec[solver.axis] = 0.0
     vec[level_var] = 0.0
     cuts = set()
@@ -393,11 +452,13 @@ def _final_level_cuts(solver: "_FiberSolver", level_var: int,
     return sorted(x for x in cuts if lo + 1e-13 < x < hi - 1e-13)
 
 
-def _fiber_integral(solver: _FiberSolver, bases: Sequence[dict], eps: float,
+def _fiber_integral(solver: _FiberSolver, bases: np.ndarray, eps: float,
                     integrand: Integrand, parts: Sequence[str],
                     line: AxisRestriction | None) -> np.ndarray:
-    """Inner integrals over the fibers through the base points of one
-    outer Gauss panel: a (len(parts), len(bases)) array.
+    """Inner integrals over the fibers through the rows of `bases` (ambient
+    base points; the inner coordinate is ignored): a (len(parts),
+    len(bases)) array.  Each column depends on its own row alone, not on
+    the batch around it.
 
     Each part weights the same integrand values: "re" and "im" take the
     real and imaginary part with the oriented measure, "abs" the modulus
@@ -411,9 +472,7 @@ def _fiber_integral(solver: _FiberSolver, bases: Sequence[dict], eps: float,
     extras = region.cells[0].extra if region.cells else ()
     log_inner = axis in integrand.log_vars
     points = np.zeros((len(bases), n + len(extras)))
-    for i, base in enumerate(bases):
-        for v, val in base.items():
-            points[i, v] = val
+    points[:, :n] = bases[:, :n]
     fibers = solver.intervals(points)
     if log_inner:
         fibers = [_rung_pieces(intervals, eps, True) for intervals in fibers]
@@ -502,7 +561,6 @@ def _rung_value(region: Region, integrand: Integrand, eps: float,
     quad_vars = [v for v in range(n) if v >= region.p] + list(range(region.p))
     inner = quad_vars[-1]
     outers = quad_vars[:-1]
-    stats = _QuadStats(len(parts))
     solver = _FiberSolver(region, inner)
     # the excision clips the fibers of a log inner variable at +-eps
     clip = (eps, -eps) if inner in integrand.log_vars and eps > 0 else ()
@@ -510,46 +568,59 @@ def _rung_value(region: Region, integrand: Integrand, eps: float,
     if integrand.pointwise is None:
         line = AxisRestriction([integrand.coeff], inner, integrand.coeff.nvars)
 
-    def level(d: int, base: dict) -> np.ndarray:
+    def level(d: int, points: np.ndarray) -> tuple:
+        """The integrals over outers[d:] and the inner fiber through each
+        row of points (values set on outers[:d]), as one array program:
+        every (row, piece, segment) integral of the level runs in one
+        _adaptive_1d lockstep.  Returns the (parts, rows) totals and, per
+        row, the accepted-panel records behind it in depth-first order."""
         var = outers[d]
         tol_d = cfg.quad_tol * _NESTED_SHRINK**d
         final = d == len(outers) - 1
+        pieces = _rung_pieces([box[var]], eps, var in integrand.log_vars)
+        jobs, owner = [], []  # owner: (row, sgn) of each job
+        for row, point in enumerate(points):
+            for a, b, sgn in pieces:
+                u_lo, u_hi = _u_range(a, b, sgn)
+                cuts = _u_of(_final_level_cuts(solver, var, point, a, b, clip), sgn) if final else []
+                segs = [u_lo] + sorted(u for u in cuts if u_lo < u < u_hi) + [u_hi]
+                budget = tol_d / max(1, len(segs) - 1)
+                for a2, b2 in zip(segs, segs[1:]):
+                    jobs.append((a2, b2, budget))
+                    owner.append((row, sgn))
 
-        def values(xs: list) -> np.ndarray:
+        def f(nodes: np.ndarray, jobs_of: list) -> tuple:
+            rows = [owner[j] for j in jobs_of]
+            sub = np.repeat(points[[row for row, _ in rows]], nodes.shape[1], axis=0)
+            sub[:, var] = [x for us, (_, sgn) in zip(nodes.tolist(), rows) for x in _x_of(us, sgn)]
             if final:
-                bases = [{**base, var: x} for x in xs]
-                return _fiber_integral(solver, bases, eps, integrand, parts, line)
-            out = np.empty((len(parts), len(xs)))
-            for i, x in enumerate(xs):
-                base[var] = x
-                out[:, i] = level(d + 1, base)
-            return out
+                return np.concatenate([
+                    _fiber_integral(solver, sub[i:i + _FIBER_BATCH], eps, integrand, parts, line)
+                    for i in range(0, len(sub), _FIBER_BATCH)], axis=1), None
+            return level(d + 1, sub)
 
-        total = np.zeros(len(parts))
-        for a, b, sgn in _rung_pieces([box[var]], eps, var in integrand.log_vars):
-            u_lo, u_hi = _u_range(a, b, sgn)
-            factor = flip if sgn < 0 else keep
+        totals = np.zeros((len(parts), len(points)))
+        records = [[] for _ in points]
+        for (value, behind), (row, sgn) in zip(_adaptive_1d(f, jobs, cfg.max_depth, len(parts)),
+                                               owner):
+            totals[:, row] += (flip if sgn < 0 else keep) * value
+            records[row] += behind
+        return totals, records
 
-            def g(u, sgn=sgn):
-                return values(_x_of(u.tolist(), sgn))
-
-            cuts = _u_of(_final_level_cuts(solver, var, base, a, b, clip), sgn) if final else []
-            segs = [u_lo] + sorted(u for u in cuts if u_lo < u < u_hi) + [u_hi]
-            budget = tol_d / max(1, len(segs) - 1)
-            for a2, b2 in zip(segs, segs[1:]):
-                total += factor * _adaptive_1d(g, a2, b2, budget, cfg.max_depth, stats)
-        base.pop(var, None)
-        return total
-
+    err, capped = np.zeros(len(parts)), np.zeros(len(parts), dtype=int)
     if n > 1:
-        totals = level(0, {})
+        totals, (records,) = level(0, np.zeros((1, n)))
+        totals = totals[:, 0]
+        for e, b in records:
+            err += e
+            capped += np.greater(e, b)
     else:
-        totals = _fiber_integral(solver, [{}], eps, integrand, parts, line)[:, 0]
+        totals = _fiber_integral(solver, np.zeros((1, n)), eps, integrand, parts, line)[:, 0]
     out, j = [], 0
     for group in groups:
         k = len(group)
         value = complex(totals[j], totals[j + 1]) if k == 2 else float(totals[j])
-        out.append((value, sum(stats.err[j:j + k]), 0.0, sum(stats.capped[j:j + k])))
+        out.append((value, sum(err[j:j + k].tolist()), 0.0, int(capped[j:j + k].sum())))
         j += k
     return out
 

@@ -483,12 +483,15 @@ class Region:
                 return v
         return StrictVerdict("strict", None)
 
-    def is_admissible(self, m: int, cfg: ProbeConfig | None = None) -> AllowVerdict:
+    def is_admissible(self, m: int, cfg: ProbeConfig | None = None,
+                      memo: dict | None = None) -> AllowVerdict:
         """dim(A cap H_I minus D) <= m - 2|I| for every nonempty face.
 
         The removal of D = union {z_t = 1} is dimension-theoretic: a cell
         whose intersection with some D_t has the cell's full dimension is
-        treated as lying inside D_t (exact for convex cells).
+        treated as lying inside D_t (exact for convex cells).  A gate that
+        also asks meets_divisors_only_in_d passes both one `memo` dict, so
+        each face is decided once (see _dims_outside_d).
         """
         if self.kind != "complex":
             raise RegionError("admissibility is defined for complex regions")
@@ -502,7 +505,7 @@ class Region:
         # global bound dim(A minus D) <= m)
         for face in list(self.faces()) + [()]:
             d_excl = -1
-            for d, h in self._dims_outside_d(face, cfg):
+            for d, h in self._dims_outside_d(face, cfg, memo):
                 heuristic = heuristic or h
                 d_excl = max(d_excl, d)
             need = m - 2 * len(face)
@@ -510,31 +513,42 @@ class Region:
                 violations.append((face, d_excl, need + 1))
         return AllowVerdict(not violations, violations, heuristic)
 
-    def meets_divisors_only_in_d(self, cfg: ProbeConfig | None = None) -> tuple:
+    def meets_divisors_only_in_d(self, cfg: ProbeConfig | None = None,
+                                 memo: dict | None = None) -> tuple:
         """(inside, used_heuristic): whether A cap (union H_i) is contained
         in D (dimension-detected), and whether that used the sampled probe.
-        The answer is settled at the first cell found outside D."""
+        The answer is settled at the first cell found outside D.  `memo`
+        is the per-face memo of a gate that also asks is_admissible."""
         if self.kind != "complex":
             raise RegionError("only meaningful for complex regions")
         cfg = cfg or ProbeConfig()
         heuristic = False
         for i in range(self.p):
-            for d, h in self._dims_outside_d((i,), cfg):
+            for d, h in self._dims_outside_d((i,), cfg, memo):
                 heuristic = heuristic or h
                 if d >= 0:
                     return False, heuristic
         return True, heuristic
 
-    def _dims_outside_d(self, face: tuple, cfg: ProbeConfig):
+    def _dims_outside_d(self, face: tuple, cfg: ProbeConfig, memo: dict | None = None):
         """For each cell of A cap H_face in turn: (its dimension, or -1 when
-        it is empty or lies in D; whether deciding that used the probe)."""
+        it is empty or lies in D; whether deciding that used the probe).
+        A face read to its end is stored in `memo`, which later reads of
+        the face (with the same cfg) replay instead of deciding it again."""
+        if memo is not None and face in memo:
+            yield from memo[face]
+            return
+        answers = []
         sub = self.face_intersection(face)
         for cell in sub.cells:
             d, h = _cell_dimension(sub, cell, cfg)
             if d >= 0:
                 inside, h2 = _in_divisor_locus(sub, cell, d, cfg)
                 d, h = (-1 if inside else d), h or h2
+            answers.append((d, h))
             yield d, h
+        if memo is not None:
+            memo[face] = answers
 
     # -- fiber probe ---------------------------------------------------------
 

@@ -11,9 +11,11 @@ Float slicing, the quadrature inner loop, goes through a FiberKernel
 compiled once per (region, axis) into float exponent and coefficient
 matrices (AxisRestriction), so restricting to the lines through a whole
 Gauss panel is one matrix product, and each cell is cut and tested for all
-of its rows and points at once.  `real_roots` is the one float root
-finder: closed forms for degree 1 and 2, np.roots above, and one relative
-tolerance for imaginary parts.
+of its rows and points at once.  `real_roots` is the one scalar float
+root finder: closed forms for degree 1 and 2, np.roots above, and one
+relative tolerance for imaginary parts.  `quadratic_roots` states its
+closed forms for a whole batch of rows of degree at most 2, root for root
+the same floats.
 """
 
 from __future__ import annotations
@@ -304,6 +306,34 @@ def real_roots(coeffs) -> list:
     return [x1, x2] if x1 <= x2 else [x2, x1]
 
 
+def quadratic_roots(coef: np.ndarray) -> np.ndarray:
+    """`real_roots` of each column of a (3, k) array of ascending
+    coefficients, all columns at once: a (2, k) array holding each column's
+    roots, nan where it has fewer than two.  The same trim, scaling, closed
+    forms and imaginary window as `real_roots` give the same floats."""
+    c0, c1, c2 = coef
+    out = np.full((2, coef.shape[1]), np.nan)
+    quad = np.abs(c2) >= 1e-300
+    lin = ~quad & (np.abs(c1) >= 1e-300)
+    # Python floats overflow to inf without a warning; so do these
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        out[0, lin] = -c0[lin] / c1[lin]
+        c0, b, a = c0[quad], c1[quad], c2[quad]
+        big = np.maximum(np.maximum(np.abs(c0), np.abs(b)), np.abs(a))
+        window = 1e-9 * np.maximum(1.0, big)
+        c0, b, a = c0 / big, b / big, a / big
+        disc = b * b - 4.0 * a * c0
+        neg = disc < 0.0
+        pair = np.sqrt(np.where(neg, -disc, 0.0)) / (2.0 * np.abs(a)) < window
+        q = -0.5 * (b + np.copysign(np.sqrt(np.where(neg, 0.0, disc)), b))
+        zero = q == 0.0  # b = c0 = 0
+        x1 = np.where(neg, -b / (2.0 * a), np.where(zero, 0.0, q / a))
+        x2 = np.where(neg, x1, np.where(zero, 0.0, c0 / q))
+    real = ~neg | pair
+    out[:, quad] = np.where(real, [x1, x2], np.nan)
+    return out
+
+
 class AxisRestriction:
     """Polynomials restricted to the lines parallel to one axis, compiled
     once into float arrays.
@@ -313,13 +343,13 @@ class AxisRestriction:
     are the rows of one exponent matrix, so restricting at k base points is
     one power table and one matrix product.  Polynomial i has widths[i]
     ascending coefficients, zero-padded to a common width of at least 2;
-    groups index the polynomials of width 2 and of width above 2.
+    groups index the polynomials of width 2, of width 3 and of width above 3.
     """
 
     def __init__(self, polys, axis: int, nvars: int):
         self.widths = w = np.array([poly.degree_in(axis) + 1 for poly in polys], dtype=np.int64)
         self.width = max(2, w.max(initial=0))
-        self.groups = (np.flatnonzero(w == 2), np.flatnonzero(w > 2))
+        self.groups = (np.flatnonzero(w == 2), np.flatnonzero(w == 3), np.flatnonzero(w > 3))
         monos: dict = {}
         entries = []  # (slot, monomial column, coefficient)
         for i, poly in enumerate(polys):
@@ -478,15 +508,16 @@ class FiberKernel:
                                                  real_roots, _ZERO, _FEASIBLE, pieces[j])
             else:
                 degenerate |= self._inequality_pieces(coef, restriction, pieces)
-        return [merge_intervals(p) for p in pieces], degenerate.tolist()
+        return [merge_intervals(p) if len(p) > 1 else p for p in pieces], degenerate.tolist()
 
     def _inequality_pieces(self, coef: np.ndarray, restriction: AxisRestriction, pieces: list):
         """`_cell_fiber` for a cell of inequalities, coef (rows, width, k),
-        at k points at once: degree-1 roots in numpy, higher ones through
-        `real_roots`, candidates clipped to the box and sorted per point,
-        one Horner pass at the midpoints.  Returns the (k,) mask of lines on
-        which every row vanishes; those get the whole box."""
-        lin, high = restriction.groups
+        at k points at once: degree-1 and degree-2 roots in numpy
+        (`quadratic_roots`), higher ones through `real_roots`, candidates
+        clipped to the box and sorted per point, one Horner pass at the
+        midpoints.  Returns the (k,) mask of lines on which every row
+        vanishes; those get the whole box."""
+        lin, quad, high = restriction.groups
         lo, hi = self.lo_box, self.hi_box
         k = coef.shape[2]
         # rows that do not vanish on the line; a failing constant row is then
@@ -494,12 +525,20 @@ class FiberKernel:
         active = np.abs(coef).max(axis=1) > _ZERO
         whole = ~active.any(axis=0)
         # the box ends, then up to width - 1 roots per row; unused slots hold lo
-        cands = np.full((2 + len(lin) + int((restriction.widths[high] - 1).sum()), k), lo)
+        first = 2 + len(lin) + 2 * len(quad)
+        cands = np.full((first + int((restriction.widths[high] - 1).sum()), k), lo)
         cands[1] = hi
         c1 = coef[lin, 1]  # as in real_roots, |c1| < 1e-300 leaves no root
         np.divide(coef[lin, 0], -c1, out=cands[2: 2 + len(lin)],
                   where=active[lin] & (np.abs(c1) >= 1e-300))
-        fill = [2 + len(lin)] * k
+        if len(quad):
+            # all degree-2 rows as one batch of columns; their roots fill
+            # 2 * len(quad) candidate rows, first roots before second roots
+            roots = quadratic_roots(coef[quad, :3].transpose(1, 0, 2).reshape(3, -1))
+            roots = roots.reshape(2 * len(quad), k)
+            kept = np.tile(active[quad], (2, 1)) & ~np.isnan(roots)
+            np.copyto(cands[2 + len(lin): first], roots, where=kept)
+        fill = [first] * k
         for r in high.tolist():
             for j, (live, column) in enumerate(zip(active[r].tolist(), coef[r].T.tolist())):
                 if live:

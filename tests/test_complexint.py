@@ -659,6 +659,57 @@ def test_annulus_decay_linear_rate():
         assert vol == pytest.approx(8 * math.pi**2 * t, rel=1e-3)
 
 
+def test_annulus_decay_solves_each_rung_level_in_few_batches(monkeypatch):
+    """Counters, which do not vary between runs: on the annulus slices each
+    outer level of a rung runs as one lockstep program, so the 2,025
+    fibers of each of the 64 rungs are solved in four _fiber_integral
+    calls of at most 512 fibers (one call per Gauss panel made 8,640),
+    and exactly as many fibers are solved as panel by panel (129,600)."""
+    import logvol.integrate as integrate
+
+    original = integrate._fiber_integral
+    calls, fibers = [], []
+
+    def counted(solver, bases, *args):
+        calls.append(1)
+        fibers.append(len(bases))
+        return original(solver, bases, *args)
+
+    monkeypatch.setattr(integrate, "_fiber_integral", counted)
+    form = ComplexLogForm.volume_like(2, (1,))
+    report = annulus_slice_decay(load_region("nested_annulus_c2"), form, 4,
+                                 ts=[1 / 4, 1 / 8, 1 / 16, 1 / 32])
+    assert len(calls) <= 256
+    assert max(fibers) <= 512
+    assert sum(fibers) == 129_600
+    for t, vol in report.entries:
+        assert vol == pytest.approx(8 * math.pi**2 * t, rel=1e-9)
+
+
+def test_annulus_gate_decides_each_face_once(monkeypatch):
+    """The two halves of the annulus gate, is_admissible(m) and then
+    meets_divisors_only_in_d, share one per-face memo: on
+    nested_annulus_c2 at m = 3 (not admissible) the faces the second half
+    reads are not simplified again (10 simplify_cell calls, not 14), and
+    the verdicts are those of the two calls made alone."""
+    import logvol.region as region_module
+
+    region = load_region("nested_annulus_c2")
+    alone = (str(region.is_admissible(3)), region.meets_divisors_only_in_d())
+    original = region_module.simplify_cell
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(region_module, "simplify_cell", counted)
+    memo = {}
+    shared = (str(region.is_admissible(3, memo=memo)), region.meets_divisors_only_in_d(memo=memo))
+    assert shared == alone
+    assert len(calls) == 10
+
+
 def test_annulus_decay_rejects_nonconstant_coefficient_first(monkeypatch):
     import logvol.complexint as ci
 

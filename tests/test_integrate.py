@@ -387,6 +387,107 @@ def test_rung_pieces_keep_each_side_of_the_excision():
     assert (_u_range(*lin), _x_of([0.25], lin[2])) == ([-0.5, 1.0], [0.25])
 
 
+def _depth_first_gauss(f, a, b, tol, depth, records):
+    """The adaptive Gauss bisection one panel at a time, depth first: the
+    reference order for _adaptive_1d's values and records."""
+    from logvol.integrate import _gauss_nodes
+
+    xs, ws = _gauss_nodes()
+
+    def gauss(lo, hi):
+        half = 0.5 * (hi - lo)
+        nodes = 0.5 * (lo + hi) + half * xs
+        records.extend(("node", x) for x in nodes.tolist())  # the records behind each node
+        return [half * float(ws @ row) for row in f(nodes)]
+
+    def recurse(lo, hi, whole, budget, d):
+        mid = 0.5 * (lo + hi)
+        left, right = gauss(lo, mid), gauss(mid, hi)
+        total = [x + y for x, y in zip(left, right)]
+        err = [abs(t - w) for t, w in zip(total, whole)]
+        if d <= 0 or all(e <= b for e, b in zip(err, budget)):
+            records.append((err, budget))
+            return total
+        budget = [0.5 * b for b in budget]
+        return [x + y for x, y in zip(recurse(lo, mid, left, budget, d - 1),
+                                      recurse(mid, hi, right, budget, d - 1))]
+
+    if a >= b:
+        return [0.0, 0.0]
+    whole = gauss(a, b)
+    return recurse(a, b, whole, [tol * max(1.0, abs(w)) for w in whole], depth)
+
+
+@given(jobs=st.lists(st.tuples(st.floats(-2, 2), st.floats(-2, 2), st.sampled_from([1e-3, 1e-8])),
+                     min_size=1, max_size=6),
+       depth=st.integers(0, 8))
+@example(jobs=[(0.0, 1.0, 1e-8), (1.0, 1.0, 1e-8), (-1.5, 0.3, 1e-8)], depth=8)
+def test_lockstep_gauss_matches_depth_first_bisection(jobs, depth):
+    """_adaptive_1d runs many integrals in lockstep, one call of f per
+    bisection round, yet gives each the value and the records of the
+    depth-first recursion, float for float and in its order: its accepted
+    panels (err, budget) interleaved with the records f reports behind
+    each node (here one marker per node).  The integrand has a kink, so
+    panels split unevenly."""
+    from logvol.integrate import _adaptive_1d
+
+    def g(x):
+        return np.array([np.abs(x - 0.3) ** 1.5, np.cos(3.0 * x)])
+
+    calls = []
+
+    def f(nodes, owners):
+        calls.append(len(owners))
+        return g(nodes.ravel()), [[("node", x)] for x in nodes.ravel().tolist()]
+
+    got = _adaptive_1d(f, jobs, depth, 2)
+    for (a, b, tol), (value, records) in zip(jobs, got):
+        want_records = []
+        assert value == _depth_first_gauss(g, a, b, tol, depth, want_records)
+        assert records == want_records
+    assert len(calls) <= depth + 1
+
+
+def _fiber_integral_case(case):
+    """(region, integrand, parts): dr1/r1 ^ dr2/r2 on s_half, whose inner
+    integral is a closed form, or a complex task of the nested annulus,
+    whose integrand is evaluated pointwise."""
+    from logvol import ComplexLogForm, reduce_to_real_tasks
+    from logvol.integrate import _top_integrand
+
+    if case == "closed_form":
+        region = load_region("s_half")
+        return region, _top_integrand(region, dlog2()), ("re", "abs")
+    task = reduce_to_real_tasks(load_region("nested_annulus_c2"),
+                                ComplexLogForm.volume_like(2, (0, 1)), 4)[0]
+    return task.region, task.integrand(), ("re", "im", "abs")
+
+
+@pytest.mark.parametrize("case", ["closed_form", "pointwise"])
+def test_fiber_integral_is_independent_of_the_batch(case):
+    """One _fiber_integral call on the bases of two panels gives each base
+    the column its own panel's call gives, float for float, so the
+    lockstep levels may batch any set of panels together."""
+    from logvol.integrate import _FiberSolver, _fiber_integral
+    from logvol.slicing import AxisRestriction
+
+    region, integrand, parts = _fiber_integral_case(case)
+    inner = region.p - 1 if region.p else region.n - 1
+    solver = _FiberSolver(region, inner)
+    line = None
+    if integrand.pointwise is None:
+        line = AxisRestriction([integrand.coeff], inner, integrand.coeff.nvars)
+    box = region.bounding_box()
+    rng = np.random.Generator(np.random.Philox(key=11))
+    panels = [np.array([[rng.uniform(lo, hi) for lo, hi in box] for _ in range(size)])
+              for size in (15, 30)]
+    eps = 2.0**-6
+    joint = _fiber_integral(solver, np.concatenate(panels), eps, integrand, parts, line)
+    alone = [_fiber_integral(solver, panel, eps, integrand, parts, line) for panel in panels]
+    assert np.any(joint)
+    assert np.array_equal(joint, np.concatenate(alone, axis=1))
+
+
 # ---------------------------------------------------------------------------
 # decay fits
 

@@ -9,7 +9,8 @@ from hypothesis import example, given, strategies as st
 from helpers import load_region, region_of
 from logvol import PolyError, Polynomial, isolate_real_roots, slice_fiber, slice_sup_volume
 from logvol.region import Cell, Constraint, Region, RegionError
-from logvol.slicing import FiberKernel, merge_intervals, real_roots
+from logvol.slicing import (_FEASIBLE, _ZERO, FiberKernel, _cell_fiber, merge_intervals,
+                            quadratic_roots, real_roots)
 
 
 F = Fraction
@@ -206,6 +207,95 @@ def test_real_roots_match_np_roots(coeffs, count):
 def test_real_roots_degenerate_degrees():
     assert real_roots([]) == [] and real_roots([2.0]) == []
     assert real_roots([1.0, 2.0, 1e-301]) == [-0.5]  # negligible top coefficient dropped
+
+
+def _bits(xs) -> list:
+    return [float(x).hex() for x in xs]
+
+
+_COEFF = st.one_of(
+    st.floats(-1e3, 1e3, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 1e-301, -1e-301, 1e-300, 1.0, -1.0, 2.0, 0.25]),
+)
+
+
+@given(columns=st.lists(st.tuples(_COEFF, _COEFF, _COEFF), min_size=1, max_size=12),
+       box=st.sampled_from([(-1.0, 1.0), (0.0, 1e3), (-1e300, 1e300)]))
+@example(columns=[(1.0, 2.0, 1e-301), (0.0, 0.0, 2.0), (1.0, 2.0, 1.0), (1e-10 + 1e-21, -2e-5, 1.0),
+                  (1e-10 + 1e-16, -2e-5, 1.0), (-0.0, 0.0, -3.0), (5.0, 1e-301, 1e-301),
+                  (-1.0, 0.0, 1.0), (0.0, 3.0, 1.0)], box=(-1.0, 1.0))
+def test_quadratic_roots_match_real_roots_bit_for_bit(columns, box):
+    """The batched degree-2 solver gives, column by column, the floats of
+    `real_roots` once both are clipped to the box and sorted: a top
+    coefficient below 1e-300 (the row is linear), a complex pair inside
+    the imaginary window (a double root), b = c0 = 0 and a constant row.
+    `real_roots` lets a quotient overflow to inf, and so must the batch."""
+    lo, hi = box
+    roots = quadratic_roots(np.array(columns, dtype=float).T)
+    for column, got in zip(columns, roots.T):
+        got = np.clip(got[~np.isnan(got)], lo, hi)
+        want = np.clip(real_roots(list(column)), lo, hi)
+        assert _bits(sorted(got)) == _bits(sorted(want))
+
+
+@st.composite
+def _quadratic_cells(draw):
+    """(region, points): one cell of 1-4 rows a2 r2^2 + a1 r2 + a0 <= 0 whose
+    coefficients are affine in r1, some of them vanishing at r1 = 0, and a
+    panel of base points that includes r1 = 0, where those rows are
+    inactive on the line."""
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        degree = draw(st.integers(1, 2))
+        at_zero = draw(st.booleans())
+        terms = {}
+        for k in range(degree + 1):
+            const, slope = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            if at_zero and const:
+                terms[(0, k)] = F(const, 2)
+            if slope:
+                terms[(1, k)] = F(slope, 3)
+        if not any(e[1] == degree for e in terms):
+            terms[(1, degree)] = F(1)
+        rows.append(Polynomial(2, terms))
+    region = Region(2, 2, [Cell([Constraint(row) for row in rows])], "real", [(-1, 1), (-1, 1)])
+    xs = draw(st.lists(st.floats(-1, 1, allow_nan=False), min_size=1, max_size=14))
+    points = np.zeros((len(xs) + 1, 2))
+    points[1:, 0] = xs
+    return region, points
+
+
+@given(case=_quadratic_cells())
+def test_inequality_kernel_matches_the_scalar_cell_rule(case):
+    """For a cell of inequalities of degree <= 2, the batched kernel (roots
+    from `quadratic_roots`) gives every point of a panel the same float
+    intervals and degenerate flag as `_cell_fiber` with `real_roots`, one
+    point at a time, including points where some rows vanish."""
+    region, points = case
+    kernel = FiberKernel(region, 1)
+    fibers, degenerate = kernel.intervals_many(points)
+    (_, restriction, _), = kernel.cells
+    coef = restriction.table(points)
+    for j, (intervals, flag) in enumerate(zip(fibers, degenerate)):
+        restricted = [(coef[i, :w, j].tolist(), False) for i, w in enumerate(restriction.widths)]
+        pieces = []
+        want_flag = _cell_fiber(restricted, -1.0, 1.0, real_roots, _ZERO, _FEASIBLE, pieces)
+        assert flag == want_flag
+        # equal floats; a root at 0 may carry either sign of zero
+        assert intervals == merge_intervals(pieces)
+
+
+def test_fiber_kernel_is_independent_of_the_batch():
+    """A fiber depends on its own base point alone: solving two panels in
+    one call gives each the fibers of its own call, float for float."""
+    region = load_region("nested_annulus_c2")
+    rng = np.random.Generator(np.random.Philox(key=3))
+    panels = [rng.uniform(-1, 1, size=(15, 4)), rng.uniform(-1, 1, size=(7, 4))]
+    kernel = FiberKernel(region, 3)
+    joint, joint_flags = kernel.intervals_many(np.concatenate(panels))
+    alone = [kernel.intervals_many(panel) for panel in panels]
+    assert joint == alone[0][0] + alone[1][0]
+    assert joint_flags == alone[0][1] + alone[1][1]
 
 
 _FLOAT_VS_EXACT = ["s_half", "disk_c1", "quadrant_disk_c1", "triangle_p2", "nested_annulus_c2",
