@@ -7,7 +7,9 @@ that `integrate --out` writes), and the signed and absolute ladder
 CSVs (`Ladder.to_csv`, full precision) of the top dlog form on the regions
 in LADDERS: positive, negative and sign-changing log coordinates, a region
 far below unit scale, one whose log coordinates differ in scale by six
-decades, and a 4-d product that takes the Monte-Carlo rung.  It also
+decades, a 4-d product that takes the Monte-Carlo rung, and two forms with
+polynomial coefficients, whose absolute inner integral is cut at the
+coefficient's roots on each fiber.  It also
 prints the exact-layer verdicts the CLI does not: `is_strictly_allowable`
 on every face and `is_almost_strictly_allowable` of each real region, and
 `is_admissible(m)` for nc <= m <= 2 nc and `meets_divisors_only_in_d` of
@@ -58,6 +60,8 @@ LADDERS = [
     ("negative_square", "dr1/r1 ^ dr2/r2"),
     ("mixed_extent", "dr1/r1 ^ dr2/r2"),
     ("s_half_times_s_three_quarters", "dr1/r1 ^ dr2/r2 ^ dr3/r3 ^ dr4/r4"),
+    ("s_one", "(r2*r2 - 1/3*r2 - 1/5*r1) ^ dr1/r1 ^ dr2/r2"),
+    ("interval_across_zero", "(r1 - 1/3) ^ dr1/r1"),
 ]
 
 

@@ -26,15 +26,15 @@ every cell.  Each outer level is one array program: `_adaptive_1d` runs
 all of the level's 1-d integrals (every base point, piece and segment) in
 lockstep, and each bisection round sends the nodes of every open panel
 through one call of the next level, or, on the last outer level, through
-one kernel call that solves all their fibers and, for pointwise
-integrands, evaluates every inner Gauss point in one batch.  A fiber
-depends on its own base point alone, and each integral's value and error
-records are summed in depth-first bisection order, so a rung does not
-depend on how its panels were batched.  Panels accepted only because the
-bisection reached max_depth are counted per rung and flagged.  Above three
-dimensions a stratified Monte-Carlo estimator with a counter-based
-generator replaces the tensor quadrature; it too draws one sample set for
-every ladder of a rung.
+one kernel call that solves all their fibers into one span table, over
+which the closed form or, for pointwise integrands, the inner Gauss rule
+runs as one array program.  A fiber depends on its own base point alone,
+and each integral's value and error records are summed in depth-first
+bisection order, so a rung does not depend on how its panels were batched.
+Panels accepted only because the bisection reached max_depth are counted
+per rung and flagged.  Above three dimensions a stratified Monte-Carlo
+estimator with a counter-based generator replaces the tensor quadrature;
+it too draws one sample set for every ladder of a rung.
 
 Every rung path (the outer Gauss levels, the inner fibers and the
 Monte-Carlo rung) reads the part of a coordinate range it integrates from
@@ -312,55 +312,58 @@ def _adaptive_1d(f: Callable, jobs: Sequence[tuple], depth: int, k: int) -> list
     return out
 
 
-def _line_signed(coeffs, a: float, b: float, log_weight: bool) -> float:
-    """Exact integral of sum c_k x^k (over x if log_weight) on [a, b]."""
-    total = 0.0
-    if log_weight:
-        if coeffs and coeffs[0]:
-            total += coeffs[0] * math.log(b / a)
-        for k in range(1, len(coeffs)):
-            if coeffs[k]:
-                total += coeffs[k] * (b**k - a**k) / k
-    else:
-        for k, c in enumerate(coeffs):
-            if c:
-                total += c * (b ** (k + 1) - a ** (k + 1)) / (k + 1)
-    return total
-
-
-def _line_integral(coeffs, a: float, b: float, log_weight: bool, absolute: bool) -> float:
-    if a >= b:
-        return 0.0
-    if not absolute:
-        return _line_signed(coeffs, a, b, log_weight)
-    cuts = [a] + [r for r in real_roots(coeffs) if a < r < b] + [b]
-    total = 0.0
-    for lo, hi in zip(cuts, cuts[1:]):
-        total += abs(_line_signed(coeffs, lo, hi, log_weight))
-    return total
-
-
-def _rung_pieces(ranges, eps: float, log: bool) -> list:
-    """The pieces (a, b, sgn) of a coordinate's ranges (a, b) that the rung
-    at eps integrates.  A log coordinate keeps |x| >= eps, the positive
-    side of each range before the negative one; sgn is the sign of x on
-    the piece, which is integrated in u = log|x| (x = sgn * e^u) and whose
-    signed parts sgn orients.  A linear coordinate keeps each range whole,
-    with sgn = 0 and u = x."""
+def _rung_pieces(ranges, eps: float, log: bool) -> tuple:
+    """The pieces of a coordinate's (lo, hi) ranges that the rung at eps
+    integrates, as arrays (a, b, sgn, owner), owner the index of each
+    piece's range and the pieces in range order.  A log coordinate keeps
+    |x| >= eps, the positive side of each range before the negative one;
+    sgn is the sign of x on the piece, which is integrated in u = log|x|
+    (x = sgn * e^u) and whose signed parts sgn orients.  A linear
+    coordinate keeps each range whole, with sgn = 0 and u = x."""
+    lo, hi = np.asarray(ranges, dtype=float).reshape(-1, 2).T
     if not log:
-        return [(a, b, 0.0) for a, b in ranges]
-    out = []
-    for a, b in ranges:
-        a, b = float(a), float(b)
-        if b > eps and b > a:
-            out.append((max(a, eps), b, 1.0))
-        if a < -eps and b > a:
-            out.append((a, min(b, -eps), -1.0))
-    return out
+        return lo, hi, np.zeros(len(lo)), np.arange(len(lo))
+    owner, side = np.nonzero(np.stack([hi > eps, lo < -eps], axis=1) & (hi > lo)[:, None])
+    positive = side == 0
+    a = np.where(positive, np.maximum(lo[owner], eps), lo[owner])
+    b = np.where(positive, hi[owner], np.minimum(hi[owner], -eps))
+    return a, b, np.where(positive, 1.0, -1.0), owner
 
 
-# The scalar maps between x and u on a piece.  The vectorized fiber and
-# Monte-Carlo code apply them with np.exp / np.log; numpy's SIMD results
+def _line_signed(coef: np.ndarray, a: np.ndarray, b: np.ndarray, log_weight: bool) -> np.ndarray:
+    """The exact integral of sum_k coef[k] x^k (over x if log_weight) on
+    each span [a, b], coef holding one column of coefficients per span.
+    Each term is c * (b**k - a**k) / k, and a zero c adds nothing."""
+    total = np.zeros(len(a))
+    for k, c in enumerate(coef):
+        if not c.any():
+            continue
+        if log_weight and k == 0:
+            term = c * np.log(b / a)
+        else:
+            e = k if log_weight else k + 1
+            term = c * (b**e - a**e) / e
+        total += np.where(c != 0, term, 0.0)
+    return total
+
+
+def _line_absolute(coef: np.ndarray, a: np.ndarray, b: np.ndarray, log_weight: bool) -> np.ndarray:
+    """The exact integral of |sum_k coef[k] x^k| (over x if log_weight) on
+    each span: |_line_signed| summed, left to right, over the pieces between
+    the real roots inside the span, which only a non-constant row has."""
+    cuts = [(i, r) for i in np.flatnonzero(np.any(coef[1:] != 0, axis=0)).tolist()
+            for r in real_roots(coef[:, i].tolist()) if a[i] < r < b[i]]
+    span = np.append(np.arange(len(a)), [i for i, _ in cuts]).astype(np.int64)
+    lo = np.append(a, [r for _, r in cuts])
+    order = np.lexsort((lo, span))  # span by span, left to right
+    span, lo = span[order], lo[order]
+    hi = np.where(np.append(span[1:] != span[:-1], True), b[span], np.roll(lo, -1))
+    pieces = np.abs(_line_signed(coef[:, span], lo, hi, log_weight))
+    return np.bincount(span, weights=pieces, minlength=len(a))
+
+
+# The scalar maps between x and u on a piece.  The vectorized fiber spans,
+# closed form and Monte-Carlo rung use np.exp / np.log, whose SIMD results
 # can differ from libm's in the last bit, so neither replaces the other.
 
 
@@ -462,10 +465,11 @@ def _fiber_integral(solver: _FiberSolver, bases: np.ndarray, eps: float,
 
     Each part weights the same integrand values: "re" and "im" take the
     real and imaginary part with the oriented measure, "abs" the modulus
-    with the unoriented one.  Without a pointwise factor each fiber
-    integral is a closed form in the coefficients `line` gives on the line
-    (the coefficient is real, so "im" is zero).  With one, the inner Gauss
-    nodes of every interval of every fiber are evaluated in one batch.
+    with the unoriented one.  The kept pieces of all fibers form one span
+    table.  Without a pointwise factor a span's integral is a closed form
+    in the coefficients `line` gives on the line (the coefficient is real,
+    so "im" is zero).  With one, the inner Gauss nodes of every span are
+    evaluated in one batch.
     """
     region, axis = solver.region, solver.axis
     n = region.n
@@ -474,29 +478,25 @@ def _fiber_integral(solver: _FiberSolver, bases: np.ndarray, eps: float,
     points = np.zeros((len(bases), n + len(extras)))
     points[:, :n] = bases[:, :n]
     fibers = solver.intervals(points)
-    if log_inner:
-        fibers = [_rung_pieces(intervals, eps, True) for intervals in fibers]
     fill_derived(points, extras, n)
     out = np.zeros((len(parts), len(bases)))
+    # the span table: the kept pieces of every fiber, fiber after fiber
+    a, b, sgn, piece = _rung_pieces([ab for intervals in fibers for ab in intervals], eps, log_inner)
+    owner = np.repeat(np.arange(len(fibers)), [len(intervals) for intervals in fibers])[piece]
+    if not len(owner):
+        return out
     if integrand.pointwise is None:
-        table = line.table(points[:, : integrand.coeff.nvars])[0].T.tolist()
+        coef = line.table(points[:, : integrand.coeff.nvars])[0][:, owner]
+        closed_form = {"re": _line_signed, "abs": _line_absolute}
         for j, part in enumerate(parts):
-            if part == "im":
-                continue
-            for i, intervals in enumerate(fibers):
-                out[j, i] = sum(_line_integral(table[i], ab[0], ab[1], log_inner, part == "abs")
-                                for ab in intervals)
+            if part != "im":
+                out[j] = np.bincount(owner, weights=closed_form[part](coef, a, b, log_inner),
+                                     minlength=len(bases))
         return out
 
-    owner = [i for i, intervals in enumerate(fibers) for _ in intervals]
-    if not owner:
-        return out
     xs, ws = _gauss_nodes()
-    spans = np.array([ab for intervals in fibers for ab in intervals])
-    a, b = spans[:, 0], spans[:, 1]
     if log_inner:
         # _x_of in numpy: x = sgn * e^s over [log|a|, log|b|]
-        sgn = spans[:, 2]
         s_a, s_b = np.log(np.abs(a)), np.log(np.abs(b))
         mid, half = 0.5 * (s_a + s_b), 0.5 * np.abs(s_b - s_a)
         xvals = sgn[:, None] * np.exp(mid[:, None] + half[:, None] * xs)
@@ -577,7 +577,7 @@ def _rung_value(region: Region, integrand: Integrand, eps: float,
         var = outers[d]
         tol_d = cfg.quad_tol * _NESTED_SHRINK**d
         final = d == len(outers) - 1
-        pieces = _rung_pieces([box[var]], eps, var in integrand.log_vars)
+        pieces = np.transpose(_rung_pieces([box[var]], eps, var in integrand.log_vars)[:3]).tolist()
         jobs, owner = [], []  # owner: (row, sgn) of each job
         for row, point in enumerate(points):
             for a, b, sgn in pieces:
@@ -635,7 +635,8 @@ def _mc_rung(region: Region, integrand: Integrand, eps: float,
     n = region.n
     if region.cells and any(e.derived_from is None for c in region.cells for e in c.extra):
         raise IntegrationError("Monte-Carlo path cannot handle existential variables")
-    per_var = [_rung_pieces([box[v]], eps, v in integrand.log_vars) for v in range(n)]
+    per_var = [np.transpose(_rung_pieces([box[v]], eps, v in integrand.log_vars)[:3]).tolist()
+               for v in range(n)]
     if not all(per_var):
         return [(0.0, 0.0, 0.0, 0)] * len(ladders)
 
@@ -717,7 +718,7 @@ def _build_ladder(region: Region, integrand: Integrand, cfg: QuadConfig,
     scale = _log_scale(region, integrand)
     epss = [eps * scale for eps in cfg.rungs()]
     box = region.bounding_box()
-    blind = any(box[v][0] < box[v][1] and not _rung_pieces([box[v]], epss[0], True)
+    blind = any(box[v][0] < box[v][1] and not len(_rung_pieces([box[v]], epss[0], True)[3])
                 for v in integrand.log_vars)
     rungs = [_rung_value(region, integrand, eps, ladders, cfg, k) for k, eps in enumerate(epss)]
     out = []

@@ -45,6 +45,13 @@ def _as_fraction(value) -> Fraction:
     raise PolyError(f"cannot use {type(value).__name__} as an exact coefficient")
 
 
+def power_table(points: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """The (k, m) monomials of k points, one per exponent row.  Sum them
+    with np.einsum: unlike a BLAS product, it adds each entry in the same
+    order for every k, so a point's value does not depend on its batch."""
+    return (points[:, None, :] ** exps).prod(axis=2)
+
+
 class Polynomial:
     """Sparse polynomial: map from exponent tuples to nonzero Fractions."""
 
@@ -245,18 +252,10 @@ class Polynomial:
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
         """Vectorized float evaluation; pts has shape (N, nvars)."""
         if self._vec is None:
-            if self.terms:
-                exps = np.array(list(self.terms.keys()), dtype=np.int64)
-                coeffs = np.array([float(c) for c in self.terms.values()])
-            else:
-                exps = np.zeros((0, self.nvars), dtype=np.int64)
-                coeffs = np.zeros(0)
-            self._vec = (exps, coeffs)
+            exps = np.array(list(self.terms), dtype=np.int64).reshape(len(self.terms), self.nvars)
+            self._vec = exps, np.array([float(c) for c in self.terms.values()])
         exps, coeffs = self._vec
-        if not len(coeffs):
-            return np.zeros(pts.shape[0])
-        powers = pts[:, None, :] ** exps[None, :, :]
-        return powers.prod(axis=2) @ coeffs
+        return np.einsum("km,m->k", power_table(pts, exps), coeffs)
 
     def partial_eval(self, values: Mapping[int, object]) -> "Polynomial":
         """Fix the listed variables; the result keeps the same ambient."""

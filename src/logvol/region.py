@@ -569,9 +569,8 @@ class Region:
         base_vars = [v for v in range(self.n) if v != axis]
         scale = max(hi - lo for lo, hi in box) + 1e-30
         points = np.zeros((samples, self.n))
-        for point in points:
-            for v in base_vars:
-                point[v] = rng.uniform(*box[v])
+        lo, hi = np.array([box[v] for v in base_vars], dtype=float).reshape(-1, 2).T
+        points[:, base_vars] = rng.uniform(lo, hi, size=(samples, len(base_vars)))
         fibers, _ = FiberKernel(self, axis).intervals_many(points)
         max_count = 0
         for intervals in fibers:

@@ -27,7 +27,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .polyform import Polynomial, PolyError
+from .polyform import Polynomial, PolyError, power_table
 from .region import Region, RegionError, fill_derived
 
 
@@ -366,10 +366,9 @@ class AxisRestriction:
     def table(self, points: np.ndarray) -> np.ndarray:
         """(polys, width, k) coefficients on the lines through the k rows
         of `points` (values for all nvars coordinates; the axis entry is
-        ignored).  einsum, unlike a BLAS product, sums each entry in the
-        same order for every k, so a fiber does not depend on its panel."""
-        monomials = (points[:, None, :] ** self.exps).prod(axis=2)
-        flat = np.einsum("sm,km->sk", self.matrix, monomials)
+        ignored), summed in an order that does not depend on k
+        (power_table)."""
+        flat = np.einsum("sm,km->sk", self.matrix, power_table(points, self.exps))
         return flat.reshape(len(self.widths), self.width, len(points))
 
 
@@ -653,9 +652,8 @@ def slice_sup_volume(region: Region, axis: int, fixed: Mapping[int, object],
     points = np.zeros((count, region.n))
     for v, x in fixed.items():
         points[:, v] = float(x)
-    for point in points:
-        for v in free:
-            point[v] = rng.uniform(*box[v])
+    lo, hi = np.array([box[v] for v in free], dtype=float).reshape(-1, 2).T
+    points[:, free] = rng.uniform(lo, hi, size=(count, len(free)))
     fibers, _ = FiberKernel(region, axis).intervals_many(points)
     best = max(float(sum(hi - lo for lo, hi in intervals)) for intervals in fibers)
     return SupVolumeReport(best, count)

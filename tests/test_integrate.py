@@ -373,18 +373,26 @@ def test_quadrature_matches_mc_oracle():
 
 
 def test_rung_pieces_keep_each_side_of_the_excision():
-    """A log coordinate keeps |x| >= eps, positive side first, and maps
-    each side to u = log|x| with x = sgn e^u; a linear one stays whole."""
+    """A log coordinate keeps |x| >= eps, positive side first within each
+    range and the ranges in order, and maps each side to u = log|x| with
+    x = sgn e^u; a linear one stays whole."""
     from logvol.integrate import _rung_pieces, _u_range, _x_of
 
-    pos, neg = _rung_pieces([(-0.5, 1.0)], 0.125, True)
-    assert pos == (0.125, 1.0, 1.0)
-    assert neg == (-0.5, -0.125, -1.0)
-    assert _u_range(*neg) == [math.log(0.125), math.log(0.5)]
+    def pieces(ranges, log):
+        return [tuple(x.tolist() for x in piece)
+                for piece in zip(*_rung_pieces(ranges, 0.125, log))]
+
+    pos, neg = pieces([(-0.5, 1.0)], True)
+    assert pos == (0.125, 1.0, 1.0, 0)
+    assert neg == (-0.5, -0.125, -1.0, 0)
+    assert _u_range(*neg[:3]) == [math.log(0.125), math.log(0.5)]
     assert _x_of([math.log(0.5)], -1.0) == [-0.5]
-    assert _rung_pieces([(0.0, 0.125), (-0.125, 0.1)], 0.125, True) == []
-    lin, = _rung_pieces([(-0.5, 1.0)], 0.125, False)
-    assert (_u_range(*lin), _x_of([0.25], lin[2])) == ([-0.5, 1.0], [0.25])
+    assert pieces([(0.0, 0.125), (-0.125, 0.1)], True) == []
+    assert pieces([], True) == []
+    assert pieces([(-1.0, -0.5), (0.0, 0.125), (-0.25, 2.0)], True) == [
+        (-1.0, -0.5, -1.0, 0), (0.125, 2.0, 1.0, 2), (-0.25, -0.125, -1.0, 2)]
+    lin, = pieces([(-0.5, 1.0)], False)
+    assert (_u_range(*lin[:3]), _x_of([0.25], lin[2])) == ([-0.5, 1.0], [0.25])
 
 
 def _depth_first_gauss(f, a, b, tol, depth, records):
@@ -448,22 +456,110 @@ def test_lockstep_gauss_matches_depth_first_bisection(jobs, depth):
     assert len(calls) <= depth + 1
 
 
+def _line_signed_reference(coeffs, a: float, b: float, log_weight: bool) -> float:
+    """Exact integral of sum c_k x^k (over x if log_weight) on [a, b], one
+    span at a time: the reference for the array closed form."""
+    total = 0.0
+    if log_weight:
+        if coeffs and coeffs[0]:
+            total += coeffs[0] * math.log(b / a)
+        for k in range(1, len(coeffs)):
+            if coeffs[k]:
+                total += coeffs[k] * (b**k - a**k) / k
+    else:
+        for k, c in enumerate(coeffs):
+            if c:
+                total += c * (b ** (k + 1) - a ** (k + 1)) / (k + 1)
+    return total
+
+
+def _line_integral_reference(coeffs, a: float, b: float, log_weight: bool,
+                             absolute: bool) -> float:
+    """The signed integral, or the absolute one summed over the pieces
+    between the real roots inside [a, b]."""
+    from logvol.slicing import real_roots
+
+    if a >= b:
+        return 0.0
+    if not absolute:
+        return _line_signed_reference(coeffs, a, b, log_weight)
+    cuts = [a] + [r for r in real_roots(coeffs) if a < r < b] + [b]
+    total = 0.0
+    for lo, hi in zip(cuts, cuts[1:]):
+        total += abs(_line_signed_reference(coeffs, lo, hi, log_weight))
+    return total
+
+
+_COEFF = st.one_of(st.just(0.0), st.floats(-4, 4, allow_nan=False))
+
+
+@st.composite
+def _line_spans(draw):
+    """(log_weight, rows, spans): coefficient rows of one width from 1 to
+    4, with zeros, and one span per row, a <= b; a log span lies on one
+    side of 0, and both sides occur."""
+    log_weight = draw(st.booleans())
+    width = draw(st.integers(1, 4))
+    count = draw(st.integers(1, 6))
+    rows = [draw(st.lists(_COEFF, min_size=width, max_size=width)) for _ in range(count)]
+    spans = []
+    for _ in range(count):
+        lo = 1e-3 if log_weight else -2.0
+        a, b = sorted(draw(st.lists(st.floats(lo, 2.0), min_size=2, max_size=2)))
+        if log_weight and draw(st.booleans()):
+            a, b = -b, -a
+        spans.append((a, b))
+    return log_weight, rows, spans
+
+
+@given(case=_line_spans())
+@example(case=(False, [[-1 / 3, 1.0], [0.0, 0.0]], [(-1.0, 1.0), (0.0, 1.0)]))
+@example(case=(True, [[-1 / 3, 1.0, 0.0], [0.25, 0.0, -1.0]], [(0.1, 1.0), (-1.5, -0.2)]))
+def test_closed_form_matches_the_scalar_reference(case):
+    """The array closed form of the inner integral, signed and absolute,
+    equals the span-by-span reference within a few ulp of the sum of the
+    magnitudes of its terms: numpy's log and power may round differently
+    from libm's, and the operation order c * (b**k - a**k) / k is kept."""
+    from logvol.integrate import _line_absolute, _line_signed
+
+    log_weight, rows, spans = case
+    coef = np.array(rows, dtype=float).T
+    a, b = (np.array(x) for x in zip(*spans))
+    signed = _line_signed(coef, a, b, log_weight)
+    absolute = _line_absolute(coef, a, b, log_weight)
+    for i, (row, (lo, hi)) in enumerate(zip(rows, spans)):
+        top = max(abs(lo), abs(hi))
+        terms = sum(abs(c) * 2.0 * top ** (k + 1 - log_weight) / (k + 1 - log_weight)
+                    for k, c in enumerate(row) if k or not log_weight)
+        if log_weight and row[0]:
+            terms += abs(row[0] * math.log(hi / lo))
+        tol = 8 * len(row) * np.finfo(float).eps * terms
+        assert abs(signed[i] - _line_integral_reference(row, lo, hi, log_weight, False)) <= tol
+        assert abs(absolute[i] - _line_integral_reference(row, lo, hi, log_weight, True)) <= tol
+
+
 def _fiber_integral_case(case):
     """(region, integrand, parts): dr1/r1 ^ dr2/r2 on s_half, whose inner
-    integral is a closed form, or a complex task of the nested annulus,
-    whose integrand is evaluated pointwise."""
+    integral is a closed form; the same with a coefficient quadratic in the
+    inner coordinate on s_one, whose absolute part is cut at the
+    coefficient's roots; or a complex task of the nested annulus, whose
+    integrand is evaluated pointwise."""
     from logvol import ComplexLogForm, reduce_to_real_tasks
     from logvol.integrate import _top_integrand
 
     if case == "closed_form":
         region = load_region("s_half")
         return region, _top_integrand(region, dlog2()), ("re", "abs")
+    if case == "polynomial":
+        region = load_region("s_one")
+        coeff = parse_poly("r2*r2 - 1/3*r2 - 1/5*r1", ["r1", "r2"])
+        return region, _top_integrand(region, dlog2().scale(coeff)), ("re", "abs")
     task = reduce_to_real_tasks(load_region("nested_annulus_c2"),
                                 ComplexLogForm.volume_like(2, (0, 1)), 4)[0]
     return task.region, task.integrand(), ("re", "im", "abs")
 
 
-@pytest.mark.parametrize("case", ["closed_form", "pointwise"])
+@pytest.mark.parametrize("case", ["closed_form", "polynomial", "pointwise"])
 def test_fiber_integral_is_independent_of_the_batch(case):
     """One _fiber_integral call on the bases of two panels gives each base
     the column its own panel's call gives, float for float, so the

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -66,6 +67,21 @@ def test_eval_examples():
 def test_eval_dimension_mismatch():
     with pytest.raises(PolyError):
         parse_poly("r1", R2).eval([1])
+
+
+def test_eval_many_is_independent_of_the_batch():
+    """A point's float value does not depend on the batch around it: a
+    9-term polynomial on every prefix of a 64-point batch gives the big
+    batch's rows bit for bit (a BLAS product sums in a batch-dependent
+    order and does not)."""
+    f = parse_poly("r1^3*r2 - 2/3*r1*r2^2 + 5/7*r2^4 - r1^2 + 3*r1*r2 - 1/9*r2"
+                   " + r1^4*r2^2 - 7/11*r1^2*r2^3 + 13/17", R2)
+    assert len(f.terms) == 9
+    pts = np.random.Generator(np.random.Philox(key=3)).uniform(-2, 2, size=(64, 2))
+    whole = f.eval_many(pts)
+    assert np.allclose(whole, [f.eval(pt) for pt in pts.tolist()], rtol=1e-13, atol=1e-13)
+    for k in range(1, 64):
+        assert np.array_equal(f.eval_many(pts[:k]), whole[:k]), k
 
 
 # ---------------------------------------------------------------------------

@@ -501,6 +501,24 @@ def test_sup_volume_box3():
     assert rep.samples == 32
 
 
+def test_sup_volume_draws_the_base_points_of_a_per_point_loop():
+    """The base points come from one draw of shape (samples, free
+    coordinates), which gives the floats of a loop over the points and,
+    within a point, over its free coordinates: the supremum equals that
+    of the loop's points exactly, here where every fiber length differs."""
+    A = region_of(3, 1, ["-r1 <= 0", "r1 - 1 <= 0", "-x3 <= 0", "x3 - r1*x2 <= 0"],
+                  [(0, 1), (0, 1), (0, 1)])
+    rng = np.random.Generator(np.random.Philox(key=5))
+    points = np.zeros((32, 3))
+    for point in points:
+        for v in (0, 1):
+            point[v] = rng.uniform(0.0, 1.0)
+    fibers, _ = FiberKernel(A, 2).intervals_many(points)
+    want = max(sum(hi - lo for lo, hi in intervals) for intervals in fibers)
+    rep = slice_sup_volume(A, 2, {}, samples=32, seed=5)
+    assert rep.value == want and rep.samples == 32
+
+
 def test_sup_volume_s_one_closed_form():
     A = load_region("s_one")
     for t in (0.25, 0.5, 0.75):
