@@ -3,7 +3,9 @@
 The snapshot holds `logvol check` on every file in regions/, the README's
 integrate, integrate-complex, decay, probe-fibers and decay-complex
 commands, each with its stdout, stderr and exit code (and the ladder CSV
-that `integrate --out` writes), and the signed and absolute ladder
+that `integrate --out` writes), three more probe-fibers runs that reach
+each verdict (equality cells with two roots per fiber, the same over a cap
+of 1, and an infinite fiber), and the signed and absolute ladder
 CSVs (`Ladder.to_csv`, full precision) of the top dlog form on the regions
 in LADDERS: positive, negative and sign-changing log coordinates, a region
 far below unit scale, one whose log coordinates differ in scale by six
@@ -48,6 +50,12 @@ README_COMMANDS = [
     ["decay-complex", "regions/nested_annulus_c2.region", "--form",
      "dz1/z1 ^ dz2/z2 ^ dzbar2", "--m", "4"],
     ["probe-fibers", "regions/triangle_p2.region", "--axis", "r2"],
+]
+
+PROBES = [
+    ["probe-fibers", "regions/disk_times_circle_c2.region", "--axis", "zr2"],
+    ["probe-fibers", "regions/disk_times_circle_c2.region", "--axis", "zi2", "--cap", "1"],
+    ["probe-fibers", "regions/unit_box_p2.region", "--axis", "r2"],
 ]
 
 LADDERS = [
@@ -108,7 +116,7 @@ def main() -> None:
     for path in sorted(REGIONS.glob("*.region")):
         exact_verdicts(path.stem, parse_region(path.read_text()))
     print()
-    for argv in README_COMMANDS:
+    for argv in README_COMMANDS + PROBES:
         cli(argv)
     for name, text in LADDERS:
         region = parse_region((REGIONS / f"{name}.region").read_text())

@@ -26,7 +26,7 @@ every cell.  Each outer level is one array program: `_adaptive_1d` runs
 all of the level's 1-d integrals (every base point, piece and segment) in
 lockstep, and each bisection round sends the nodes of every open panel
 through one call of the next level, or, on the last outer level, through
-one kernel call that solves all their fibers into one span table, over
+one kernel call that returns all their fibers as one span table, over
 which the closed form or, for pointwise integrands, the inner Gauss rule
 runs as one array program.  A fiber depends on its own base point alone,
 and each integral's value and error records are summed in depth-first
@@ -347,19 +347,27 @@ def _line_signed(coef: np.ndarray, a: np.ndarray, b: np.ndarray, log_weight: boo
     return total
 
 
-def _line_absolute(coef: np.ndarray, a: np.ndarray, b: np.ndarray, log_weight: bool) -> np.ndarray:
+def _line_absolute(coef: np.ndarray, a: np.ndarray, b: np.ndarray, log_weight: bool,
+                   signed: np.ndarray) -> np.ndarray:
     """The exact integral of |sum_k coef[k] x^k| (over x if log_weight) on
-    each span: |_line_signed| summed, left to right, over the pieces between
-    the real roots inside the span, which only a non-constant row has."""
+    each span, given its signed integral: |signed| on a span with no real
+    root inside, which a constant row never has, and on the others
+    |_line_signed| summed, left to right, over the pieces between the
+    roots."""
+    out = np.abs(signed)
     cuts = [(i, r) for i in np.flatnonzero(np.any(coef[1:] != 0, axis=0)).tolist()
             for r in real_roots(coef[:, i].tolist()) if a[i] < r < b[i]]
-    span = np.append(np.arange(len(a)), [i for i, _ in cuts]).astype(np.int64)
-    lo = np.append(a, [r for _, r in cuts])
+    if not cuts:
+        return out
+    cut = np.unique([i for i, _ in cuts])
+    span = np.append(cut, [i for i, _ in cuts]).astype(np.int64)
+    lo = np.append(a[cut], [r for _, r in cuts])
     order = np.lexsort((lo, span))  # span by span, left to right
     span, lo = span[order], lo[order]
     hi = np.where(np.append(span[1:] != span[:-1], True), b[span], np.roll(lo, -1))
     pieces = np.abs(_line_signed(coef[:, span], lo, hi, log_weight))
-    return np.bincount(span, weights=pieces, minlength=len(a))
+    out[cut] = np.bincount(span, weights=pieces, minlength=len(a))[cut]
+    return out
 
 
 # The scalar maps between x and u on a piece.  The vectorized fiber spans,
@@ -418,9 +426,10 @@ class _FiberSolver:
         self.linear = [[(np.array(coeffs, dtype=float), float(-offset)) for coeffs, offset in rows]
                        for rows in affine]
 
-    def intervals(self, points: np.ndarray) -> list:
-        """The merged fiber intervals through each row of `points`."""
-        return self.kernel.intervals_many(points)[0]
+    def intervals(self, points: np.ndarray) -> tuple:
+        """The span table (a, b, owner) of the fibers through the rows of
+        `points` (FiberKernel.intervals_many)."""
+        return self.kernel.intervals_many(points)[:3]
 
 
 def _final_level_cuts(solver: "_FiberSolver", level_var: int, point: np.ndarray,
@@ -467,8 +476,8 @@ def _fiber_integral(solver: _FiberSolver, bases: np.ndarray, eps: float,
     real and imaginary part with the oriented measure, "abs" the modulus
     with the unoriented one.  The kept pieces of all fibers form one span
     table.  Without a pointwise factor a span's integral is a closed form
-    in the coefficients `line` gives on the line (the coefficient is real,
-    so "im" is zero).  With one, the inner Gauss nodes of every span are
+    in the coefficients `line` gives on the line, its signed value computed
+    once for "re" and "abs" (the coefficient is real, so "im" is zero).  With one, the inner Gauss nodes of every span are
     evaluated in one batch.
     """
     region, axis = solver.region, solver.axis
@@ -477,21 +486,21 @@ def _fiber_integral(solver: _FiberSolver, bases: np.ndarray, eps: float,
     log_inner = axis in integrand.log_vars
     points = np.zeros((len(bases), n + len(extras)))
     points[:, :n] = bases[:, :n]
-    fibers = solver.intervals(points)
+    a, b, fiber = solver.intervals(points)
     fill_derived(points, extras, n)
     out = np.zeros((len(parts), len(bases)))
     # the span table: the kept pieces of every fiber, fiber after fiber
-    a, b, sgn, piece = _rung_pieces([ab for intervals in fibers for ab in intervals], eps, log_inner)
-    owner = np.repeat(np.arange(len(fibers)), [len(intervals) for intervals in fibers])[piece]
+    a, b, sgn, piece = _rung_pieces(np.stack([a, b], 1), eps, log_inner)
+    owner = fiber[piece]
     if not len(owner):
         return out
     if integrand.pointwise is None:
         coef = line.table(points[:, : integrand.coeff.nvars])[0][:, owner]
-        closed_form = {"re": _line_signed, "abs": _line_absolute}
+        signed = _line_signed(coef, a, b, log_inner)
         for j, part in enumerate(parts):
             if part != "im":
-                out[j] = np.bincount(owner, weights=closed_form[part](coef, a, b, log_inner),
-                                     minlength=len(bases))
+                weights = signed if part == "re" else _line_absolute(coef, a, b, log_inner, signed)
+                out[j] = np.bincount(owner, weights=weights, minlength=len(bases))
         return out
 
     xs, ws = _gauss_nodes()

@@ -561,7 +561,9 @@ class Region:
     ) -> FiberReport:
         """Sample base points and count connected components of the fibers
         along `axis`; an interval longer than _LENGTH_TOL times the box's
-        largest side witnesses an infinite fiber."""
+        largest side witnesses an infinite fiber.  The first sample, in
+        draw order, that is infinite or over the cap decides the verdict,
+        "infinite" before "cap exceeded" within one fiber."""
         from .slicing import FiberKernel
 
         box = self.bounding_box()
@@ -571,17 +573,16 @@ class Region:
         points = np.zeros((samples, self.n))
         lo, hi = np.array([box[v] for v in base_vars], dtype=float).reshape(-1, 2).T
         points[:, base_vars] = rng.uniform(lo, hi, size=(samples, len(base_vars)))
-        fibers, _ = FiberKernel(self, axis).intervals_many(points)
-        max_count = 0
-        for intervals in fibers:
-            for lo, hi in intervals:
-                if hi - lo > _LENGTH_TOL * scale:
-                    return FiberReport("infinite", 0, samples)
-            count = len(intervals)
-            if count > cap:
-                return FiberReport("cap exceeded", count, samples)
-            max_count = max(max_count, count)
-        return FiberReport("finite", max_count, samples)
+        a, b, owner, _ = FiberKernel(self, axis).intervals_many(points)
+        counts = np.bincount(owner, minlength=samples)
+        infinite = np.bincount(owner, weights=b - a > _LENGTH_TOL * scale, minlength=samples) > 0
+        decided = np.flatnonzero(infinite | (counts > cap))
+        if len(decided):
+            j = decided[0]
+            if infinite[j]:
+                return FiberReport("infinite", 0, samples)
+            return FiberReport("cap exceeded", int(counts[j]), samples)
+        return FiberReport("finite", int(counts.max(initial=0)), samples)
 
     # -- documents ------------------------------------------------------------
 

@@ -4,14 +4,18 @@ Root isolation is exact: Descartes sign-variation counts on interval
 transforms of the square-free part, bisected until each interval holds one
 root, with multiplicities recovered from the square-free decomposition.
 Slicing substitutes a base point into every constraint and keeps the
-intervals between critical values whose midpoints satisfy the cell; exact
-and float slicing share that rule and differ only in arithmetic.
+intervals between critical values whose midpoints satisfy the cell, and
+`merge_spans` merges the pieces of all cells; exact and float slicing share
+both rules and differ only in arithmetic.
 
 Float slicing, the quadrature inner loop, goes through a FiberKernel
 compiled once per (region, axis) into float exponent and coefficient
 matrices (AxisRestriction), so restricting to the lines through a whole
 Gauss panel is one matrix product, and each cell is cut and tested for all
-of its rows and points at once.  `real_roots` is the one scalar float
+of its rows and points at once.  A kernel call returns one span table for
+all its fibers: flat arrays (a, b, owner) of the merged intervals, owner
+the base point of each, which the quadrature, float slicing, the sup-volume
+bound and the finiteness probe all read.  `real_roots` is the one scalar float
 root finder: closed forms for degree 1 and 2, np.roots above, and one
 relative tolerance for imaginary parts.  `quadratic_roots` states its
 closed forms for a whole batch of rows of degree at most 2, root for root
@@ -437,16 +441,20 @@ def _cell_fiber(restricted, lo_box, hi_box, roots, zero, feasible, pieces) -> bo
     return False
 
 
-def merge_intervals(pieces: list) -> list:
-    """Sort the (lo, hi) pieces in place and merge the overlapping ones."""
-    pieces.sort()
-    merged = []
-    for lo, hi in pieces:
-        if merged and lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
-    return merged
+def merge_spans(a: np.ndarray, b: np.ndarray, owner: np.ndarray) -> tuple:
+    """The merged spans (a, b, owner) of the spans [a, b] of each owner,
+    sorted by owner and then by a; the ends are floats or Fractions.  A
+    sweep over the ends, starts before ends at equal x so that touching
+    spans and points (r, r) merge, runs each merged span from a start at
+    depth 1 to the next end at depth 0."""
+    x = np.concatenate([a, b])
+    step = np.repeat(np.array([1, -1]), len(a))
+    owner = np.concatenate([owner, owner])
+    order = np.lexsort((-step, x, owner))
+    x, step, owner = x[order], step[order], owner[order]
+    depth = np.cumsum(step)
+    first = (step > 0) & (depth == 1)
+    return x[first], x[depth == 0], owner[first]
 
 
 def _check_sliceable(cell, axis: int):
@@ -484,14 +492,16 @@ class FiberKernel:
                                           cell.nvars_total(region.n))
             self.cells.append((cell.extra, restriction, [c.equality for c in cell.constraints]))
 
-    def intervals_many(self, points: np.ndarray):
-        """(fibers, degenerate): for each row of `points` (ambient
-        coordinates; the axis entry is ignored) the sorted disjoint
-        intervals of the fiber through it, and whether some cell vanished
-        on the line."""
+    def intervals_many(self, points: np.ndarray) -> tuple:
+        """(a, b, owner, degenerate): the span table of the fibers through
+        the rows of `points` (ambient coordinates; the axis entry is
+        ignored), flat float arrays of the merged intervals, owner the row
+        of each, sorted by owner and then by a, and the (k,) bool mask of
+        rows on whose line some cell vanishes."""
         k = len(points)
-        pieces = [[] for _ in range(k)]
         degenerate = np.zeros(k, dtype=bool)
+        spans = []  # (a, b, owner) of each inequality cell
+        found = []  # (lo, hi, row) of the equality cells
         for extras, restriction, equalities in self.cells:
             full = points[:, : self.n]
             if extras:
@@ -503,19 +513,27 @@ class FiberKernel:
                 for j in range(k):
                     restricted = [(coef[i, :w, j].tolist(), eq)
                                   for i, (w, eq) in enumerate(zip(restriction.widths, equalities))]
+                    pieces = []
                     degenerate[j] |= _cell_fiber(restricted, self.lo_box, self.hi_box,
-                                                 real_roots, _ZERO, _FEASIBLE, pieces[j])
+                                                 real_roots, _ZERO, _FEASIBLE, pieces)
+                    found += [(lo, hi, j) for lo, hi in pieces]
             else:
-                degenerate |= self._inequality_pieces(coef, restriction, pieces)
-        return [merge_intervals(p) if len(p) > 1 else p for p in pieces], degenerate.tolist()
+                a, b, owner, whole = self._inequality_pieces(coef, restriction)
+                spans.append((a, b, owner))
+                degenerate |= whole
+        lo, hi, row = np.array(found, dtype=float).reshape(-1, 3).T
+        spans.append((lo, hi, row.astype(np.int64)))
+        a, b, owner = (np.concatenate(column) for column in zip(*spans))
+        return (*merge_spans(a, b, owner), degenerate)
 
-    def _inequality_pieces(self, coef: np.ndarray, restriction: AxisRestriction, pieces: list):
+    def _inequality_pieces(self, coef: np.ndarray, restriction: AxisRestriction) -> tuple:
         """`_cell_fiber` for a cell of inequalities, coef (rows, width, k),
         at k points at once: degree-1 and degree-2 roots in numpy
         (`quadratic_roots`), higher ones through `real_roots`, candidates
         clipped to the box and sorted per point, one Horner pass at the
-        midpoints.  Returns the (k,) mask of lines on which every row
-        vanishes; those get the whole box."""
+        midpoints.  Returns the kept pieces (a, b, owner), point by point
+        and left to right, and the (k,) mask of lines on which every row
+        vanishes; each of those keeps the whole box, in its first slot."""
         lin, quad, high = restriction.groups
         lo, hi = self.lo_box, self.hi_box
         k = coef.shape[2]
@@ -552,13 +570,11 @@ class FiberKernel:
         for w in range(coef.shape[1] - 2, -1, -1):
             vals = vals * mid + coef[:, w, None, :]
         over = ((vals > _FEASIBLE) & active[:, None, :]).any(axis=0)
-        cols, idx = np.nonzero(((b > a) & ~over & ~whole).T)
-        a_cols, b_cols = a.T.tolist(), b.T.tolist()
-        for j, i in zip(cols.tolist(), idx.tolist()):
-            pieces[j].append((a_cols[j][i], b_cols[j][i]))
-        for j in np.flatnonzero(whole).tolist():
-            pieces[j].append((lo, hi))
-        return whole
+        keep = (b > a) & ~over & ~whole
+        keep[0] |= whole
+        b[0, whole] = hi  # a[0] is lo already
+        owner, slot = np.nonzero(keep.T)
+        return a[slot, owner], b[slot, owner], owner, whole
 
 
 def _restrict_to_axis(payload: Polynomial, base: Mapping[int, object], axis: int):
@@ -601,8 +617,8 @@ def slice_fiber(region: Region, base, axis: int, mode: str = "exact") -> FiberSl
         if v < n:
             point[v] = float(x)
     if mode != "exact":
-        fibers, degenerate = FiberKernel(region, axis).intervals_many(point[None, :n])
-        return FiberSlices(base, axis, fibers[0], degenerate[0])
+        a, b, _, degenerate = FiberKernel(region, axis).intervals_many(point[None, :n])
+        return FiberSlices(base, axis, list(zip(a.tolist(), b.tolist())), bool(degenerate[0]))
 
     base = {v: Fraction(x) for v, x in base.items()}
     lo, hi = region.bounding_box()[axis]
@@ -617,7 +633,9 @@ def slice_fiber(region: Region, base, axis: int, mode: str = "exact") -> FiberSl
         restricted = [(_restrict_to_axis(c.payload, full_base, axis), c.equality)
                       for c in cell.constraints]
         degenerate |= _cell_fiber(restricted, lo_box, hi_box, _exact_roots, 0, 0, pieces)
-    return FiberSlices(base, axis, merge_intervals(pieces), degenerate)
+    a, b = np.array(pieces, dtype=object).reshape(-1, 2).T
+    a, b, _ = merge_spans(a, b, np.zeros(len(a), dtype=np.int64))
+    return FiberSlices(base, axis, list(zip(a.tolist(), b.tolist())), degenerate)
 
 
 def _acceptance_slack(restricted, root):
@@ -654,6 +672,6 @@ def slice_sup_volume(region: Region, axis: int, fixed: Mapping[int, object],
         points[:, v] = float(x)
     lo, hi = np.array([box[v] for v in free], dtype=float).reshape(-1, 2).T
     points[:, free] = rng.uniform(lo, hi, size=(count, len(free)))
-    fibers, _ = FiberKernel(region, axis).intervals_many(points)
-    best = max(float(sum(hi - lo for lo, hi in intervals)) for intervals in fibers)
-    return SupVolumeReport(best, count)
+    a, b, owner, _ = FiberKernel(region, axis).intervals_many(points)
+    best = np.bincount(owner, weights=b - a, minlength=count).max()
+    return SupVolumeReport(float(best), count)

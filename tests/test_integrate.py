@@ -526,7 +526,7 @@ def test_closed_form_matches_the_scalar_reference(case):
     coef = np.array(rows, dtype=float).T
     a, b = (np.array(x) for x in zip(*spans))
     signed = _line_signed(coef, a, b, log_weight)
-    absolute = _line_absolute(coef, a, b, log_weight)
+    absolute = _line_absolute(coef, a, b, log_weight, signed)
     for i, (row, (lo, hi)) in enumerate(zip(rows, spans)):
         top = max(abs(lo), abs(hi))
         terms = sum(abs(c) * 2.0 * top ** (k + 1 - log_weight) / (k + 1 - log_weight)

@@ -253,6 +253,51 @@ def test_fiber_probe_cap():
     assert rep.verdict == "cap exceeded"
 
 
+def _probe_reference(region, axis, samples, cap, seed):
+    """(verdict, max_count) of a loop over the sampled base points in draw
+    order, one float `slice_fiber` per point, which stops at the first
+    fiber with an interval longer than 1e-9 of the box's largest side
+    ("infinite") or with more than `cap` intervals ("cap exceeded")."""
+    from logvol import slice_fiber
+
+    box = region.bounding_box()
+    base_vars = [v for v in range(region.n) if v != axis]
+    scale = max(hi - lo for lo, hi in box) + 1e-30
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    lo, hi = np.array([box[v] for v in base_vars], dtype=float).reshape(-1, 2).T
+    max_count = 0
+    for point in rng.uniform(lo, hi, size=(samples, len(base_vars))):
+        fiber = slice_fiber(region, dict(zip(base_vars, point.tolist())), axis, mode="float")
+        if any(b - a > 1e-9 * scale for a, b in fiber.intervals):
+            return "infinite", 0
+        if len(fiber.intervals) > cap:
+            return "cap exceeded", len(fiber.intervals)
+        max_count = max(max_count, len(fiber.intervals))
+    return "finite", max_count
+
+
+def test_fiber_probe_first_sample_decides():
+    """The first sample in draw order that is infinite or over the cap
+    decides the verdict, and within one fiber "infinite" wins: above
+    r1 = 1/2 the fiber is [-1, 0] plus the point sqrt(r1) (long, and two
+    intervals), below it the two points +-sqrt(r1).  With cap 1 both
+    verdicts occur over the seeds, each from the first sample."""
+    A = region_of(2, 2, None, [(0, 1), (-1, 1)],
+                  cells=[["r2^2 - r1 = 0", "-r1 <= 0", "r1 - 1 <= 0"],
+                         ["1/2 - r1 <= 0", "r1 - 1 <= 0", "-1 - r2 <= 0", "r2 <= 0"]])
+    verdicts = set()
+    for seed in range(8):
+        for samples, cap in ((1, 1), (6, 1), (6, 2), (6, 64)):
+            rep = A.fiber_finiteness_probe(axis=1, samples=samples, cap=cap, seed=seed)
+            want = _probe_reference(A, 1, samples, cap, seed)
+            assert (rep.verdict, rep.max_count, rep.samples) == (*want, samples)
+            if cap == 1:
+                first = np.random.Generator(np.random.Philox(key=seed)).uniform(0.0, 1.0)
+                assert rep.verdict == ("infinite" if first > 0.5 else "cap exceeded")
+                verdicts.add(rep.verdict)
+    assert verdicts == {"infinite", "cap exceeded"}
+
+
 # ---------------------------------------------------------------------------
 # checker invariants on a linear corpus
 

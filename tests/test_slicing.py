@@ -9,7 +9,7 @@ from hypothesis import example, given, strategies as st
 from helpers import load_region, region_of
 from logvol import PolyError, Polynomial, isolate_real_roots, slice_fiber, slice_sup_volume
 from logvol.region import Cell, Constraint, Region, RegionError
-from logvol.slicing import (_FEASIBLE, _ZERO, FiberKernel, _cell_fiber, merge_intervals,
+from logvol.slicing import (_FEASIBLE, _ZERO, FiberKernel, _cell_fiber, merge_spans,
                             quadratic_roots, real_roots)
 
 
@@ -175,6 +175,77 @@ def test_derived_auxiliary_fiber():
 
 
 # ---------------------------------------------------------------------------
+# the span table
+
+
+def _merge_reference(pieces: list) -> list:
+    """Sort the (lo, hi) pieces and merge the overlapping or touching ones,
+    left to right: the per-fiber merge of the list-based fiber format."""
+    merged = []
+    for lo, hi in sorted(pieces):
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return merged
+
+
+def _fibers(table, k: int) -> list:
+    """The span table (a, b, owner, ...) read as one list of (lo, hi) per
+    fiber, float for float; owners must be nondecreasing."""
+    a, b, owner = table[:3]
+    assert (np.diff(owner) >= 0).all()
+    fibers = [[] for _ in range(k)]
+    for lo, hi, j in zip(a.tolist(), b.tolist(), owner.tolist()):
+        fibers[j].append((lo, hi))
+    return fibers
+
+
+_ENDS = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, 2.0]),
+                  st.floats(-4, 4, allow_nan=False))
+
+
+@st.composite
+def _owned_pieces(draw):
+    """(owners, pieces): up to 24 pieces (lo, hi, owner), lo <= hi, over
+    1-5 owners, some of which get none; ends drawn from a small set, so
+    that pieces touch, nest, repeat and shrink to points (r, r), with both
+    signs of zero; as Fractions when `exact`."""
+    owners = draw(st.integers(1, 5))
+    exact = draw(st.booleans())
+    pieces = []
+    for _ in range(draw(st.integers(0, 24))):
+        lo, hi = sorted(draw(st.lists(_ENDS, min_size=2, max_size=2)))
+        if draw(st.booleans()):
+            hi = lo
+        if exact:
+            lo, hi = F(lo), F(hi)
+        pieces.append((lo, hi, draw(st.integers(0, owners - 1))))
+    return owners, exact, pieces
+
+
+@given(case=_owned_pieces())
+@example(case=(3, False, [(0.0, 1.0, 2), (1.0, 2.0, 2), (0.5, 0.5, 2), (-0.0, 0.0, 0),
+                          (0.0, 0.0, 0), (3.0, 3.0, 0), (-1.0, 4.0, 0), (0.0, 0.5, 0)]))
+@example(case=(2, True, [(F(1, 3), F(1, 2), 1), (F(1, 2), F(1, 2), 1), (F(0), F(1, 3), 1),
+                         (F(2), F(2), 1)]))
+def test_merge_spans_matches_the_sorted_merge(case):
+    """`merge_spans` gives, owner by owner, the merged pieces of a sorted
+    left-to-right merge: touching pieces join, nested ones vanish into
+    their hosts, a point (r, r) stays alone unless a piece reaches r, and
+    an owner without pieces has no spans.  Fractions stay Fractions."""
+    owners, exact, pieces = case
+    dtype = object if exact else float
+    a = np.array([lo for lo, _, _ in pieces], dtype=dtype)
+    b = np.array([hi for _, hi, _ in pieces], dtype=dtype)
+    owner = np.array([j for _, _, j in pieces], dtype=np.int64)
+    table = merge_spans(a, b, owner)
+    assert all(type(x) is F for x in [*table[0], *table[1]]) if exact else table[0].dtype == float
+    want = [_merge_reference([(lo, hi) for lo, hi, j in pieces if j == o]) for o in range(owners)]
+    assert _fibers(table, owners) == want
+
+
+# ---------------------------------------------------------------------------
 # float kernel against exact slicing
 
 
@@ -273,29 +344,35 @@ def test_inequality_kernel_matches_the_scalar_cell_rule(case):
     point at a time, including points where some rows vanish."""
     region, points = case
     kernel = FiberKernel(region, 1)
-    fibers, degenerate = kernel.intervals_many(points)
+    table = kernel.intervals_many(points)
     (_, restriction, _), = kernel.cells
     coef = restriction.table(points)
-    for j, (intervals, flag) in enumerate(zip(fibers, degenerate)):
+    for j, (intervals, flag) in enumerate(zip(_fibers(table, len(points)), table[3].tolist())):
         restricted = [(coef[i, :w, j].tolist(), False) for i, w in enumerate(restriction.widths)]
         pieces = []
         want_flag = _cell_fiber(restricted, -1.0, 1.0, real_roots, _ZERO, _FEASIBLE, pieces)
         assert flag == want_flag
         # equal floats; a root at 0 may carry either sign of zero
-        assert intervals == merge_intervals(pieces)
+        assert intervals == _merge_reference(pieces)
 
 
 def test_fiber_kernel_is_independent_of_the_batch():
     """A fiber depends on its own base point alone: solving two panels in
-    one call gives each the fibers of its own call, float for float."""
+    one call gives each the fibers of its own call, float for float: the
+    joint span table is the two panels' tables, one after the other, with
+    the owners of the second offset by the size of the first."""
     region = load_region("nested_annulus_c2")
     rng = np.random.Generator(np.random.Philox(key=3))
     panels = [rng.uniform(-1, 1, size=(15, 4)), rng.uniform(-1, 1, size=(7, 4))]
     kernel = FiberKernel(region, 3)
-    joint, joint_flags = kernel.intervals_many(np.concatenate(panels))
-    alone = [kernel.intervals_many(panel) for panel in panels]
-    assert joint == alone[0][0] + alone[1][0]
-    assert joint_flags == alone[0][1] + alone[1][1]
+    joint = kernel.intervals_many(np.concatenate(panels))
+    (a1, b1, owner1, flags1), (a2, b2, owner2, flags2) = (kernel.intervals_many(panel)
+                                                          for panel in panels)
+    want = (np.concatenate([a1, a2]), np.concatenate([b1, b2]),
+            np.concatenate([owner1, owner2 + len(panels[0])]), np.concatenate([flags1, flags2]))
+    assert len(a1) and len(a2)
+    for got, expect in zip(joint, want):
+        assert got.dtype == expect.dtype and got.tolist() == expect.tolist()
 
 
 _FLOAT_VS_EXACT = ["s_half", "disk_c1", "quadrant_disk_c1", "triangle_p2", "nested_annulus_c2",
@@ -340,7 +417,8 @@ def test_float_fiber_matches_exact(name, axis_pick, grid, panel):
     for row, base in zip(points, bases):
         for v, x in base.items():
             row[v] = float(x)
-    fibers, degenerate = FiberKernel(A, axis).intervals_many(points)
+    table = FiberKernel(A, axis).intervals_many(points)
+    fibers, degenerate = _fibers(table, len(points)), table[3].tolist()
     tol = 1e-9 * (box[axis][1] - box[axis][0])
     for base, intervals, flag in zip(bases, fibers, degenerate):
         exact = slice_fiber(A, base, axis, mode="exact")
@@ -395,7 +473,7 @@ def _interval_arithmetic_fiber(region, axis, point):
                 break
         if not empty and hi > lo:
             out.append((lo, hi))
-    return merge_intervals(out)
+    return _merge_reference(out)
 
 
 def _clear_of_boundaries(region, axis, point) -> bool:
@@ -468,7 +546,8 @@ def test_linear_cells_match_interval_arithmetic(case, seed):
     rng = np.random.Generator(np.random.Philox(key=seed))
     points = np.array([[rng.uniform(lo, hi) for lo, hi in box] for _ in range(15)])
     points[:, axis] = 0.0
-    fibers, degenerate = FiberKernel(region, axis).intervals_many(points)
+    table = FiberKernel(region, axis).intervals_many(points)
+    fibers, degenerate = _fibers(table, len(points)), table[3].tolist()
     tol = 1e-12 * (box[axis][1] - box[axis][0])
     for point, intervals, flag in zip(points, fibers, degenerate):
         assert not flag
@@ -513,7 +592,7 @@ def test_sup_volume_draws_the_base_points_of_a_per_point_loop():
     for point in points:
         for v in (0, 1):
             point[v] = rng.uniform(0.0, 1.0)
-    fibers, _ = FiberKernel(A, 2).intervals_many(points)
+    fibers = _fibers(FiberKernel(A, 2).intervals_many(points), len(points))
     want = max(sum(hi - lo for lo, hi in intervals) for intervals in fibers)
     rep = slice_sup_volume(A, 2, {}, samples=32, seed=5)
     assert rep.value == want and rep.samples == 32
