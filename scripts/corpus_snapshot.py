@@ -9,9 +9,10 @@ of 1, and an infinite fiber), and the signed and absolute ladder
 CSVs (`Ladder.to_csv`, full precision) of the top dlog form on the regions
 in LADDERS: positive, negative and sign-changing log coordinates, a region
 far below unit scale, one whose log coordinates differ in scale by six
-decades, a 4-d product that takes the Monte-Carlo rung, and two forms with
-polynomial coefficients, whose absolute inner integral is cut at the
-coefficient's roots on each fiber.  It also
+decades, a 4-d product that takes the Monte-Carlo rung, and three forms
+with polynomial coefficients, whose absolute inner integral is cut at the
+coefficient's roots on each fiber (one of them cubic, so that the float
+power table sees an exponent above 2).  It also
 prints the exact-layer verdicts the CLI does not: `is_strictly_allowable`
 on every face and `is_almost_strictly_allowable` of each real region, and
 `is_admissible(m)` for nc <= m <= 2 nc and `meets_divisors_only_in_d` of
@@ -70,6 +71,7 @@ LADDERS = [
     ("s_half_times_s_three_quarters", "dr1/r1 ^ dr2/r2 ^ dr3/r3 ^ dr4/r4"),
     ("s_one", "(r2*r2 - 1/3*r2 - 1/5*r1) ^ dr1/r1 ^ dr2/r2"),
     ("interval_across_zero", "(r1 - 1/3) ^ dr1/r1"),
+    ("s_half", "(r1*r1*r1 - 1/5) ^ dr1/r1 ^ dr2/r2"),
 ]
 
 

@@ -48,8 +48,27 @@ def _as_fraction(value) -> Fraction:
 def power_table(points: np.ndarray, exps: np.ndarray) -> np.ndarray:
     """The (k, m) monomials of k points, one per exponent row.  Sum them
     with np.einsum: unlike a BLAS product, it adds each entry in the same
-    order for every k, so a point's value does not depend on its batch."""
-    return (points[:, None, :] ** exps).prod(axis=2)
+    order for every k, so a point's value does not depend on its batch.
+
+    A monomial is built only from the variables it uses, and is bit for bit
+    the broadcast product `(points[:, None, :] ** exps).prod(axis=2)`,
+    nan and inf included: an exponent 0 is dropped, since pow(x, 0) = 1 and
+    1.0 * y = y; an exponent 1 is the column itself, since pow(x, 1) = x; a
+    term without variables is a column of 1.0.  An exponent e >= 2 keeps
+    numpy's elementwise pow loop through an exponent array: a scalar or
+    broadcast e may take a squaring shortcut that differs in the last bit.
+    The factors are multiplied left to right, as the product was."""
+    k = len(points)
+    out = np.ones((k, len(exps)), dtype=np.result_type(points, exps))
+    for m, row in enumerate(exps.tolist()):
+        col = None
+        for v, e in enumerate(row):
+            if e:
+                x = points[:, v] if e == 1 else points[:, v] ** np.full(k, e)
+                col = x if col is None else col * x
+        if col is not None:
+            out[:, m] = col
+    return out
 
 
 class Polynomial:

@@ -15,9 +15,11 @@ Gauss panel is one matrix product, and each cell is cut and tested for all
 of its rows and points at once.  A kernel call returns one span table for
 all its fibers: flat arrays (a, b, owner) of the merged intervals, owner
 the base point of each, which the quadrature, float slicing, the sup-volume
-bound and the finiteness probe all read.  `real_roots` is the one scalar float
-root finder: closed forms for degree 1 and 2, np.roots above, and one
-relative tolerance for imaginary parts.  `quadratic_roots` states its
+bound and the finiteness probe all read; when the pieces all come from one
+cell of inequalities, they are sorted already and `join_touching` merges
+them without the sort.  `real_roots` is the one scalar float root finder:
+closed forms for degree 1 and 2, np.roots above, and one relative
+tolerance for imaginary parts.  `quadratic_roots` states its
 closed forms for a whole batch of rows of degree at most 2, root for root
 the same floats.
 """
@@ -457,6 +459,18 @@ def merge_spans(a: np.ndarray, b: np.ndarray, owner: np.ndarray) -> tuple:
     return x[first], x[depth == 0], owner[first]
 
 
+def join_touching(a: np.ndarray, b: np.ndarray, owner: np.ndarray) -> tuple:
+    """`merge_spans` of spans that are already sorted by owner and then by a
+    and can only touch, such as the kept pieces of one cell of inequalities:
+    one pass joins each span to the one before it when both have the same
+    owner and the earlier one ends where it starts."""
+    start = np.ones(len(a), dtype=bool)
+    start[1:] = (a[1:] != b[:-1]) | (owner[1:] != owner[:-1])
+    end = np.ones(len(a), dtype=bool)
+    end[:-1] = start[1:]
+    return a[start], b[end], owner[start]
+
+
 def _check_sliceable(cell, axis: int):
     if any(e.derived_from is None for e in cell.extra):
         raise RegionError("cannot slice a cell with existential variables")
@@ -521,6 +535,8 @@ class FiberKernel:
                 a, b, owner, whole = self._inequality_pieces(coef, restriction)
                 spans.append((a, b, owner))
                 degenerate |= whole
+        if len(spans) == 1 and not found:
+            return (*join_touching(*spans[0]), degenerate)
         lo, hi, row = np.array(found, dtype=float).reshape(-1, 3).T
         spans.append((lo, hi, row.astype(np.int64)))
         a, b, owner = (np.concatenate(column) for column in zip(*spans))

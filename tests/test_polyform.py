@@ -15,6 +15,8 @@ from logvol import (
     newton_exponents,
     parse_poly,
 )
+from logvol.polyform import power_table
+from logvol.slicing import AxisRestriction
 
 R2 = ["r1", "r2"]
 
@@ -82,6 +84,71 @@ def test_eval_many_is_independent_of_the_batch():
     assert np.allclose(whole, [f.eval(pt) for pt in pts.tolist()], rtol=1e-13, atol=1e-13)
     for k in range(1, 64):
         assert np.array_equal(f.eval_many(pts[:k]), whole[:k]), k
+
+
+def _power_table_reference(points, exps):
+    """The broadcast power table: a float power per (point, term, variable)."""
+    return (points[:, None, :] ** exps).prod(axis=2)
+
+
+def _same_bits(got, want):
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and np.array_equal(got.view(np.int64), want.view(np.int64)))
+
+
+_EXPONENT_ROWS = {
+    "zeros": [[0, 0, 0]],
+    "zero_one": [[0, 0, 1], [1, 0, 0], [1, 1, 0], [1, 1, 1]],
+    "two": [[2, 0, 0], [0, 2, 1], [1, 2, 2], [2, 2, 2]],
+    "three_up": [[3, 0, 0], [0, 5, 1], [4, 3, 2], [7, 0, 3], [0, 0, 12]],
+    "mixed": [[0, 0, 0], [1, 0, 2], [0, 1, 0], [3, 1, 0], [2, 0, 2], [0, 0, 0]],
+    "empty": [],
+}
+
+
+def _spread_points(k, seed):
+    """k points in 3 variables, magnitudes over 1e-3 ... 1e3 with both signs,
+    and every seventh entry one of +-0.0, nan, +-inf."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    pts = rng.choice([-1.0, 1.0], size=(k, 3)) * 10.0 ** rng.uniform(-3, 3, size=(k, 3))
+    flat = pts.reshape(-1)
+    specials = [0.0, -0.0, np.nan, np.inf, -np.inf]
+    for i in range(0, len(flat), 7):
+        flat[i] = specials[(i // 7) % len(specials)]
+    return pts
+
+
+@pytest.mark.parametrize("k", [0, 1, 7, 500])
+@pytest.mark.parametrize("rows", list(_EXPONENT_ROWS))
+def test_power_table_is_the_broadcast_product(rows, k):
+    """`power_table` builds each monomial from the variables it uses and is
+    bit for bit the broadcast product, nan and inf included, for exponent
+    rows of zeros, of 0/1, with 2, with 3 and above, and for no rows at
+    all (a cell without constraints)."""
+    exps = np.array(_EXPONENT_ROWS[rows], dtype=np.int64).reshape(-1, 3)
+    pts = _spread_points(k, seed=k)
+    assert _same_bits(power_table(pts, exps), _power_table_reference(pts, exps))
+    # a strided view of the points, as eval_many receives from its callers
+    wide = np.concatenate([pts, pts[:, :1]], axis=1)[:, :3]
+    assert _same_bits(power_table(wide, exps), _power_table_reference(pts, exps))
+
+
+def test_table_callers_sum_the_reference_table():
+    """`Polynomial.eval_many` and `AxisRestriction.table` equal the einsum
+    of their coefficients with the broadcast power table, bit for bit."""
+    names = ["r1", "r2", "r3"]
+    polys = [parse_poly(text, names) for text in
+             ["r1^3*r2 - 2/3*r1*r2^2*r3 + 5/7*r3^4 - 1/9", "r3^2 - r1*r3 + 2*r2", "7/3",
+              "r1*r2*r3 - r2^5*r3^2 + r1"]]
+    pts = _spread_points(200, seed=11)
+    for f in polys:
+        exps, coeffs = np.array(list(f.terms), dtype=np.int64), [float(c) for c in f.terms.values()]
+        want = np.einsum("km,m->k", _power_table_reference(pts, exps), coeffs)
+        assert _same_bits(f.eval_many(pts), want)
+    for axis in range(3):
+        line = AxisRestriction(polys, axis, 3)
+        want = np.einsum("sm,km->sk", line.matrix, _power_table_reference(pts, line.exps))
+        assert _same_bits(line.table(pts), want.reshape(len(polys), line.width, len(pts)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ from hypothesis import example, given, strategies as st
 from helpers import load_region, region_of
 from logvol import PolyError, Polynomial, isolate_real_roots, slice_fiber, slice_sup_volume
 from logvol.region import Cell, Constraint, Region, RegionError
-from logvol.slicing import (_FEASIBLE, _ZERO, FiberKernel, _cell_fiber, merge_spans,
-                            quadratic_roots, real_roots)
+from logvol.slicing import (_FEASIBLE, _ZERO, FiberKernel, _cell_fiber, join_touching,
+                            merge_spans, quadratic_roots, real_roots)
 
 
 F = Fraction
@@ -354,6 +354,60 @@ def test_inequality_kernel_matches_the_scalar_cell_rule(case):
         assert flag == want_flag
         # equal floats; a root at 0 may carry either sign of zero
         assert intervals == _merge_reference(pieces)
+
+
+@st.composite
+def _touching_cells(draw):
+    """(region, points): a `_quadratic_cells` case plus rows that vanish at
+    r1 = 0: -r1 (r2 - t)^2 <= 0 splits the line at t into pieces that touch
+    (r1 > 0) or leaves no piece (r1 < 0), and r1 (r1 - u) <= 0 leaves no
+    piece outside [0, u].  Without the quadratic rows the line r1 = 0 is the
+    whole box."""
+    region, points = draw(_quadratic_cells())
+    rows = [c.payload for c in region.cells[0].constraints] if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(0 if rows else 1, 3))):
+        t = F(draw(st.integers(-4, 4)), 4)
+        if draw(st.booleans()):
+            rows.append(Polynomial(2, {(1, 2): F(-1), (1, 1): 2 * t, (1, 0): -t * t}))
+        else:
+            rows.append(Polynomial(2, {(2, 0): F(1), (1, 0): -t}))
+    return Region(2, 2, [Cell([Constraint(row) for row in rows])], "real", [(-1, 1), (-1, 1)]), points
+
+
+@given(case=_touching_cells())
+def test_join_touching_matches_the_sweep(case):
+    """For the kept pieces of one cell of inequalities, `join_touching`
+    gives the span table of the `merge_spans` sweep, float for float, and
+    the kernel returns it: touching pieces join, owners without pieces
+    have no spans, a whole-box line keeps the box."""
+    region, points = case
+    kernel = FiberKernel(region, 1)
+    (_, restriction, _), = kernel.cells
+    a, b, owner, _ = kernel._inequality_pieces(restriction.table(points), restriction)
+    got, want = join_touching(a, b, owner), merge_spans(a, b, owner)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tolist() == w.tolist()
+    # the same sign of every zero
+    assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1])
+    for g, w in zip(kernel.intervals_many(points), got):
+        assert g.dtype == w.dtype and g.tolist() == w.tolist()
+
+
+def test_join_touching_joins_the_pieces_of_a_double_root():
+    """-r1 (r2 - 1/2)^2 <= 0 cuts the line at r1 = 1/2 into two pieces that
+    touch at 1/2 and join into the box; at r1 = 0 the row vanishes (whole
+    box), at r1 = -1/2 only the point 1/2 holds and no piece is kept."""
+    row = Polynomial(2, {(1, 2): F(-1), (1, 1): F(1), (1, 0): F(-1, 4)})
+    region = Region(2, 2, [Cell([Constraint(row)])], "real", [(-1, 1), (-1, 1)])
+    points = np.array([[0.0, 0.0], [0.5, 0.0], [-0.5, 0.0]])
+    kernel = FiberKernel(region, 1)
+    (_, restriction, _), = kernel.cells
+    a, b, owner, whole = kernel._inequality_pieces(restriction.table(points), restriction)
+    assert list(zip(a.tolist(), b.tolist(), owner.tolist())) == [
+        (-1.0, 1.0, 0), (-1.0, 0.5, 1), (0.5, 1.0, 1)]
+    assert whole.tolist() == [True, False, False]
+    a, b, owner = join_touching(a, b, owner)
+    assert list(zip(a.tolist(), b.tolist(), owner.tolist())) == [(-1.0, 1.0, 0), (-1.0, 1.0, 1)]
 
 
 def test_fiber_kernel_is_independent_of_the_batch():
