@@ -4,11 +4,32 @@ Two-phase dense simplex with Bland's rule, used for cell feasibility,
 implicit-equality detection (affine hulls) and sign certification.  Problem
 sizes here are tiny (a handful of variables and constraints), so clarity
 beats sparsity.
+
+The simplex pivots on integers (fraction-free, as in Edmonds 1967 and
+Bareiss 1968, and as lrs does).  Each constraint row and its rhs is scaled
+to integers by the lcm of their denominators, while slack and artificial
+coefficients stay +-1: that rescales each slack and artificial variable by
+a positive factor.  The integer tableau T keeps one common denominator
+d > 0 with T = d * tableau, where tableau is the rational simplex tableau
+of the rescaled problem.  A pivot on p = T[r][c] maps every other row i,
+the cost row included, to (T_i * p - T_ic * T_r) // d, exact by Sylvester's
+identity (d is the determinant of the current basis, up to sign), keeps
+the pivot row, and sets d = p; a negative p, which can occur only when an
+artificial is pivoted out after phase 1, negates every row and d.
+
+The positive rescalings and the positive d change no sign of a tableau or
+reduced-cost entry and no order or tie among the ratios of one column
+(compared by cross-multiplying), so Bland's rule makes the same pivots as
+the rational simplex on the unscaled rows, with the same basis-index
+tie-break, and every result (status, value, point) is the same.  Phase 1
+weighs each artificial by the inverse of its row's scale to keep that
+objective, the sum of the unscaled artificials.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 OPTIMAL = "optimal"
@@ -26,39 +47,55 @@ class LPResult:
         return f"LPResult({self.status}, value={self.value})"
 
 
-def _pivot(tableau, basis, row, col):
-    m = len(tableau)
-    piv = tableau[row][col]
-    tableau[row] = [v / piv for v in tableau[row]]
-    for r in range(m):
-        if r != row and tableau[r][col] != 0:
-            factor = tableau[r][col]
-            tableau[r] = [a - factor * b for a, b in zip(tableau[r], tableau[row])]
+def _as_integers(values):
+    """(the values times s as ints, s) for s the lcm of their denominators."""
+    s = lcm(*(v.denominator for v in values))
+    return [v.numerator * (s // v.denominator) for v in values], s
+
+
+def _pivot(rows, basis, row, col, d):
+    """Pivot the integer tableau `rows` (cost row included) on
+    p = rows[row][col] over the common denominator d; returns the new one."""
+    prow = rows[row]
+    p = prow[col]
+    for i, vec in enumerate(rows):
+        if i == row:
+            continue
+        factor = vec[col]
+        if factor:
+            rows[i] = [(a * p - factor * b) // d for a, b in zip(vec, prow)]
+        elif p != d:
+            rows[i] = [a * p // d for a in vec]
     basis[row] = col
+    if p < 0:
+        rows[:] = [[-a for a in vec] for vec in rows]
+        p = -p
+    return p
 
 
-def _simplex(tableau, basis, cost):
-    """Maximize. tableau rows: constraints (with rhs last); cost: objective row
-    expressed over all columns, rhs last holding the current value (negated)."""
-    ncols = len(cost) - 1
+def _simplex(rows, basis, d):
+    """Maximize.  rows: the constraint rows (rhs last), then the cost row of
+    reduced costs over all columns, rhs last holding the current value
+    (negated); all over the common denominator d.  Returns (status, d)."""
     while True:
-        col = next((j for j in range(ncols) if cost[j] > 0), None)
+        cost = rows[-1]
+        # Bland's rule: the entering column is the first improving one
+        col = next((j for j in range(len(cost) - 1) if cost[j] > 0), None)
         if col is None:
-            return OPTIMAL
-        best_row, best_ratio = None, None
-        for r, rowvec in enumerate(tableau):
-            if rowvec[col] > 0:
-                ratio = rowvec[-1] / rowvec[col]
-                if best_ratio is None or ratio < best_ratio or (
-                    ratio == best_ratio and basis[r] < basis[best_row]
-                ):
-                    best_row, best_ratio = r, ratio
-        if best_row is None:
-            return UNBOUNDED
-        _pivot(tableau, basis, best_row, col)
-        piv = cost[col]
-        cost[:] = [a - piv * b for a, b in zip(cost, tableau[best_row] + [])]
-        # keep Bland's rule honest: entering column chosen by minimum index
+            return OPTIMAL, d
+        best = None
+        for r in range(len(basis)):
+            a = rows[r][col]
+            if a > 0:
+                if best is None:
+                    best = r
+                    continue
+                lhs, rhs = rows[r][-1] * rows[best][col], rows[best][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[best]):
+                    best = r
+        if best is None:
+            return UNBOUNDED, d
+        d = _pivot(rows, basis, best, col, d)
 
 
 def solve_lp(
@@ -72,119 +109,86 @@ def solve_lp(
     """Maximize (or minimize) objective . x over free variables x.
 
     Free variables are split x = u - v with u, v >= 0; equalities are kept as
-    exact rows with artificial variables in phase 1.
+    exact rows with artificial variables in phase 1.  Coefficients are ints
+    or Fractions; the value and the point are Fractions.
     """
-    a_ub = [list(map(Fraction, row)) for row in (a_ub or [])]
-    b_ub = [Fraction(v) for v in (b_ub or [])]
-    a_eq = [list(map(Fraction, row)) for row in (a_eq or [])]
-    b_eq = [Fraction(v) for v in (b_eq or [])]
-    obj = [Fraction(v) for v in objective]
-    if not maximize:
-        obj = [-v for v in obj]
-    n = len(obj)
+    n = len(objective)
+    cons = [(row, rhs, True) for row, rhs in zip(a_ub or [], b_ub or [])]
+    cons += [(row, rhs, False) for row, rhs in zip(a_eq or [], b_eq or [])]
+    nslack = sum(1 for _, _, ub in cons if ub)
+    art0 = 2 * n + nslack  # split vars, slacks, then artificials
+    width = art0 + sum(1 for _, rhs, ub in cons if not ub or rhs < 0)
 
-    # Build standard rows: each ub row gets a slack; each eq row none.
-    raw = [(row, rhs, "ub") for row, rhs in zip(a_ub, b_ub)]
-    raw += [(row, rhs, "eq") for row, rhs in zip(a_eq, b_eq)]
-    m = len(raw)
-    nslack = sum(1 for _, _, kind in raw if kind == "ub")
-
-    # Normalize rhs >= 0.
-    normed = []
-    for row, rhs, kind in raw:
-        if rhs < 0:
-            normed.append(([-v for v in row], -rhs, kind, -1))
+    # Integer rows with rhs >= 0: a ub row with rhs >= 0 starts with its
+    # slack basic, every other row with an artificial.
+    rows, basis, arts = [], [], []
+    slack, art = 2 * n, art0
+    for coeffs, rhs, ub in cons:
+        vals, scale = _as_integers([*coeffs, rhs])
+        flip = -1 if vals[-1] < 0 else 1
+        if flip < 0:
+            vals = [-v for v in vals]
+        vec = vals[:-1] + [-v for v in vals[:-1]] + [0] * (width - 2 * n) + vals[-1:]
+        if ub:
+            vec[slack] = flip
+            slack += 1
+        if ub and flip == 1:
+            basis.append(slack - 1)
         else:
-            normed.append((row, rhs, kind, 1))
+            vec[art] = 1
+            arts.append((len(rows), scale))
+            basis.append(art)
+            art += 1
+        rows.append(vec)
 
-    width = 2 * n + nslack + m  # split vars, slacks, artificials
-    tableau = []
-    basis = []
-    slack_idx = 2 * n
-    art_idx = 2 * n + nslack
-    art_cols = []
-    for row, rhs, kind, flip in normed:
-        vec = [Fraction(0)] * (width + 1)
-        for j, v in enumerate(row):
-            vec[j] = v
-            vec[n + j] = -v
-        if kind == "ub":
-            vec[slack_idx] = Fraction(flip)
-            slack_here = slack_idx
-            slack_idx += 1
-        else:
-            slack_here = None
-        vec[-1] = rhs
-        if kind == "ub" and flip == 1:
-            basis.append(slack_here)
-            tableau.append(vec)
-        else:
-            vec[art_idx] = Fraction(1)
-            art_cols.append(art_idx)
-            basis.append(art_idx)
-            art_idx += 1
-            tableau.append(vec)
-
+    d = 1
     # Phase 1: drive artificials to zero.
-    if art_cols:
-        cost = [Fraction(0)] * (width + 1)
-        for col in art_cols:
-            cost[col] = Fraction(-1)
-        # express cost over the current basis
-        for r, b in enumerate(basis):
-            if cost[b] != 0:
-                factor = cost[b]
-                cost = [a - factor * t for a, t in zip(cost, tableau[r] + [])]
-        status = _simplex(tableau, basis, cost)
-        value = -cost[-1]  # current value of -sum(artificials)
-        if value != 0:
+    if arts:
+        # maximize minus the sum of the unscaled artificials (each one of
+        # the tableau over its row's scale), times the lcm of the scales,
+        # expressed over the current basis
+        big = lcm(*(scale for _, scale in arts))
+        cost = [0] * (width + 1)
+        for r, scale in arts:
+            w = big // scale
+            cost[basis[r]] = -w
+            cost = [a + w * t for a, t in zip(cost, rows[r])]
+        rows.append(cost)
+        _, d = _simplex(rows, basis, d)
+        if rows[-1][-1] != 0:  # the optimal -sum(artificials), negated
             return LPResult(INFEASIBLE)
         # pivot artificials out of the basis when possible
         for r, b in enumerate(basis):
-            if b in art_cols:
-                col = next(
-                    (
-                        j
-                        for j in range(2 * n + nslack)
-                        if tableau[r][j] != 0
-                    ),
-                    None,
-                )
+            if b >= art0:
+                col = next((j for j in range(art0) if rows[r][j] != 0), None)
                 if col is not None:
-                    _pivot(tableau, basis, r, col)
-        # drop artificial columns
-        keep = list(range(2 * n + nslack)) + [width]
-        tableau = [[row[j] for j in keep] for row in tableau]
-        live = []
-        for r, b in enumerate(basis):
-            if b in art_cols:
-                continue
-            live.append(r)
-        tableau = [tableau[r] for r in live]
+                    d = _pivot(rows, basis, r, col, d)
+        # drop artificial columns, the rows whose artificial stayed basic
+        # and the phase-1 cost row
+        live = [r for r, b in enumerate(basis) if b < art0]
+        rows = [rows[r][:art0] + rows[r][-1:] for r in live]
         basis = [basis[r] for r in live]
-        width = 2 * n + nslack
 
-    # Phase 2.
-    cost = [Fraction(0)] * (width + 1)
-    for j in range(n):
-        cost[j] = obj[j]
-        cost[n + j] = -obj[j]
+    # Phase 2: the integer objective times d, expressed over the basis.
+    obj, scale = _as_integers(objective)
+    if not maximize:
+        obj = [-v for v in obj]
+    cost = [d * v for v in obj] + [-d * v for v in obj] + [0] * (nslack + 1)
     for r, b in enumerate(basis):
-        if b < len(cost) - 1 and cost[b] != 0:
-            factor = cost[b]
-            cost = [a - factor * t for a, t in zip(cost, tableau[r] + [])]
-    status = _simplex(tableau, basis, cost)
+        factor = obj[b] if b < n else -obj[b - n] if b < 2 * n else 0
+        if factor:
+            cost = [a - factor * t for a, t in zip(cost, rows[r])]
+    rows.append(cost)
+    status, d = _simplex(rows, basis, d)
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED)
-    x = [Fraction(0)] * (2 * n + nslack)
+    x = [0] * (2 * n)
     for r, b in enumerate(basis):
-        if b < len(x):
-            x[b] = tableau[r][-1]
-    point = [x[j] - x[n + j] for j in range(n)]
-    value = sum(o * v for o, v in zip(obj, point))
-    if not maximize:
-        value = -value
-    return LPResult(OPTIMAL, value, point)
+        if b < 2 * n:
+            x[b] = rows[r][-1]
+    point = [Fraction(x[j] - x[n + j], d) for j in range(n)]
+    value = Fraction(-rows[-1][-1], scale * d)
+    return LPResult(OPTIMAL, value if maximize else -value, point)
 
 
 def feasible_point(a_ub, b_ub, a_eq, b_eq, nvars: int):

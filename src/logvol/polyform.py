@@ -56,15 +56,23 @@ def power_table(points: np.ndarray, exps: np.ndarray) -> np.ndarray:
     1.0 * y = y; an exponent 1 is the column itself, since pow(x, 1) = x; a
     term without variables is a column of 1.0.  An exponent e >= 2 keeps
     numpy's elementwise pow loop through an exponent array: a scalar or
-    broadcast e may take a squaring shortcut that differs in the last bit.
-    The factors are multiplied left to right, as the product was."""
+    broadcast e may take a squaring shortcut that differs in the last bit;
+    each (variable, e) power is computed once per call and shared by the
+    rows that use it.  The factors are multiplied left to right, as the
+    product was."""
     k = len(points)
     out = np.ones((k, len(exps)), dtype=np.result_type(points, exps))
+    powers = {}
     for m, row in enumerate(exps.tolist()):
         col = None
         for v, e in enumerate(row):
             if e:
-                x = points[:, v] if e == 1 else points[:, v] ** np.full(k, e)
+                if e == 1:
+                    x = points[:, v]
+                elif (v, e) in powers:
+                    x = powers[v, e]
+                else:
+                    x = powers[v, e] = points[:, v] ** np.full(k, e)
                 col = x if col is None else col * x
         if col is not None:
             out[:, m] = col

@@ -775,7 +775,8 @@ def _affine_hull_rows(n: int, system, witnesses=()):
 
 
 def _dot(a, x):
-    return sum(u * v for u, v in zip(a, x))
+    """a . x over the nonzero coefficients of a (most rows are box rows)."""
+    return sum(u * v for u, v in zip(a, x) if u)
 
 
 def _satisfies(system, x) -> bool:

@@ -102,6 +102,8 @@ _EXPONENT_ROWS = {
     "two": [[2, 0, 0], [0, 2, 1], [1, 2, 2], [2, 2, 2]],
     "three_up": [[3, 0, 0], [0, 5, 1], [4, 3, 2], [7, 0, 3], [0, 0, 12]],
     "mixed": [[0, 0, 0], [1, 0, 2], [0, 1, 0], [3, 1, 0], [2, 0, 2], [0, 0, 0]],
+    # rows sharing the powers x0^2, x2^3 and x1^4, each computed once
+    "shared": [[2, 0, 3], [2, 1, 0], [0, 0, 3], [2, 4, 3], [0, 4, 0], [1, 4, 2]],
     "empty": [],
 }
 
@@ -123,8 +125,8 @@ def _spread_points(k, seed):
 def test_power_table_is_the_broadcast_product(rows, k):
     """`power_table` builds each monomial from the variables it uses and is
     bit for bit the broadcast product, nan and inf included, for exponent
-    rows of zeros, of 0/1, with 2, with 3 and above, and for no rows at
-    all (a cell without constraints)."""
+    rows of zeros, of 0/1, with 2, with 3 and above, that share powers, and
+    for no rows at all (a cell without constraints)."""
     exps = np.array(_EXPONENT_ROWS[rows], dtype=np.int64).reshape(-1, 3)
     pts = _spread_points(k, seed=k)
     assert _same_bits(power_table(pts, exps), _power_table_reference(pts, exps))
