@@ -761,7 +761,7 @@ class ComplexIntegralResult:
 
 def _integrate_task(task: RealTask, cfg: QuadConfig, ladders: Sequence[str]) -> list:
     """(value, error, ladder) for each requested ladder ("signed" or
-    "absolute"), all from one quadrature pass per rung; the error is nan
+    "absolute"), all from one quadrature program per ladder; the error is nan
     while a ladder has not settled on a limit."""
     return [(*ladder.estimate(), ladder)
             for ladder in _build_ladder(task.region, task.integrand(), cfg, ladders)]
@@ -771,8 +771,8 @@ def integrate_admissible(region: Region, form: ComplexLogForm, m: int,
                          cfg: QuadConfig | None = None,
                          probe: ProbeConfig | None = None) -> ComplexIntegralResult:
     """Sum of the reduced real tasks.  Each task's signed ladder (real and
-    imaginary parts) and absolute ladder come from one quadrature pass per
-    rung.
+    imaginary parts) and absolute ladder come from one quadrature program
+    over every rung.
 
     The verdict is combined_verdict over every task's signed and absolute
     ladders: "converged" only when all of them converge, "diverging" when

@@ -11,30 +11,33 @@ numerical counterpart of absolute convergence, and a result is
 "converged" only when every ladder behind it converges (combined_verdict).
 Divergence is a verdict, not an exception.
 
-One quadrature pass per rung serves every ladder asked for: the integrand
-is vector valued, one component per weighted part (the real and imaginary
-parts with the oriented measure, the modulus with the unoriented one), so
-each panel solves its fibers and evaluates its points once, and a panel is
-accepted only when every component meets its own tolerance.
+One lockstep quadrature program serves every rung of a ladder and every
+ladder asked for: the integrand is vector valued, one component per
+weighted part (the real and imaginary parts with the oriented measure, the
+modulus with the unoriented one), so each panel solves its fibers and
+evaluates its points once, and a panel is accepted only when every
+component meets its own tolerance.
 
-Within a rung, the outer coordinates are integrated by adaptive composite
-Gauss panels (log-scaled on divisor coordinates, so dr/r becomes ds) and
-the innermost coordinate exactly: the fiber is a union of intervals from
-slicing, and the 1-d integral of poly(x)/x or poly(x) over each interval is
-a closed form.  Fibers come from the compiled slicing.FiberKernel for
-every cell.  Each outer level is one array program: `_adaptive_1d` runs
-all of the level's 1-d integrals (every base point, piece and segment) in
-lockstep, and each bisection round sends the nodes of every open panel
-through one call of the next level, or, on the last outer level, through
-one kernel call that returns all their fibers as one span table, over
-which the closed form or, for pointwise integrands, the inner Gauss rule
-runs as one array program.  A fiber depends on its own base point alone,
-and each integral's value and error records are summed in depth-first
-bisection order, so a rung does not depend on how its panels were batched.
-Panels accepted only because the bisection reached max_depth are counted
-per rung and flagged.  Above three dimensions a stratified Monte-Carlo
-estimator with a counter-based generator replaces the tensor quadrature;
-it too draws one sample set for every ladder of a rung.
+The outer coordinates are integrated by adaptive composite Gauss panels
+(log-scaled on divisor coordinates, so dr/r becomes ds) and the innermost
+coordinate exactly: the fiber is a union of intervals from slicing, and
+the 1-d integral of poly(x)/x or poly(x) over each interval is a closed
+form.  Fibers come from the compiled slicing.FiberKernel for every cell,
+built once per ladder.  Each outer level is one array program over the
+rows of every rung, each row carrying its rung's eps: `_adaptive_1d` runs
+all of the level's 1-d integrals (every rung, base point, piece and
+segment) in lockstep, and each bisection round sends the nodes of every
+open panel through one call of the next level, or, on the last outer
+level, through one kernel call that returns all their fibers as one span
+table, over which the closed form or, for pointwise integrands, the inner
+Gauss rule runs as one array program.  A fiber depends on its own base
+point and eps alone, and each integral's value and error records are
+summed in depth-first bisection order, so a rung does not depend on how
+its panels were batched nor on the rungs computed beside it.  Panels
+accepted only because the bisection reached max_depth are counted per
+rung and flagged.  Above three dimensions a stratified Monte-Carlo
+estimator with a counter-based generator replaces the tensor quadrature,
+rung by rung; it too draws one sample set for every ladder of a rung.
 
 Every rung path (the outer Gauss levels, the inner fibers and the
 Monte-Carlo rung) reads the part of a coordinate range it integrates from
@@ -312,18 +315,21 @@ def _adaptive_1d(f: Callable, jobs: Sequence[tuple], depth: int, k: int) -> list
     return out
 
 
-def _rung_pieces(ranges, eps: float, log: bool) -> tuple:
+def _rung_pieces(ranges, eps, log: bool) -> tuple:
     """The pieces of a coordinate's (lo, hi) ranges that the rung at eps
-    integrates, as arrays (a, b, sgn, owner), owner the index of each
-    piece's range and the pieces in range order.  A log coordinate keeps
-    |x| >= eps, the positive side of each range before the negative one;
-    sgn is the sign of x on the piece, which is integrated in u = log|x|
-    (x = sgn * e^u) and whose signed parts sgn orients.  A linear
-    coordinate keeps each range whole, with sgn = 0 and u = x."""
+    integrates (eps one float, or an array of one per range), as arrays
+    (a, b, sgn, owner), owner the index of each piece's range and the
+    pieces in range order.  A log coordinate keeps |x| >= eps, the positive
+    side of each range before the negative one; sgn is the sign of x on the
+    piece, which is integrated in u = log|x| (x = sgn * e^u) and whose
+    signed parts sgn orients.  A linear coordinate keeps each range whole,
+    with sgn = 0 and u = x."""
     lo, hi = np.asarray(ranges, dtype=float).reshape(-1, 2).T
     if not log:
         return lo, hi, np.zeros(len(lo)), np.arange(len(lo))
     owner, side = np.nonzero(np.stack([hi > eps, lo < -eps], axis=1) & (hi > lo)[:, None])
+    if np.ndim(eps):
+        eps = eps[owner]
     positive = side == 0
     a = np.where(positive, np.maximum(lo[owner], eps), lo[owner])
     b = np.where(positive, hi[owner], np.minimum(hi[owner], -eps))
@@ -464,13 +470,14 @@ def _final_level_cuts(solver: "_FiberSolver", level_var: int, point: np.ndarray,
     return sorted(x for x in cuts if lo + 1e-13 < x < hi - 1e-13)
 
 
-def _fiber_integral(solver: _FiberSolver, bases: np.ndarray, eps: float,
+def _fiber_integral(solver: _FiberSolver, bases: np.ndarray, eps: np.ndarray,
                     integrand: Integrand, parts: Sequence[str],
                     line: AxisRestriction | None) -> np.ndarray:
     """Inner integrals over the fibers through the rows of `bases` (ambient
-    base points; the inner coordinate is ignored): a (len(parts),
-    len(bases)) array.  Each column depends on its own row alone, not on
-    the batch around it.
+    base points; the inner coordinate is ignored), each fiber excised at
+    its own row's entry of `eps`: a (len(parts), len(bases)) array.  Each
+    column depends on its own row and eps alone, not on the batch around
+    it, so one call may serve the bases of several rungs.
 
     Each part weights the same integrand values: "re" and "im" take the
     real and imaginary part with the oriented measure, "abs" the modulus
@@ -490,7 +497,7 @@ def _fiber_integral(solver: _FiberSolver, bases: np.ndarray, eps: float,
     fill_derived(points, extras, n)
     out = np.zeros((len(parts), len(bases)))
     # the span table: the kept pieces of every fiber, fiber after fiber
-    a, b, sgn, piece = _rung_pieces(np.stack([a, b], 1), eps, log_inner)
+    a, b, sgn, piece = _rung_pieces(np.stack([a, b], 1), eps[fiber], log_inner)
     owner = fiber[piece]
     if not len(owner):
         return out
@@ -548,17 +555,18 @@ def _ladder_parts(integrand: Integrand, ladders: Sequence[str]) -> list:
     return parts
 
 
-def _rung_value(region: Region, integrand: Integrand, eps: float,
-                ladders: Sequence[str], cfg: QuadConfig, rung_index: int) -> list:
-    """One excision rung of every requested ladder ("signed" or "absolute")
-    from one quadrature pass; returns one (value, error_estimate, stderr,
-    capped) per ladder, capped counting the Gauss panels accepted at the
-    depth cap.  A complex signed value sums the errors and caps of its
-    real and imaginary parts."""
+def _rung_value(region: Region, integrand: Integrand, epss: Sequence[float],
+                ladders: Sequence[str], cfg: QuadConfig) -> list:
+    """The excision rungs at each eps of `epss` of every requested ladder
+    ("signed" or "absolute"), from one lockstep quadrature program: one
+    list per eps of one (value, error_estimate, stderr, capped) per ladder,
+    capped counting the Gauss panels accepted at the depth cap.  A complex
+    signed value sums the errors and caps of its real and imaginary parts.
+    Each rung is what this call gives for its eps alone, float for float."""
     box = region.bounding_box()
     n = region.n
     if n > _MC_DIMENSION:
-        return _mc_rung(region, integrand, eps, ladders, cfg, rung_index)
+        return [_mc_rung(region, integrand, eps, ladders, cfg, k) for k, eps in enumerate(epss)]
     groups = _ladder_parts(integrand, ladders)
     parts = [part for group in groups for part in group]
     # a negative log piece flips the orientation of the signed parts only
@@ -571,42 +579,51 @@ def _rung_value(region: Region, integrand: Integrand, eps: float,
     inner = quad_vars[-1]
     outers = quad_vars[:-1]
     solver = _FiberSolver(region, inner)
-    # the excision clips the fibers of a log inner variable at +-eps
-    clip = (eps, -eps) if inner in integrand.log_vars and eps > 0 else ()
+    log_inner = inner in integrand.log_vars
     line = None
     if integrand.pointwise is None:
         line = AxisRestriction([integrand.coeff], inner, integrand.coeff.nvars)
 
-    def level(d: int, points: np.ndarray) -> tuple:
+    def level(d: int, points: np.ndarray, eps: np.ndarray) -> tuple:
         """The integrals over outers[d:] and the inner fiber through each
-        row of points (values set on outers[:d]), as one array program:
-        every (row, piece, segment) integral of the level runs in one
-        _adaptive_1d lockstep.  Returns the (parts, rows) totals and, per
-        row, the accepted-panel records behind it in depth-first order."""
+        row of points (values set on outers[:d]), each row excised at its
+        own entry of eps, as one array program: every (row, piece, segment)
+        integral of the level runs in one _adaptive_1d lockstep.  Returns
+        the (parts, rows) totals and, per row, the accepted-panel records
+        behind it in depth-first order."""
         var = outers[d]
         tol_d = cfg.quad_tol * _NESTED_SHRINK**d
         final = d == len(outers) - 1
-        pieces = np.transpose(_rung_pieces([box[var]], eps, var in integrand.log_vars)[:3]).tolist()
+        ranges = np.broadcast_to(np.array(box[var], dtype=float), (len(points), 2))
+        pieces = _rung_pieces(ranges, eps, var in integrand.log_vars)
+        row_eps = eps.tolist()
         jobs, owner = [], []  # owner: (row, sgn) of each job
-        for row, point in enumerate(points):
-            for a, b, sgn in pieces:
-                u_lo, u_hi = _u_range(a, b, sgn)
-                cuts = _u_of(_final_level_cuts(solver, var, point, a, b, clip), sgn) if final else []
-                segs = [u_lo] + sorted(u for u in cuts if u_lo < u < u_hi) + [u_hi]
-                budget = tol_d / max(1, len(segs) - 1)
-                for a2, b2 in zip(segs, segs[1:]):
-                    jobs.append((a2, b2, budget))
-                    owner.append((row, sgn))
+        for a, b, sgn, row in zip(*(x.tolist() for x in pieces)):
+            u_lo, u_hi = _u_range(a, b, sgn)
+            cuts = []
+            if final:
+                # the excision clips the fibers of a log inner variable at +-eps
+                e = row_eps[row]
+                clip = (e, -e) if log_inner and e > 0 else ()
+                cuts = _u_of(_final_level_cuts(solver, var, points[row], a, b, clip), sgn)
+            segs = [u_lo] + sorted(u for u in cuts if u_lo < u < u_hi) + [u_hi]
+            budget = tol_d / max(1, len(segs) - 1)
+            for a2, b2 in zip(segs, segs[1:]):
+                jobs.append((a2, b2, budget))
+                owner.append((row, sgn))
 
         def f(nodes: np.ndarray, jobs_of: list) -> tuple:
             rows = [owner[j] for j in jobs_of]
-            sub = np.repeat(points[[row for row, _ in rows]], nodes.shape[1], axis=0)
+            picked = [row for row, _ in rows]
+            sub = np.repeat(points[picked], nodes.shape[1], axis=0)
+            sub_eps = np.repeat(eps[picked], nodes.shape[1])
             sub[:, var] = [x for us, (_, sgn) in zip(nodes.tolist(), rows) for x in _x_of(us, sgn)]
             if final:
                 return np.concatenate([
-                    _fiber_integral(solver, sub[i:i + _FIBER_BATCH], eps, integrand, parts, line)
+                    _fiber_integral(solver, sub[i:i + _FIBER_BATCH], sub_eps[i:i + _FIBER_BATCH],
+                                    integrand, parts, line)
                     for i in range(0, len(sub), _FIBER_BATCH)], axis=1), None
-            return level(d + 1, sub)
+            return level(d + 1, sub, sub_eps)
 
         totals = np.zeros((len(parts), len(points)))
         records = [[] for _ in points]
@@ -616,22 +633,28 @@ def _rung_value(region: Region, integrand: Integrand, eps: float,
             records[row] += behind
         return totals, records
 
-    err, capped = np.zeros(len(parts)), np.zeros(len(parts), dtype=int)
+    # one base row per rung
+    eps = np.array(epss, dtype=float)
+    bases = np.zeros((len(eps), n))
     if n > 1:
-        totals, (records,) = level(0, np.zeros((1, n)))
-        totals = totals[:, 0]
-        for e, b in records:
+        totals, records = level(0, bases, eps)
+    else:
+        totals = _fiber_integral(solver, bases, eps, integrand, parts, line)
+        records = [[] for _ in epss]
+    rungs = []
+    for k, rung_records in enumerate(records):
+        err, capped = np.zeros(len(parts)), np.zeros(len(parts), dtype=int)
+        for e, b in rung_records:
             err += e
             capped += np.greater(e, b)
-    else:
-        totals = _fiber_integral(solver, np.zeros((1, n)), eps, integrand, parts, line)[:, 0]
-    out, j = [], 0
-    for group in groups:
-        k = len(group)
-        value = complex(totals[j], totals[j + 1]) if k == 2 else float(totals[j])
-        out.append((value, sum(err[j:j + k].tolist()), 0.0, int(capped[j:j + k].sum())))
-        j += k
-    return out
+        out, j = [], 0
+        for group in groups:
+            size = len(group)
+            value = complex(totals[j, k], totals[j + 1, k]) if size == 2 else float(totals[j, k])
+            out.append((value, sum(err[j:j + size].tolist()), 0.0, int(capped[j:j + size].sum())))
+            j += size
+        rungs.append(out)
+    return rungs
 
 
 def _mc_rung(region: Region, integrand: Integrand, eps: float,
@@ -712,9 +735,10 @@ def _log_scale(region: Region, integrand: Integrand) -> float:
 def _build_ladder(region: Region, integrand: Integrand, cfg: QuadConfig,
                   ladders: Sequence[str]) -> list:
     """One Ladder per requested kind ("signed" or "absolute"), all from one
-    quadrature pass per rung.  Rung k excises |r_v| < eps0 * _RATIO**-k * L
-    on every log coordinate, L the region's log-coordinate scale
-    (_log_scale); the entries record the applied eps.
+    lockstep quadrature program over every rung (_rung_value).  Rung k
+    excises |r_v| < eps0 * _RATIO**-k * L on every log coordinate, L the
+    region's log-coordinate scale (_log_scale); the entries record the
+    applied eps.
 
     A rung that keeps nothing of a log coordinate whose box range is
     nonempty says nothing about the limit, so every ladder with such a
@@ -723,13 +747,13 @@ def _build_ladder(region: Region, integrand: Integrand, cfg: QuadConfig,
     if not integrand.log_vars or integrand.coeff.is_zero():
         return [Ladder([(0.0, value, stderr + err)], "converged", value, err + stderr, [capped])
                 for value, err, stderr, capped
-                in _rung_value(region, integrand, 0.0, ladders, cfg, 0)]
+                in _rung_value(region, integrand, [0.0], ladders, cfg)[0]]
     scale = _log_scale(region, integrand)
     epss = [eps * scale for eps in cfg.rungs()]
     box = region.bounding_box()
     blind = any(box[v][0] < box[v][1] and not len(_rung_pieces([box[v]], epss[0], True)[3])
                 for v in integrand.log_vars)
-    rungs = [_rung_value(region, integrand, eps, ladders, cfg, k) for k, eps in enumerate(epss)]
+    rungs = _rung_value(region, integrand, epss, ladders, cfg)
     out = []
     for j in range(len(ladders)):
         entries = [(eps, rung[j][0], rung[j][2] + rung[j][1]) for eps, rung in zip(epss, rungs)]
@@ -802,7 +826,7 @@ def quadrature_rung(region: Region, form: LogForm, eps: float,
                     cfg: QuadConfig | None = None, absolute: bool = False):
     cfg = cfg or QuadConfig()
     integrand = _top_integrand(region, form)
-    value, err, _, _ = _rung_value(region, integrand, eps, (_kind(absolute),), cfg, 0)[0]
+    value, err, _, _ = _rung_value(region, integrand, [eps], (_kind(absolute),), cfg)[0][0]
     return value, err
 
 

@@ -551,7 +551,7 @@ def test_annulus_gate_provenance_through_fallback(monkeypatch, cell, flagged):
 @pytest.mark.parametrize("name", ["quadrant_disk_c1", "disk_c1"])
 def test_one_pass_complex_ladders_match_part_by_part(name):
     """A complex task's signed ladder (real and imaginary parts) and its
-    absolute ladder come from one quadrature pass per rung; each part
+    absolute ladder come from one quadrature program; each part
     equals that part integrated on its own, as a real-valued integrand."""
     from logvol.integrate import Integrand, _build_ladder
 

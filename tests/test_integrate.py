@@ -178,8 +178,8 @@ def test_signed_convergence_with_diverging_absolute_is_diverging():
 
 
 def test_one_pass_ladders_match_single_ladders():
-    """Both ladders of integrate_log_form come from one quadrature pass per
-    rung; on s_half each is entry for entry the ladder computed alone."""
+    """Both ladders of integrate_log_form come from one quadrature program;
+    on s_half each is entry for entry the ladder computed alone."""
     res = integrate_log_form(load_region("s_half"), dlog2())
     alone = excision_ladder(load_region("s_half"), dlog2())
     alone_abs = excision_ladder(load_region("s_half"), dlog2(), absolute=True)
@@ -373,9 +373,10 @@ def test_quadrature_matches_mc_oracle():
 
 
 def test_rung_pieces_keep_each_side_of_the_excision():
-    """A log coordinate keeps |x| >= eps, positive side first within each
-    range and the ranges in order, and maps each side to u = log|x| with
-    x = sgn e^u; a linear one stays whole."""
+    """A log coordinate keeps |x| >= eps (one eps, or one per range),
+    positive side first within each range and the ranges in order, and
+    maps each side to u = log|x| with x = sgn e^u; a linear one stays
+    whole."""
     from logvol.integrate import _rung_pieces, _u_range, _x_of
 
     def pieces(ranges, log):
@@ -393,6 +394,10 @@ def test_rung_pieces_keep_each_side_of_the_excision():
         (-1.0, -0.5, -1.0, 0), (0.125, 2.0, 1.0, 2), (-0.25, -0.125, -1.0, 2)]
     lin, = pieces([(-0.5, 1.0)], False)
     assert (_u_range(*lin[:3]), _x_of([0.25], lin[2])) == ([-0.5, 1.0], [0.25])
+    # one eps per range, as the rows of several rungs carry them
+    per_range = _rung_pieces([(-0.5, 1.0), (-0.5, 1.0)], np.array([0.125, 0.75]), True)
+    assert [tuple(piece) for piece in zip(*(x.tolist() for x in per_range))] == [
+        (0.125, 1.0, 1.0, 0), (-0.5, -0.125, -1.0, 0), (0.75, 1.0, 1.0, 1)]
 
 
 def _depth_first_gauss(f, a, b, tol, depth, records):
@@ -542,10 +547,11 @@ def _fiber_integral_case(case):
     """(region, integrand, parts): dr1/r1 ^ dr2/r2 on s_half, whose inner
     integral is a closed form; the same with a coefficient quadratic in the
     inner coordinate on s_one, whose absolute part is cut at the
-    coefficient's roots; or a complex task of the nested annulus, whose
-    integrand is evaluated pointwise."""
+    coefficient's roots; the s_half integrand times a pointwise factor; or
+    a complex task of the nested annulus, whose integrand is evaluated
+    pointwise and has no log coordinate."""
     from logvol import ComplexLogForm, reduce_to_real_tasks
-    from logvol.integrate import _top_integrand
+    from logvol.integrate import Integrand, _top_integrand
 
     if case == "closed_form":
         region = load_region("s_half")
@@ -554,16 +560,25 @@ def _fiber_integral_case(case):
         region = load_region("s_one")
         coeff = parse_poly("r2*r2 - 1/3*r2 - 1/5*r1", ["r1", "r2"])
         return region, _top_integrand(region, dlog2().scale(coeff)), ("re", "abs")
+    if case == "pointwise_log":
+        region = load_region("s_half")
+        top = _top_integrand(region, dlog2())
+
+        def factor(pts):
+            return np.cos(pts[:, 0] - 3 * pts[:, 1])
+
+        return region, Integrand(top.coeff, top.log_vars, factor), ("re", "abs")
     task = reduce_to_real_tasks(load_region("nested_annulus_c2"),
                                 ComplexLogForm.volume_like(2, (0, 1)), 4)[0]
     return task.region, task.integrand(), ("re", "im", "abs")
 
 
-@pytest.mark.parametrize("case", ["closed_form", "polynomial", "pointwise"])
+@pytest.mark.parametrize("case", ["closed_form", "polynomial", "pointwise_log", "pointwise"])
 def test_fiber_integral_is_independent_of_the_batch(case):
-    """One _fiber_integral call on the bases of two panels gives each base
-    the column its own panel's call gives, float for float, so the
-    lockstep levels may batch any set of panels together."""
+    """One _fiber_integral call on the bases of three panels, each excised
+    at its own eps as the panels of different rungs are, gives each base
+    the column its own panel's call at that eps gives, float for float, so
+    the lockstep levels may batch any set of panels of any rungs together."""
     from logvol.integrate import _FiberSolver, _fiber_integral
     from logvol.slicing import AxisRestriction
 
@@ -576,12 +591,96 @@ def test_fiber_integral_is_independent_of_the_batch(case):
     box = region.bounding_box()
     rng = np.random.Generator(np.random.Philox(key=11))
     panels = [np.array([[rng.uniform(lo, hi) for lo, hi in box] for _ in range(size)])
-              for size in (15, 30)]
-    eps = 2.0**-6
-    joint = _fiber_integral(solver, np.concatenate(panels), eps, integrand, parts, line)
-    alone = [_fiber_integral(solver, panel, eps, integrand, parts, line) for panel in panels]
+              for size in (15, 30, 15)]
+    epss = [2.0**-2, 2.0**-6, 2.0**-12]
+    bases = np.concatenate(panels)
+    row_eps = np.concatenate([np.full(len(panel), eps) for panel, eps in zip(panels, epss)])
+    joint = _fiber_integral(solver, bases, row_eps, integrand, parts, line)
+    alone = [_fiber_integral(solver, panel, np.full(len(panel), eps), integrand, parts, line)
+             for panel, eps in zip(panels, epss)]
     assert np.any(joint)
     assert np.array_equal(joint, np.concatenate(alone, axis=1))
+    # the rows' own eps matter exactly when the inner coordinate is a log one
+    same = _fiber_integral(solver, bases, np.full(len(bases), epss[1]), integrand, parts, line)
+    assert np.array_equal(joint, same) == (inner not in integrand.log_vars)
+
+
+def _ladder_case(case):
+    """(region, integrand, cfg) of a ladder whose rungs are compared with
+    the rungs computed alone."""
+    from logvol import ComplexLogForm, reduce_to_real_tasks
+    from logvol.integrate import _top_integrand
+
+    if case == "corner_3d":
+        # rows of different rungs meet in the nested level of r2
+        region = region_of(3, 3, ["-r1 <= 0", "r1 - 1 <= 0", "-r2 <= 0", "r2 - 1 <= 0",
+                                  "-r3 <= 0", "r3 - 1 <= 0", "r1 + r2 + r3 >= 1"],
+                           [(0, 1)] * 3)
+        form = LogForm.dlog(3, 3, 0).wedge(LogForm.dlog(3, 3, 1)).wedge(LogForm.dlog(3, 3, 2))
+        return region, _top_integrand(region, form), QuadConfig(ladder_len=3, quad_tol=1e-6)
+    if case == "quadrant_disk_task":
+        task = reduce_to_real_tasks(load_region("quadrant_disk_c1"),
+                                    ComplexLogForm.volume_like(1, (0,)), 2)[0]
+        return task.region, task.integrand(), QuadConfig()
+    region = load_region(case)
+    n = region.n
+    form = LogForm.dlog(n, n, 0)
+    for v in range(1, n):
+        form = form.wedge(LogForm.dlog(n, n, v))
+    # a small Monte-Carlo budget: only s_half_times_s_three_quarters (n = 4) uses it
+    return region, _top_integrand(region, form), QuadConfig(mc_budget=4000)
+
+
+@pytest.mark.parametrize("case", ["s_half", "interval_across_zero", "negative_square",
+                                  "corner_3d", "quadrant_disk_task",
+                                  "s_half_times_s_three_quarters"])
+def test_ladder_rungs_equal_the_rungs_computed_alone(case):
+    """One lockstep program serves every rung of a ladder: each entry and
+    capped count of _build_ladder is, float for float, what _rung_value
+    gives for that eps alone.  Above three coordinates rung k keeps its
+    own Monte-Carlo key, as _mc_rung at index k draws it."""
+    from logvol.integrate import _build_ladder, _mc_rung, _rung_value
+
+    region, integrand, cfg = _ladder_case(case)
+    ladders = ("signed", "absolute")
+    built = _build_ladder(region, integrand, cfg, ladders)
+    epss = built[0].params()
+    assert len(epss) == (cfg.ladder_len if integrand.log_vars else 1)
+    for k, eps in enumerate(epss):
+        if region.n > 3:
+            alone = _mc_rung(region, integrand, eps, ladders, cfg, k)
+        else:
+            alone, = _rung_value(region, integrand, [eps], ladders, cfg)
+        for ladder, (value, err, stderr, capped) in zip(built, alone):
+            assert ladder.entries[k] == (eps, value, stderr + err)
+            assert ladder.capped[k] == capped
+
+
+def test_s_half_ladder_is_one_program(monkeypatch):
+    """Counters, which do not vary between runs: the twelve rungs of the
+    default s_half ladder share one fiber solver and one bisection per
+    level, so the ladder builds one _FiberSolver (one per rung made 12)
+    and makes at most 18 _fiber_integral calls (rung by rung made 78)."""
+    import logvol.integrate as integrate
+
+    calls, builds = [], []
+    fiber_integral, solver = integrate._fiber_integral, integrate._FiberSolver
+
+    def counted(*args):
+        calls.append(1)
+        return fiber_integral(*args)
+
+    class Counted(solver):
+        def __init__(self, *args):
+            builds.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(integrate, "_fiber_integral", counted)
+    monkeypatch.setattr(integrate, "_FiberSolver", Counted)
+    res = integrate_log_form(load_region("s_half"), dlog2())
+    assert res.value == pytest.approx(LI2_HALF, abs=1e-6)
+    assert len(builds) == 1
+    assert len(calls) <= 18
 
 
 # ---------------------------------------------------------------------------
