@@ -35,9 +35,18 @@ the (term, partition) choices of a form, and `_pull_back` turns a (sector
 assignment, term, partition) into a `RealTask` laid out by `_task_index`,
 the same layout `transform_piece` gives the transformed region.
 `reduce_to_real_tasks` attaches each sector piece's transformed region,
-`annulus_slice_decay` builds its tasks once and transforms the piece again
-per radius, and `pullback_complex_log_form` returns the tasks without a
-region.
+`annulus_slice_decay` builds its tasks and lifts each piece once and
+transforms it per radius, and `pullback_complex_log_form` returns the
+tasks without a region.
+
+Within one call, each distinct transform and each distinct quadrature runs
+once.  Sector pieces whose lifted cells agree, as ordered terms, share one
+transformed region per partition and slice (`_transform_once`), and tasks
+on one region whose integrands agree up to a unit phase i^k share one
+quadrature (`_Quadratures`): an absolute ladder is reused as it is, a
+signed one turned by i^k.  Every task keeps its own entry and ladders,
+float for float what it computes alone.  On `nested_annulus_c2` the 16
+sector pieces of a radius need 4 transforms and 4 quadratures.
 """
 
 from __future__ import annotations
@@ -102,9 +111,14 @@ def _polar_xy(r, tau, sector: int):
     return a11 * x1 + a12 * y1, a21 * x1 + a22 * y1
 
 
+# how far beyond a sector edge, relative to |tau| = 1, a point still counts
+# as on the edge: polar_inverse accepts such points and polar_map their tau
+_EDGE_TOL = 1e-9
+
+
 def polar_map(r: float, tau: float, sector: int = 1):
     """Point of the closed sector with |z| = r and angular parameter tau."""
-    if not -1.0 <= tau <= 1.0 + 1e-15:
+    if not abs(tau) <= 1.0 + _EDGE_TOL:
         raise ComplexIntError("tau must lie in [-1, 1]")
     if r < 0:
         raise ComplexIntError("r must be nonnegative")
@@ -120,11 +134,9 @@ def polar_inverse(x: float, y: float, sector: int = 1):
     # rotate back: zeta = i^(1-a) z; the rotation matrix is orthogonal
     x1 = a11 * x + a21 * y
     y1 = a12 * x + a22 * y
-    if x1 < -1e-12 or abs(y1) > x1 * (1 + 1e-9) + 1e-12:
+    if not x1 > 0 or abs(y1 / x1) > 1.0 + _EDGE_TOL:
         raise ComplexIntError(f"point ({x}, {y}) is outside sector {sector}")
-    r = math.hypot(x, y)
-    tau = y1 / x1
-    return (r, tau)
+    return (math.hypot(x, y), y1 / x1)
 
 
 def sector_constraints(sector: int, nvars: int, zr: int, zi: int) -> list:
@@ -317,15 +329,30 @@ def _radius_bound(region: Region, i: int) -> float:
     return math.hypot(max(abs(zr_lo), abs(zr_hi)), max(abs(zi_lo), abs(zi_hi)))
 
 
+def _lift_cells(piece: Region, alphas) -> list:
+    """The lifted (payload, equality) constraints of each cell of a sector
+    piece; they do not depend on the partition or on any slice."""
+    nc = piece.n // 2
+    lifted = []
+    for cell in piece.cells:
+        if cell.extra:
+            raise ComplexIntError("complex cells with auxiliaries are not supported")
+        lifted.append([(_lift_payload(c.payload, alphas, nc), c.equality)
+                       for c in cell.constraints])
+    return lifted
+
+
 def transform_piece(piece: Region, alphas, partition: Partition,
                     extra_polar_constraints: Sequence[tuple] = (),
-                    eliminate: Mapping[int, float] | None = None) -> Region:
+                    eliminate: Mapping[int, float] | None = None,
+                    lifted: Sequence | None = None) -> Region:
     """One sector piece in the task coordinates of a partition.
 
     extra_polar_constraints are (payload-over-(r, tau), equality) pairs in
     the full polar variable order r_1..r_n, tau_1..tau_n, applied before
     projection (used for annulus slices).  `eliminate` fixes full-polar
-    coordinates to values before projection.
+    coordinates to values before projection.  `lifted` is
+    `_lift_cells(piece, alphas)` when the caller already has it.
     """
     nc = piece.n // 2
     if sorted(partition.P + partition.Q + partition.R) != list(range(nc)):
@@ -339,19 +366,15 @@ def transform_piece(piece: Region, alphas, partition: Partition,
     radius = [_radius_bound(piece, i) * (1 + 1e-9) for i in range(nc)]
 
     task_cells = []
-    for cell in piece.cells:
-        if cell.extra:
-            raise ComplexIntError("complex cells with auxiliaries are not supported")
-        lifted = [(_lift_payload(c.payload, alphas, nc), c.equality)
-                  for c in cell.constraints]
+    for cell_rows in lifted if lifted is not None else _lift_cells(piece, alphas):
         # keep the s_i some constraint uses, packed after r and tau
         s_order = [i for i in range(nc)
-                   if any(p.uses_var(2 * nc + i) for p, _ in lifted)]
+                   if any(p.uses_var(2 * nc + i) for p, _ in cell_rows)]
         nv = 2 * nc + len(s_order)
         pack = list(range(2 * nc)) + [0] * nc
         for j, i in enumerate(s_order):
             pack[2 * nc + i] = 2 * nc + j
-        constraints = [Constraint(p.map_vars(pack, nv), eq) for p, eq in lifted]
+        constraints = [Constraint(p.map_vars(pack, nv), eq) for p, eq in cell_rows]
         for payload, eq in extra_polar_constraints:
             constraints.append(Constraint(payload.map_vars(list(range(2 * nc)), nv), eq))
         # polar domain rows
@@ -440,6 +463,116 @@ def _task_index(partition: Partition, eliminated=frozenset()):
         if label not in eliminated:
             index[label] = len(index)
     return index, len(index)
+
+
+# ---------------------------------------------------------------------------
+# one transform and one quadrature per distinct task of a call
+
+
+def _terms(poly: Polynomial) -> tuple:
+    """The ordered (exponent, coefficient) pairs of a polynomial.  Keys keep
+    the order: it fixes the float summation order, so sorting it would let
+    tasks share whose quadratures round differently."""
+    return tuple(poly.terms.items())
+
+
+def _negated(terms: tuple) -> tuple:
+    return tuple((exp, -c) for exp, c in terms)
+
+
+@dataclass(frozen=True)
+class _LiftedPiece:
+    """A sector piece with its cells lifted once.  `key` is all that
+    transform_piece reads of the piece: the ordered lifted constraints and
+    the radius bounds of the polar domain."""
+
+    piece: Region
+    alphas: tuple
+    cells: list
+    key: tuple
+
+
+def _lifted_piece(piece: Region, alphas) -> _LiftedPiece:
+    cells = _lift_cells(piece, alphas)
+    key = (tuple(tuple((_terms(p), eq) for p, eq in rows) for rows in cells),
+           tuple(_radius_bound(piece, i) for i in range(piece.n // 2)))
+    return _LiftedPiece(piece, tuple(alphas), cells, key)
+
+
+def _transform_once(made: dict, lifted: _LiftedPiece, partition: Partition,
+                    rows: Sequence[tuple] = (), eliminate: Mapping[int, float] | None = None
+                    ) -> Region:
+    """transform_piece of a lifted piece, made once per distinct (lifted
+    cells, partition, polar rows, eliminated values) within the call that
+    owns `made`: sector pieces that lift alike share one Region."""
+    key = (lifted.key, partition.P, partition.Q, partition.R,
+           tuple((_terms(p), eq) for p, eq in rows), tuple(sorted((eliminate or {}).items())))
+    if key not in made:
+        made[key] = transform_piece(lifted.piece, lifted.alphas, partition, rows, eliminate,
+                                    lifted=lifted.cells)
+    return made[key]
+
+
+def _turned(value, k: int) -> complex:
+    """i^k * value, exactly: each quarter turn swaps the parts and negates
+    one, as 0.0 - x, so that a zero part stays +0.0 as a quadrature sum
+    leaves it."""
+    re, im = value.real, value.imag
+    for _ in range(k):
+        re, im = 0.0 - im, re
+    return complex(re, im)
+
+
+class _Quadratures:
+    """`_integrate_task` over the tasks of one call, each distinct
+    quadrature run once.
+
+    Two tasks share when they have the same transformed Region object, the
+    same prefactor and log positions, and polynomial parts that agree, as
+    ordered terms, up to a unit phase: task = i^k * other.  Then each
+    quadrature sum of the task is the other's with its parts swapped and
+    negated, float for float, so the shared ladders are the task's own:
+    an absolute ladder as it is, a signed one with its entries and limit
+    turned by i^k.  A task with a pointwise coefficient (`coeff_eval`, a
+    closure) never shares.  `tasks_run` counts the calls and
+    `ladders_computed` the quadratures actually run.
+    """
+
+    def __init__(self, cfg: QuadConfig, kinds: Sequence[str]):
+        self.cfg = cfg
+        self.kinds = tuple(kinds)
+        # key -> (region, results, k): the key's task is i^k times the results'
+        self._done: dict = {}
+        self.tasks_run = 0
+        self.ladders_computed = 0
+
+    def __call__(self, task: "RealTask") -> list:
+        self.tasks_run += 1
+        if task.coeff_eval is not None:
+            self.ladders_computed += 1
+            return _integrate_task(task, self.cfg, self.kinds)
+        base = (id(task.region), tuple(task.prefactor), task.log_positions)
+        re, im = _terms(task.poly_re), _terms(task.poly_im)
+        hit = self._done.get((base, re, im))
+        if hit is not None:
+            _region, results, k = hit
+            return [self._turn(kind, result, k) for kind, result in zip(self.kinds, results)]
+        results = _integrate_task(task, self.cfg, self.kinds)
+        self.ladders_computed += 1
+        for k in range(4):
+            # the region rides along: its id stays unique while the key lives
+            self._done[(base, re, im)] = (task.region, results, k)
+            re, im = _negated(im), re  # i * (re + i im) = -im + i re
+        return results
+
+    @staticmethod
+    def _turn(kind: str, result: tuple, k: int) -> tuple:
+        value, error, ladder = result
+        if kind == "absolute" or k == 0:
+            return result
+        limit = None if ladder.limit is None else _turned(ladder.limit, k)
+        entries = [(eps, _turned(v, k), stderr) for eps, v, stderr in ladder.entries]
+        return _turned(value, k), error, replace(ladder, entries=entries, limit=limit)
 
 
 # ---------------------------------------------------------------------------
@@ -714,10 +847,12 @@ def reduce_to_real_tasks(region: Region, form: ComplexLogForm, m: int,
     _check_degrees(region, form, m)
     if check_gate:
         _admissibility_gate(region, m, probe)
+    made: dict = {}
     tasks = []
     for alphas, _piece, originals in _sector_pieces(region):
+        lifted = _lifted_piece(originals, alphas)
         for re, im, part in _partitions(form):
-            task_region = transform_piece(originals, alphas, part)
+            task_region = _transform_once(made, lifted, part)
             if task_region.cells:
                 tasks.append(_pull_back(re, im, part, alphas, task_region))
     return tasks
@@ -751,6 +886,8 @@ class ComplexIntegralResult:
     verdict: str
     tasks: list = field(default_factory=list)
     flags: list = field(default_factory=list)
+    tasks_run: int = 0         # real tasks integrated
+    ladders_computed: int = 0  # of them, those whose quadrature ran (the rest shared one)
 
     def __str__(self):
         return (
@@ -782,21 +919,22 @@ def integrate_admissible(region: Region, form: ComplexLogForm, m: int,
     _check_degrees(region, form, m)
     flags = _admissibility_gate(region, m, probe)
     tasks = reduce_to_real_tasks(region, form, m, probe, check_gate=False)
+    quadrature = _Quadratures(cfg, ("signed", "absolute"))
     total = 0j
     error = 0.0
     absolute = 0.0
     ladders = []
     detail = []
     for task in tasks:
-        (value, err, ladder), (abs_val, _, abs_ladder) = _integrate_task(
-            task, cfg, ("signed", "absolute"))
+        (value, err, ladder), (abs_val, _, abs_ladder) = quadrature(task)
         ladders += [ladder, abs_ladder]
         total += complex(value)
         error += err
         absolute += abs(abs_val)
         detail.append((task, value, err))
     return ComplexIntegralResult(total, error, absolute, combined_verdict(ladders), detail,
-                                 flags + _cap_flags(ladders))
+                                 flags + _cap_flags(ladders), quadrature.tasks_run,
+                                 quadrature.ladders_computed)
 
 
 # ---------------------------------------------------------------------------
@@ -810,6 +948,8 @@ class AnnulusDecayReport:
     verdict: str
     monotone: bool
     flags: list = field(default_factory=list)
+    tasks_run: int = 0         # slice tasks integrated, over every radius
+    ladders_computed: int = 0  # of them, those whose quadrature ran (the rest shared one)
 
     def __str__(self):
         if self.fit is None:
@@ -853,14 +993,18 @@ def annulus_slice_decay(region: Region, form: ComplexLogForm, m: int,
                                   "the divisor locus is not inside D")
 
     # r_1 = t is fixed on the slice, so dr_1 restricts to zero: only the
-    # partitions with z_1 in Q contribute
+    # partitions with z_1 in Q contribute.  The lift does not depend on t,
+    # so each piece is lifted once.
     pieces = [
-        (alphas, orig, [_pull_back(re, im, part, alphas, eliminated={("r", 0)})
-                        for re, im, part in _partitions(form) if 0 in part.Q])
+        (_lifted_piece(orig, alphas),
+         [_pull_back(re, im, part, alphas, eliminated={("r", 0)})
+          for re, im, part in _partitions(form) if 0 in part.Q])
         for alphas, _aug, orig in _sector_pieces(region)
     ]
     r1 = Polynomial.var(2 * nc, 0)
     r2 = Polynomial.var(2 * nc, 1)
+    made: dict = {}
+    quadrature = _Quadratures(cfg, ("absolute",))
     entries = []
     ladders = []
     for t in ts:
@@ -868,17 +1012,12 @@ def annulus_slice_decay(region: Region, form: ComplexLogForm, m: int,
         if bound_z2:
             rows.append((r2 - Fraction(t), False))
         vol = 0.0
-        for alphas, piece, tasks in pieces:
+        for lifted, tasks in pieces:
             for task in tasks:
-                task_region = transform_piece(
-                    piece, alphas, task.partition,
-                    extra_polar_constraints=rows, eliminate={0: t},
-                )
+                task_region = _transform_once(made, lifted, task.partition, rows, {0: t})
                 if not task_region.cells:
                     continue
-                (abs_val, _, ladder), = _integrate_task(
-                    replace(task, region=task_region), cfg, ("absolute",)
-                )
+                (abs_val, _, ladder), = quadrature(replace(task, region=task_region))
                 ladders.append(ladder)
                 vol += abs(abs_val)
         entries.append((t, vol))
@@ -886,4 +1025,5 @@ def annulus_slice_decay(region: Region, form: ComplexLogForm, m: int,
     fit, verdict_txt = _decay_verdict(entries)
     ordered = sorted(entries)  # ascending t
     monotone = all(a[1] <= b[1] + ABS_TOL for a, b in zip(ordered, ordered[1:]))
-    return AnnulusDecayReport(entries, fit, verdict_txt, monotone, flags)
+    return AnnulusDecayReport(entries, fit, verdict_txt, monotone, flags,
+                              quadrature.tasks_run, quadrature.ladders_computed)

@@ -72,6 +72,28 @@ def test_polar_round_trip_all_sectors():
             assert abs(tau2 - tau) <= 1e-13
 
 
+@pytest.mark.parametrize("sector", [1, 2, 3, 4])
+@pytest.mark.parametrize("edge", [1.0, -1.0])
+def test_polar_round_trip_at_sector_edges(sector, edge):
+    """A point on a sector edge, or within the edge tolerance beyond it,
+    maps to a tau that polar_map accepts, and back to the same point; a
+    point further out is outside for both functions."""
+    for beyond in (0.0, 5e-10):
+        tau = edge * (1.0 + beyond)
+        x, y = polar_map(1.3, tau, sector)
+        r2, tau2 = polar_inverse(x, y, sector)
+        assert r2 == pytest.approx(1.3, rel=1e-15)
+        assert tau2 == pytest.approx(tau, abs=1e-15)
+        assert polar_map(r2, tau2, sector) == pytest.approx((x, y), abs=1e-15)
+    with pytest.raises(ComplexIntError):
+        polar_map(1.3, edge * (1.0 + 1e-8), sector)
+    # the far point i^(sector-1) (1 + i far), turned from the sector's axis
+    x, y = polar_map(1.0, 0.0, sector)
+    far = edge * (1.0 + 1e-8)
+    with pytest.raises(ComplexIntError, match="outside"):
+        polar_inverse(x - far * y, y + far * x, sector)
+
+
 def test_polar_jacobian_identity():
     """|det d(polar_map)| = r / (tau^2 + 1), by central finite differences."""
     rng = np.random.Generator(np.random.Philox(key=4))
@@ -660,30 +682,194 @@ def test_annulus_decay_linear_rate():
 
 
 def test_annulus_decay_solves_each_rung_level_in_few_batches(monkeypatch):
-    """Counters, which do not vary between runs: on the annulus slices each
-    outer level of a rung runs as one lockstep program, so the 2,025
-    fibers of each of the 64 rungs are solved in four _fiber_integral
-    calls of at most 512 fibers (one call per Gauss panel made 8,640),
-    and exactly as many fibers are solved as panel by panel (129,600)."""
+    """Counters, which do not vary between runs: on the annulus slices the
+    16 sector pieces of a radius lift to four distinct task regions, and
+    their integrands agree, so of the 64 slice tasks 16 are transformed
+    and 16 rungs are integrated; the rest share them.  Each outer level of
+    a rung runs as one lockstep program, so the 2,025 fibers of each rung
+    are solved in four _fiber_integral calls of at most 512 fibers (one
+    call per Gauss panel made 8,640 per 64 rungs): 32,400 fibers."""
+    import logvol.complexint as ci
     import logvol.integrate as integrate
 
     original = integrate._fiber_integral
-    calls, fibers = [], []
+    calls, fibers, rungs, transforms = [], [], [], []
 
     def counted(solver, bases, *args):
         calls.append(1)
         fibers.append(len(bases))
         return original(solver, bases, *args)
 
+    def counter(fn, log):
+        def wrapped(*args, **kwargs):
+            log.append(1)
+            return fn(*args, **kwargs)
+        return wrapped
+
     monkeypatch.setattr(integrate, "_fiber_integral", counted)
+    monkeypatch.setattr(integrate, "_rung_value", counter(integrate._rung_value, rungs))
+    monkeypatch.setattr(ci, "transform_piece", counter(ci.transform_piece, transforms))
     form = ComplexLogForm.volume_like(2, (1,))
     report = annulus_slice_decay(load_region("nested_annulus_c2"), form, 4,
                                  ts=[1 / 4, 1 / 8, 1 / 16, 1 / 32])
-    assert len(calls) <= 256
+    assert len(calls) <= 64
     assert max(fibers) <= 512
-    assert sum(fibers) == 129_600
+    assert sum(fibers) == 32_400
+    assert len(rungs) == 16
+    assert len(transforms) == 16
+    assert (report.tasks_run, report.ladders_computed) == (64, 16)
     for t, vol in report.entries:
         assert vol == pytest.approx(8 * math.pi**2 * t, rel=1e-9)
+
+
+def _assert_same_result(shared, solo):
+    """(value, error, ladder) triples equal float for float, signed zeros
+    and nan included."""
+    (value, error, ladder), (value0, error0, ladder0) = shared, solo
+    np.testing.assert_equal((value, error), (value0, error0))
+    np.testing.assert_equal(ladder.entries, ladder0.entries)
+    np.testing.assert_equal((ladder.limit, ladder.error), (ladder0.limit, ladder0.error))
+    assert (ladder.verdict, ladder.capped) == (ladder0.verdict, ladder0.capped)
+
+
+def _shared_and_solo(tasks, kinds, cfg=None):
+    """Each task's results through one _Quadratures, and alone."""
+    from logvol.complexint import _Quadratures, _integrate_task
+
+    cfg = cfg or QuadConfig()
+    quadrature = _Quadratures(cfg, kinds)
+    for task in tasks:
+        for shared, solo in zip(quadrature(task), _integrate_task(task, cfg, kinds)):
+            _assert_same_result(shared, solo)
+    return quadrature
+
+
+def test_annulus_decay_shares_equal_slice_tasks():
+    """Each slice volume is, float for float, the in-order sum over the 16
+    sector pieces of their tasks integrated alone, and every shared task's
+    ladder equals its own."""
+    from dataclasses import replace
+
+    from logvol.complexint import (_Quadratures, _integrate_task, _lifted_piece, _partitions,
+                                   _pull_back, _sector_pieces, _transform_once, transform_piece)
+
+    region = load_region("nested_annulus_c2")
+    form = ComplexLogForm.volume_like(2, (1,))
+    ts = [1 / 4, 1 / 8, 1 / 16, 1 / 32]
+    report = annulus_slice_decay(region, form, 4, ts=ts)
+    cfg = QuadConfig()
+    r1, r2 = Polynomial.var(4, 0), Polynomial.var(4, 1)
+    quadrature = _Quadratures(cfg, ("absolute",))
+    made = {}
+    for (t, vol), t0 in zip(report.entries, ts):
+        rows = [(r1 - Fraction(t0), True), (r2 - Fraction(t0), False)]
+        alone = 0.0
+        for alphas, _aug, piece in _sector_pieces(region):
+            lifted = _lifted_piece(piece, alphas)
+            for re, im, part in _partitions(form):
+                if 0 not in part.Q:
+                    continue
+                task = _pull_back(re, im, part, alphas, eliminated={("r", 0)})
+                solo, = _integrate_task(
+                    replace(task, region=transform_piece(piece, alphas, part, rows, {0: t0})),
+                    cfg, ("absolute",))
+                shared, = quadrature(replace(task, region=_transform_once(made, lifted, part,
+                                                                          rows, {0: t0})))
+                _assert_same_result(shared, solo)
+                alone += abs(solo[0])
+        assert t == t0 and vol == alone
+    assert (quadrature.tasks_run, quadrature.ladders_computed) == (64, 16)
+    assert (report.tasks_run, report.ladders_computed) == (64, 16)
+
+
+def test_disk_sectors_share_with_a_phase():
+    """On the full disk, sectors 1 and 3 (and 2 and 4) lift to the same
+    region, and their integrands differ by i^2: the second of each pair
+    reuses the first's ladders turned by -1, equal to its own."""
+    from logvol.complexint import _integrate_task
+
+    region = load_region("disk_c1")
+    form = ComplexLogForm.volume_like(1, (0,))
+    kinds = ("signed", "absolute")
+    res = integrate_admissible(region, form, 2)
+    assert (res.tasks_run, res.ladders_computed) == (4, 2)
+    total, absolute = 0j, 0.0
+    for task, value, err in res.tasks:
+        (value0, err0, _), (abs0, _, _) = _integrate_task(task, QuadConfig(), kinds)
+        np.testing.assert_equal((value, err), (value0, err0))
+        total += complex(value0)
+        absolute += abs(abs0)
+    assert (res.value, res.absolute) == (total, absolute)
+    tasks = reduce_to_real_tasks(region, form, 2)
+    assert _shared_and_solo(tasks, kinds).ladders_computed == 2
+
+
+def test_shared_ladders_turn_a_multi_rung_signed_ladder():
+    """Terms whose coefficients differ by a unit phase (3 - i and 1 + 3i
+    by i, 2 and -2 by i^2) pull back to tasks on one region per partition.
+    The dr/r task's twelve-rung signed ladder (it diverges: the cell leaves
+    r free down to 0) of the second term of each pair is the first's
+    turned, entry for entry and zero part for zero part, as computed
+    alone."""
+    from logvol.complexint import _integrate_task
+
+    def const(re, im):
+        return (Polynomial.const(2, re), Polynomial.const(2, im), ())
+
+    region = region_of(2, 1, [], [(-1, 1), (-1, 1)], kind="complex")
+    form = ComplexLogForm(1, 0, [const(3, -1), const(1, 3), const(2, 0), const(-2, 0)])
+    tasks = reduce_to_real_tasks(region, form, 1, check_gate=False)
+    signed = [_integrate_task(task, QuadConfig(), ("signed",))[0][2] for task in tasks]
+    assert {len(ladder.entries) for ladder in signed} == {1, 12}
+    assert any(complex(v).imag == 0 for ladder in signed for _, v, _ in ladder.entries)
+    quadrature = _shared_and_solo(tasks, ("signed", "absolute"))
+    assert (quadrature.ladders_computed, quadrature.tasks_run) == (4, len(tasks))
+
+
+def test_monte_carlo_tasks_share_with_a_phase():
+    """The C^2 volume form on the nested annulus has four task coordinates,
+    so each task takes the Monte-Carlo rung, whose sample stream is the
+    same for every task: its 16 tasks run 4 quadratures, each shared
+    ladder equal to the task's own."""
+    tasks = reduce_to_real_tasks(load_region("nested_annulus_c2"),
+                                 ComplexLogForm.volume_like(2, (0, 1)), 4)
+    quadrature = _shared_and_solo(tasks, ("signed", "absolute"), QuadConfig(mc_budget=4000))
+    assert (quadrature.tasks_run, quadrature.ladders_computed) == (16, 4)
+
+
+def test_quadrant_disk_shares_nothing(monkeypatch):
+    """The sectors the quarter disk keeps all lift differently: nothing is
+    shared, and one rung program runs per task, as before sharing."""
+    import logvol.integrate as integrate
+
+    rungs = []
+    original = integrate._rung_value
+
+    def counted(*args):
+        rungs.append(1)
+        return original(*args)
+
+    region = load_region("quadrant_disk_c1")
+    form = ComplexLogForm.volume_like(1, (0,))
+    monkeypatch.setattr(integrate, "_rung_value", counted)
+    res = integrate_admissible(region, form, 2)
+    monkeypatch.undo()
+    tasks = reduce_to_real_tasks(region, form, 2)
+    assert res.tasks_run == res.ladders_computed == len(rungs) == len(tasks)
+    assert _shared_and_solo(tasks, ("signed", "absolute")).ladders_computed == len(tasks)
+
+
+def test_pointwise_coefficient_is_never_shared():
+    """A non-constant coefficient rides along as a closure: its tasks run
+    their own quadratures even where the regions are shared."""
+    region = load_region("disk_c1")
+    form = ComplexLogForm(1, 1, [(Polynomial.var(2, 0), Polynomial.var(2, 1), (0,))])
+    tasks = reduce_to_real_tasks(region, form, 2)
+    assert len({id(task.region) for task in tasks}) < len(tasks)
+    quadrature = _shared_and_solo(tasks, ("signed", "absolute"))
+    assert quadrature.ladders_computed == quadrature.tasks_run == len(tasks)
+    res = integrate_admissible(region, form, 2)
+    assert res.ladders_computed == res.tasks_run == len(tasks)
 
 
 def test_annulus_gate_decides_each_face_once(monkeypatch):
