@@ -214,7 +214,7 @@ def _cmd_blowup(args) -> int:
         if args.n and args.n > args.p:
             names += [f"x{i + 1}" for i in range(args.p, args.n)]
         f = parse_poly(args.poly, names)
-        tower = make_proper(f, args.p, cap=args.cap or 64)
+        tower = make_proper(f, args.p, cap=args.cap)
         print(tower.serialize(names))
         ok = not tower.failed and verify_proper(f, tower)
         print(f"proper in every leaf: {'yes' if ok else 'NO'}")
@@ -225,7 +225,7 @@ def _cmd_blowup(args) -> int:
         raise CliError("blowup needs a region file or --poly")
     region = _load_region(args.region)
     witnesses = [parse_poly(w, region.var_names()) for w in (args.witness or [])]
-    tower = make_almost_strictly_allowable(region, witnesses, cap=args.cap or 64)
+    tower = make_almost_strictly_allowable(region, witnesses, cap=args.cap)
     print(tower.serialize(region.var_names()))
     if args.out:
         _write_out(args, tower.to_dot())
@@ -266,7 +266,9 @@ def _cmd_decay_complex(args) -> int:
 
 
 def _cmd_stokes(args) -> int:
-    m = args.m or 2
+    m = 2 if args.m is None else args.m
+    if m < 1:
+        raise CliError("stokes needs --m of at least 1")
     if args.map:
         comps = [
             parse_poly(piece.strip(), [f"x{i + 1}" for i in range(m)])
@@ -307,10 +309,23 @@ def _cmd_probe_fibers(args) -> int:
         raise CliError("probe-fibers needs --axis")
     axis = _axis_index(args.axis, region)
     report = region.fiber_finiteness_probe(
-        axis, samples=args.samples or 64, cap=args.cap or 64, seed=args.seed or 0
+        axis, samples=args.samples, cap=args.cap, seed=args.seed or 0
     )
     print(str(report))
     return 0 if report.verdict == "finite" else 2
+
+
+def _count(least: int):
+    """An argparse type: an integer of at least `least`."""
+    def count(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < least:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
+        return value
+    return count
 
 
 # every flag's definition; each command below lists the ones its handler reads
@@ -325,7 +340,7 @@ _FLAGS = {
     "--seed": dict(type=int),
     "--mc-budget": dict(type=int, dest="mc_budget"),
     "--out": dict(help="write the ladder CSV / DOT export here"),
-    "--cap": dict(type=int),
+    "--cap": dict(type=_count(0), default=64),
     "--tol": dict(type=float),
     "--poly": dict(help="make the polynomial meet the faces properly"),
     "--p": dict(type=int, help="number of divisor coordinates"),
@@ -335,7 +350,7 @@ _FLAGS = {
     "--f": dict(help="comma separated map components"),
     "--a": dict(help="coefficient function (default 1)"),
     "--axis": dict(help="coordinate name, e.g. r2 or x3"),
-    "--samples": dict(type=int),
+    "--samples": dict(type=_count(1), default=64),
 }
 
 # the QuadConfig flags of _quad_config (--seed also seeds the probe)

@@ -38,15 +38,6 @@ the same layout `transform_piece` gives the transformed region.
 `annulus_slice_decay` builds its tasks and lifts each piece once and
 transforms it per radius, and `pullback_complex_log_form` returns the
 tasks without a region.
-
-Within one call, each distinct transform and each distinct quadrature runs
-once.  Sector pieces whose lifted cells agree, as ordered terms, share one
-transformed region per partition and slice (`_transform_once`), and tasks
-on one region whose integrands agree up to a unit phase i^k share one
-quadrature (`_Quadratures`): an absolute ladder is reused as it is, a
-signed one turned by i^k.  Every task keeps its own entry and ladders,
-float for float what it computes alone.  On `nested_annulus_c2` the 16
-sector pieces of a radius need 4 transforms and 4 quadratures.
 """
 
 from __future__ import annotations
@@ -310,8 +301,7 @@ def _lift_payload(payload: Polynomial, alphas, nc: int) -> Polynomial:
     the pair degree d_i."""
     mult = [(max((exp[2 * i] + exp[2 * i + 1] for exp in payload.terms), default=0) + 1) // 2
             for i in range(nc)]
-    # summed in one dict: cheaper than repeated additions, and a monomial
-    # keeps its first position even when it cancels on the way
+    # summed in one dict: cheaper than repeated additions
     work: dict = {}
     for exp, coeff in payload.terms.items():
         term = Polynomial.const(3 * nc, coeff)
@@ -469,22 +459,11 @@ def _task_index(partition: Partition, eliminated=frozenset()):
 # one transform and one quadrature per distinct task of a call
 
 
-def _terms(poly: Polynomial) -> tuple:
-    """The ordered (exponent, coefficient) pairs of a polynomial.  Keys keep
-    the order: it fixes the float summation order, so sorting it would let
-    tasks share whose quadratures round differently."""
-    return tuple(poly.terms.items())
-
-
-def _negated(terms: tuple) -> tuple:
-    return tuple((exp, -c) for exp, c in terms)
-
-
 @dataclass(frozen=True)
 class _LiftedPiece:
     """A sector piece with its cells lifted once.  `key` is all that
-    transform_piece reads of the piece: the ordered lifted constraints and
-    the radius bounds of the polar domain."""
+    transform_piece reads of the piece: the lifted constraints and the
+    radius bounds of the polar domain."""
 
     piece: Region
     alphas: tuple
@@ -494,7 +473,7 @@ class _LiftedPiece:
 
 def _lifted_piece(piece: Region, alphas) -> _LiftedPiece:
     cells = _lift_cells(piece, alphas)
-    key = (tuple(tuple((_terms(p), eq) for p, eq in rows) for rows in cells),
+    key = (tuple(tuple(rows) for rows in cells),
            tuple(_radius_bound(piece, i) for i in range(piece.n // 2)))
     return _LiftedPiece(piece, tuple(alphas), cells, key)
 
@@ -506,7 +485,7 @@ def _transform_once(made: dict, lifted: _LiftedPiece, partition: Partition,
     cells, partition, polar rows, eliminated values) within the call that
     owns `made`: sector pieces that lift alike share one Region."""
     key = (lifted.key, partition.P, partition.Q, partition.R,
-           tuple((_terms(p), eq) for p, eq in rows), tuple(sorted((eliminate or {}).items())))
+           tuple(rows), tuple(sorted((eliminate or {}).items())))
     if key not in made:
         made[key] = transform_piece(lifted.piece, lifted.alphas, partition, rows, eliminate,
                                     lifted=lifted.cells)
@@ -528,14 +507,14 @@ class _Quadratures:
     quadrature run once.
 
     Two tasks share when they have the same transformed Region object, the
-    same prefactor and log positions, and polynomial parts that agree, as
-    ordered terms, up to a unit phase: task = i^k * other.  Then each
-    quadrature sum of the task is the other's with its parts swapped and
-    negated, float for float, so the shared ladders are the task's own:
-    an absolute ladder as it is, a signed one with its entries and limit
-    turned by i^k.  A task with a pointwise coefficient (`coeff_eval`, a
-    closure) never shares.  `tasks_run` counts the calls and
-    `ladders_computed` the quadratures actually run.
+    same prefactor and log positions, and polynomial parts that agree up to
+    a unit phase: task = i^k * other.  Then each quadrature sum of the task
+    is the other's with its parts swapped and negated, float for float
+    (equal polynomials evaluate alike), so the shared ladders are the
+    task's own: an absolute ladder as it is, a signed one with its entries
+    and limit turned by i^k.  A task with a pointwise coefficient
+    (`coeff_eval`, a closure) never shares.  `tasks_run` counts the calls
+    and `ladders_computed` the quadratures actually run.
     """
 
     def __init__(self, cfg: QuadConfig, kinds: Sequence[str]):
@@ -552,7 +531,7 @@ class _Quadratures:
             self.ladders_computed += 1
             return _integrate_task(task, self.cfg, self.kinds)
         base = (id(task.region), tuple(task.prefactor), task.log_positions)
-        re, im = _terms(task.poly_re), _terms(task.poly_im)
+        re, im = task.poly_re, task.poly_im
         hit = self._done.get((base, re, im))
         if hit is not None:
             _region, results, k = hit
@@ -562,7 +541,7 @@ class _Quadratures:
         for k in range(4):
             # the region rides along: its id stays unique while the key lives
             self._done[(base, re, im)] = (task.region, results, k)
-            re, im = _negated(im), re  # i * (re + i im) = -im + i re
+            re, im = -im, re  # i * (re + i im) = -im + i re
         return results
 
     @staticmethod

@@ -260,28 +260,38 @@ class Polynomial:
             out[tuple(new)] = out.get(tuple(new), Fraction(0)) + c * e
         return Polynomial(self.nvars, out)
 
+    def float_form(self) -> tuple:
+        """(exps, coeffs): the exponent rows and float coefficients in the
+        one order every float reader sums the terms in, sorted by exponent
+        tuple whatever order exact arithmetic built them in, so equal
+        polynomials evaluate alike.  Cached; `terms` keeps its own order."""
+        if self._vec is None:
+            terms = sorted(self.terms.items())
+            exps = np.array([exp for exp, _ in terms], dtype=np.int64)
+            self._vec = exps.reshape(len(terms), self.nvars), np.array([float(c) for _, c in terms])
+        return self._vec
+
     def eval(self, point: Sequence):
         """Exact when the point is rational, float otherwise."""
         if len(point) != self.nvars:
             raise PolyError(
                 f"point of length {len(point)} for {self.nvars}-variable polynomial"
             )
-        exact = all(isinstance(x, (int, Fraction)) for x in point)
-        total = Fraction(0) if exact else 0.0
-        for exp, c in self.terms.items():
-            term = c if exact else float(c)
+        if all(isinstance(x, (int, Fraction)) for x in point):
+            terms, total = self.terms.items(), Fraction(0)
+        else:
+            exps, coeffs = self.float_form()
+            terms, total = zip(exps.tolist(), coeffs.tolist()), 0.0
+        for exp, c in terms:
             for x, e in zip(point, exp):
                 if e:
-                    term *= x**e
-            total += term
+                    c *= x**e
+            total += c
         return total
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
         """Vectorized float evaluation; pts has shape (N, nvars)."""
-        if self._vec is None:
-            exps = np.array(list(self.terms), dtype=np.int64).reshape(len(self.terms), self.nvars)
-            self._vec = exps, np.array([float(c) for c in self.terms.values()])
-        exps, coeffs = self._vec
+        exps, coeffs = self.float_form()
         return np.einsum("km,m->k", power_table(pts, exps), coeffs)
 
     def partial_eval(self, values: Mapping[int, object]) -> "Polynomial":

@@ -350,6 +350,9 @@ class AxisRestriction:
     one power table and one matrix product.  Polynomial i has widths[i]
     ascending coefficients, zero-padded to a common width of at least 2;
     groups index the polynomials of width 2, of width 3 and of width above 3.
+    Terms are read in their float order (Polynomial.float_form) and base
+    monomials numbered by first appearance, so equal polynomials restrict
+    alike.
     """
 
     def __init__(self, polys, axis: int, nvars: int):
@@ -359,11 +362,11 @@ class AxisRestriction:
         monos: dict = {}
         entries = []  # (slot, monomial column, coefficient)
         for i, poly in enumerate(polys):
-            for exp, c in poly.terms.items():
+            exps, coeffs = poly.float_form()
+            for exp, c in zip(exps.tolist(), coeffs.tolist()):
                 key = tuple(0 if v == axis else e for v, e in enumerate(exp))
                 key += (0,) * (nvars - len(key))
-                entries.append((i * self.width + exp[axis], monos.setdefault(key, len(monos)),
-                                float(c)))
+                entries.append((i * self.width + exp[axis], monos.setdefault(key, len(monos)), c))
         self.exps = np.array(list(monos), dtype=np.int64).reshape(len(monos), nvars)
         self.matrix = np.zeros((len(polys) * self.width, len(monos)))
         for row, col, c in entries:

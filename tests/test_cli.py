@@ -137,6 +137,31 @@ def test_flags_a_command_ignores_are_rejected(argv):
     assert code == 1 and out == ""
 
 
+def test_explicit_zero_cap_is_kept():
+    """--cap 0 allows no stage: it is not replaced by the default of 64."""
+    code, out = invoke("blowup", "--poly", "r1 + r2^2", "--p", "2", "--cap", "0")
+    assert code == 2
+    assert "stage 1" not in out and "stage cap 0 exceeded" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("probe-fibers", S_HALF, "--axis", "r1", "--samples", "-3"),
+    ("probe-fibers", S_HALF, "--axis", "r1", "--samples", "0"),
+    ("probe-fibers", S_HALF, "--axis", "r1", "--samples", "many"),
+    ("probe-fibers", S_HALF, "--axis", "r1", "--cap", "-1"),
+    ("blowup", "--poly", "r1 + r2^2", "--p", "2", "--cap", "-1"),
+    ("stokes", "--m", "0"),
+])
+def test_out_of_range_counts_are_usage_errors(argv):
+    """Counts below their least value exit 1 with an error and no output:
+    --samples >= 1, --cap >= 0, stokes --m >= 1."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = invoke(*argv)
+    assert code == 1 and out == ""
+    assert "error:" in err.getvalue()
+
+
 def test_every_shipped_region_round_trips():
     for path in sorted(REGIONS.glob("*.region")):
         region = parse_region(path.read_text())

@@ -683,12 +683,12 @@ def test_annulus_decay_linear_rate():
 
 def test_annulus_decay_solves_each_rung_level_in_few_batches(monkeypatch):
     """Counters, which do not vary between runs: on the annulus slices the
-    16 sector pieces of a radius lift to four distinct task regions, and
-    their integrands agree, so of the 64 slice tasks 16 are transformed
-    and 16 rungs are integrated; the rest share them.  Each outer level of
+    16 sector pieces of a radius lift to equal cells, and their integrands
+    agree, so of the 64 slice tasks 4 are transformed and 4 rungs are
+    integrated, one per radius; the rest share them.  Each outer level of
     a rung runs as one lockstep program, so the 2,025 fibers of each rung
     are solved in four _fiber_integral calls of at most 512 fibers (one
-    call per Gauss panel made 8,640 per 64 rungs): 32,400 fibers."""
+    call per Gauss panel made 8,640 per 64 rungs): 8,100 fibers."""
     import logvol.complexint as ci
     import logvol.integrate as integrate
 
@@ -712,12 +712,12 @@ def test_annulus_decay_solves_each_rung_level_in_few_batches(monkeypatch):
     form = ComplexLogForm.volume_like(2, (1,))
     report = annulus_slice_decay(load_region("nested_annulus_c2"), form, 4,
                                  ts=[1 / 4, 1 / 8, 1 / 16, 1 / 32])
-    assert len(calls) <= 64
+    assert len(calls) == 16
     assert max(fibers) <= 512
-    assert sum(fibers) == 32_400
-    assert len(rungs) == 16
-    assert len(transforms) == 16
-    assert (report.tasks_run, report.ladders_computed) == (64, 16)
+    assert sum(fibers) == 8_100
+    assert len(rungs) == 4
+    assert len(transforms) == 4
+    assert (report.tasks_run, report.ladders_computed) == (64, 4)
     for t, vol in report.entries:
         assert vol == pytest.approx(8 * math.pi**2 * t, rel=1e-9)
 
@@ -778,21 +778,21 @@ def test_annulus_decay_shares_equal_slice_tasks():
                 _assert_same_result(shared, solo)
                 alone += abs(solo[0])
         assert t == t0 and vol == alone
-    assert (quadrature.tasks_run, quadrature.ladders_computed) == (64, 16)
-    assert (report.tasks_run, report.ladders_computed) == (64, 16)
+    assert (quadrature.tasks_run, quadrature.ladders_computed) == (64, 4)
+    assert (report.tasks_run, report.ladders_computed) == (64, 4)
 
 
 def test_disk_sectors_share_with_a_phase():
-    """On the full disk, sectors 1 and 3 (and 2 and 4) lift to the same
-    region, and their integrands differ by i^2: the second of each pair
-    reuses the first's ladders turned by -1, equal to its own."""
+    """On the full disk, the four sectors lift to the same region, and
+    their integrands differ by unit phases i^k: sectors 2 to 4 reuse the
+    ladders of sector 1 turned by i^k, each equal to its own."""
     from logvol.complexint import _integrate_task
 
     region = load_region("disk_c1")
     form = ComplexLogForm.volume_like(1, (0,))
     kinds = ("signed", "absolute")
     res = integrate_admissible(region, form, 2)
-    assert (res.tasks_run, res.ladders_computed) == (4, 2)
+    assert (res.tasks_run, res.ladders_computed) == (4, 1)
     total, absolute = 0j, 0.0
     for task, value, err in res.tasks:
         (value0, err0, _), (abs0, _, _) = _integrate_task(task, QuadConfig(), kinds)
@@ -801,7 +801,7 @@ def test_disk_sectors_share_with_a_phase():
         absolute += abs(abs0)
     assert (res.value, res.absolute) == (total, absolute)
     tasks = reduce_to_real_tasks(region, form, 2)
-    assert _shared_and_solo(tasks, kinds).ladders_computed == 2
+    assert _shared_and_solo(tasks, kinds).ladders_computed == 1
 
 
 def test_shared_ladders_turn_a_multi_rung_signed_ladder():
@@ -829,12 +829,12 @@ def test_shared_ladders_turn_a_multi_rung_signed_ladder():
 def test_monte_carlo_tasks_share_with_a_phase():
     """The C^2 volume form on the nested annulus has four task coordinates,
     so each task takes the Monte-Carlo rung, whose sample stream is the
-    same for every task: its 16 tasks run 4 quadratures, each shared
+    same for every task: its 16 tasks run 1 quadrature, each shared
     ladder equal to the task's own."""
     tasks = reduce_to_real_tasks(load_region("nested_annulus_c2"),
                                  ComplexLogForm.volume_like(2, (0, 1)), 4)
     quadrature = _shared_and_solo(tasks, ("signed", "absolute"), QuadConfig(mc_budget=4000))
-    assert (quadrature.tasks_run, quadrature.ladders_computed) == (16, 4)
+    assert (quadrature.tasks_run, quadrature.ladders_computed) == (16, 1)
 
 
 def test_quadrant_disk_shares_nothing(monkeypatch):

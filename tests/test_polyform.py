@@ -137,20 +137,67 @@ def test_power_table_is_the_broadcast_product(rows, k):
 
 def test_table_callers_sum_the_reference_table():
     """`Polynomial.eval_many` and `AxisRestriction.table` equal the einsum
-    of their coefficients with the broadcast power table, bit for bit."""
+    of their coefficients with the broadcast power table, bit for bit, with
+    the terms read in their canonical order (sorted by exponent tuple)."""
     names = ["r1", "r2", "r3"]
     polys = [parse_poly(text, names) for text in
              ["r1^3*r2 - 2/3*r1*r2^2*r3 + 5/7*r3^4 - 1/9", "r3^2 - r1*r3 + 2*r2", "7/3",
               "r1*r2*r3 - r2^5*r3^2 + r1"]]
     pts = _spread_points(200, seed=11)
     for f in polys:
-        exps, coeffs = np.array(list(f.terms), dtype=np.int64), [float(c) for c in f.terms.values()]
+        terms = sorted(f.terms.items())
+        exps = np.array([exp for exp, _ in terms], dtype=np.int64)
+        coeffs = [float(c) for _, c in terms]
         want = np.einsum("km,m->k", _power_table_reference(pts, exps), coeffs)
         assert _same_bits(f.eval_many(pts), want)
     for axis in range(3):
         line = AxisRestriction(polys, axis, 3)
         want = np.einsum("sm,km->sk", line.matrix, _power_table_reference(pts, line.exps))
         assert _same_bits(line.table(pts), want.reshape(len(polys), line.width, len(pts)))
+
+
+def _cancelling_poly(rng, nterms=8):
+    """A random 3-variable polynomial whose Fraction coefficients come in
+    near-opposite pairs (c and -c + c/1000), so that its float sums cancel
+    and round differently in different orders."""
+    exps = set()
+    while len(exps) < nterms:
+        exps.add(tuple(int(e) for e in rng.integers(0, 4, size=3)))
+    terms = {}
+    for i, exp in enumerate(sorted(exps, key=lambda _: rng.uniform())):
+        if i % 2 == 0:
+            c = Fraction(int(rng.integers(1, 10**6)), int(rng.integers(1, 10**3)))
+            c *= int(rng.choice([-1, 1]))
+        else:
+            c = -c + c / 1000
+        terms[exp] = c
+    return Polynomial(3, terms)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_float_order_does_not_depend_on_term_order(seed):
+    """Equal polynomials evaluate alike: a polynomial rebuilt with its terms
+    shuffled gives the same eval_many values and AxisRestriction tables on
+    every axis, bit for bit."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    polys = [_cancelling_poly(rng) for _ in range(5)]
+    shuffled = []
+    for f in polys:
+        items = list(f.terms.items())
+        order = rng.permutation(len(items))
+        shuffled.append(Polynomial(3, dict(items[i] for i in order)))
+    assert shuffled == polys
+    assert any(list(g.terms) != list(f.terms) for f, g in zip(polys, shuffled))
+    pts = rng.uniform(0.5, 1.5, size=(200, 3))
+    for f, g in zip(polys, shuffled):
+        assert _same_bits(g.eval_many(pts), f.eval_many(pts))
+        assert [g.eval(pt) for pt in pts[:20].tolist()] == [f.eval(pt) for pt in pts[:20].tolist()]
+    for axis in range(3):
+        want = AxisRestriction(polys, axis, 3).table(pts)
+        assert _same_bits(AxisRestriction(shuffled, axis, 3).table(pts), want)
+        for f, g in zip(polys, shuffled):
+            assert _same_bits(AxisRestriction([g], axis, 3).table(pts),
+                              AxisRestriction([f], axis, 3).table(pts))
 
 
 # ---------------------------------------------------------------------------
