@@ -6,7 +6,8 @@ dimension n - 1) and at c = n (allowable: the single point (1, ..., 1), so
 every face is empty).  Each line gives n, c, the number of exact LPs solved
 (counted by wrapping `linprog.solve_lp`), the same count split by call site
 (the feasibility LPs of `simplify_cell`, its positivity LPs, and the LPs of
-`_affine_hull_rows`), the wall time and the verdict.
+`_affine_hull_rows`), the number of `Polynomial` objects built (counted by
+wrapping `Polynomial.__init__`), the wall time and the verdict.
 
 Unit corners have rows with denominator 1.  A second table checks weighted
 corners {0 <= r_i <= 1, w_1 r_1 + ... + w_n r_n >= c} with rational
@@ -29,6 +30,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from logvol import linprog
+from logvol.polyform import Polynomial
 from logvol.region import Cell, Region, parse_constraint
 
 
@@ -59,9 +61,15 @@ SITES = {"_positive_on_cell": "positivity", "simplify_cell": "simplify",
 
 
 def counted_allowability(region: Region):
-    """(verdict, LP calls per call site, seconds) of region.is_allowable()."""
+    """(verdict, LP calls per call site and Polynomial constructions as
+    "polys", seconds) of region.is_allowable()."""
     original = linprog.solve_lp
+    init = Polynomial.__init__
     calls = Counter()
+
+    def building(*args, **kwargs):
+        calls["polys"] += 1
+        init(*args, **kwargs)
 
     def counting(*args, **kwargs):
         frame = sys._getframe(1)
@@ -71,27 +79,31 @@ def counted_allowability(region: Region):
         return original(*args, **kwargs)
 
     linprog.solve_lp = counting
+    Polynomial.__init__ = building
     try:
         start = time.perf_counter()
         verdict = region.is_allowable()
         seconds = time.perf_counter() - start
     finally:
         linprog.solve_lp = original
+        Polynomial.__init__ = init
     return verdict, calls, seconds
 
 
 def print_row(label: str, region: Region):
     verdict, calls, seconds = counted_allowability(region)
+    polys = calls.pop("polys", 0)
     assert set(calls) <= set(SITES.values()), calls
     print(f"{label} {calls.total():>6} {calls['simplify']:>8} "
-          f"{calls['positivity']:>10} {calls['hull']:>6} {seconds:>8.3f}  {verdict}")
+          f"{calls['positivity']:>10} {calls['hull']:>6} {polys:>6} {seconds:>8.3f}  {verdict}")
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-n", type=int, default=6)
     args = ap.parse_args()
-    columns = f"{'LPs':>6} {'simplify':>8} {'positivity':>10} {'hull':>6} {'seconds':>8}  verdict"
+    columns = (f"{'LPs':>6} {'simplify':>8} {'positivity':>10} {'hull':>6} {'polys':>6} "
+               f"{'seconds':>8}  verdict")
     print(f"{'n':>2} {'c':>2} {columns}")
     for n in range(3, args.max_n + 1):
         for c in (1, n):

@@ -338,7 +338,7 @@ _FLAGS = {
                                     "log-coordinate scale"),
     "--ladder": dict(type=int),
     "--seed": dict(type=int),
-    "--mc-budget": dict(type=int, dest="mc_budget"),
+    "--mc-budget": dict(type=_count(1), dest="mc_budget"),
     "--out": dict(help="write the ladder CSV / DOT export here"),
     "--cap": dict(type=_count(0), default=64),
     "--tol": dict(type=float),

@@ -892,7 +892,9 @@ def integrate_admissible(region: Region, form: ComplexLogForm, m: int,
 
     The verdict is combined_verdict over every task's signed and absolute
     ladders: "converged" only when all of them converge, "diverging" when
-    any of them diverges, and "inconclusive" otherwise.
+    any of them diverges, and "inconclusive" otherwise.  A task with an
+    existential auxiliary cannot be sliced: it is left out, which makes
+    the verdict at best "inconclusive", the sums nan and a flag name it.
     """
     cfg = cfg or QuadConfig()
     _check_degrees(region, form, m)
@@ -904,14 +906,25 @@ def integrate_admissible(region: Region, form: ComplexLogForm, m: int,
     absolute = 0.0
     ladders = []
     detail = []
+    unsliced = []  # the existential auxiliaries of each task left out
     for task in tasks:
+        unsliced.append({e.name for cell in task.region.cells for e in cell.extra
+                         if e.derived_from is None})
+        if unsliced[-1]:
+            continue
         (value, err, ladder), (abs_val, _, abs_ladder) = quadrature(task)
         ladders += [ladder, abs_ladder]
         total += complex(value)
         error += err
         absolute += abs(abs_val)
         detail.append((task, value, err))
-    return ComplexIntegralResult(total, error, absolute, combined_verdict(ladders), detail,
+    verdict = combined_verdict(ladders)
+    if any(unsliced):
+        flags = flags + [f"{sum(map(bool, unsliced))} task(s) not integrated: existential "
+                         f"auxiliary {', '.join(sorted(set().union(*unsliced)))} cannot be sliced"]
+        verdict = "diverging" if verdict == "diverging" else "inconclusive"
+        total, error, absolute = complex(math.nan, math.nan), math.nan, math.nan
+    return ComplexIntegralResult(total, error, absolute, verdict, detail,
                                  flags + _cap_flags(ladders), quadrature.tasks_run,
                                  quadrature.ladders_computed)
 

@@ -105,6 +105,8 @@ class QuadConfig:
             raise IntegrationError("the ladder needs at least 3 rungs")
         if self.quad_tol <= 0:
             raise IntegrationError("quad_tol must be positive")
+        if self.mc_budget < 1:
+            raise IntegrationError("mc_budget must be at least 1")
 
     def rungs(self):
         return [self.eps0 * _RATIO**-k for k in range(self.ladder_len)]

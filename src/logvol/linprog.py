@@ -24,12 +24,16 @@ the rational simplex on the unscaled rows, with the same basis-index
 tie-break, and every result (status, value, point) is the same.  Phase 1
 weighs each artificial by the inverse of its row's scale to keep that
 objective, the sum of the unscaled artificials.
+
+Rows kept in that form are passed as they are: a_ub (a_eq) holds the
+pairs `_as_integers([*row, rhs])` and b_ub (b_eq) is None, for the same
+tableau and result.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 OPTIMAL = "optimal"
@@ -51,6 +55,17 @@ def _as_integers(values):
     """(the values times s as ints, s) for s the lcm of their denominators."""
     s = lcm(*(v.denominator for v in values))
     return [v.numerator * (s // v.denominator) for v in values], s
+
+
+def _reduced(ints, d):
+    """`_as_integers` of the values ints / d, for integers ints and d != 0."""
+    g = gcd(d, *ints) if d > 0 else -gcd(d, *ints)
+    return [v // g for v in ints], d // g
+
+
+def _scaled(a, b):
+    """The rows a.x (<= or =) b as `_as_integers` pairs; a when b is None."""
+    return a or [] if b is None else [_as_integers([*row, rhs]) for row, rhs in zip(a or [], b)]
 
 
 def _pivot(rows, basis, row, col, d):
@@ -110,21 +125,20 @@ def solve_lp(
 
     Free variables are split x = u - v with u, v >= 0; equalities are kept as
     exact rows with artificial variables in phase 1.  Coefficients are ints
-    or Fractions; the value and the point are Fractions.
+    or Fractions (or rows scaled already); the value and point are Fractions.
     """
     n = len(objective)
-    cons = [(row, rhs, True) for row, rhs in zip(a_ub or [], b_ub or [])]
-    cons += [(row, rhs, False) for row, rhs in zip(a_eq or [], b_eq or [])]
-    nslack = sum(1 for _, _, ub in cons if ub)
+    cons = [(row, True) for row in _scaled(a_ub, b_ub)]
+    cons += [(row, False) for row in _scaled(a_eq, b_eq)]
+    nslack = sum(1 for _, ub in cons if ub)
     art0 = 2 * n + nslack  # split vars, slacks, then artificials
-    width = art0 + sum(1 for _, rhs, ub in cons if not ub or rhs < 0)
+    width = art0 + sum(1 for (vals, _), ub in cons if not ub or vals[-1] < 0)
 
     # Integer rows with rhs >= 0: a ub row with rhs >= 0 starts with its
     # slack basic, every other row with an artificial.
     rows, basis, arts = [], [], []
     slack, art = 2 * n, art0
-    for coeffs, rhs, ub in cons:
-        vals, scale = _as_integers([*coeffs, rhs])
+    for (vals, scale), ub in cons:
         flip = -1 if vals[-1] < 0 else 1
         if flip < 0:
             vals = [-v for v in vals]

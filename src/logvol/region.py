@@ -10,7 +10,8 @@ Every verdict rests on one question per cell: is it empty, and what are
 its affine hull and dimension; `_cell_hull` alone answers it.  Dimension
 is exact (rational LP, implicit-equality detection, affine-hull rank) on
 piecewise-linear cells and a seeded sampling probe elsewhere; every
-verdict that used the probe carries a "heuristic" flag.
+verdict that used the probe carries a "heuristic" flag.  Linear
+constraints travel as integer rows (`Constraint.row`) through all of it.
 """
 
 from __future__ import annotations
@@ -19,12 +20,14 @@ import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import linprog
-from .polyform import Polynomial, parse_poly
+from .linprog import _as_integers, _reduced
+from .polyform import Polynomial, parse_poly, power_table
 
 
 class RegionError(ValueError):
@@ -35,24 +38,47 @@ class RegionError(ValueError):
 # constraints and cells
 
 
+_UNSET = object()
+
+
 class Constraint:
-    """payload <= 0 or payload = 0, payload an exact Polynomial."""
+    """payload <= 0 or payload = 0, payload an exact Polynomial.
 
-    __slots__ = ("payload", "equality")
+    A linear one, a.x + c, also travels as an integer row (`row`): a and
+    -c times the lcm of their denominators, as `linprog` scales LP rows.
+    Either form may be given; the other is built on first use."""
 
-    def __init__(self, payload: Polynomial, equality: bool = False):
-        self.payload = payload
+    __slots__ = ("_payload", "equality", "_row")
+
+    def __init__(self, payload: Polynomial | None, equality: bool = False, row=_UNSET):
+        self._payload = payload
         self.equality = bool(equality)
+        self._row = row
 
     @property
-    def kind(self) -> str:
-        linear = self.payload.degree() <= 1
-        if self.equality:
-            return "linear_eq" if linear else "poly_eq"
-        return "linear_le" if linear else "poly_le"
+    def payload(self) -> Polynomial:
+        if self._payload is None:  # (a.x - b) / scale, for the row ((*a, b), scale)
+            (*a, b), scale = self._row
+            terms = {tuple(int(u == v) for u in range(len(a))): Fraction(x, scale)
+                     for v, x in enumerate(a) if x}
+            terms[(0,) * len(a)] = Fraction(-b, scale)
+            self._payload = Polynomial(len(a), terms)
+        return self._payload
+
+    @property
+    def row(self) -> tuple | None:
+        """(ints, scale) of a linear payload, None for a nonlinear one."""
+        if self._row is _UNSET:
+            aff = self._payload.as_affine()
+            self._row = None if aff is None else _as_integers([*aff[0], -aff[1]])
+        return self._row
+
+    @property
+    def nvars(self) -> int:
+        return self._payload.nvars if self._payload is not None else len(self._row[0]) - 1
 
     def is_linear(self) -> bool:
-        return self.payload.degree() <= 1
+        return self.row is not None
 
     def __eq__(self, other):
         if not isinstance(other, Constraint):
@@ -244,7 +270,7 @@ class Region:
         self._bbox = None
         for cell in self.cells:
             for c in cell.constraints:
-                if c.payload.nvars != cell.nvars_total(self.n):
+                if c.nvars != cell.nvars_total(self.n):
                     raise RegionError("constraint ambient does not match the cell")
 
     # -- naming ----------------------------------------------------------
@@ -293,7 +319,8 @@ class Region:
             new = list(cell.constraints)
             for i in face:
                 for v in self.divisor_var_indices(i):
-                    new.append(Constraint(Polynomial.var(nv, v), equality=True))
+                    unit = [int(u == v) for u in range(nv)] + [0]
+                    new.append(Constraint(None, True, (unit, 1)))
             cells.append(Cell(new, cell.extra))
         return Region(self.n, self.p, cells, self.kind, self.box, self.name)
 
@@ -359,12 +386,9 @@ class Region:
                     raise RegionError(
                         "bounding box required: nonlinear cell without a declared box"
                     )
-                sys = _linear_system(self, cell, with_box=False)
-                if sys is None:
-                    continue
-                a_ub, b_ub, a_eq, b_eq = sys
-                hi = linprog.solve_lp(obj, a_ub, b_ub, a_eq, b_eq, maximize=True)
-                lo = linprog.solve_lp(obj, a_ub, b_ub, a_eq, b_eq, maximize=False)
+                ub, eq = _linear_system(self, cell, with_box=False)
+                hi = linprog.solve_lp(obj, ub, a_eq=eq, maximize=True)
+                lo = linprog.solve_lp(obj, ub, a_eq=eq, maximize=False)
                 if hi.status == linprog.INFEASIBLE:
                     continue
                 any_cell = True
@@ -691,98 +715,79 @@ def _num_in(v):
 # exact machinery
 
 
-def _affine_parts(cell_n: int, c: Constraint):
-    aff = c.payload.as_affine()
-    if aff is None:
-        return None
-    coeffs, offset = aff
-    return coeffs, -offset  # coeffs . x <= rhs  (or = rhs)
-
-
 def _linear_system(region: Region, cell: Cell, with_box: bool = True):
-    """(a_ub, b_ub, a_eq, b_eq) over the full cell variable list.  A box
-    row is left out when a row of the cell (an equality counts as two)
-    already bounds that variable at least as tightly."""
+    """(ub, eq): the integer rows (`Constraint.row`) of a.x <= b and a.x = b
+    over the full cell variable list, box rows last.  A box row is left out
+    when a row of the cell (an equality counts as two) already bounds that
+    variable at least as tightly."""
     nv = cell.nvars_total(region.n)
-    a_ub, b_ub, a_eq, b_eq = [], [], [], []
+    ub, eq = [], []
     for c in cell.constraints:
-        parts = _affine_parts(nv, c)
-        if parts is None:
-            continue
-        coeffs, rhs = parts
-        if c.equality:
-            a_eq.append(coeffs)
-            b_eq.append(rhs)
-        else:
-            a_ub.append(coeffs)
-            b_ub.append(rhs)
+        if c.row is not None:
+            (eq if c.equality else ub).append(c.row)
     if with_box and region.box is not None:
-        own = list(zip(a_ub + a_eq, b_ub + b_eq))
-        own += [([-c for c in a], -b) for a, b in zip(a_eq, b_eq)]
+        own = [a for a, _ in ub + eq] + [[-x for x in a] for a, _ in eq]
         boxes = list(region.box) + [(e.lo, e.hi) for e in cell.extra]
         for v, (lo, hi) in enumerate(boxes):
             for sign, bound in ((1, Fraction(hi)), (-1, -Fraction(lo))):
                 if not _bounds_var(own, v, sign, bound):
-                    row = [Fraction(0)] * nv
-                    row[v] = Fraction(sign)
-                    a_ub.append(row)
-                    b_ub.append(bound)
-    return a_ub, b_ub, a_eq, b_eq
+                    a = [0] * (nv + 1)
+                    a[v], a[-1] = sign * bound.denominator, bound.numerator
+                    ub.append((a, bound.denominator))
+    return ub, eq
 
 
 def _bounds_var(rows, v: int, sign: int, bound) -> bool:
-    """Some row k * x_v <= b (no other variable) with sign * k > 0 implies
-    sign * x_v <= bound."""
-    for a, b in rows:
+    """Some integer row k * x_v <= b (no other variable) with sign * k > 0
+    implies sign * x_v <= bound."""
+    for a in rows:
         k = sign * a[v]
-        if k > 0 and b / k <= bound and not any(c for i, c in enumerate(a) if i != v):
+        if k > 0 and a[-1] <= k * bound and not any(c for i, c in enumerate(a[:-1]) if i != v):
             return True
     return False
 
 
+def _slack(a, w) -> int:
+    """b - a.x of the integer row a (rhs b last) at the witness w = (ints, q),
+    the point ints / q, times q and the row's scale (both > 0, signs kept)."""
+    ints, q = w
+    return a[-1] * q - sum(map(mul, a, ints))
+
+
+def _holds(system, w) -> bool:
+    ub, eq = system
+    return all(_slack(a, w) >= 0 for a, _ in ub) and all(_slack(a, w) == 0 for a, _ in eq)
+
+
 def _affine_hull_rows(n: int, system, witnesses=()):
-    """Equality rows (homogeneous part, rhs) cutting out the affine hull of a
-    feasible linear cell, restricted to the first n (ambient) columns.
-    Returns None when the cell is infeasible.
+    """Equality rows (a, b) cutting out the affine hull of a feasible linear
+    cell, a.x = b over the first n (ambient) columns, each a positive
+    multiple of its Fraction row.  Returns None when the cell is infeasible.
 
     The given `witnesses` that satisfy the system exactly are its first
     feasible points; only when none does is one solved for.  Each LP
     optimum joins them: a row a.x <= b with a.w < b at some witness w is
     not an implicit equality, so its LP is skipped.
     """
-    a_ub, b_ub, a_eq, b_eq = system
-    nv = len(a_ub[0]) if a_ub else (len(a_eq[0]) if a_eq else n)
-    witnesses = [w for w in witnesses if _satisfies(system, w)]
+    ub, eq = system
+    nv = len((ub + eq)[0][0]) - 1 if ub or eq else n
+    witnesses = [w for w in witnesses if _holds(system, w)]
     if not witnesses:
-        first = linprog.feasible_point(a_ub, b_ub, a_eq, b_eq, nv)
+        first = linprog.feasible_point(ub, None, eq, None, nv)
         if first is None:
             return None
-        witnesses.append(first)
-    rows = [(list(a), Fraction(b)) for a, b in zip(a_eq, b_eq)]
-    for a, b in zip(a_ub, b_ub):
-        if all(v == 0 for v in a):
+        witnesses.append(_as_integers(first))
+    rows = [a for a, _ in eq]
+    for a, s in ub:
+        if not any(a[:-1]) or any(_slack(a, w) > 0 for w in witnesses):
             continue
-        b = Fraction(b)
-        if any(_dot(a, w) < b for w in witnesses):
-            continue
-        res = linprog.solve_lp([-v for v in a], a_ub, b_ub, a_eq, b_eq)
+        res = linprog.solve_lp([Fraction(-v, s) for v in a[:-1]], ub, a_eq=eq)
         if res.status != linprog.OPTIMAL:
             continue
-        witnesses.append(res.point)
-        if b + res.value == 0:
-            rows.append((list(a), b))
-    return [(row[:n], b) for row, b in rows]
-
-
-def _dot(a, x):
-    """a . x over the nonzero coefficients of a (most rows are box rows)."""
-    return sum(u * v for u, v in zip(a, x) if u)
-
-
-def _satisfies(system, x) -> bool:
-    a_ub, b_ub, a_eq, b_eq = system
-    return (all(_dot(a, x) <= b for a, b in zip(a_ub, b_ub))
-            and all(_dot(a, x) == b for a, b in zip(a_eq, b_eq)))
+        witnesses.append(_as_integers(res.point))
+        if a[-1] + s * res.value == 0:
+            rows.append(a)
+    return [(a[:n], a[-1]) for a in rows]
 
 
 def _hull_contains_face(rows, J, n) -> bool:
@@ -826,15 +831,14 @@ def _positive_on_cell(region: Region, cell: Cell, var: int, system, witnesses: l
     already bounds min var by 0, so the min-LP is skipped; otherwise the
     LP runs and its optimum joins the witnesses.
     """
-    nv = cell.nvars_total(region.n)
-    if all(w[var] > 0 for w in witnesses):
-        obj = [Fraction(0)] * nv
-        obj[var] = Fraction(1)
-        res = linprog.solve_lp(obj, *system, maximize=False)
+    if all(w[0][var] > 0 for w in witnesses):
+        obj = [0] * cell.nvars_total(region.n)
+        obj[var] = 1
+        res = linprog.solve_lp(obj, system[0], a_eq=system[1], maximize=False)
         if res.status == linprog.INFEASIBLE:
             return False
         if res.status == linprog.OPTIMAL:
-            witnesses.append(res.point)
+            witnesses.append(_as_integers(res.point))
             if res.value > 0:
                 return True
     return _positive_by_intervals(region, cell, var)
@@ -884,9 +888,12 @@ def simplify_cell(region: Region, cell: Cell, found: list | None = None) -> Cell
     resolved and certified-positive monomial factors divided out.
     Returns None when the cell is provably empty.
 
-    The feasible points of linear subsystems met on the way are appended
-    to `found`, when given; those that satisfy the returned cell's linear
-    system spare `_affine_hull_rows` its first LP."""
+    Linear constraints are worked on as integer rows (`Constraint.row`),
+    one row operation per propagated equality; only nonlinear ones are
+    composed.  The feasible points of linear subsystems met on the way are
+    appended to `found`, when given, as witnesses (ints, q) of ints / q;
+    those that satisfy the returned cell's linear system spare
+    `_affine_hull_rows` its first LP."""
     constraints = list(cell.constraints)
     nv = cell.nvars_total(region.n)
     solved: set[int] = set()
@@ -895,53 +902,42 @@ def simplify_cell(region: Region, cell: Cell, found: list | None = None) -> Cell
     for _ in range(max(8, 2 * len(constraints))):
         changed = False
 
-        # resolve constant payloads
+        # resolve constant payloads: a row 0 <= b (or 0 = b)
         kept = []
         for c in constraints:
-            if c.payload.is_constant():
-                v = c.payload.constant_value()
-                if (c.equality and v != 0) or (not c.equality and v > 0):
+            if c.row is not None and not any(c.row[0][:-1]):
+                if c.row[0][-1] < 0 or (c.equality and c.row[0][-1]):
                     return None
                 changed = True
                 continue
             kept.append(c)
         constraints = kept
 
-        # propagate one linear equality per round
+        # propagate one linear equality e.x = e_b per round
         for idx, c in enumerate(constraints):
-            if not c.equality:
+            if not c.equality or c.row is None:
                 continue
-            aff = c.payload.as_affine()
-            if aff is None:
-                continue
-            coeffs, offset = aff
-            pivot = next(
-                (v for v in range(nv) if coeffs[v] != 0 and v not in solved), None
-            )
+            e = c.row[0]
+            pivot = next((v for v in range(nv) if e[v] and v not in solved), None)
             if pivot is None:
                 continue
-            # pivot = -(offset + sum_{v != pivot} coeffs[v] x_v) / coeffs[pivot]
-            expr_terms = {(0,) * nv: -offset / coeffs[pivot]}
-            for v in range(nv):
-                if v != pivot and coeffs[v] != 0:
-                    e = [0] * nv
-                    e[v] = 1
-                    expr_terms[tuple(e)] = -coeffs[v] / coeffs[pivot]
-            expr = Polynomial(nv, expr_terms)
-            comps = [
-                expr if v == pivot else Polynomial.var(nv, v) for v in range(nv)
-            ]
+            comps = None
             new_constraints = []
             for j, other in enumerate(constraints):
-                if j == idx:
-                    new_constraints.append(other)
-                elif other.payload.uses_var(pivot):
-                    new_constraints.append(
-                        Constraint(other.payload.compose(comps), other.equality)
-                    )
+                row = other.row
+                if j != idx and (row[0][pivot] if row else other.payload.uses_var(pivot)):
+                    if row:  # a - (a_pivot / e_pivot) e, over the scale s * e_pivot
+                        (a, s), p = row, e[pivot]
+                        other = Constraint(None, other.equality, _reduced(
+                            [x * p - a[pivot] * y for x, y in zip(a, e)], s * p))
+                    else:
+                        if comps is None:  # x_pivot = (e_b - sum_{v != pivot} e_v x_v) / e_pivot
+                            comps = [Polynomial.var(nv, v) for v in range(nv)]
+                            comps[pivot] = Constraint(None, row=(
+                                [x * (v != pivot) for v, x in enumerate(e)], -e[pivot])).payload
+                        other = Constraint(other.payload.compose(comps), other.equality)
                     changed = True
-                else:
-                    new_constraints.append(other)
+                new_constraints.append(other)
             constraints = new_constraints
             solved.add(pivot)
             if changed:
@@ -952,34 +948,32 @@ def simplify_cell(region: Region, cell: Cell, found: list | None = None) -> Cell
         # kept across rounds while they still satisfy the system, and an
         # infeasible system makes the cell empty (no later step enlarges it)
         probe_cell = Cell(constraints, cell.extra)
-        contents = [() if c.payload.is_zero() else c.payload.content_monomial()
-                    for c in constraints]
+        contents = [_content(c) for c in constraints]
         if any(any(e) for e in contents):
             system = _linear_system(region, probe_cell, with_box=True)
-            witnesses = [w for w in witnesses if _satisfies(system, w)]
-            if not witnesses and (system[0] or system[2]):
-                point = linprog.feasible_point(*system, nv)
+            witnesses = [w for w in witnesses if _holds(system, w)]
+            if not witnesses and (system[0] or system[1]):
+                point = linprog.feasible_point(system[0], None, system[1], None, nv)
                 if point is None:
                     return None
-                witnesses.append(point)
+                witnesses.append(_as_integers(point))
             if witnesses:
                 proven = constraints
         new_constraints = []
         for c, content in zip(constraints, contents):
-            if c.payload.is_zero():
+            if not content:  # the zero payload
                 changed = True
                 continue
             divisor = [0] * nv
             for v, e in enumerate(content):
                 if e > 0 and _positive_on_cell(region, probe_cell, v, system, witnesses):
                     divisor[v] = e
-            if any(divisor):
-                new_constraints.append(
-                    Constraint(c.payload.divide_monomial(divisor), c.equality)
-                )
+            if any(divisor):  # a linear k x_v becomes the constant k
+                c = (Constraint(c.payload.divide_monomial(divisor), c.equality) if c.row is None
+                     else Constraint(None, c.equality, ([0] * nv + [-c.row[0][divisor.index(1)]],
+                                                        c.row[1])))
                 changed = True
-            else:
-                new_constraints.append(c)
+            new_constraints.append(c)
         if not changed:
             break
         constraints = new_constraints
@@ -988,15 +982,25 @@ def simplify_cell(region: Region, cell: Cell, found: list | None = None) -> Cell
     # the last round already found a point of this very system
     probe_cell = Cell(constraints, cell.extra)
     if constraints is not proven:
-        system = _linear_system(region, probe_cell, with_box=True)
-        if system[0] or system[2]:
-            point = linprog.feasible_point(*system, nv)
+        ub, eq = _linear_system(region, probe_cell, with_box=True)
+        if ub or eq:
+            point = linprog.feasible_point(ub, None, eq, None, nv)
             if point is None:
                 return None
-            witnesses.append(point)
+            witnesses.append(_as_integers(point))
     if found is not None:
         found.extend(witnesses)
     return probe_cell
+
+
+def _content(c: Constraint) -> tuple:
+    """The content monomial of c's payload, () for the zero payload: a
+    linear one has one only when it is a multiple of one variable."""
+    if c.row is None:
+        return c.payload.content_monomial()
+    *a, b = c.row[0]
+    unit = not b and sum(map(bool, a)) == 1
+    return tuple(int(unit and x != 0) for x in a) if b or any(a) else ()
 
 
 # ---------------------------------------------------------------------------
@@ -1060,21 +1064,28 @@ def _newton_project(cell: Cell, region: Region, pts: np.ndarray) -> np.ndarray:
         if e.derived_from is not None
     }
     free = [v for v in range(total) if v not in derived]
-    partials = [[g.partial(v) for v in range(total)] for g in eqs]
+    # the equalities, then their partials, as columns of one power table:
+    # each is summed as eval_many sums it, bit for bit, from its own columns
+    # taken C-ordered (einsum rounds an F-ordered fancy-index slice otherwise)
+    rows: dict = {}
+    cols = [([rows.setdefault(e, len(rows)) for e in map(tuple, g_exps.tolist())], coeffs)
+            for g_exps, coeffs in (g.float_form() for g in
+                                   eqs + [g.partial(v) for g in eqs for v in range(total)])]
+    exps = np.array(list(rows), dtype=np.int64).reshape(len(rows), total)
+
+    def values(table, part):
+        return np.stack([np.einsum("km,m->k", table.take(idx, axis=1), coeffs)
+                         for idx, coeffs in part], axis=1)
+
     out = pts.copy()
     k = len(eqs)
     eye = np.eye(k)
     for _ in range(_NEWTON_ITERS):
-        gvals = np.stack([g.eval_many(out) for g in eqs], axis=1)  # (N, k)
+        table = power_table(out, exps)
+        gvals = values(table, cols[:k])  # (N, k)
         if np.max(np.abs(gvals)) < _EQ_TOL * 0.1:
             break
-        full_jac = np.stack(
-            [
-                np.stack([pg.eval_many(out) for pg in row], axis=1)
-                for row in partials
-            ],
-            axis=1,
-        )  # (N, k, total)
+        full_jac = values(table, cols[k:]).reshape(len(out), k, total)
         jac = full_jac[:, :, free].copy()
         for d_idx, src in derived.items():
             # d = sqrt(x_src^2 + 1): dd/dx_src = x_src / d

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from helpers import REGIONS
-from logvol import parse_region
+from logvol import IntegrationError, QuadConfig, parse_region
 from logvol.cli import run
 
 
@@ -160,6 +160,22 @@ def test_out_of_range_counts_are_usage_errors(argv):
         code, out = invoke(*argv)
     assert code == 1 and out == ""
     assert "error:" in err.getvalue()
+
+
+@pytest.mark.parametrize("budget", ["-5", "0"])
+def test_mc_budget_below_one_is_a_usage_error(budget):
+    """--mc-budget is a sample count >= 1: a smaller one exits 1 with an
+    error and no output (it used to run 16 samples per combination and
+    print a converged verdict)."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = invoke("integrate-complex", str(REGIONS / "nested_annulus_c2.region"),
+                           "--form", "dz1/z1 ^ dz2/z2 ^ dzbar1 ^ dzbar2", "--m", "4",
+                           "--mc-budget", budget)
+    assert code == 1 and out == ""
+    assert "--mc-budget" in err.getvalue()
+    with pytest.raises(IntegrationError, match="mc_budget"):
+        QuadConfig(mc_budget=int(budget))
 
 
 def test_every_shipped_region_round_trips():

@@ -1,5 +1,8 @@
 """Sector reduction, polar pullbacks and admissible integration."""
 
+import cmath
+import contextlib
+import io
 import math
 from fractions import Fraction
 from itertools import product as iproduct
@@ -8,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import load_region, region_of
+from helpers import REGIONS, load_region, region_of
 from logvol import (
     ComplexIntError,
     ComplexLogForm,
@@ -25,6 +28,8 @@ from logvol import (
     sector_decompose,
     task_allowability,
 )
+from logvol import region as region_mod
+from logvol.cli import run as cli_run
 from logvol.complexint import PROBE_GATE_FLAG, _lift_payload, sector_constraints
 
 
@@ -447,6 +452,82 @@ def test_counterexample_fails_exactly_at_first_radius():
             assert verdict.violations[0][0] == (0,)  # the face {r_1}
             hit += 1
     assert hit == 4  # one per surviving sector of the disk factor
+
+
+def test_unsliceable_tasks_give_an_inconclusive_verdict():
+    """Every task of disk_times_circle_c2 keeps an existential auxiliary
+    (tau2 where z2 is in P): the tasks are not integrated, and the answer
+    is an inconclusive verdict with nan values and a flag naming them, not
+    a RegionError; the CLI exits 2 on it."""
+    region = load_region("disk_times_circle_c2")
+    res = integrate_admissible(region, ComplexLogForm.volume_like(2, (0,)), 3)
+    assert res.verdict == "inconclusive"
+    assert any("not integrated" in flag and "tau2" in flag for flag in res.flags)
+    assert math.isnan(res.error) and math.isnan(res.absolute) and cmath.isnan(res.value)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_run(["integrate-complex", str(REGIONS / "disk_times_circle_c2.region"),
+                        "--form", "dz1/z1 ^ dz2/z2 ^ dzbar1", "--m", "3"])
+    assert code == 2 and "verdict  inconclusive" in out.getvalue().splitlines()
+
+
+def _reference_newton_project(cell, region, pts):
+    """The Gauss-Newton projection with one eval_many call per equality and
+    per partial in every iteration."""
+    n = region.n
+    eqs = [c.payload for c in cell.constraints if c.equality]
+    if not eqs:
+        return pts
+    total = pts.shape[1]
+    derived = {n + i: e.derived_from for i, e in enumerate(cell.extra)
+               if e.derived_from is not None}
+    free = [v for v in range(total) if v not in derived]
+    partials = [[g.partial(v) for v in range(total)] for g in eqs]
+    out = pts.copy()
+    eye = np.eye(len(eqs))
+    for _ in range(region_mod._NEWTON_ITERS):
+        gvals = np.stack([g.eval_many(out) for g in eqs], axis=1)
+        if np.max(np.abs(gvals)) < region_mod._EQ_TOL * 0.1:
+            break
+        full_jac = np.stack([np.stack([pg.eval_many(out) for pg in row], axis=1)
+                             for row in partials], axis=1)
+        jac = full_jac[:, :, free].copy()
+        for d_idx, src in derived.items():
+            factor = out[:, src] / out[:, d_idx]
+            if src in free:
+                jac[:, :, free.index(src)] += full_jac[:, :, d_idx] * factor[:, None]
+        gram = jac @ np.transpose(jac, (0, 2, 1)) + 1e-12 * eye
+        y = np.linalg.solve(gram, gvals[:, :, None])
+        step = (np.transpose(jac, (0, 2, 1)) @ y)[:, :, 0]
+        for col, v in enumerate(free):
+            out[:, v] -= step[:, col]
+        region_mod.fill_derived(out, cell.extra, n)
+    return out
+
+
+def test_newton_projection_is_bit_identical_to_per_polynomial_evaluation():
+    """One power table per Gauss-Newton iteration projects every point
+    exactly as separate eval_many calls did: on the counterexample task
+    cells of disk_times_circle_c2 (a derived auxiliary) and on a face cell
+    of nested_annulus_c2."""
+    region = load_region("disk_times_circle_c2")
+    tasks = reduce_to_real_tasks(region, ComplexLogForm.volume_like(2, (0,)), 3)
+    cases = [(t.region, cell) for t in tasks if t.partition.P == (1,)
+             for cell in t.region.cells]
+    annulus = load_region("nested_annulus_c2").face_intersection((1,))
+    cases += [(annulus, cell) for cell in annulus.cells]
+    rng = np.random.default_rng(7)
+    checked = 0
+    for sub, cell in cases:
+        if not any(c.equality for c in cell.constraints):
+            continue
+        box = np.array(sub.cell_boxes(cell))
+        pts = rng.uniform(box[:, 0], box[:, 1], size=(256, len(box)))
+        region_mod.fill_derived(pts, cell.extra, sub.n)
+        got = region_mod._newton_project(cell, sub, pts)
+        assert np.array_equal(got, _reference_newton_project(cell, sub, pts))
+        checked += 1
+    assert checked >= 5
 
 
 def test_counterexample_verdicts_stable_over_seeds():

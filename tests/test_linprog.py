@@ -126,6 +126,14 @@ def _assert_same(lp):
     want = reference_solve_lp(**lp)
     assert got.status == want.status
     assert got.value == want.value and got.point == want.point
+    # the same rows passed already scaled, as the exact layer passes them
+    scaled = dict(lp)
+    for a, b in (("a_ub", "b_ub"), ("a_eq", "b_eq")):
+        scaled[a] = [linprog._as_integers([*row, rhs])
+                     for row, rhs in zip(lp.get(a) or [], lp.get(b) or [])]
+        scaled[b] = None
+    again = linprog.solve_lp(**scaled)
+    assert (again.status, again.value, again.point) == (got.status, got.value, got.point)
     if got.status == OPTIMAL:
         assert type(got.value) is Fraction
         assert all(type(v) is Fraction for v in got.point)

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from helpers import box_region, load_region, region_of
 from logvol import ProbeConfig, Region, RegionError, parse_region
@@ -464,12 +464,31 @@ def test_exact_linear_algebra_properties(shape, entries, zero_mask, y, rhs_shift
 # reference
 
 
+def _fraction_system(system):
+    """The integer rows (ints, scale) of a `_linear_system` as Fraction rows
+    (a_ub, b_ub, a_eq, b_eq)."""
+    out = []
+    for rows in system:
+        out.append([[Fraction(v, s) for v in a[:-1]] for a, s in rows])
+        out.append([Fraction(a[-1], s) for a, s in rows])
+    return tuple(out)
+
+
+def _satisfies(system, x) -> bool:
+    """Fraction reference: the point x satisfies every row of the system."""
+    a_ub, b_ub, a_eq, b_eq = _fraction_system(system)
+    dot = lambda a: sum(u * v for u, v in zip(a, x))  # noqa: E731
+    return (all(dot(a) <= b for a, b in zip(a_ub, b_ub))
+            and all(dot(a) == b for a, b in zip(a_eq, b_eq)))
+
+
 def _reference_positive_on_cell(region, cell, var):
     """One min-LP per variable, then the interval pass."""
     nv = cell.nvars_total(region.n)
     obj = [Fraction(0)] * nv
     obj[var] = Fraction(1)
-    res = linprog.solve_lp(obj, *region_mod._linear_system(region, cell), maximize=False)
+    res = linprog.solve_lp(obj, *_fraction_system(region_mod._linear_system(region, cell)),
+                           maximize=False)
     if res.status == linprog.OPTIMAL and res.value > 0:
         return True
     if res.status == linprog.INFEASIBLE:
@@ -535,15 +554,16 @@ def _reference_simplify_cell(region, cell):
         if not changed:
             break
     probe_cell = Cell(constraints, cell.extra)
-    a_ub, b_ub, a_eq, b_eq = region_mod._linear_system(region, probe_cell)
+    a_ub, b_ub, a_eq, b_eq = _fraction_system(region_mod._linear_system(region, probe_cell))
     if (a_ub or a_eq) and linprog.feasible_point(a_ub, b_ub, a_eq, b_eq, nv) is None:
         return None
     return probe_cell
 
 
 def _reference_affine_hull_rows(n, system):
-    """One LP per inequality row."""
-    a_ub, b_ub, a_eq, b_eq = system
+    """One LP per inequality row, on the Fraction rows; each hull row is
+    given as the integers `linprog` scales it to."""
+    a_ub, b_ub, a_eq, b_eq = _fraction_system(system)
     nv = len(a_ub[0]) if a_ub else (len(a_eq[0]) if a_eq else n)
     if linprog.feasible_point(a_ub, b_ub, a_eq, b_eq, nv) is None:
         return None
@@ -554,7 +574,8 @@ def _reference_affine_hull_rows(n, system):
         res = linprog.solve_lp([-v for v in a], a_ub, b_ub, a_eq, b_eq)
         if res.status == linprog.OPTIMAL and Fraction(b) + res.value == 0:
             rows.append((list(a), Fraction(b)))
-    return [(row[:n], b) for row, b in rows]
+    scaled = [linprog._as_integers([*row, b])[0] for row, b in rows]
+    return [(ints[:n], ints[-1]) for ints in scaled]
 
 
 _small = st.integers(-2, 2)
@@ -568,6 +589,7 @@ _row = st.tuples(
 
 @given(rows=st.lists(_row, min_size=1, max_size=6), boxed=st.booleans(),
        face=st.sampled_from([(), (0,), (1,), (0, 1)]))
+@example(rows=[([2, 2, 0], 0, "=", None), ([1, 1, 1], -1, "<=", None)], boxed=False, face=())
 def test_exact_layer_matches_one_lp_reference(rows, boxed, face):
     """Random small cells, linear or with one monomial factor, with and
     without equalities and often infeasible: simplify_cell and the affine
@@ -590,6 +612,9 @@ def test_exact_layer_matches_one_lp_reference(rows, boxed, face):
     assert (got is None) == (want is None)
     if got is not None:
         assert got == want
+        # a row built by row operations is the one its payload scales to
+        assert [c.row for c in got.constraints] == [
+            Constraint(c.payload, c.equality).row for c in got.constraints]
     for linear in (cell, got):
         if linear is not None and linear.is_linear():
             system = region_mod._linear_system(sub, linear)
@@ -671,12 +696,55 @@ def test_declared_box_adds_no_lps(monkeypatch):
     assert len(calls) <= 51 and len(calls) <= bare_calls
 
 
+def test_unit_corner_builds_no_polynomials(monkeypatch):
+    """Linear cells are simplified, witness-checked and hulled on integer
+    rows: deciding the 4-d unit corner builds no Polynomial at all (1,291
+    when each elimination composed Fraction polynomials)."""
+    built = []
+    original = Polynomial.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    corner = _unit_corner(4, 1)
+    monkeypatch.setattr(Polynomial, "__init__", counted)
+    v = corner.is_allowable()
+    assert not v.ok and not v.heuristic
+    assert len(built) == 0
+
+
+_fraction = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@given(rows=st.lists(st.tuples(st.lists(_fraction, min_size=3, max_size=3), _fraction,
+                               st.booleans(), st.booleans()), max_size=6),
+       point=st.lists(_fraction, min_size=3, max_size=3))
+def test_integer_witness_check_matches_fractions(rows, point):
+    """A witness (ints, q) satisfies the integer rows exactly when its point
+    ints / q satisfies their Fraction rows; rows drawn `on` pass through the
+    point, so ties are common."""
+    ub, eq = [], []
+    for coeffs, rhs, on, equality in rows:
+        if on:
+            rhs = sum(a * x for a, x in zip(coeffs, point))
+        (eq if equality else ub).append(linprog._as_integers([*coeffs, rhs]))
+    system = (ub, eq)
+    witness = linprog._as_integers(point)
+    assert region_mod._holds(system, witness) == _satisfies(system, point)
+    for row in ub + eq:
+        slack = row[0][-1] / Fraction(row[1]) - sum(
+            a / Fraction(row[1]) * x for a, x in zip(row[0], point))
+        assert (region_mod._slack(row[0], witness) > 0) == (slack > 0)
+        assert (region_mod._slack(row[0], witness) == 0) == (slack == 0)
+
+
 def test_box_rows_skip_only_implied_bounds():
     """A box row is dropped when a cell row (an equality counts both ways)
     bounds the variable at least as tightly, and kept otherwise."""
     A = region_of(3, 3, ["2*r1 - 1 <= 0", "-r2 <= 0", "r2 - 2 <= 0", "r3 - 1/4 = 0"],
                   [(0, 1)] * 3)
-    a_ub, b_ub, a_eq, b_eq = region_mod._linear_system(A, A.cells[0])
+    a_ub, b_ub, a_eq, b_eq = _fraction_system(region_mod._linear_system(A, A.cells[0]))
     rows = {(tuple(a), b) for a, b in zip(a_ub, b_ub)}
     box = {row for row in rows if sum(map(abs, row[0])) == 1}
     assert box == {((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 1, 0), 2), ((0, 1, 0), 1)}
