@@ -24,6 +24,8 @@ each other show whether a change moved any verdict, flag, note or value:
     python scripts/corpus_snapshot.py > after.txt
     diff before.txt after.txt
 
+or, where a change may move floats by rounding,
+`python scripts/snapshot_diff.py before.txt after.txt --tol 1e-12`.
 It takes a few seconds.
 """
 

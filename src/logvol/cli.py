@@ -337,7 +337,7 @@ _FLAGS = {
     "--eps0": dict(type=float, help="first excision radius, relative to the region's "
                                     "log-coordinate scale"),
     "--ladder": dict(type=int),
-    "--seed": dict(type=int),
+    "--seed": dict(type=_count(0)),
     "--mc-budget": dict(type=_count(1), dest="mc_budget"),
     "--out": dict(help="write the ladder CSV / DOT export here"),
     "--cap": dict(type=_count(0), default=64),

@@ -883,6 +883,18 @@ def _integrate_task(task: RealTask, cfg: QuadConfig, ladders: Sequence[str]) -> 
             for ladder in _build_ladder(task.region, task.integrand(), cfg, ladders)]
 
 
+def _existentials(region: Region) -> set:
+    """The names of the existential auxiliaries of a task's cells: a task
+    that keeps one cannot be sliced, so it is left out of the sums."""
+    return {e.name for cell in region.cells for e in cell.extra if e.derived_from is None}
+
+
+def _unsliced_flag(unsliced: Sequence[set]) -> str:
+    """The flag naming the tasks left out, one set of auxiliaries each."""
+    return (f"{sum(map(bool, unsliced))} task(s) not integrated: existential "
+            f"auxiliary {', '.join(sorted(set().union(*unsliced)))} cannot be sliced")
+
+
 def integrate_admissible(region: Region, form: ComplexLogForm, m: int,
                          cfg: QuadConfig | None = None,
                          probe: ProbeConfig | None = None) -> ComplexIntegralResult:
@@ -908,8 +920,7 @@ def integrate_admissible(region: Region, form: ComplexLogForm, m: int,
     detail = []
     unsliced = []  # the existential auxiliaries of each task left out
     for task in tasks:
-        unsliced.append({e.name for cell in task.region.cells for e in cell.extra
-                         if e.derived_from is None})
+        unsliced.append(_existentials(task.region))
         if unsliced[-1]:
             continue
         (value, err, ladder), (abs_val, _, abs_ladder) = quadrature(task)
@@ -920,8 +931,7 @@ def integrate_admissible(region: Region, form: ComplexLogForm, m: int,
         detail.append((task, value, err))
     verdict = combined_verdict(ladders)
     if any(unsliced):
-        flags = flags + [f"{sum(map(bool, unsliced))} task(s) not integrated: existential "
-                         f"auxiliary {', '.join(sorted(set().union(*unsliced)))} cannot be sliced"]
+        flags = flags + [_unsliced_flag(unsliced)]
         verdict = "diverging" if verdict == "diverging" else "inconclusive"
         total, error, absolute = complex(math.nan, math.nan), math.nan, math.nan
     return ComplexIntegralResult(total, error, absolute, verdict, detail,
@@ -960,7 +970,10 @@ def annulus_slice_decay(region: Region, form: ComplexLogForm, m: int,
 
     Gate: either m-admissibility of the region (the |z_2| <= t bound is
     then added) or A cap (union H_i) inside D, in which case the slice is
-    just {|z_1| = t}.
+    just {|z_1| = t}.  A slice task that keeps an existential auxiliary
+    cannot be sliced, as in integrate_admissible: it is left out, which
+    makes every volume nan, the fit None, the verdict "inconclusive" and a
+    flag name the auxiliaries.
     """
     cfg = cfg or QuadConfig()
     nc = region.n // 2
@@ -999,6 +1012,7 @@ def annulus_slice_decay(region: Region, form: ComplexLogForm, m: int,
     quadrature = _Quadratures(cfg, ("absolute",))
     entries = []
     ladders = []
+    unsliced = []
     for t in ts:
         rows = [(r1 - Fraction(t), True)]
         if bound_z2:
@@ -1009,12 +1023,20 @@ def annulus_slice_decay(region: Region, form: ComplexLogForm, m: int,
                 task_region = _transform_once(made, lifted, task.partition, rows, {0: t})
                 if not task_region.cells:
                     continue
+                unsliced.append(_existentials(task_region))
+                if unsliced[-1]:
+                    continue
                 (abs_val, _, ladder), = quadrature(replace(task, region=task_region))
                 ladders.append(ladder)
                 vol += abs(abs_val)
         entries.append((t, vol))
     flags = ([PROBE_GATE_FLAG] if heuristic else []) + _cap_flags(ladders)
-    fit, verdict_txt = _decay_verdict(entries)
+    if any(unsliced):
+        entries = [(t, math.nan) for t, _ in entries]
+        fit, verdict_txt = None, "inconclusive"
+        flags.append(_unsliced_flag(unsliced))
+    else:
+        fit, verdict_txt = _decay_verdict(entries)
     ordered = sorted(entries)  # ascending t
     monotone = all(a[1] <= b[1] + ABS_TOL for a, b in zip(ordered, ordered[1:]))
     return AnnulusDecayReport(entries, fit, verdict_txt, monotone, flags,

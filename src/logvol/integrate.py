@@ -34,7 +34,7 @@ Gauss rule runs as one array program.  A fiber depends on its own base
 point and eps alone, and each integral's value and error records are
 summed in depth-first bisection order, so a rung does not depend on how
 its panels were batched nor on the rungs computed beside it.  Panels
-accepted only because the bisection reached max_depth are counted per
+accepted only because the bisection reached _MAX_DEPTH are counted per
 rung and flagged.  Above three dimensions a stratified Monte-Carlo
 estimator with a counter-based generator replaces the tensor quadrature,
 rung by rung; it too draws one sample set for every ladder of a rung.
@@ -42,7 +42,9 @@ rung by rung; it too draws one sample set for every ladder of a rung.
 Every rung path (the outer Gauss levels, the inner fibers and the
 Monte-Carlo rung) reads the part of a coordinate range it integrates from
 one helper, `_rung_pieces`: a log coordinate keeps |x| >= eps on each side
-and is integrated in u = log|x|.
+and is integrated in u = log|x|, a substitution stated once, by the array
+maps `_u_of`, `_x_of` and `_u_range` that every path calls.  Each Gauss
+round sums its panels in one contraction, `_panel_sums`.
 """
 
 from __future__ import annotations
@@ -77,6 +79,8 @@ _MC_DIMENSION = 3  # tensor quadrature up to this many coordinates
 _RATIO = 2.0  # eps_{k+1} = eps_k / _RATIO along the excision ladder
 _NODES = 15  # points of the Gauss rule, on the outer panels and the inner fibers
 _FIBER_BATCH = 512  # fibers per _fiber_integral call: bounds the arrays of one call
+_MAX_DEPTH = 24  # bisections of an outer Gauss panel before it is accepted as capped
+_QUAD_TOL = 1e-8  # relative error budget of an outermost Gauss integral
 
 
 @dataclass(frozen=True)
@@ -86,15 +90,12 @@ class QuadConfig:
     eps0 / ladder_len fix the excision rungs eps0 * _RATIO**-k, relative
     to the region's log-coordinate scale L: rung k excises
     |r_v| < eps0 * _RATIO**-k * L, L the largest max(|lo_v|, |hi_v|) of a
-    log coordinate's bounding-box range.  max_depth and quad_tol bound the
-    adaptive outer panels, and mc_budget and seed drive the Monte-Carlo
-    rung used above three coordinates.
+    log coordinate's bounding-box range.  mc_budget and seed drive the
+    Monte-Carlo rung used above three coordinates.
     """
 
     eps0: float = 2.0**-4
     ladder_len: int = 12
-    max_depth: int = 24
-    quad_tol: float = 1e-8
     mc_budget: int = 40000
     seed: int = 0
 
@@ -103,10 +104,10 @@ class QuadConfig:
             raise IntegrationError("eps0 must be positive")
         if self.ladder_len < 3:
             raise IntegrationError("the ladder needs at least 3 rungs")
-        if self.quad_tol <= 0:
-            raise IntegrationError("quad_tol must be positive")
         if self.mc_budget < 1:
             raise IntegrationError("mc_budget must be at least 1")
+        if self.seed < 0:
+            raise IntegrationError("seed must be nonnegative")
 
     def rungs(self):
         return [self.eps0 * _RATIO**-k for k in range(self.ladder_len)]
@@ -118,7 +119,7 @@ class Ladder:
     verdict: str = "inconclusive"  # converged | diverging | inconclusive
     limit: float | None = None
     error: float | None = None
-    capped: list = field(default_factory=list)  # per rung: panels accepted at max_depth
+    capped: list = field(default_factory=list)  # per rung: panels accepted at _MAX_DEPTH
 
     def params(self):
         return [p for p, _, _ in self.entries]
@@ -215,6 +216,14 @@ def _gauss_nodes():
     return np.polynomial.legendre.leggauss(_NODES)
 
 
+def _panel_sums(vals: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """The (panels, k) Gauss sums of the (k, panels * _NODES) values on
+    panels of half-width `half`: one contraction, which sums each panel in
+    one order whatever the batch around it."""
+    ws = _gauss_nodes()[1]
+    return half[:, None] * np.einsum("kpm,m->pk", vals.reshape(len(vals), len(half), len(ws)), ws)
+
+
 class _Node:
     """A range of one lockstep integral: its Gauss value `whole`, error
     budget and remaining depth; the (value, records) of its two halves once
@@ -247,26 +256,23 @@ def _adaptive_1d(f: Callable, jobs: Sequence[tuple], depth: int, k: int) -> list
     panels pairwise up the bisection tree, and the records list the job's
     accepted panels together with those behind its nodes, both in the
     order a depth-first bisection visits them, so neither depends on how
-    the jobs were batched.  Per panel, list arithmetic on the few
-    components costs less than numpy calls on arrays this small.
+    the jobs were batched.  `_panel_sums` states the Gauss sum once, as one
+    contraction per round; past it, list arithmetic on the few components
+    beats numpy on arrays this small.
     """
-    xs, ws = _gauss_nodes()
+    xs, _ = _gauss_nodes()
     m = len(xs)
 
     def evaluate(spans):
         """(value, records) of the Gauss rule on each (job, lo, hi)."""
         if not spans:
             return iter(())
-        lo = np.array([lo for _, lo, _ in spans])
-        hi = np.array([hi for _, _, hi in spans])
+        job, lo, hi = np.array(spans).T
         half = 0.5 * (hi - lo)
-        vals, behind = f(0.5 * (lo + hi)[:, None] + half[:, None] * xs, [j for j, _, _ in spans])
-        out = []
-        for p, h in enumerate(half.tolist()):
-            seg = slice(p * m, p * m + m)
-            records = [r for node in behind[seg] for r in node] if behind is not None else []
-            out.append(([h * float(ws @ row[seg]) for row in vals], records))
-        return iter(out)
+        vals, behind = f(0.5 * (lo + hi)[:, None] + half[:, None] * xs, job.astype(np.int64))
+        records = [[] if behind is None else [r for node in behind[p * m:p * m + m] for r in node]
+                   for p in range(len(spans))]
+        return zip(_panel_sums(vals, half).tolist(), records)
 
     def halves(node):
         mid = 0.5 * (node.lo + node.hi)
@@ -378,24 +384,24 @@ def _line_absolute(coef: np.ndarray, a: np.ndarray, b: np.ndarray, log_weight: b
     return out
 
 
-# The scalar maps between x and u on a piece.  The vectorized fiber spans,
-# closed form and Monte-Carlo rung use np.exp / np.log, whose SIMD results
-# can differ from libm's in the last bit, so neither replaces the other.
+# The substitution on pieces of sign sgn (_rung_pieces), elementwise: u = log|x|,
+# x = sgn * e^u where sgn is +-1, and u = x where sgn is 0, unseen by log and exp.
 
 
-def _u_of(xs: list, sgn: float) -> list:
-    return [math.log(abs(x)) for x in xs] if sgn else xs
+def _u_of(x, sgn) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    return np.log(np.abs(x), out=x.copy(), where=np.not_equal(sgn, 0))
 
 
-def _x_of(us: list, sgn: float) -> list:
-    return [sgn * math.exp(u) for u in us] if sgn else us
+def _x_of(u, sgn) -> np.ndarray:
+    u = np.asarray(u, dtype=float)
+    return np.exp(u, out=u.copy(), where=np.not_equal(sgn, 0)) * np.where(sgn, sgn, 1.0)
 
 
-def _u_range(a: float, b: float, sgn: float) -> list:
-    """The piece's u-range, low end first: u falls as x rises on the
-    negative side."""
-    ends = _u_of([a, b], sgn)
-    return ends[::-1] if sgn < 0 else ends
+def _u_range(a, b, sgn) -> tuple:
+    """The pieces' u-ranges (lo, hi): u falls as x rises where sgn < 0."""
+    ua, ub, negative = _u_of(a, sgn), _u_of(b, sgn), np.less(sgn, 0)
+    return np.where(negative, ub, ua), np.where(negative, ua, ub)
 
 
 # ---------------------------------------------------------------------------
@@ -513,20 +519,14 @@ def _fiber_integral(solver: _FiberSolver, bases: np.ndarray, eps: np.ndarray,
         return out
 
     xs, ws = _gauss_nodes()
-    if log_inner:
-        # _x_of in numpy: x = sgn * e^s over [log|a|, log|b|]
-        s_a, s_b = np.log(np.abs(a)), np.log(np.abs(b))
-        mid, half = 0.5 * (s_a + s_b), 0.5 * np.abs(s_b - s_a)
-        xvals = sgn[:, None] * np.exp(mid[:, None] + half[:, None] * xs)
-    else:
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        xvals = mid[:, None] + half[:, None] * xs
+    u_lo, u_hi = _u_range(a, b, sgn)
+    mid, half = 0.5 * (u_lo + u_hi), 0.5 * (u_hi - u_lo)
     weights = (half[:, None] * ws).ravel()
-    # the signed parts carry the orientation of x -> s on the negative side
+    # the signed parts carry the orientation of x -> u on the negative side
     oriented = ((half * sgn)[:, None] * ws).ravel() if log_inner else weights
     owner = np.repeat(owner, len(xs))
     pts = points[owner]
-    pts[:, axis] = xvals.ravel()
+    pts[:, axis] = _x_of(mid[:, None] + half[:, None] * xs, sgn[:, None]).ravel()
     fill_derived(pts, extras, n)
     coeff = integrand.coeff
     if coeff.is_constant():
@@ -594,32 +594,32 @@ def _rung_value(region: Region, integrand: Integrand, epss: Sequence[float],
         the (parts, rows) totals and, per row, the accepted-panel records
         behind it in depth-first order."""
         var = outers[d]
-        tol_d = cfg.quad_tol * _NESTED_SHRINK**d
+        tol_d = _QUAD_TOL * _NESTED_SHRINK**d
         final = d == len(outers) - 1
         ranges = np.broadcast_to(np.array(box[var], dtype=float), (len(points), 2))
         pieces = _rung_pieces(ranges, eps, var in integrand.log_vars)
         row_eps = eps.tolist()
-        jobs, owner = [], []  # owner: (row, sgn) of each job
-        for a, b, sgn, row in zip(*(x.tolist() for x in pieces)):
-            u_lo, u_hi = _u_range(a, b, sgn)
+        jobs, piece_of = [], []  # piece_of: the piece of each job
+        for p, (a, b, sgn, row, u_lo, u_hi) in enumerate(
+                zip(*(x.tolist() for x in (*pieces, *_u_range(*pieces[:3]))))):
             cuts = []
             if final:
                 # the excision clips the fibers of a log inner variable at +-eps
                 e = row_eps[row]
                 clip = (e, -e) if log_inner and e > 0 else ()
-                cuts = _u_of(_final_level_cuts(solver, var, points[row], a, b, clip), sgn)
+                cuts = _u_of(_final_level_cuts(solver, var, points[row], a, b, clip), sgn).tolist()
             segs = [u_lo] + sorted(u for u in cuts if u_lo < u < u_hi) + [u_hi]
             budget = tol_d / max(1, len(segs) - 1)
             for a2, b2 in zip(segs, segs[1:]):
                 jobs.append((a2, b2, budget))
-                owner.append((row, sgn))
+                piece_of.append(p)
+        job_sgn, job_row = pieces[2][piece_of], pieces[3][piece_of]
 
-        def f(nodes: np.ndarray, jobs_of: list) -> tuple:
-            rows = [owner[j] for j in jobs_of]
-            picked = [row for row, _ in rows]
+        def f(nodes: np.ndarray, jobs_of: np.ndarray) -> tuple:
+            picked = job_row[jobs_of]
             sub = np.repeat(points[picked], nodes.shape[1], axis=0)
             sub_eps = np.repeat(eps[picked], nodes.shape[1])
-            sub[:, var] = [x for us, (_, sgn) in zip(nodes.tolist(), rows) for x in _x_of(us, sgn)]
+            sub[:, var] = _x_of(nodes, job_sgn[jobs_of, None]).ravel()
             if final:
                 return np.concatenate([
                     _fiber_integral(solver, sub[i:i + _FIBER_BATCH], sub_eps[i:i + _FIBER_BATCH],
@@ -629,8 +629,8 @@ def _rung_value(region: Region, integrand: Integrand, epss: Sequence[float],
 
         totals = np.zeros((len(parts), len(points)))
         records = [[] for _ in points]
-        for (value, behind), (row, sgn) in zip(_adaptive_1d(f, jobs, cfg.max_depth, len(parts)),
-                                               owner):
+        for (value, behind), row, sgn in zip(_adaptive_1d(f, jobs, _MAX_DEPTH, len(parts)),
+                                             job_row.tolist(), job_sgn.tolist()):
             totals[:, row] += (flip if sgn < 0 else keep) * value
             records[row] += behind
         return totals, records
@@ -669,8 +669,9 @@ def _mc_rung(region: Region, integrand: Integrand, eps: float,
     n = region.n
     if region.cells and any(e.derived_from is None for c in region.cells for e in c.extra):
         raise IntegrationError("Monte-Carlo path cannot handle existential variables")
-    per_var = [np.transpose(_rung_pieces([box[v]], eps, v in integrand.log_vars)[:3]).tolist()
-               for v in range(n)]
+    pieces = [_rung_pieces([box[v]], eps, v in integrand.log_vars) for v in range(n)]
+    # the (u_lo, u_hi, sgn) of each piece of each coordinate
+    per_var = [np.transpose([*_u_range(*p[:3]), p[2]]).tolist() for p in pieces]
     if not all(per_var):
         return [(0.0, 0.0, 0.0, 0)] * len(ladders)
 
@@ -682,16 +683,14 @@ def _mc_rung(region: Region, integrand: Integrand, eps: float,
     var_sums = [0.0] * len(ladders)
     budget = max(16, cfg.mc_budget // max(1, len(combos)))
     for combo in combos:
-        ranges = [_u_range(*piece) for piece in combo]
-        vol = math.prod(b - a for a, b in ranges)
+        vol = math.prod(b - a for a, b, _ in combo)
         orient = math.prod(sgn or 1.0 for _, _, sgn in combo)
         if vol <= 0:
             continue
         u = rng.uniform(0.0, 1.0, size=(budget, n))
         pts = np.zeros((budget, n))
-        for v, ((_, _, sgn), (a, b)) in enumerate(zip(combo, ranges)):
-            t = a + (b - a) * u[:, v]
-            pts[:, v] = sgn * np.exp(t) if sgn else t  # _x_of in numpy
+        for v, (a, b, sgn) in enumerate(combo):
+            pts[:, v] = _x_of(a + (b - a) * u[:, v], sgn)
         inside = region.members(pts)
         vals = integrand.coeff.eval_many(pts).astype(
             complex if integrand.complex_valued else float
@@ -776,7 +775,7 @@ def combined_verdict(ladders: Sequence[Ladder]) -> str:
 
 def _cap_flags(ladders) -> list:
     """The depth-cap flag of a result built from these ladders, if any panel
-    was accepted at max_depth."""
+    was accepted at _MAX_DEPTH."""
     capped = sum(sum(ladder.capped) for ladder in ladders)
     return [f"quadrature depth cap hit ({capped} panels)"] if capped else []
 

@@ -214,6 +214,10 @@ class ProbeConfig:
 
     seed: int = 0
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise RegionError("the probe seed must be nonnegative")
+
 
 # The probe projects _SAMPLES random points onto the equalities and reads
 # the local dimension off a cloud of _LOCAL_CLOUD points around each of
@@ -465,8 +469,7 @@ class Region:
                 violations.append((face, d.value, need))
         return AllowVerdict(not violations, violations, heuristic)
 
-    def is_strictly_allowable(self, face: Iterable[int],
-                              cfg: ProbeConfig | None = None) -> StrictVerdict:
+    def is_strictly_allowable(self, face: Iterable[int]) -> StrictVerdict:
         """Whether the Zariski closure of A cap H_F contains no face.
 
         Exact for piecewise-linear intersections (the closure of a convex
@@ -475,7 +478,6 @@ class Region:
         """
         if self.kind == "complex":
             raise RegionError("strict allowability is defined for real regions")
-        cfg = cfg or ProbeConfig()
         face = tuple(sorted(set(face)))
         sub = self.face_intersection(face)
         hulls = []
@@ -498,11 +500,11 @@ class Region:
                     return StrictVerdict("not_strict", face, tuple(J))
         return StrictVerdict("strict", face)
 
-    def is_almost_strictly_allowable(self, cfg: ProbeConfig | None = None) -> StrictVerdict:
+    def is_almost_strictly_allowable(self) -> StrictVerdict:
         """Strict allowability w.r.t. every proper face; it suffices to test
         the codimension-one faces (restriction passes to smaller faces)."""
         for i in range(self.p):
-            v = self.is_strictly_allowable((i,), cfg)
+            v = self.is_strictly_allowable((i,))
             if v.status != "strict":
                 return v
         return StrictVerdict("strict", None)

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from helpers import REGIONS
-from logvol import IntegrationError, QuadConfig, parse_region
+from logvol import IntegrationError, ProbeConfig, QuadConfig, RegionError, parse_region
 from logvol.cli import run
 
 
@@ -176,6 +176,25 @@ def test_mc_budget_below_one_is_a_usage_error(budget):
     assert "--mc-budget" in err.getvalue()
     with pytest.raises(IntegrationError, match="mc_budget"):
         QuadConfig(mc_budget=int(budget))
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", str(REGIONS / "nested_annulus_c2.region"), "--m", "4"),
+    ("integrate", S_HALF, "--form", "dr1/r1 ^ dr2/r2"),
+])
+def test_negative_seed_is_a_usage_error(argv):
+    """--seed keys a counter-based generator, which takes no negative key:
+    -1 exits 1 with an error naming the flag and no output (it used to end
+    in a traceback from np.random.Philox).  Both configs reject it too."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = invoke(*argv, "--seed", "-1")
+    assert code == 1 and out == ""
+    assert "--seed" in err.getvalue()
+    with pytest.raises(IntegrationError, match="seed"):
+        QuadConfig(seed=-1)
+    with pytest.raises(RegionError, match="seed"):
+        ProbeConfig(seed=-1)
 
 
 def test_every_shipped_region_round_trips():

@@ -4,6 +4,7 @@ import cmath
 import contextlib
 import io
 import math
+import re
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -471,6 +472,30 @@ def test_unsliceable_tasks_give_an_inconclusive_verdict():
     assert code == 2 and "verdict  inconclusive" in out.getvalue().splitlines()
 
 
+def test_unsliceable_annulus_slices_give_an_inconclusive_verdict():
+    """The annulus slices of disk_times_circle_c2 at m = 3 keep an
+    existential auxiliary: they are left out, as integrate_admissible
+    leaves such tasks out, and the report has nan volumes, no fit, the
+    verdict inconclusive and a flag naming the auxiliaries, not a
+    RegionError; decay-complex exits 2 on it.  The m = 4 slices stay
+    identically zero."""
+    region = load_region("disk_times_circle_c2")
+    ts = [2.0**-k for k in range(2, 6)]
+    report = annulus_slice_decay(region, ComplexLogForm.volume_like(2, ()), 3, ts=ts)
+    assert report.verdict == "inconclusive" and report.fit is None
+    assert [t for t, _ in report.entries] == ts
+    assert all(math.isnan(v) for _, v in report.entries)
+    assert any("not integrated" in flag and "tau2" in flag for flag in report.flags)
+    for R in ((0,), (1,)):
+        assert annulus_slice_decay(region, ComplexLogForm.volume_like(2, R), 4,
+                                   ts=ts).verdict == "identically zero"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_run(["decay-complex", str(REGIONS / "disk_times_circle_c2.region"),
+                        "--form", "dz1/z1 ^ dz2/z2", "--m", "3"])
+    assert code == 2 and "annulus decay: inconclusive" in out.getvalue().splitlines()
+
+
 def _reference_newton_project(cell, region, pts):
     """The Gauss-Newton projection with one eval_many call per equality and
     per partial in every iteration."""
@@ -636,7 +661,9 @@ def test_gate_provenance_flag():
 def test_annulus_gate_provenance_through_fallback(monkeypatch, cell, flagged):
     """Both regions are full-dimensional, so not 3-admissible, and the
     annulus gate falls back to the divisor-locus test, which passes; the
-    flag follows whether the gate used the probe."""
+    flag follows whether the gate used the probe.  Every slice task keeps
+    the existential auxiliaries r2 and tau2, so each is left out and
+    flagged after the gate's flag."""
     import logvol.complexint as ci
     from logvol import Ladder
 
@@ -648,7 +675,10 @@ def test_annulus_gate_provenance_through_fallback(monkeypatch, cell, flagged):
     assert region.meets_divisors_only_in_d() == (True, flagged)
     report = annulus_slice_decay(region, ComplexLogForm.volume_like(2, ()), 3,
                                  ts=[2.0**-k for k in range(2, 6)])
-    assert report.flags == ([PROBE_GATE_FLAG] if flagged else [])
+    assert report.flags[:-1] == ([PROBE_GATE_FLAG] if flagged else [])
+    assert re.fullmatch(r"\d+ task\(s\) not integrated: existential auxiliary r2, tau2 "
+                        r"cannot be sliced", report.flags[-1])
+    assert report.verdict == "inconclusive"
 
 
 @pytest.mark.parametrize("name", ["quadrant_disk_c1", "disk_c1"])

@@ -73,8 +73,11 @@ def test_box_less_region_solves_its_box_once(monkeypatch):
     assert res.verdict == "converged"
 
 
-def test_depth_cap_hits_flagged():
-    res = integrate_log_form(load_region("s_half"), dlog2(), QuadConfig(max_depth=0))
+def test_depth_cap_hits_flagged(monkeypatch):
+    import logvol.integrate as integrate
+
+    monkeypatch.setattr(integrate, "_MAX_DEPTH", 0)
+    res = integrate_log_form(load_region("s_half"), dlog2())
     hits = [flag for flag in res.flags if flag.startswith("quadrature depth cap hit (")]
     assert len(hits) == 1 and hits[0].endswith(" panels)")
     assert sum(res.ladder.capped) + sum(res.abs_ladder.capped) == int(hits[0].split("(")[1].split()[0])
@@ -386,24 +389,53 @@ def test_rung_pieces_keep_each_side_of_the_excision():
     pos, neg = pieces([(-0.5, 1.0)], True)
     assert pos == (0.125, 1.0, 1.0, 0)
     assert neg == (-0.5, -0.125, -1.0, 0)
-    assert _u_range(*neg[:3]) == [math.log(0.125), math.log(0.5)]
-    assert _x_of([math.log(0.5)], -1.0) == [-0.5]
+    assert [u.tolist() for u in _u_range(*neg[:3])] == [math.log(0.125), math.log(0.5)]
+    assert _x_of([math.log(0.5)], -1.0).tolist() == [-0.5]
     assert pieces([(0.0, 0.125), (-0.125, 0.1)], True) == []
     assert pieces([], True) == []
     assert pieces([(-1.0, -0.5), (0.0, 0.125), (-0.25, 2.0)], True) == [
         (-1.0, -0.5, -1.0, 0), (0.125, 2.0, 1.0, 2), (-0.25, -0.125, -1.0, 2)]
     lin, = pieces([(-0.5, 1.0)], False)
-    assert (_u_range(*lin[:3]), _x_of([0.25], lin[2])) == ([-0.5, 1.0], [0.25])
+    assert [u.tolist() for u in _u_range(*lin[:3])] == [-0.5, 1.0]
+    assert _x_of([0.25], lin[2]).tolist() == [0.25]
     # one eps per range, as the rows of several rungs carry them
     per_range = _rung_pieces([(-0.5, 1.0), (-0.5, 1.0)], np.array([0.125, 0.75]), True)
     assert [tuple(piece) for piece in zip(*(x.tolist() for x in per_range))] == [
         (0.125, 1.0, 1.0, 0), (-0.5, -0.125, -1.0, 0), (0.75, 1.0, 1.0, 1)]
 
 
+@pytest.mark.parametrize("sgn", [1.0, -1.0])
+def test_log_substitution_round_trips(sgn):
+    """x = sgn e^u inverts u = log|x| to within 1e-14 relative over
+    1e-8 <= |x| <= 1e3, elementwise with one sign per entry; a linear
+    coordinate (sgn 0) passes through unchanged, with no floating-point
+    warning even at x = 0 or where e^x would overflow."""
+    from logvol.integrate import _u_of, _u_range, _x_of
+
+    x = sgn * np.geomspace(1e-8, 1e3, 1001)
+    back = _x_of(_u_of(x, sgn), sgn)
+    assert np.all(np.abs(back - x) <= 1e-14 * np.abs(x))
+    signs = np.full(len(x), sgn)
+    assert np.array_equal(_x_of(_u_of(x, signs), signs), back)
+    ends = np.sort(x)  # pieces (a, b) with a < b on the side of sgn
+    lo, hi = _u_range(ends[:-1], ends[1:], sgn)
+    assert np.all(lo < hi)
+    linear = np.array([0.0, -1.0, 1e3, -1e3, 2.5])
+    with np.errstate(all="raise"):
+        assert np.array_equal(_u_of(linear, 0.0), linear)
+        assert np.array_equal(_x_of(linear, 0.0), linear)
+        assert [u.tolist() for u in _u_range(linear, linear + 1, 0.0)] == [
+            linear.tolist(), (linear + 1).tolist()]
+        # one linear entry among log ones
+        mixed = np.array([sgn, 0.0])
+        assert _x_of(_u_of([sgn * 0.5, 0.0], mixed), mixed).tolist() == [sgn * 0.5, 0.0]
+
+
 def _depth_first_gauss(f, a, b, tol, depth, records):
     """The adaptive Gauss bisection one panel at a time, depth first: the
-    reference order for _adaptive_1d's values and records."""
-    from logvol.integrate import _gauss_nodes
+    reference order for _adaptive_1d's values and records.  Each panel is
+    summed alone, with the library's contraction."""
+    from logvol.integrate import _gauss_nodes, _panel_sums
 
     xs, ws = _gauss_nodes()
 
@@ -411,7 +443,12 @@ def _depth_first_gauss(f, a, b, tol, depth, records):
         half = 0.5 * (hi - lo)
         nodes = 0.5 * (lo + hi) + half * xs
         records.extend(("node", x) for x in nodes.tolist())  # the records behind each node
-        return [half * float(ws @ row) for row in f(nodes)]
+        values = f(nodes)
+        summed = _panel_sums(values, np.array([half]))[0]
+        # the per-panel dot product the contraction replaced, to a 15-term sum's rounding
+        bound = 16 * np.finfo(float).eps * abs(half) * (np.abs(values) @ ws)
+        assert np.all(np.abs(summed - half * (values @ ws)) <= bound)
+        return summed.tolist()
 
     def recurse(lo, hi, whole, budget, d):
         mid = 0.5 * (lo + hi)
@@ -605,9 +642,10 @@ def test_fiber_integral_is_independent_of_the_batch(case):
     assert np.array_equal(joint, same) == (inner not in integrand.log_vars)
 
 
-def _ladder_case(case):
+def _ladder_case(case, monkeypatch):
     """(region, integrand, cfg) of a ladder whose rungs are compared with
     the rungs computed alone."""
+    import logvol.integrate as integrate
     from logvol import ComplexLogForm, reduce_to_real_tasks
     from logvol.integrate import _top_integrand
 
@@ -617,7 +655,8 @@ def _ladder_case(case):
                                   "-r3 <= 0", "r3 - 1 <= 0", "r1 + r2 + r3 >= 1"],
                            [(0, 1)] * 3)
         form = LogForm.dlog(3, 3, 0).wedge(LogForm.dlog(3, 3, 1)).wedge(LogForm.dlog(3, 3, 2))
-        return region, _top_integrand(region, form), QuadConfig(ladder_len=3, quad_tol=1e-6)
+        monkeypatch.setattr(integrate, "_QUAD_TOL", 1e-6)
+        return region, _top_integrand(region, form), QuadConfig(ladder_len=3)
     if case == "quadrant_disk_task":
         task = reduce_to_real_tasks(load_region("quadrant_disk_c1"),
                                     ComplexLogForm.volume_like(1, (0,)), 2)[0]
@@ -634,14 +673,14 @@ def _ladder_case(case):
 @pytest.mark.parametrize("case", ["s_half", "interval_across_zero", "negative_square",
                                   "corner_3d", "quadrant_disk_task",
                                   "s_half_times_s_three_quarters"])
-def test_ladder_rungs_equal_the_rungs_computed_alone(case):
+def test_ladder_rungs_equal_the_rungs_computed_alone(case, monkeypatch):
     """One lockstep program serves every rung of a ladder: each entry and
     capped count of _build_ladder is, float for float, what _rung_value
     gives for that eps alone.  Above three coordinates rung k keeps its
     own Monte-Carlo key, as _mc_rung at index k draws it."""
     from logvol.integrate import _build_ladder, _mc_rung, _rung_value
 
-    region, integrand, cfg = _ladder_case(case)
+    region, integrand, cfg = _ladder_case(case, monkeypatch)
     ladders = ("signed", "absolute")
     built = _build_ladder(region, integrand, cfg, ladders)
     epss = built[0].params()

@@ -8,7 +8,6 @@ import pytest
 from logvol import (
     LogForm,
     Polynomial,
-    QuadConfig,
     SimplexMap,
     StokesError,
     boundary_chain,
@@ -48,16 +47,20 @@ def test_t_excision_range_check():
         t_excision([0.5, 0.5], 0.4)
 
 
-def test_excision_exhaustion_matches_jacobian_scaling():
+def test_excision_exhaustion_matches_jacobian_scaling(monkeypatch):
     """vol(S_t) = (1 - (m+1) t)^m vol(simplex), to 1e-9 for m <= 2."""
-    tight = QuadConfig(quad_tol=1e-12, max_depth=30)
-    for m in (1, 2):
-        vol_form = LogForm.term(m, 0, Polynomial.const(m, 1), (), tuple(range(m)))
-        full = 1.0 / math.factorial(m)
-        for t in (F(1, 10), F(1, 100)):
-            res = integrate_log_form(t_excision_region(m, t), vol_form, tight)
-            expect = float((1 - (m + 1) * t)) ** m * full
-            assert res.value == pytest.approx(expect, abs=1e-9), (m, t)
+    import logvol.integrate as integrate
+
+    with monkeypatch.context() as tight:
+        tight.setattr(integrate, "_QUAD_TOL", 1e-12)
+        tight.setattr(integrate, "_MAX_DEPTH", 30)
+        for m in (1, 2):
+            vol_form = LogForm.term(m, 0, Polynomial.const(m, 1), (), tuple(range(m)))
+            full = 1.0 / math.factorial(m)
+            for t in (F(1, 10), F(1, 100)):
+                res = integrate_log_form(t_excision_region(m, t), vol_form)
+                expect = float((1 - (m + 1) * t)) ** m * full
+                assert res.value == pytest.approx(expect, abs=1e-9), (m, t)
     # one three-dimensional spot check at a looser tolerance
     vol3 = LogForm.term(3, 0, Polynomial.const(3, 1), (), (0, 1, 2))
     res = integrate_log_form(t_excision_region(3, F(1, 10)), vol3)
