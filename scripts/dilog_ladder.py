@@ -3,8 +3,9 @@
 The region {0 <= r1 <= 1, 0 <= r2 <= 1/2, r1 + r2 >= 1} integrated against
 dr1/r1 ^ dr2/r2 converges to Li2(1/2); each rung excises |r_i| < eps and
 the ladder extrapolates the limit.  The ladder's wall time is printed with
-two counters, which do not vary between runs: the _fiber_integral calls and
-the fibers they solve.
+three counters, which do not vary between runs: the bisection rounds (calls
+of `_adaptive_1d`'s integrand, each of which evaluates every open panel),
+the _fiber_integral calls and the fibers they solve.
 """
 
 import argparse
@@ -33,6 +34,23 @@ def count_fibers() -> list:
     return tally
 
 
+def count_rounds() -> list:
+    """Wrap the integrand that integrate._adaptive_1d receives so that it
+    counts the bisection rounds; returns the live [rounds]."""
+    tally = [0]
+    original = integrate._adaptive_1d
+
+    def counted(f, *args):
+        def round_(*nodes):
+            tally[0] += 1
+            return f(*nodes)
+
+        return original(round_, *args)
+
+    integrate._adaptive_1d = counted
+    return tally
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--eps0", type=float, default=2.0**-4)
@@ -45,6 +63,7 @@ def main():
     form = LogForm.dlog(2, 2, 0).wedge(LogForm.dlog(2, 2, 1))
     cfg = QuadConfig(eps0=args.eps0, ladder_len=args.rungs, seed=args.seed)
     tally = count_fibers()
+    rounds = count_rounds()
     start = time.perf_counter()
     result = integrate_log_form(region, form, cfg)
     wall = time.perf_counter() - start
@@ -55,7 +74,7 @@ def main():
     print(f"series   {series:.10f}  (60 terms)")
     print(f"difference {abs(result.value - series):.2e}")
     print(f"wall     {wall:.3f} s")
-    print(f"fiber_integral calls {tally[0]}, fibers solved {tally[1]}")
+    print(f"bisection rounds {rounds[0]}, fiber_integral calls {tally[0]}, fibers solved {tally[1]}")
 
 
 if __name__ == "__main__":

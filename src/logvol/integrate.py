@@ -35,9 +35,21 @@ point and eps alone, and each integral's value and error records are
 summed in depth-first bisection order, so a rung does not depend on how
 its panels were batched nor on the rungs computed beside it.  Panels
 accepted only because the bisection reached _MAX_DEPTH are counted per
-rung and flagged.  Above three dimensions a stratified Monte-Carlo
-estimator with a counter-based generator replaces the tensor quadrature,
-rung by rung; it too draws one sample set for every ladder of a rung.
+rung and flagged.
+
+On the last outer level the segments start at the breakpoints of the
+fiber structure (`_final_level_cuts`).  When the inner coordinate is a log
+one, a fiber bounded below by an affine l(x) = alpha + beta x gives the
+outer integrand a term -log l(x), singular at l's zero x0, only
+eps / |beta| past the excision cut.  Bisection would zoom onto x0 one
+level per round, so rung k alone would take about k + 3 rounds; the cuts
+instead also grade geometrically toward x0, with ratio _GRADE, and every
+panel of a ladder passes the same halves-against-whole test in the first
+round.  The non-final outer levels of 3-d regions are not graded.
+
+Above three dimensions a stratified Monte-Carlo estimator with a
+counter-based generator replaces the tensor quadrature, rung by rung; it
+too draws one sample set for every ladder of a rung.
 
 Every rung path (the outer Gauss levels, the inner fibers and the
 Monte-Carlo rung) reads the part of a coordinate range it integrates from
@@ -81,6 +93,7 @@ _NODES = 15  # points of the Gauss rule, on the outer panels and the inner fiber
 _FIBER_BATCH = 512  # fibers per _fiber_integral call: bounds the arrays of one call
 _MAX_DEPTH = 24  # bisections of an outer Gauss panel before it is accepted as capped
 _QUAD_TOL = 1e-8  # relative error budget of an outermost Gauss integral
+_GRADE = 8  # ratio of the graded cuts toward a log inner bound's zero (_final_level_cuts)
 
 
 @dataclass(frozen=True)
@@ -454,10 +467,19 @@ def _final_level_cuts(solver: "_FiberSolver", level_var: int, point: np.ndarray,
     inner-bound candidates, the box and the excision bounds `clip` of the
     inner variable, and feasibility flips of rows without the inner
     variable.  Between consecutive cuts the one-level-up integrand is
-    analytic."""
+    analytic.
+
+    With a clip at +-e (a log inner variable), a fiber bounded by an affine
+    candidate l(x) = alpha + beta x contributes -log l(x) to the level
+    integrand, which is singular at l's zero x0, only e / |beta| past the
+    clip cut.  The cuts then also grade toward x0, at x0 +- (e / |beta|) *
+    _GRADE**j for j >= 1, so bisection starts from panels whose width
+    follows the distance to the singularity instead of zooming onto it one
+    level per round."""
     vec = point.copy()
     vec[solver.axis] = 0.0
     vec[level_var] = 0.0
+    e = max((abs(c) for c in clip), default=0.0)
     cuts = set()
     for rows in solver.linear:
         cands = [(x, 0.0) for x in (solver.kernel.lo_box, solver.kernel.hi_box, *clip)]
@@ -467,6 +489,13 @@ def _final_level_cuts(solver: "_FiberSolver", level_var: int, point: np.ndarray,
             rem = rhs - float(a @ vec)
             if abs(ci) > 1e-12:
                 cands.append((rem / ci, -cl / ci))
+                if e > 0 and abs(cl / ci) > 1e-12:
+                    # graded cuts x0 +- d toward the zero x0 of this candidate
+                    x0, d = rem / cl, e * abs(ci / cl) * _GRADE
+                    reach = max(abs(lo - x0), abs(hi - x0))
+                    while d < reach:
+                        cuts.update((x0 + d, x0 - d))
+                        d *= _GRADE
             elif abs(cl) > 1e-12:
                 cuts.add(rem / cl)
         for i in range(len(cands)):

@@ -272,6 +272,7 @@ class Region:
         ]
         self.name = name
         self._bbox = None
+        self._box_memo = {}
         for cell in self.cells:
             for c in cell.constraints:
                 if c.nvars != cell.nvars_total(self.n):
@@ -374,6 +375,26 @@ class Region:
         if self._bbox is None:
             self._bbox = self._bounding_box()
         return list(self._bbox)
+
+    def _box_bounds(self, extra: tuple) -> tuple:
+        """(lo, hi, rows) of the declared box over the ambient coordinates
+        followed by the `extra` variables (a cell's tuple of ExtraVar):
+        their Fraction bounds, and the integer rows (v, sign, bound,
+        (a, scale)) of x_v <= hi and -x_v <= -lo, variable by variable.
+        Built once per region and tuple of extras, as `Constraint.row` is
+        once per constraint."""
+        if extra not in self._box_memo:
+            boxes = list(self.box) + [(e.lo, e.hi) for e in extra]
+            lo = [Fraction(b[0]) for b in boxes]
+            hi = [Fraction(b[1]) for b in boxes]
+            rows = []
+            for v in range(len(boxes)):
+                for sign, bound in ((1, hi[v]), (-1, -lo[v])):
+                    a = [0] * (len(boxes) + 1)
+                    a[v], a[-1] = sign * bound.denominator, bound.numerator
+                    rows.append((v, sign, bound, (a, bound.denominator)))
+            self._box_memo[extra] = lo, hi, rows
+        return self._box_memo[extra]
 
     def _bounding_box(self) -> list:
         if self.box is not None:
@@ -722,20 +743,15 @@ def _linear_system(region: Region, cell: Cell, with_box: bool = True):
     over the full cell variable list, box rows last.  A box row is left out
     when a row of the cell (an equality counts as two) already bounds that
     variable at least as tightly."""
-    nv = cell.nvars_total(region.n)
     ub, eq = [], []
     for c in cell.constraints:
         if c.row is not None:
             (eq if c.equality else ub).append(c.row)
     if with_box and region.box is not None:
         own = [a for a, _ in ub + eq] + [[-x for x in a] for a, _ in eq]
-        boxes = list(region.box) + [(e.lo, e.hi) for e in cell.extra]
-        for v, (lo, hi) in enumerate(boxes):
-            for sign, bound in ((1, Fraction(hi)), (-1, -Fraction(lo))):
-                if not _bounds_var(own, v, sign, bound):
-                    a = [0] * (nv + 1)
-                    a[v], a[-1] = sign * bound.denominator, bound.numerator
-                    ub.append((a, bound.denominator))
+        for v, sign, bound, row in region._box_bounds(cell.extra)[2]:
+            if not _bounds_var(own, v, sign, bound):
+                ub.append(row)
     return ub, eq
 
 
@@ -852,9 +868,7 @@ def _positive_by_intervals(region: Region, cell: Cell, var: int) -> bool:
     bounded above by the box."""
     if region.box is None:
         return False
-    boxes = list(region.box) + [(e.lo, e.hi) for e in cell.extra]
-    lo = [Fraction(b[0]) for b in boxes]
-    hi = [Fraction(b[1]) for b in boxes]
+    lo, hi, _ = region._box_bounds(cell.extra)
     if lo[var] > 0:
         return True
     if lo[var] < 0:

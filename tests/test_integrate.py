@@ -74,9 +74,12 @@ def test_box_less_region_solves_its_box_once(monkeypatch):
 
 
 def test_depth_cap_hits_flagged(monkeypatch):
+    """The graded cuts settle every s_half panel at depth 0, so the tolerance
+    is set near float resolution to make panels reach the cap."""
     import logvol.integrate as integrate
 
     monkeypatch.setattr(integrate, "_MAX_DEPTH", 0)
+    monkeypatch.setattr(integrate, "_QUAD_TOL", 1e-15)
     res = integrate_log_form(load_region("s_half"), dlog2())
     hits = [flag for flag in res.flags if flag.startswith("quadrature depth cap hit (")]
     assert len(hits) == 1 and hits[0].endswith(" panels)")
@@ -698,16 +701,20 @@ def test_ladder_rungs_equal_the_rungs_computed_alone(case, monkeypatch):
 def test_s_half_ladder_is_one_program(monkeypatch):
     """Counters, which do not vary between runs: the twelve rungs of the
     default s_half ladder share one fiber solver and one bisection per
-    level, so the ladder builds one _FiberSolver (one per rung made 12)
-    and makes at most 18 _fiber_integral calls (rung by rung made 78)."""
+    level, so the ladder builds one _FiberSolver (one per rung made 12).
+    The graded cuts toward the -log singularity of each rung settle every
+    panel in the first round, so it makes at most 6 _fiber_integral calls
+    on at most 2,790 fibers (18 calls on 5,580 fibers with bisection
+    zooming onto the singularity; rung by rung made 78 calls)."""
     import logvol.integrate as integrate
 
-    calls, builds = [], []
+    calls, fibers, builds = [], [], []
     fiber_integral, solver = integrate._fiber_integral, integrate._FiberSolver
 
-    def counted(*args):
+    def counted(fiber_solver, bases, *args):
         calls.append(1)
-        return fiber_integral(*args)
+        fibers.append(len(bases))
+        return fiber_integral(fiber_solver, bases, *args)
 
     class Counted(solver):
         def __init__(self, *args):
@@ -719,7 +726,26 @@ def test_s_half_ladder_is_one_program(monkeypatch):
     res = integrate_log_form(load_region("s_half"), dlog2())
     assert res.value == pytest.approx(LI2_HALF, abs=1e-6)
     assert len(builds) == 1
-    assert len(calls) <= 18
+    assert len(calls) <= 6
+    assert sum(fibers) <= 2790
+
+
+def test_deep_s_half_rungs_match_mpmath():
+    """Oracle for deep rungs: 26 rungs of s_half reach eps of about 1.9e-9,
+    where the outer integrand's -log singularity sits 1.9e-9 past the clip
+    cut.  For eps < 1/2 the rung is the integral over 1/2 <= r1 <= 1 of
+    (log(1/2) - log max(1 - r1, eps)) / r1, which mpmath integrates over
+    the breakpoints [1/2, 1 - eps, 1]; every rung must match it within
+    1e-10 relative, with no panel accepted at the depth cap."""
+    res = integrate_log_form(load_region("s_half"), dlog2(), QuadConfig(ladder_len=26))
+    assert not [flag for flag in res.flags if flag.startswith("quadrature depth cap hit")]
+    assert res.ladder.params()[-1] == pytest.approx(2.0**-4 / 2**25)
+    with mpmath.workdps(30):
+        for eps, value in zip(res.ladder.params(), res.ladder.values()):
+            e = mpmath.mpf(eps)
+            exact = float(mpmath.quad(lambda r: (mpmath.log(0.5) - mpmath.log(max(1 - r, e))) / r,
+                                      [0.5, 1 - e, 1]))
+            assert value == pytest.approx(exact, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
