@@ -16,7 +16,10 @@ power table sees an exponent above 2).  It also
 prints the exact-layer verdicts the CLI does not: `is_strictly_allowable`
 on every face and `is_almost_strictly_allowable` of each real region, and
 `is_admissible(m)` for nc <= m <= 2 nc and `meets_divisors_only_in_d` of
-each complex one.  Two snapshots diffed against
+each complex one, each followed by how many cells each path of
+`region._decide_cell` decided (empty, rank, interior, hypersurface,
+probe; counted by wrapping it), so a diff shows where the certificates
+cover and where the probe still samples.  Two snapshots diffed against
 each other show whether a change moved any verdict, flag, note or value:
 
     python scripts/corpus_snapshot.py > before.txt
@@ -34,12 +37,14 @@ import io
 import os
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from logvol import integrate_log_form, parse_region  # noqa: E402
+from logvol import region as region_module  # noqa: E402
 from logvol.cli import parse_real_form, run  # noqa: E402
 
 REGIONS = ROOT / "regions"
@@ -110,8 +115,39 @@ def exact_verdicts(name: str, region) -> None:
         return
     nc = region.n // 2
     for m in range(nc, 2 * nc + 1):
-        print(f"# {name} admissible m={m}: {region.is_admissible(m)}")
-    print(f"# {name} meets divisors only in D: {region.meets_divisors_only_in_d()}")
+        with decision_paths() as paths:
+            verdict = region.is_admissible(m)
+        print(f"# {name} admissible m={m}: {verdict}")
+        print(f"#   cells decided m={m}: {paths_text(paths)}")
+    with decision_paths() as paths:
+        inside = region.meets_divisors_only_in_d()
+    print(f"# {name} meets divisors only in D: {inside}")
+    print(f"#   cells decided: {paths_text(paths)}")
+
+
+PATHS = ("empty", "rank", "interior", "hypersurface", "probe")
+
+
+@contextlib.contextmanager
+def decision_paths():
+    """Count the path of every `_decide_cell` call made inside the block."""
+    original = region_module._decide_cell
+    paths = Counter()
+
+    def counting(*args):
+        decision = original(*args)
+        paths[decision.path] += 1
+        return decision
+
+    region_module._decide_cell = counting
+    try:
+        yield paths
+    finally:
+        region_module._decide_cell = original
+
+
+def paths_text(paths: Counter) -> str:
+    return " ".join(f"{path} {paths[path]}" for path in PATHS)
 
 
 def main() -> None:

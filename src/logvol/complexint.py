@@ -801,6 +801,8 @@ def split_projective_charts(region: Region, form: ComplexLogForm,
 
 
 PROBE_GATE_FLAG = "admissibility gate used the sampled probe"
+GATE_CONTRADICTION_FLAG = ("contradiction: the exact gate says admissible, so the integral "
+                           "converges absolutely, but an absolute ladder diverges")
 
 
 def _check_degrees(region: Region, form: ComplexLogForm, m: int):
@@ -810,13 +812,12 @@ def _check_degrees(region: Region, form: ComplexLogForm, m: int):
         raise ComplexIntError(f"form degree {form.degree} does not match m={m}")
 
 
-def _admissibility_gate(region: Region, m: int, probe: ProbeConfig | None) -> list:
-    """Raise unless the region is m-admissible; the result's provenance
-    flags (the probe flag when the verdict used the sampled probe)."""
+def _admissibility_gate(region: Region, m: int, probe: ProbeConfig | None):
+    """The region's m-admissibility verdict; raise unless it is admissible."""
     verdict = region.is_admissible(m, probe)
     if not verdict.ok:
         raise ComplexIntError(f"admissibility gate failed: {verdict}")
-    return [PROBE_GATE_FLAG] if verdict.heuristic else []
+    return verdict
 
 
 def reduce_to_real_tasks(region: Region, form: ComplexLogForm, m: int,
@@ -904,13 +905,18 @@ def integrate_admissible(region: Region, form: ComplexLogForm, m: int,
 
     The verdict is combined_verdict over every task's signed and absolute
     ladders: "converged" only when all of them converge, "diverging" when
-    any of them diverges, and "inconclusive" otherwise.  A task with an
+    any of them diverges, and "inconclusive" otherwise.  Part I of the
+    paper is the cross-check: an admissible region's integral converges
+    absolutely, so when the gate is exact (no probe) and an absolute
+    ladder diverges anyway, one of the two is wrong; the verdict is then
+    "inconclusive" and a flag names the contradiction.  A task with an
     existential auxiliary cannot be sliced: it is left out, which makes
     the verdict at best "inconclusive", the sums nan and a flag name it.
     """
     cfg = cfg or QuadConfig()
     _check_degrees(region, form, m)
-    flags = _admissibility_gate(region, m, probe)
+    gate = _admissibility_gate(region, m, probe)
+    flags = [PROBE_GATE_FLAG] if gate.heuristic else []
     tasks = reduce_to_real_tasks(region, form, m, probe, check_gate=False)
     quadrature = _Quadratures(cfg, ("signed", "absolute"))
     total = 0j
@@ -930,6 +936,10 @@ def integrate_admissible(region: Region, form: ComplexLogForm, m: int,
         absolute += abs(abs_val)
         detail.append((task, value, err))
     verdict = combined_verdict(ladders)
+    if not gate.heuristic and any(lad.verdict == "diverging"
+                                  for lad in ladders[1::2]):  # the absolute ladders
+        flags = flags + [GATE_CONTRADICTION_FLAG]
+        verdict = "inconclusive"
     if any(unsliced):
         flags = flags + [_unsliced_flag(unsliced)]
         verdict = "diverging" if verdict == "diverging" else "inconclusive"

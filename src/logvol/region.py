@@ -7,11 +7,27 @@ zi_i) coordinates, the divisor H_i is {zr_i = zi_i = 0} and D_i is
 {zr_i = 1, zi_i = 0}.
 
 Every verdict rests on one question per cell: is it empty, and what are
-its affine hull and dimension; `_cell_hull` alone answers it.  Dimension
-is exact (rational LP, implicit-equality detection, affine-hull rank) on
-piecewise-linear cells and a seeded sampling probe elsewhere; every
-verdict that used the probe carries a "heuristic" flag.  Linear
-constraints travel as integer rows (`Constraint.row`) through all of it.
+its affine hull and dimension; `_cell_hull` alone simplifies the cell and
+finds the hull of a linear one.  `_decide_cell` then settles the
+dimension in this order, each step exact unless it is the last:
+
+1. rank: a linear cell (after `simplify_cell`, or after the local
+   rewrites of `certify.rewrite_nonlinear`) has dimension n minus the rank
+   of its affine hull H (rational LP, implicit-equality detection);
+2. interior: with no nonlinear equality, a rational point of the linear
+   part P at which every nonlinear inequality is strict shows dim = dim H;
+3. hypersurface: with one nonlinear equality g = 0, a rational point of
+   the relative interior of P on g = 0, where every nonlinear inequality
+   is strict and grad g is not normal to H, shows dim = dim H - 1;
+4. probe: otherwise (existential or derived auxiliaries, two or more
+   nonlinear equalities, or no candidate point certified) a seeded
+   sampling probe answers, and every verdict that used it carries a
+   "heuristic" flag and names the faces it touched.
+
+Steps 2 and 3 and the rewrites live in `logvol.certify`.
+
+Linear constraints travel as integer rows (`Constraint.row`) through all
+of it.
 """
 
 from __future__ import annotations
@@ -21,7 +37,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -162,12 +178,16 @@ class AllowVerdict:
     ok: bool
     violations: list = field(default_factory=list)  # (face tuple 0-based, dim, need)
     heuristic: bool = False
+    probed_faces: tuple = ()  # the faces (0-based tuples) whose answer used the probe
 
     def __bool__(self):
         return self.ok
 
     def __str__(self):
         tag = " [heuristic]" if self.heuristic else ""
+        if self.probed_faces:
+            tag += " probe on " + " ".join(
+                "{" + ",".join(str(i + 1) for i in face) + "}" for face in self.probed_faces)
         if self.ok:
             return "ALLOWABLE" + tag
         face, dim, need = self.violations[0]
@@ -474,7 +494,7 @@ class Region:
         cfg = cfg or ProbeConfig()
         face_list = list(faces) if faces is not None else list(self.faces())
         violations = []
-        heuristic = False
+        probed = []
         empty = []  # faces I with A cap H_I exactly empty
         for face in face_list:
             face = tuple(sorted(face))
@@ -482,13 +502,14 @@ class Region:
                 continue
             sub = self.face_intersection(face)
             d = sub.dimension(cfg)
-            heuristic = heuristic or d.heuristic
-            if d.value < 0 and not d.heuristic:
+            if d.heuristic:
+                probed.append(face)
+            elif d.value < 0:
                 empty.append(face)
             need = self.n - len(face)
             if d.value >= need:
                 violations.append((face, d.value, need))
-        return AllowVerdict(not violations, violations, heuristic)
+        return AllowVerdict(not violations, violations, bool(probed), tuple(probed))
 
     def is_strictly_allowable(self, face: Iterable[int]) -> StrictVerdict:
         """Whether the Zariski closure of A cap H_F contains no face.
@@ -547,18 +568,19 @@ class Region:
             raise RegionError(f"need {nc} <= m <= {2 * nc}")
         cfg = cfg or ProbeConfig()
         violations = []
-        heuristic = False
+        probed = []
         # nonempty faces first, then the empty face (whose condition is the
         # global bound dim(A minus D) <= m)
         for face in list(self.faces()) + [()]:
             d_excl = -1
             for d, h in self._dims_outside_d(face, cfg, memo):
-                heuristic = heuristic or h
+                if h and face not in probed:
+                    probed.append(face)
                 d_excl = max(d_excl, d)
             need = m - 2 * len(face)
             if d_excl >= 0 and d_excl > need:
                 violations.append((face, d_excl, need + 1))
-        return AllowVerdict(not violations, violations, heuristic)
+        return AllowVerdict(not violations, violations, bool(probed), tuple(probed))
 
     def meets_divisors_only_in_d(self, cfg: ProbeConfig | None = None,
                                  memo: dict | None = None) -> tuple:
@@ -588,9 +610,10 @@ class Region:
         answers = []
         sub = self.face_intersection(face)
         for cell in sub.cells:
-            d, h = _cell_dimension(sub, cell, cfg)
+            d, h, hull, _ = _decide_cell(sub, cell, cfg)
             if d >= 0:
-                inside, h2 = _in_divisor_locus(sub, cell, d, cfg)
+                inside, h2 = (_hull_in_divisor_locus(sub, hull) if hull is not None
+                              else _in_divisor_locus(sub, cell, d, cfg))
                 d, h = (-1 if inside else d), h or h2
             answers.append((d, h))
             yield d, h
@@ -820,11 +843,12 @@ def _hull_contains_face(rows, J, n) -> bool:
     return True
 
 
-def _cell_hull(region: Region, cell: Cell):
+def _cell_hull(region: Region, cell: Cell, found: list | None = None):
     """None when the cell is empty, else (simplified cell, the equality
     rows (a, b) of its affine hull over the ambient coordinates, or None
-    when the simplified cell is not linear)."""
-    found = []
+    when the simplified cell is not linear).  The feasible points
+    `simplify_cell` found are appended to `found`, when given."""
+    found = [] if found is None else found
     simp = simplify_cell(region, cell, found)
     if simp is None:
         return None
@@ -1119,16 +1143,8 @@ def _newton_project(cell: Cell, region: Region, pts: np.ndarray) -> np.ndarray:
 
 
 def _cell_dimension(region: Region, cell: Cell, cfg: ProbeConfig):
-    """(dimension, used_heuristic) of one cell: n minus the rank of its
-    affine hull when the simplified cell is linear, the sampled probe's
-    answer otherwise."""
-    hull = _cell_hull(region, cell)
-    if hull is None:
-        return -1, False
-    simp, rows = hull
-    if rows is None:
-        return _probe_cell_dimension(region, simp, cfg), True
-    return region.n - linprog.rank_of_rows([a for a, _ in rows if any(a)]), False
+    """(dimension, used_heuristic) of one cell, as `_decide_cell` settles it."""
+    return _decide_cell(region, cell, cfg)[:2]
 
 
 def _in_divisor_locus(region: Region, cell: Cell, dim: int, cfg: ProbeConfig):
@@ -1147,6 +1163,61 @@ def _in_divisor_locus(region: Region, cell: Cell, dim: int, cfg: ProbeConfig):
         if d_dt == dim:
             return True, heuristic
     return False, heuristic
+
+
+def _hull_in_divisor_locus(region: Region, hull: list):
+    """_in_divisor_locus of a cell of dimension dim H, H its affine hull
+    given by the equality rows `hull`: then cell cap D_t keeps the cell's
+    dimension exactly when H lies in D_t, that is when the rows of
+    zr_t = 1 and zi_t = 0 are in the row span of H's (rhs included)."""
+    mat = [[*a, b] for a, b in hull]
+    rank = linprog.rank_of_rows(mat) if mat else 0
+    for t in range(region.n // 2):
+        d_t = [[int(v == 2 * t) for v in range(region.n)] + [1],
+               [int(v == 2 * t + 1) for v in range(region.n)] + [0]]
+        if linprog.rank_of_rows(mat + d_t) == rank:
+            return True, False
+    return False, False
+
+
+# ---------------------------------------------------------------------------
+# deciding a cell's dimension
+
+
+class _Decision(NamedTuple):
+    """How `_decide_cell` settled one cell: its dimension; whether the
+    sampled probe gave it; the equality rows (a, b) of the cell's affine
+    hull H when the cell is known to fill H (the rank and interior paths),
+    else None; and the path, "empty", "rank", "interior", "hypersurface" or
+    "probe"."""
+
+    dim: int
+    probed: bool
+    hull: list | None
+    path: str
+
+
+def _decide_cell(region: Region, cell: Cell, cfg: ProbeConfig) -> _Decision:
+    """The dimension of one cell, decided in the order the module docstring
+    gives: rank, interior, hypersurface, probe.  The cell is simplified
+    once; the certificates reuse the simplified cell and the feasible
+    points `simplify_cell` found."""
+    found = []
+    hull = _cell_hull(region, cell, found)
+    if hull is None:
+        return _Decision(-1, False, None, "empty")
+    simp, rows = hull
+    if rows is not None:
+        return _Decision(region.n - _hull_rank(rows), False, rows, "rank")
+    # imported here: a run that meets no nonlinear cell never loads it
+    from .certify import certify_cell
+
+    decision = None if simp.extra else certify_cell(region, simp, found)
+    return decision or _Decision(_probe_cell_dimension(region, simp, cfg), True, None, "probe")
+
+
+def _hull_rank(rows) -> int:
+    return linprog.rank_of_rows([a for a, _ in rows if any(a)])
 
 
 def _probe_cell_dimension(region: Region, cell: Cell, cfg: ProbeConfig) -> int:

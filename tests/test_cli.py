@@ -34,6 +34,22 @@ def test_check_violated_exit_two():
     assert code == 2 and out.startswith("VIOLATED face={1}")
 
 
+@pytest.mark.parametrize("name,m,want", [
+    ("disk_c1", 1, "VIOLATED face={1} dim=0 need<0"), ("disk_c1", 2, "ALLOWABLE"),
+    ("quadrant_disk_c1", 2, "ALLOWABLE"),
+    ("nested_annulus_c2", 3, "VIOLATED face={2} dim=2 need<2"),
+    ("nested_annulus_c2", 4, "ALLOWABLE"),
+    ("disk_times_circle_c2", 2, "VIOLATED face={1} dim=1 need<1"),
+    ("disk_times_circle_c2", 3, "ALLOWABLE"),
+])
+def test_check_complex_corpus_is_exact(name, m, want):
+    """The complex corpus verdicts rest on exact certificates: no
+    [heuristic] tag."""
+    code, out = invoke("check", str(REGIONS / f"{name}.region"), "--m", str(m))
+    assert out.strip() == f"m={m}: {want}"
+    assert code == (0 if want == "ALLOWABLE" else 2)
+
+
 def test_integrate_s_half():
     code, out = invoke("integrate", S_HALF, "--form", "dr1/r1 ^ dr2/r2")
     assert code == 0

@@ -31,7 +31,8 @@ from logvol import (
 )
 from logvol import region as region_mod
 from logvol.cli import run as cli_run
-from logvol.complexint import PROBE_GATE_FLAG, _lift_payload, sector_constraints
+from logvol.complexint import (GATE_CONTRADICTION_FLAG, PROBE_GATE_FLAG, _lift_payload,
+                               sector_constraints)
 
 
 # ---------------------------------------------------------------------------
@@ -596,10 +597,20 @@ def test_reduction_gate():
 # admissible integration
 
 
+def quarter_annulus():
+    """{13/16 <= |z1|^2 <= 1} in the first quadrant.  Every candidate point
+    of the interior certificate (the box centre, the quarter points around
+    it and the feasible points found) has |z1|^2 <= 13/16, so its gate
+    still rests on the sampled probe."""
+    return region_of(2, 1, ["13/16 - zr1^2 - zi1^2 <= 0", "zr1^2 + zi1^2 - 1 <= 0",
+                            "-zr1 <= 0", "-zi1 <= 0"], [(0, 1), (0, 1)], kind="complex")
+
+
 def test_unsettled_task_ladder_is_inconclusive(monkeypatch):
     """A task whose ladder has not settled makes the whole result
     inconclusive with an unknown (nan) error, and its depth-cap count is
-    reported."""
+    reported, after the probe flag when the gate used the probe (the
+    quarter annulus) and alone when it did not (the quarter disk)."""
     import logvol.complexint as ci
     from logvol import Ladder
 
@@ -611,17 +622,17 @@ def test_unsettled_task_ladder_is_inconclusive(monkeypatch):
                 for _ in ladders]
 
     monkeypatch.setattr(ci, "_build_ladder", unsettled)
-    res = integrate_admissible(
-        load_region("quadrant_disk_c1"), ComplexLogForm.volume_like(1, (0,)), 2
-    )
-    assert calls and calls.count("absolute") == calls.count("signed")
-    assert res.verdict == "inconclusive"
-    assert math.isnan(res.error)
-    assert res.flags == [PROBE_GATE_FLAG,
-                         f"quadrature depth cap hit ({3 * len(calls)} panels)"]
+    for region, probed in ((load_region("quadrant_disk_c1"), False), (quarter_annulus(), True)):
+        calls.clear()
+        res = integrate_admissible(region, ComplexLogForm.volume_like(1, (0,)), 2)
+        assert calls and calls.count("absolute") == calls.count("signed")
+        assert res.verdict == "inconclusive"
+        assert math.isnan(res.error)
+        assert res.flags == [PROBE_GATE_FLAG] * probed + [
+            f"quadrature depth cap hit ({3 * len(calls)} panels)"]
 
 
-def test_diverging_absolute_ladder_takes_precedence(monkeypatch):
+def _diverging_absolute_ladders(monkeypatch):
     import logvol.complexint as ci
     from logvol import Ladder
 
@@ -632,6 +643,15 @@ def test_diverging_absolute_ladder_takes_precedence(monkeypatch):
 
     monkeypatch.setattr(ci, "_build_ladder",
                         lambda region, integrand, cfg, ladders: [ladder(k) for k in ladders])
+
+
+def test_diverging_absolute_ladder_takes_precedence(monkeypatch):
+    """With a gate that rests on the probe (the certificates switched off),
+    a diverging absolute ladder makes the verdict "diverging"."""
+    import logvol.certify as certify
+
+    _diverging_absolute_ladders(monkeypatch)
+    monkeypatch.setattr(certify, "certify_cell", lambda *args: None)
     res = integrate_admissible(
         load_region("quadrant_disk_c1"), ComplexLogForm.volume_like(1, (0,)), 2
     )
@@ -639,12 +659,28 @@ def test_diverging_absolute_ladder_takes_precedence(monkeypatch):
     assert res.flags == [PROBE_GATE_FLAG]
 
 
+def test_exact_gate_and_diverging_ladder_contradict(monkeypatch):
+    """Part I as a cross-check: the exact gate says the quarter disk is
+    admissible, so its integral converges absolutely; a diverging absolute
+    ladder contradicts that, and the verdict is "inconclusive" with a flag
+    naming the contradiction."""
+    _diverging_absolute_ladders(monkeypatch)
+    res = integrate_admissible(
+        load_region("quadrant_disk_c1"), ComplexLogForm.volume_like(1, (0,)), 2
+    )
+    assert res.verdict == "inconclusive"
+    assert res.flags == [GATE_CONTRADICTION_FLAG]
+
+
 def test_gate_provenance_flag():
     """The flag appears exactly when the admissibility gate rests on the
-    sampled probe: the quarter disk is a nonlinear cell, the square is not."""
+    sampled probe: the quarter annulus keeps the probe, the quarter disk
+    is certified exactly and the square is linear."""
     form = ComplexLogForm.volume_like(1, (0,))
+    res = integrate_admissible(quarter_annulus(), form, 2)
+    assert res.verdict == "converged" and res.flags == [PROBE_GATE_FLAG]
     res = integrate_admissible(load_region("quadrant_disk_c1"), form, 2)
-    assert res.flags == [PROBE_GATE_FLAG]
+    assert res.verdict == "converged" and res.flags == []
     square = region_of(2, 1, ["-zr1 <= 0", "zr1 - 1 <= 0", "-zi1 <= 0", "zi1 - 1 <= 0"],
                        [(0, 1), (0, 1)], kind="complex")
     res = integrate_admissible(square, form, 2)
@@ -655,8 +691,13 @@ def test_gate_provenance_flag():
     # a square in z1 times a square off the z2 divisor: no divisor contact
     (["1/2 - zr1 <= 0", "zr1 - 1 <= 0", "-zi1 <= 0", "zi1 - 1/2 <= 0",
       "1/2 - zr2 <= 0", "zr2 - 1 <= 0", "-zi2 <= 0", "zi2 - 1/2 <= 0"], False),
-    # |z2 - 1| <= |z1|: meets H_1 only at z2 = 1, a nonlinear cell there
-    (["(zr2 - 1)^2 + zi2^2 - zr1^2 - zi1^2 <= 0"], True),
+    # |z2 - 1| <= |z1|: meets H_1 only at z2 = 1, where (zr2 - 1)^2 + zi2^2
+    # <= 0 is a sum of squares, so the point is certified exactly
+    (["(zr2 - 1)^2 + zi2^2 - zr1^2 - zi1^2 <= 0"], False),
+    # |zr2^2 - 1| <= |z1|^2 and |zi2^2 + zi2| <= |z1|^2: meets H_1 only at
+    # z2 = 1, cut out there by two nonlinear equalities, which keep the probe
+    (["zr2^2 - 1 - zr1^2 - zi1^2 <= 0", "1 - zr2^2 - zr1^2 - zi1^2 <= 0",
+      "zi2^2 + zi2 - zr1^2 - zi1^2 <= 0", "-zi2^2 - zi2 - zr1^2 - zi1^2 <= 0"], True),
 ])
 def test_annulus_gate_provenance_through_fallback(monkeypatch, cell, flagged):
     """Both regions are full-dimensional, so not 3-admissible, and the
@@ -987,8 +1028,10 @@ def test_annulus_gate_decides_each_face_once(monkeypatch):
     """The two halves of the annulus gate, is_admissible(m) and then
     meets_divisors_only_in_d, share one per-face memo: on
     nested_annulus_c2 at m = 3 (not admissible) the faces the second half
-    reads are not simplified again (10 simplify_cell calls, not 14), and
-    the verdicts are those of the two calls made alone."""
+    reads are not simplified again (4 simplify_cell calls, not 5), and
+    the verdicts are those of the two calls made alone.  A cell that fills
+    its affine hull is tested against D by the hull, not simplified again
+    with each D_t (10 and 14 calls before that)."""
     import logvol.region as region_module
 
     region = load_region("nested_annulus_c2")
@@ -1004,7 +1047,7 @@ def test_annulus_gate_decides_each_face_once(monkeypatch):
     memo = {}
     shared = (str(region.is_admissible(3, memo=memo)), region.meets_divisors_only_in_d(memo=memo))
     assert shared == alone
-    assert len(calls) == 10
+    assert len(calls) == 4
 
 
 def test_annulus_decay_rejects_nonconstant_coefficient_first(monkeypatch):

@@ -11,6 +11,7 @@ from hypothesis import example, given, strategies as st
 from helpers import box_region, load_region, region_of
 from logvol import ProbeConfig, Region, RegionError, parse_region
 from logvol import Polynomial, linprog
+from logvol import certify
 from logvol import region as region_mod
 from logvol.region import Cell, Constraint, parse_constraint
 
@@ -62,10 +63,10 @@ def test_dimension_segment():
     assert (d.value, d.heuristic) == (1, False)
 
 
-def test_dimension_circle_is_heuristic():
+def test_dimension_circle_is_certified():
     A = region_of(2, 1, ["zr1^2 + zi1^2 - 1 = 0"], [(-2, 2), (-2, 2)], kind="complex")
     d = A.dimension()
-    assert d.value == 1 and d.heuristic
+    assert d.value == 1 and not d.heuristic
 
 
 def test_dimension_empty_face_intersection():
@@ -209,6 +210,137 @@ def test_admissibility_region_inside_d():
         [(-1, 1), (-1, 1), (0, 2), (-1, 1)], kind="complex",
     )
     assert pd.is_admissible(2).ok
+
+
+def test_annulus_point_face_is_certified():
+    """nested_annulus_c2 on the face z1 = 0 is the point 0 (zr2^2 + zi2^2
+    <= 0, a sum of squares that forces zr2 = zi2 = 0), which the sampled
+    probe reads as empty."""
+    d = load_region("nested_annulus_c2").face_intersection((0,)).dimension()
+    assert (d.value, d.heuristic) == (0, False)
+
+
+def test_annulus_unit_circle_slice_is_certified():
+    """nested_annulus_c2 cap {z2 = 1} is the circle |z1| = 1, written as two
+    opposite inequalities, which the sampled probe reads as empty."""
+    A = load_region("nested_annulus_c2")
+    A = A.add_cell_constraints([parse_constraint(text, A.var_names())
+                                for text in ("zr2 - 1 = 0", "zi2 = 0")])
+    d = A.dimension()
+    assert (d.value, d.heuristic) == (1, False)
+
+
+def test_rewrites_for_the_certificates():
+    """Opposite inequalities become one equality, a sum of squares <= 0 the
+    linear equalities it forces, and -(sum of squares) <= 0 is dropped."""
+    names = ["x1", "x2", "x3"]
+    cons = [parse_constraint(t, names) for t in (
+        "x1^2 + x2 - 1 <= 0", "1 - x1^2 - x2 >= 0", "2 - 2*x1^2 - 2*x2 <= 0",
+        "(x1 - x3)^2 + 4*(x2 - 1/2)^2 <= 0", "-x3^2 - x1^2 <= 0", "x1*x3 - 1 <= 0")]
+    linear, ineqs, eqs = certify.rewrite_nonlinear(cons, 3)
+    assert eqs == [parse_constraint("x1^2 + x2 - 1 = 0", names).payload]
+    assert ineqs == [cons[-1].payload]
+    sos = [c.payload for c in linear]
+    assert parse_constraint("x1 - x3 = 0", names).payload in sos
+    assert parse_constraint("x2 - 1/2 = 0", names).payload in sos and len(sos) == 2
+    # a positive constant left over: g <= 0 is infeasible (the row 0 = 1)
+    assert certify.sos_rows(parse_constraint("x1^2 + 1 <= 0", names).payload, 3)[-1] == (
+        [0, 0, 0, -1], 1)
+    assert certify.sos_rows(parse_constraint("x1*x2 <= 0", names).payload, 3) is None
+
+
+_q = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+
+
+@given(a=_q, b=_q, rho=_q, u=_q, v=_q, w=_q, circle=st.booleans())
+@example(a=0, b=0, rho=1, u=1, v=0, w=-1, circle=False)  # tangent: the point (1, 0)
+@example(a=0, b=0, rho=1, u=1, v=0, w=-1, circle=True)
+@example(a=1, b=0, rho=0, u=1, v=1, w=-1, circle=False)  # the point (1, 0) on the line
+@example(a=0, b=0, rho=-1, u=1, v=0, w=0, circle=True)
+@example(a=0, b=0, rho=1, u=1, v=0, w=2, circle=True)  # the cut misses the circle
+def test_certified_disk_and_circle_dimensions(a, b, rho, u, v, w, circle):
+    """(x - a)^2 + (y - b)^2 <= rho (a disk) or = rho (a circle), cut by
+    u x + v y + w <= 0: a certified dimension equals the closed form,
+    read off l(c) = u a + v b + w against rho (u^2 + v^2), compared
+    squared so it stays exact."""
+    if u == v == 0:
+        u = 1
+    x, y = Polynomial.var(2, 0), Polynomial.var(2, 1)
+    g = (x - a) * (x - a) + (y - b) * (y - b) - rho
+    cut = u * x + v * y + w
+    full = 1 if circle else 2
+    lc, reach = u * a + v * b + w, rho * (u * u + v * v)
+    if rho < 0 or (rho == 0 and lc > 0):
+        want = -1
+    elif rho == 0:
+        want = 0
+    elif lc <= 0 or lc * lc < reach:
+        want = full
+    else:
+        want = 0 if lc * lc == reach else -1
+    half = abs(rho) + 2
+    A = Region(2, 0, [Cell([Constraint(g, circle), Constraint(cut)])], "real",
+               [(a - half, a + half), (b - half, b + half)])
+    d = A.dimension()
+    if not d.heuristic:
+        assert d.value == want
+
+
+def test_divisor_locus_by_hull_matches_the_slice_test():
+    """For a cell that fills its affine hull H, lying in D_t is H lying in
+    D_t: the same answer as slicing the cell with D_t, on every cell of
+    every face of the complex corpus and of two regions inside D."""
+    inside = region_of(4, 2, ["zr1^2 + zi1^2 - 1 <= 0", "zr2 - 1 = 0", "zi2 = 0"],
+                       [(-1, 1), (-1, 1), (0, 2), (-1, 1)], kind="complex")
+    flat = region_of(2, 1, ["zr1 - 1 = 0", "zi1 = 0"], [(0, 2), (-1, 1)], kind="complex")
+    regions = [load_region(name) for name in
+               ("disk_c1", "quadrant_disk_c1", "nested_annulus_c2", "disk_times_circle_c2")]
+    seen = set()
+    for region in regions + [inside, flat]:
+        for face in list(region.faces()) + [()]:
+            sub = region.face_intersection(face)
+            for cell in sub.cells:
+                d, probed, hull, path = region_mod._decide_cell(sub, cell, ProbeConfig())
+                if hull is None or d < 0:
+                    continue
+                seen.add(path)
+                by_hull = region_mod._hull_in_divisor_locus(sub, hull)
+                assert by_hull == region_mod._in_divisor_locus(sub, cell, d, ProbeConfig())
+    assert seen == {"rank", "interior"}
+
+
+def test_complex_corpus_gates_make_no_probe_calls(monkeypatch):
+    """Every cell the gates of the complex corpus meet is decided exactly:
+    is_admissible at every m and meets_divisors_only_in_d call the
+    sampled probe 0 times, and every verdict is exact."""
+    calls = []
+    probe = region_mod._probe_cell_dimension
+
+    def counted(*args):
+        calls.append(args)
+        return probe(*args)
+
+    monkeypatch.setattr(region_mod, "_probe_cell_dimension", counted)
+    for name in ("disk_c1", "quadrant_disk_c1", "nested_annulus_c2", "disk_times_circle_c2"):
+        region = load_region(name)
+        for m in range(region.n // 2, region.n + 1):
+            assert not region.is_admissible(m).heuristic
+        assert region.meets_divisors_only_in_d() == (False, False)
+    assert calls == []
+
+
+def test_probed_faces_are_named():
+    """The verdict names the faces whose answer rested on the probe."""
+    v = region_mod.AllowVerdict(True, [], True, ((0,), ()))
+    assert str(v) == "ALLOWABLE [heuristic] probe on {1} {}"
+    assert str(region_mod.AllowVerdict(True)) == "ALLOWABLE"
+    # two nonlinear equalities on the face z1 = 0 keep the probe there
+    A = region_of(4, 1, ["zr2^2 - 1 - zr1^2 - zi1^2 <= 0", "1 - zr2^2 - zr1^2 - zi1^2 <= 0",
+                         "zi2^2 + zi2 - zr1^2 - zi1^2 <= 0", "-zi2^2 - zi2 - zr1^2 - zi1^2 <= 0"],
+                  [(0, 1), (0, 1), (0, 2), (0, 1)], kind="complex")
+    v = A.is_admissible(4)
+    assert v.ok and v.heuristic and v.probed_faces == ((0,),)
+    assert str(v) == "ALLOWABLE [heuristic] probe on {1}"
 
 
 def test_divisor_locus_in_d_detection():
@@ -396,18 +528,34 @@ MANIFOLDS = [
 
 
 @pytest.mark.parametrize("consts,box,kind,dim", MANIFOLDS)
-def test_probe_matches_known_dimension(consts, box, kind, dim):
+def test_probe_matches_known_dimension(monkeypatch, consts, box, kind, dim):
+    """The sampled probe, the fallback when no certificate is found, on the
+    simplified cell `_decide_cell` hands it; with the certificates switched
+    off the dimension is its answer, flagged heuristic."""
     p = 1 if kind == "complex" else 0
     A = region_of(len(box), p, consts, box, kind=kind)
+    simp = region_mod.simplify_cell(A, A.cells[0])
+    assert region_mod._probe_cell_dimension(A, simp, ProbeConfig()) == dim
+    monkeypatch.setattr(certify, "certify_cell", lambda *args: None)
     d = A.dimension(ProbeConfig())
     assert d.heuristic
     assert d.value == dim
 
 
+@pytest.mark.parametrize("consts,box,kind,dim", MANIFOLDS)
+def test_certified_dimension_matches_known_dimension(consts, box, kind, dim):
+    p = 1 if kind == "complex" else 0
+    A = region_of(len(box), p, consts, box, kind=kind)
+    d = A.dimension(ProbeConfig())
+    assert (d.value, d.heuristic) == (dim, False)
+
+
 def test_probe_repeatability_fixed_seed():
     A = region_of(2, 0, ["x1^2 + x2^2 - 1 = 0"], [(-2, 2), (-2, 2)])
-    values = {A.dimension(ProbeConfig(seed=0)).value for _ in range(5)}
+    values = {region_mod._probe_cell_dimension(A, A.cells[0], ProbeConfig(seed=0))
+              for _ in range(5)}
     assert values == {1}
+    assert A.dimension(ProbeConfig(seed=0)).value == 1
 
 
 # ---------------------------------------------------------------------------
