@@ -39,7 +39,7 @@ def certify_cell(region: Region, cell: Cell, found: list) -> _Decision | None:
     linear, ineqs, eqs = rewrite_nonlinear(cell.constraints, n)
     if len(eqs) > 1:
         return None
-    system = _linear_system(region, Cell(linear), with_box=True)
+    system = _linear_system(region, Cell(linear))
     centre = None
     if region.box is not None:
         lo, hi, _ = region._box_bounds(())

@@ -121,9 +121,12 @@ def _axis_index(name: str, region: Region) -> int:
     if name in names:
         return names.index(name)
     try:
-        return int(name) - 1
+        index = int(name) - 1
     except ValueError:
         raise CliError(f"unknown coordinate {name!r}") from None
+    if not 0 <= index < region.n:
+        raise CliError(f"--axis {name} is out of range 1..{region.n}")
+    return index
 
 
 def _load_region(path: str) -> Region:

@@ -113,8 +113,8 @@ class QuadConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.eps0 <= 0:
-            raise IntegrationError("eps0 must be positive")
+        if not (math.isfinite(self.eps0) and self.eps0 > 0):
+            raise IntegrationError("eps0 must be finite and positive")
         if self.ladder_len < 3:
             raise IntegrationError("the ladder needs at least 3 rungs")
         if self.mc_budget < 1:
@@ -382,13 +382,16 @@ def _line_absolute(coef: np.ndarray, a: np.ndarray, b: np.ndarray, log_weight: b
     |_line_signed| summed, left to right, over the pieces between the
     roots."""
     out = np.abs(signed)
-    cuts = [(i, r) for i in np.flatnonzero(np.any(coef[1:] != 0, axis=0)).tolist()
-            for r in real_roots(coef[:, i].tolist()) if a[i] < r < b[i]]
-    if not cuts:
+    rows = np.flatnonzero(np.any(coef[1:] != 0, axis=0))
+    if not len(rows):
         return out
-    cut = np.unique([i for i, _ in cuts])
-    span = np.append(cut, [i for i, _ in cuts]).astype(np.int64)
-    lo = np.append(a[cut], [r for _, r in cuts])
+    roots = real_roots(coef[:, rows])
+    inside = (a[rows] < roots) & (roots < b[rows])  # nan is never inside
+    if not inside.any():
+        return out
+    cut = rows[inside.any(axis=0)]
+    span = np.append(cut, np.broadcast_to(rows, roots.shape)[inside])
+    lo = np.append(a[cut], roots[inside])
     order = np.lexsort((lo, span))  # span by span, left to right
     span, lo = span[order], lo[order]
     hi = np.where(np.append(span[1:] != span[:-1], True), b[span], np.roll(lo, -1))
@@ -1061,7 +1064,8 @@ class BoundReport:
 
 def _delta_probe_1d(region: Region, f: Polynomial, samples: int, cap: int, seed: int):
     """Max fiber cardinality of a scalar map on a 1-d region, by counting
-    roots of f - u over sampled image values."""
+    roots of f - u over sampled image values u; the first sample, in draw
+    order, over the cap decides."""
     box = region.bounding_box()
     rng = np.random.Generator(np.random.Philox(key=seed))
     xs = np.linspace(box[0][0], box[0][1], 512)
@@ -1070,25 +1074,23 @@ def _delta_probe_1d(region: Region, f: Polynomial, samples: int, cap: int, seed:
         return 0, 0.0, (0.0, 0.0)
     fvals = f.eval_many(xs[:, None])
     lo, hi = float(fvals[inside].min()), float(fvals[inside].max())
-    best = 0
-    hits = 0
-    trials = samples
-    for _ in range(trials):
-        u = float(rng.uniform(lo, hi))
-        shifted = f - Polynomial.const(1, u)
-        coeffs = [0.0] * (shifted.degree() + 1)
-        for exp, c in shifted.terms.items():
-            coeffs[exp[0]] = float(c)
-        real = real_roots(coeffs)
-        pts = np.array([[r] for r in real]) if real else np.zeros((0, 1))
-        count = int(region.members(pts).sum()) if len(pts) else 0
-        if count:
-            hits += 1
-        best = max(best, count)
-        if best > cap:
-            return best, (hi - lo), (lo, hi)
-    vol = (hi - lo) * hits / trials
-    return best, vol, (lo, hi)
+    us = rng.uniform(lo, hi, size=samples)
+    # one column of f - u per sample, its constant term exact before rounding
+    # as in Polynomial arithmetic
+    coef = np.zeros((max(f.degree(), 0) + 1, samples))
+    for (e,), c in f.terms.items():
+        coef[e] = float(c)
+    f0 = f.terms.get((0,), 0)
+    coef[0] = [float(f0 - Fraction(u)) for u in us.tolist()]
+    roots = real_roots(coef)
+    real = ~np.isnan(roots)
+    sample = np.broadcast_to(np.arange(samples), roots.shape)[real]
+    counts = np.bincount(sample[region.members(roots[real][:, None])], minlength=samples)
+    over = np.flatnonzero(counts > cap)
+    if len(over):
+        return int(counts[: over[0] + 1].max()), (hi - lo), (lo, hi)
+    hits = int(np.count_nonzero(counts))
+    return int(counts.max(initial=0)), (hi - lo) * hits / samples, (lo, hi)
 
 
 def pushforward_bound_check(region: Region, fs: Sequence[Polynomial], a: Polynomial,

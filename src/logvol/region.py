@@ -254,7 +254,6 @@ _LOCAL_CLOUD = 64
 _NEWTON_ITERS = 30  # Gauss-Newton steps of the projection
 _EQ_TOL = 1e-8  # residual to which an equality holds
 _INEQ_TOL = 1e-7  # slack to which an inequality holds
-_EXIST_GRID = 65  # grid values per existential extra in membership tests
 _LENGTH_TOL = 1e-9  # relative length of a fiber interval that is not a point
 
 
@@ -431,7 +430,7 @@ class Region:
                     raise RegionError(
                         "bounding box required: nonlinear cell without a declared box"
                     )
-                ub, eq = _linear_system(self, cell, with_box=False)
+                ub, eq = _linear_system(self, cell)
                 hi = linprog.solve_lp(obj, ub, a_eq=eq, maximize=True)
                 lo = linprog.solve_lp(obj, ub, a_eq=eq, maximize=False)
                 if hi.status == linprog.INFEASIBLE:
@@ -455,7 +454,8 @@ class Region:
     # -- membership ----------------------------------------------------------
 
     def members(self, pts: np.ndarray) -> np.ndarray:
-        """Boolean membership for an (N, n) array of ambient points."""
+        """Boolean membership for an (N, n) array of ambient points; a cell
+        with existential auxiliaries raises RegionError."""
         inside = np.zeros(pts.shape[0], dtype=bool)
         for cell in self.cells:
             inside |= _cell_members(self, cell, pts)
@@ -634,16 +634,10 @@ class Region:
         largest side witnesses an infinite fiber.  The first sample, in
         draw order, that is infinite or over the cap decides the verdict,
         "infinite" before "cap exceeded" within one fiber."""
-        from .slicing import FiberKernel
+        from .slicing import sample_fibers
 
-        box = self.bounding_box()
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        base_vars = [v for v in range(self.n) if v != axis]
-        scale = max(hi - lo for lo, hi in box) + 1e-30
-        points = np.zeros((samples, self.n))
-        lo, hi = np.array([box[v] for v in base_vars], dtype=float).reshape(-1, 2).T
-        points[:, base_vars] = rng.uniform(lo, hi, size=(samples, len(base_vars)))
-        a, b, owner, _ = FiberKernel(self, axis).intervals_many(points)
+        scale = max(hi - lo for lo, hi in self.bounding_box()) + 1e-30
+        a, b, owner = sample_fibers(self, axis, samples, seed)
         counts = np.bincount(owner, minlength=samples)
         infinite = np.bincount(owner, weights=b - a > _LENGTH_TOL * scale, minlength=samples) > 0
         decided = np.flatnonzero(infinite | (counts > cap))
@@ -761,7 +755,7 @@ def _num_in(v):
 # exact machinery
 
 
-def _linear_system(region: Region, cell: Cell, with_box: bool = True):
+def _linear_system(region: Region, cell: Cell):
     """(ub, eq): the integer rows (`Constraint.row`) of a.x <= b and a.x = b
     over the full cell variable list, box rows last.  A box row is left out
     when a row of the cell (an equality counts as two) already bounds that
@@ -770,7 +764,7 @@ def _linear_system(region: Region, cell: Cell, with_box: bool = True):
     for c in cell.constraints:
         if c.row is not None:
             (eq if c.equality else ub).append(c.row)
-    if with_box and region.box is not None:
+    if region.box is not None:
         own = [a for a, _ in ub + eq] + [[-x for x in a] for a, _ in eq]
         for v, sign, bound, row in region._box_bounds(cell.extra)[2]:
             if not _bounds_var(own, v, sign, bound):
@@ -854,7 +848,7 @@ def _cell_hull(region: Region, cell: Cell, found: list | None = None):
         return None
     if not simp.is_linear():
         return simp, None
-    rows = _affine_hull_rows(region.n, _linear_system(region, simp, with_box=True), found)
+    rows = _affine_hull_rows(region.n, _linear_system(region, simp), found)
     if rows is None:
         return None
     return simp, rows
@@ -990,7 +984,7 @@ def simplify_cell(region: Region, cell: Cell, found: list | None = None) -> Cell
         probe_cell = Cell(constraints, cell.extra)
         contents = [_content(c) for c in constraints]
         if any(any(e) for e in contents):
-            system = _linear_system(region, probe_cell, with_box=True)
+            system = _linear_system(region, probe_cell)
             witnesses = [w for w in witnesses if _holds(system, w)]
             if not witnesses and (system[0] or system[1]):
                 point = linprog.feasible_point(system[0], None, system[1], None, nv)
@@ -1022,7 +1016,7 @@ def simplify_cell(region: Region, cell: Cell, found: list | None = None) -> Cell
     # the last round already found a point of this very system
     probe_cell = Cell(constraints, cell.extra)
     if constraints is not proven:
-        ub, eq = _linear_system(region, probe_cell, with_box=True)
+        ub, eq = _linear_system(region, probe_cell)
         if ub or eq:
             point = linprog.feasible_point(ub, None, eq, None, nv)
             if point is None:
@@ -1048,30 +1042,15 @@ def _content(c: Constraint) -> tuple:
 
 
 def _cell_members(region: Region, cell: Cell, pts: np.ndarray) -> np.ndarray:
-    """Membership of ambient points; existential extras are grid-searched,
-    derived extras computed."""
+    """Membership of ambient points, derived extras computed; a cell with
+    existential extras has no pointwise membership test."""
     n = region.n
-    extras = cell.extra
-    exist = [n + i for i, e in enumerate(extras) if e.derived_from is None]
-    total = cell.nvars_total(n)
-    full = np.zeros((pts.shape[0], total))
+    if any(e.derived_from is None for e in cell.extra):
+        raise RegionError("cannot test membership in a cell with existential variables")
+    full = np.zeros((pts.shape[0], cell.nvars_total(n)))
     full[:, :n] = pts
-    fill_derived(full, extras, n)
-    if not exist:
-        return _eval_constraints(cell, full)
-    grids = [np.linspace(extras[v - n].lo, extras[v - n].hi, _EXIST_GRID) for v in exist]
-    ok = np.zeros(pts.shape[0], dtype=bool)
-    mesh = np.meshgrid(*grids, indexing="ij")
-    combos = np.stack([m.ravel() for m in mesh], axis=1)
-    for combo in combos:
-        trial = full.copy()
-        for v, val in zip(exist, combo):
-            trial[:, v] = val
-        fill_derived(trial, extras, n)
-        ok |= _eval_constraints(cell, trial, eq_tol_scale=50.0)
-        if ok.all():
-            break
-    return ok
+    fill_derived(full, cell.extra, n)
+    return _eval_constraints(cell, full)
 
 
 def _eval_constraints(cell: Cell, full: np.ndarray, eq_tol_scale: float = 1.0) -> np.ndarray:

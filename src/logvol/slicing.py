@@ -15,18 +15,17 @@ Gauss panel is one matrix product, and each cell is cut and tested for all
 of its rows and points at once.  A kernel call returns one span table for
 all its fibers: flat arrays (a, b, owner) of the merged intervals, owner
 the base point of each, which the quadrature, float slicing, the sup-volume
-bound and the finiteness probe all read; when the pieces all come from one
-cell of inequalities, they are sorted already and `join_touching` merges
-them without the sort.  `real_roots` is the one scalar float root finder:
-closed forms for degree 1 and 2, np.roots above, and one relative
-tolerance for imaginary parts.  `quadratic_roots` states its
-closed forms for a whole batch of rows of degree at most 2, root for root
-the same floats.
+bound and the finiteness probe all read (the last two through
+`sample_fibers`, one seeded draw of base points); when the pieces all come
+from one cell of inequalities, they are sorted already and `join_touching`
+merges them without the sort.  `real_roots` is the one float root finder:
+it solves every column of a coefficient array at once, by closed forms for
+degree 1 and 2 and np.roots above, with one relative tolerance for
+imaginary parts.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -275,69 +274,63 @@ def isolate_real_roots(poly, tol=Fraction(1, 10**12)) -> RootIntervals:
 # float roots and compiled line restrictions
 
 
-def real_roots(coeffs) -> list:
-    """Sorted real roots of an ascending float coefficient list.
+def real_roots(coef) -> np.ndarray:
+    """The real roots of every column of a (w, k) array of ascending float
+    coefficients (a 1-d array is one column): a (w - 1, k) array holding
+    each column's roots, nan where the column has fewer.
 
-    Trailing coefficients below 1e-300 are dropped.  Degrees 1 and 2 use
-    closed forms, the quadratic through the cancellation-free
-    q = -(b + sign(b) sqrt(disc)) / 2; higher degrees use np.roots.  A root
-    counts as real when its imaginary part is below 1e-9 * max(1, max|c|),
-    so a quadratic whose complex pair lies inside that window gives the
-    double root -b / 2a, twice, as np.roots would.
+    Trailing coefficients below 1e-300 are dropped, column by column.
+    Degrees 1 and 2 use closed forms, the quadratic through the
+    cancellation-free q = -(b + sign(b) sqrt(disc)) / 2, roots q / a then
+    c0 / q; higher degrees use np.roots, column by column, roots ascending.
+    A root counts as real when its imaginary part is below
+    1e-9 * max(1, max|c|), so a quadratic whose complex pair lies inside
+    that window gives the double root -b / 2a, twice, as np.roots would.
+    A quotient that overflows is inf, without a warning.
     """
-    c = list(coeffs)
-    while c and abs(c[-1]) < 1e-300:
-        c.pop()
-    if len(c) <= 1:
-        return []
-    if len(c) == 2:
-        return [-c[0] / c[1]]
-    big = max(abs(v) for v in c)
-    window = 1e-9 * max(1.0, big)
-    if len(c) > 3:
-        roots = np.roots(c[::-1])
-        return sorted(float(r.real) for r in roots if abs(r.imag) < window)
-    # roots do not change under scaling; unit-size coefficients keep b^2 finite
-    c0, b, a = c[0] / big, c[1] / big, c[2] / big
-    disc = b * b - 4.0 * a * c0
-    if disc < 0.0:
-        if math.sqrt(-disc) / (2.0 * abs(a)) < window:
-            x = -b / (2.0 * a)
-            return [x, x]
-        return []
-    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-    if q == 0.0:  # b = c0 = 0
-        return [0.0, 0.0]
-    x1, x2 = q / a, c0 / q
-    return [x1, x2] if x1 <= x2 else [x2, x1]
-
-
-def quadratic_roots(coef: np.ndarray) -> np.ndarray:
-    """`real_roots` of each column of a (3, k) array of ascending
-    coefficients, all columns at once: a (2, k) array holding each column's
-    roots, nan where it has fewer than two.  The same trim, scaling, closed
-    forms and imaginary window as `real_roots` give the same floats."""
-    c0, c1, c2 = coef
-    out = np.full((2, coef.shape[1]), np.nan)
-    quad = np.abs(c2) >= 1e-300
-    lin = ~quad & (np.abs(c1) >= 1e-300)
-    # Python floats overflow to inf without a warning; so do these
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        out[0, lin] = -c0[lin] / c1[lin]
-        c0, b, a = c0[quad], c1[quad], c2[quad]
+    coef = np.asarray(coef, dtype=float)
+    if coef.ndim == 1:
+        return real_roots(coef[:, None])[:, 0]
+    w, k = coef.shape
+    out = np.full((max(w - 1, 0), k), np.nan)
+    degree = np.zeros(k, dtype=np.int64)
+    for i, kept in enumerate(np.abs(coef[1:]) >= 1e-300, 1):
+        degree[kept] = i
+    lin, quad = degree == 1, degree == 2
+    if lin.any():
+        with np.errstate(over="ignore"):
+            out[0, lin] = -coef[0, lin] / coef[1, lin]
+    if quad.any():
+        c0, b, a = (row[quad] for row in coef[:3])
+        # roots do not change under scaling; unit-size coefficients keep b^2
+        # finite
         big = np.maximum(np.maximum(np.abs(c0), np.abs(b)), np.abs(a))
         window = 1e-9 * np.maximum(1.0, big)
-        c0, b, a = c0 / big, b / big, a / big
-        disc = b * b - 4.0 * a * c0
-        neg = disc < 0.0
-        pair = np.sqrt(np.where(neg, -disc, 0.0)) / (2.0 * np.abs(a)) < window
-        q = -0.5 * (b + np.copysign(np.sqrt(np.where(neg, 0.0, disc)), b))
-        zero = q == 0.0  # b = c0 = 0
-        x1 = np.where(neg, -b / (2.0 * a), np.where(zero, 0.0, q / a))
-        x2 = np.where(neg, x1, np.where(zero, 0.0, c0 / q))
-    real = ~neg | pair
-    out[:, quad] = np.where(real, [x1, x2], np.nan)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            c0, b, a = c0 / big, b / big, a / big
+            disc = b * b - 4.0 * a * c0
+            neg = disc < 0.0
+            pair = np.sqrt(np.where(neg, -disc, 0.0)) / (2.0 * np.abs(a)) < window
+            q = -0.5 * (b + np.copysign(np.sqrt(np.where(neg, 0.0, disc)), b))
+            zero = q == 0.0  # b = c0 = 0
+            x1 = np.where(neg, -b / (2.0 * a), np.where(zero, 0.0, q / a))
+            x2 = np.where(neg, x1, np.where(zero, 0.0, c0 / q))
+        real = ~neg | pair
+        out[0, quad] = np.where(real, x1, np.nan)
+        out[1, quad] = np.where(real, x2, np.nan)
+    high = np.flatnonzero(degree > 2) if w > 3 else []
+    for j in high:
+        c = coef[: degree[j] + 1, j].tolist()
+        window = 1e-9 * max(1.0, max(map(abs, c)))
+        real = sorted(r.real for r in np.roots(c[::-1]).tolist() if abs(r.imag) < window)
+        out[: len(real), j] = real
     return out
+
+
+def _column_roots(coeffs) -> list:
+    """`real_roots` of one ascending coefficient list, as a sorted list."""
+    roots = real_roots(coeffs)
+    return sorted(roots[~np.isnan(roots)].tolist())
 
 
 class AxisRestriction:
@@ -474,6 +467,11 @@ def join_touching(a: np.ndarray, b: np.ndarray, owner: np.ndarray) -> tuple:
     return a[start], b[end], owner[start]
 
 
+def _check_axis(region: Region, axis: int):
+    if not 0 <= axis < region.n:
+        raise RegionError(f"axis {axis} is out of range 0..{region.n - 1}")
+
+
 def _check_sliceable(cell, axis: int):
     if any(e.derived_from is None for e in cell.extra):
         raise RegionError("cannot slice a cell with existential variables")
@@ -499,6 +497,7 @@ class FiberKernel:
     """
 
     def __init__(self, region: Region, axis: int):
+        _check_axis(region, axis)
         lo, hi = region.bounding_box()[axis]
         self.lo_box, self.hi_box = float(lo), float(hi)
         self.n = region.n
@@ -532,7 +531,7 @@ class FiberKernel:
                                   for i, (w, eq) in enumerate(zip(restriction.widths, equalities))]
                     pieces = []
                     degenerate[j] |= _cell_fiber(restricted, self.lo_box, self.hi_box,
-                                                 real_roots, _ZERO, _FEASIBLE, pieces)
+                                                 _column_roots, _ZERO, _FEASIBLE, pieces)
                     found += [(lo, hi, j) for lo, hi in pieces]
             else:
                 a, b, owner, whole = self._inequality_pieces(coef, restriction)
@@ -547,12 +546,12 @@ class FiberKernel:
 
     def _inequality_pieces(self, coef: np.ndarray, restriction: AxisRestriction) -> tuple:
         """`_cell_fiber` for a cell of inequalities, coef (rows, width, k),
-        at k points at once: degree-1 and degree-2 roots in numpy
-        (`quadratic_roots`), higher ones through `real_roots`, candidates
-        clipped to the box and sorted per point, one Horner pass at the
-        midpoints.  Returns the kept pieces (a, b, owner), point by point
-        and left to right, and the (k,) mask of lines on which every row
-        vanishes; each of those keeps the whole box, in its first slot."""
+        at k points at once: the roots of each group of rows of one width
+        from one `real_roots` call, candidates clipped to the box and sorted
+        per point, one Horner pass at the midpoints.  Returns the kept
+        pieces (a, b, owner), point by point and left to right, and the (k,)
+        mask of lines on which every row vanishes; each of those keeps the
+        whole box, in its first slot."""
         lin, quad, high = restriction.groups
         lo, hi = self.lo_box, self.hi_box
         k = coef.shape[2]
@@ -560,27 +559,23 @@ class FiberKernel:
         # over the tolerance at every midpoint
         active = np.abs(coef).max(axis=1) > _ZERO
         whole = ~active.any(axis=0)
-        # the box ends, then up to width - 1 roots per row; unused slots hold lo
-        first = 2 + len(lin) + 2 * len(quad)
-        cands = np.full((first + int((restriction.widths[high] - 1).sum()), k), lo)
+        # the box ends, then width - 1 roots per row; unused slots hold lo
+        groups = [(rows, w) for rows, w in ((quad, 3), (high, coef.shape[1])) if len(rows)]
+        first = 2 + len(lin)
+        cands = np.full((first + sum(len(rows) * (w - 1) for rows, w in groups), k), lo)
         cands[1] = hi
-        c1 = coef[lin, 1]  # as in real_roots, |c1| < 1e-300 leaves no root
-        np.divide(coef[lin, 0], -c1, out=cands[2: 2 + len(lin)],
+        # the degree-1 rows: real_roots' degree-1 case, one division straight
+        # into the table
+        c1 = coef[lin, 1]
+        np.divide(coef[lin, 0], -c1, out=cands[2:first],
                   where=active[lin] & (np.abs(c1) >= 1e-300))
-        if len(quad):
-            # all degree-2 rows as one batch of columns; their roots fill
-            # 2 * len(quad) candidate rows, first roots before second roots
-            roots = quadratic_roots(coef[quad, :3].transpose(1, 0, 2).reshape(3, -1))
-            roots = roots.reshape(2 * len(quad), k)
-            kept = np.tile(active[quad], (2, 1)) & ~np.isnan(roots)
-            np.copyto(cands[2 + len(lin): first], roots, where=kept)
-        fill = [first] * k
-        for r in high.tolist():
-            for j, (live, column) in enumerate(zip(active[r].tolist(), coef[r].T.tolist())):
-                if live:
-                    roots = real_roots(column)
-                    cands[fill[j]: fill[j] + len(roots), j] = roots
-                    fill[j] += len(roots)
+        for rows, w in groups:
+            # the rows of one width as one batch of columns, those vanishing
+            # on the line zeroed; root i of every row, then root i + 1
+            live = np.where(active[rows, None, :], coef[rows, :w], 0.0)
+            roots = real_roots(live.transpose(1, 0, 2).reshape(w, -1)).reshape(-1, k)
+            np.copyto(cands[first: first + len(roots)], roots, where=~np.isnan(roots))
+            first += len(roots)
         np.clip(cands, lo, hi, out=cands)
         cands.sort(axis=0)
         a, b = cands[:-1], cands[1:]
@@ -639,6 +634,7 @@ def slice_fiber(region: Region, base, axis: int, mode: str = "exact") -> FiberSl
         a, b, _, degenerate = FiberKernel(region, axis).intervals_many(point[None, :n])
         return FiberSlices(base, axis, list(zip(a.tolist(), b.tolist())), bool(degenerate[0]))
 
+    _check_axis(region, axis)
     base = {v: Fraction(x) for v, x in base.items()}
     lo, hi = region.bounding_box()[axis]
     lo_box, hi_box = Fraction(lo), Fraction(hi)
@@ -678,19 +674,30 @@ class SupVolumeReport:
     samples: int
 
 
-def slice_sup_volume(region: Region, axis: int, fixed: Mapping[int, object],
-                     samples: int = 256, seed: int = 0) -> SupVolumeReport:
-    """Sampled lower bound of the supremum, over base points with the given
-    divisor coordinates, of the 1-d measure of the fiber along `axis`."""
+def sample_fibers(region: Region, axis: int, count: int, seed: int,
+                  fixed: Mapping[int, object] | None = None) -> tuple:
+    """(a, b, owner): the span table of the fibers along `axis` through
+    `count` base points, the coordinates in `fixed` held at their values and
+    the others drawn uniformly from the bounding box, in one
+    `Philox(key=seed)` call."""
+    fixed = fixed or {}
     box = region.bounding_box()
     free = [v for v in range(region.n) if v != axis and v not in fixed]
     rng = np.random.Generator(np.random.Philox(key=seed))
-    count = max(1, samples) if free else 1
     points = np.zeros((count, region.n))
     for v, x in fixed.items():
         points[:, v] = float(x)
     lo, hi = np.array([box[v] for v in free], dtype=float).reshape(-1, 2).T
     points[:, free] = rng.uniform(lo, hi, size=(count, len(free)))
-    a, b, owner, _ = FiberKernel(region, axis).intervals_many(points)
+    return FiberKernel(region, axis).intervals_many(points)[:3]
+
+
+def slice_sup_volume(region: Region, axis: int, fixed: Mapping[int, object],
+                     samples: int = 256, seed: int = 0) -> SupVolumeReport:
+    """Sampled lower bound of the supremum, over base points with the given
+    divisor coordinates, of the 1-d measure of the fiber along `axis`."""
+    free = any(v != axis and v not in fixed for v in range(region.n))
+    count = max(1, samples) if free else 1
+    a, b, owner = sample_fibers(region, axis, count, seed, fixed)
     best = np.bincount(owner, weights=b - a, minlength=count).max()
     return SupVolumeReport(float(best), count)

@@ -213,6 +213,32 @@ def test_negative_seed_is_a_usage_error(argv):
         ProbeConfig(seed=-1)
 
 
+@pytest.mark.parametrize("axis", ["3", "0", "-1"])
+def test_out_of_range_axis_is_a_usage_error(axis):
+    """--axis takes a coordinate name or a number 1..n: another number exits
+    1 with an error naming the flag and no output (3 used to end in a
+    traceback, and 0 and -1 gave a verdict about another coordinate)."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = invoke("probe-fibers", str(REGIONS / "triangle_p2.region"), "--axis", axis)
+    assert code == 1 and out == ""
+    assert "--axis" in err.getvalue() and "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("eps0", ["nan", "inf"])
+def test_non_finite_eps0_is_a_usage_error(eps0):
+    """--eps0 is a finite positive radius: nan or inf exits 1 with an error
+    naming it and no output (nan and inf used to run and print an
+    inconclusive verdict).  QuadConfig rejects it too."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = invoke("integrate", S_HALF, "--form", "dr1/r1 ^ dr2/r2", "--eps0", eps0)
+    assert code == 1 and out == ""
+    assert "eps0" in err.getvalue()
+    with pytest.raises(IntegrationError, match="eps0"):
+        QuadConfig(eps0=float(eps0))
+
+
 def test_every_shipped_region_round_trips():
     for path in sorted(REGIONS.glob("*.region")):
         region = parse_region(path.read_text())

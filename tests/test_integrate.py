@@ -522,13 +522,13 @@ def _line_integral_reference(coeffs, a: float, b: float, log_weight: bool,
                              absolute: bool) -> float:
     """The signed integral, or the absolute one summed over the pieces
     between the real roots inside [a, b]."""
-    from logvol.slicing import real_roots
+    from logvol.slicing import _column_roots
 
     if a >= b:
         return 0.0
     if not absolute:
         return _line_signed_reference(coeffs, a, b, log_weight)
-    cuts = [a] + [r for r in real_roots(coeffs) if a < r < b] + [b]
+    cuts = [a] + [r for r in _column_roots(coeffs) if a < r < b] + [b]
     total = 0.0
     for lo, hi in zip(cuts, cuts[1:]):
         total += abs(_line_signed_reference(coeffs, lo, hi, log_weight))
@@ -881,6 +881,44 @@ def test_bound_zero_coefficient():
     assert rep.verdict == "pass"
     assert rep.lhs == pytest.approx(0.0, abs=1e-12)
     assert rep.rhs == pytest.approx(0.0, abs=1e-9)
+
+
+def _delta_probe_reference(region, f, samples, cap, seed):
+    """The fiber-cardinality probe one sample at a time: f - u by Polynomial
+    arithmetic, its roots through the one-column finder, stopping at the
+    first sample over the cap."""
+    from logvol.slicing import _column_roots
+
+    xs = np.linspace(*region.bounding_box()[0], 512)
+    fvals = f.eval_many(xs[:, None])[region.members(xs[:, None])]
+    lo, hi = float(fvals.min()), float(fvals.max())
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    best = hits = 0
+    for _ in range(samples):
+        shifted = f - Polynomial.const(1, float(rng.uniform(lo, hi)))
+        coeffs = [0.0] * (shifted.degree() + 1)
+        for (e,), c in shifted.terms.items():
+            coeffs[e] = float(c)
+        roots = _column_roots(coeffs)
+        count = int(region.members(np.array(roots).reshape(-1, 1)).sum())
+        hits += count > 0
+        best = max(best, count)
+        if best > cap:
+            return best, hi - lo, (lo, hi)
+    return best, (hi - lo) * hits / samples, (lo, hi)
+
+
+@pytest.mark.parametrize("poly", ["x1^2", "x1^3 - 3/2*x1^2 + 14/25*x1", "2*x1 + 1/3", "1/7"])
+@pytest.mark.parametrize("cap", [1, 64])
+def test_delta_probe_matches_the_per_sample_loop(poly, cap):
+    """All samples of the probe solved in one `real_roots` call give the
+    per-sample loop's count, image volume and range, exactly, including the
+    first sample over a cap of 1."""
+    from logvol.integrate import _delta_probe_1d
+
+    S = region_of(1, 0, ["-1 - x1 <= 0", "x1 - 1 <= 0"], [(-1, 1)])
+    f = parse_poly(poly, ["x1"])
+    assert _delta_probe_1d(S, f, 96, cap, 5) == _delta_probe_reference(S, f, 96, cap, 5)
 
 
 # ---------------------------------------------------------------------------

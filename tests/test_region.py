@@ -359,6 +359,18 @@ def test_divisor_locus_in_d_detection():
 # fiber probe
 
 
+def test_members_refuses_existential_cells():
+    """A cell whose auxiliary is existentially quantified has no pointwise
+    membership test: `members` raises, as slicing such a cell does."""
+    from logvol.region import ExtraVar
+
+    cell = Cell([Constraint(Polynomial.var(3, 2) - Polynomial.var(3, 0))],
+                (ExtraVar("aux", 0.0, 1.0),))
+    A = Region(2, 1, [cell], "real", [(0, 1), (0, 1)])
+    with pytest.raises(RegionError, match="existential"):
+        A.members(np.array([[0.5, 0.5]]))
+
+
 def test_fiber_probe_graph():
     A = region_of(2, 2, ["r2 - r1^2 = 0", "-r1 <= 0", "r1 - 1 <= 0"],
                   [(0, 1), (0, 1)])

@@ -9,8 +9,8 @@ from hypothesis import example, given, strategies as st
 from helpers import load_region, region_of
 from logvol import PolyError, Polynomial, isolate_real_roots, slice_fiber, slice_sup_volume
 from logvol.region import Cell, Constraint, Region, RegionError
-from logvol.slicing import (_FEASIBLE, _ZERO, FiberKernel, _cell_fiber, join_touching,
-                            merge_spans, quadratic_roots, real_roots)
+from logvol.slicing import (_FEASIBLE, _ZERO, FiberKernel, _cell_fiber, _column_roots,
+                            join_touching, merge_spans, real_roots)
 
 
 F = Fraction
@@ -157,6 +157,18 @@ def test_existential_cells_rejected():
         slice_fiber(A, {0: F(1, 2)}, 1)
 
 
+@pytest.mark.parametrize("axis", [-1, 2, 5])
+def test_axis_out_of_range_is_rejected(axis):
+    """An axis outside 0..n-1 is an error in both modes and for the kernel;
+    a negative one is not read from the end."""
+    A = load_region("triangle_p2")
+    for mode in ("exact", "float"):
+        with pytest.raises(RegionError, match="axis"):
+            slice_fiber(A, {0: F(1, 2)}, axis, mode=mode)
+    with pytest.raises(RegionError, match="axis"):
+        FiberKernel(A, axis)
+
+
 def test_derived_auxiliary_fiber():
     """A cell with s = sqrt(r1^2 + 1) next to a plain cell: r2 <= s - 1
     gives [0, 1/4] at r1 = 3/4 in both modes; slicing along r1 is refused."""
@@ -254,30 +266,46 @@ def _np_real_roots(coeffs):
     return sorted(r.real for r in np.roots(coeffs[::-1]) if abs(r.imag) < 1e-9 * scale)
 
 
-@pytest.mark.parametrize(
-    "coeffs, count",
-    [
-        ([-1.0, 0.0, 1.0], 2),                        # +-1
-        ([1.0 + 1e-7, -(2.0 + 1e-7), 1.0], 2),        # near-double root at 1
-        ([-1.0, 1.0, 1e-14], 2),                      # tiny leading coefficient
-        ([1e-10 + 1e-21, -2e-5, 1.0], 2),             # complex pair, |imag| ~ 3e-11
-        ([1e-10 + 1e-16, -2e-5, 1.0], 0),             # complex pair, |imag| ~ 1e-8
-        ([0.0, 3.0, 1.0], 2),                         # root at 0
-        ([0.0, 0.0, 2.0], 2),                         # double root at 0
-        ([-6.0, 11.0, -6.0, 1.0], 3),                 # cubic goes through np.roots
-    ],
-)
+_ROOT_CASES = [
+    [-1.0, 0.0, 1.0],                        # +-1
+    [1.0 + 1e-7, -(2.0 + 1e-7), 1.0],        # near-double root at 1
+    [-1.0, 1.0, 1e-14],                      # tiny leading coefficient
+    [1e-10 + 1e-21, -2e-5, 1.0],             # complex pair, |imag| ~ 3e-11
+    [1e-10 + 1e-16, -2e-5, 1.0],             # complex pair, |imag| ~ 1e-8
+    [0.0, 3.0, 1.0],                         # root at 0
+    [0.0, 0.0, 2.0],                         # double root at 0
+    [-6.0, 11.0, -6.0, 1.0],                 # cubic goes through np.roots
+]
+
+
+@pytest.mark.parametrize("coeffs, count", list(zip(_ROOT_CASES, [2, 2, 2, 2, 0, 2, 2, 3])))
 def test_real_roots_match_np_roots(coeffs, count):
-    got = real_roots(coeffs)
+    """Each case alone, a 1-d array, and all of them as the columns of one
+    zero-padded array give the roots of np.roots, nan after them."""
+    width = 4
+    batch = real_roots(np.array([c + [0.0] * (width - len(c)) for c in _ROOT_CASES]).T)
+    column = _ROOT_CASES.index(coeffs)
+    alone = real_roots(np.array(coeffs))
+    assert alone.shape == (len(coeffs) - 1,) and batch.shape == (width - 1, len(_ROOT_CASES))
     want = _np_real_roots(coeffs)
-    assert len(got) == len(want) == count
-    for g, w in zip(got, want):
-        assert g == pytest.approx(w, rel=1e-7, abs=1e-12)
+    for got in (alone, batch[:, column]):
+        assert np.isnan(got[count:]).all()
+        got = sorted(got[:count])
+        assert len(got) == len(want) == count
+        for g, w in zip(got, want):
+            assert g == pytest.approx(w, rel=1e-7, abs=1e-12)
 
 
 def test_real_roots_degenerate_degrees():
-    assert real_roots([]) == [] and real_roots([2.0]) == []
-    assert real_roots([1.0, 2.0, 1e-301]) == [-0.5]  # negligible top coefficient dropped
+    assert real_roots([]).shape == (0,) and real_roots([2.0]).shape == (0,)
+    got = real_roots([1.0, 2.0, 1e-301])  # negligible top coefficient dropped
+    assert got[0] == -0.5 and np.isnan(got[1])
+    assert _column_roots([1.0, 2.0, 1e-301]) == [-0.5] and _column_roots([2.0]) == []
+    # one array, column by column: constant, linear, quadratic, vanishing
+    got = real_roots(np.array([[2.0, 1.0, -1.0, 1e-301], [0.0, 2.0, 0.0, 0.0],
+                               [0.0, 1e-301, 1.0, 0.0]]))
+    assert got.shape == (2, 4) and np.isnan(got[:, [0, 3]]).all()
+    assert got[0, 1] == -0.5 and np.isnan(got[1, 1]) and sorted(got[:, 2]) == [-1.0, 1.0]
 
 
 def _bits(xs) -> list:
@@ -290,23 +318,20 @@ _COEFF = st.one_of(
 )
 
 
-@given(columns=st.lists(st.tuples(_COEFF, _COEFF, _COEFF), min_size=1, max_size=12),
-       box=st.sampled_from([(-1.0, 1.0), (0.0, 1e3), (-1e300, 1e300)]))
+@given(columns=st.lists(st.tuples(_COEFF, _COEFF, _COEFF), min_size=1, max_size=12))
 @example(columns=[(1.0, 2.0, 1e-301), (0.0, 0.0, 2.0), (1.0, 2.0, 1.0), (1e-10 + 1e-21, -2e-5, 1.0),
                   (1e-10 + 1e-16, -2e-5, 1.0), (-0.0, 0.0, -3.0), (5.0, 1e-301, 1e-301),
-                  (-1.0, 0.0, 1.0), (0.0, 3.0, 1.0)], box=(-1.0, 1.0))
-def test_quadratic_roots_match_real_roots_bit_for_bit(columns, box):
-    """The batched degree-2 solver gives, column by column, the floats of
-    `real_roots` once both are clipped to the box and sorted: a top
-    coefficient below 1e-300 (the row is linear), a complex pair inside
-    the imaginary window (a double root), b = c0 = 0 and a constant row.
-    `real_roots` lets a quotient overflow to inf, and so must the batch."""
-    lo, hi = box
-    roots = quadratic_roots(np.array(columns, dtype=float).T)
+                  (-1.0, 0.0, 1.0), (0.0, 3.0, 1.0)])
+def test_real_roots_of_a_column_do_not_depend_on_the_batch(columns):
+    """A column solved alone gives, bit for bit, the roots it gets inside a
+    batch of degree-2 columns: a top coefficient below 1e-300 (the column
+    is linear), a complex pair inside the imaginary window (a double root),
+    b = c0 = 0 and a constant column; a quotient that overflows is inf in
+    both."""
+    roots = real_roots(np.array(columns, dtype=float).T)
+    assert roots.shape == (2, len(columns))
     for column, got in zip(columns, roots.T):
-        got = np.clip(got[~np.isnan(got)], lo, hi)
-        want = np.clip(real_roots(list(column)), lo, hi)
-        assert _bits(sorted(got)) == _bits(sorted(want))
+        assert _bits(got) == _bits(real_roots(np.array(column)))
 
 
 @st.composite
@@ -339,9 +364,10 @@ def _quadratic_cells(draw):
 @given(case=_quadratic_cells())
 def test_inequality_kernel_matches_the_scalar_cell_rule(case):
     """For a cell of inequalities of degree <= 2, the batched kernel (roots
-    from `quadratic_roots`) gives every point of a panel the same float
-    intervals and degenerate flag as `_cell_fiber` with `real_roots`, one
-    point at a time, including points where some rows vanish."""
+    of all rows and points from one `real_roots` call) gives every point of
+    a panel the same float intervals and degenerate flag as `_cell_fiber`
+    with `_column_roots`, one point at a time, including points where some
+    rows vanish."""
     region, points = case
     kernel = FiberKernel(region, 1)
     table = kernel.intervals_many(points)
@@ -350,7 +376,7 @@ def test_inequality_kernel_matches_the_scalar_cell_rule(case):
     for j, (intervals, flag) in enumerate(zip(_fibers(table, len(points)), table[3].tolist())):
         restricted = [(coef[i, :w, j].tolist(), False) for i, w in enumerate(restriction.widths)]
         pieces = []
-        want_flag = _cell_fiber(restricted, -1.0, 1.0, real_roots, _ZERO, _FEASIBLE, pieces)
+        want_flag = _cell_fiber(restricted, -1.0, 1.0, _column_roots, _ZERO, _FEASIBLE, pieces)
         assert flag == want_flag
         # equal floats; a root at 0 may carry either sign of zero
         assert intervals == _merge_reference(pieces)
