@@ -3,11 +3,12 @@
 For each n the unit corner {0 <= r_i <= 1, r_1 + ... + r_n >= c} with
 p = n divisors is checked twice, at c = 1 (violated: the face r_1 = 0 keeps
 dimension n - 1) and at c = n (allowable: the single point (1, ..., 1), so
-every face is empty).  Each line gives n, c, the number of exact LPs solved
-(counted by wrapping `linprog.solve_lp`), the same count split by call site
-(the feasibility LPs of `simplify_cell`, its positivity LPs, and the LPs of
-`_affine_hull_rows`), the number of `Polynomial` objects built (counted by
-wrapping `Polynomial.__init__`), the wall time and the verdict.
+every face is empty).  Each line gives n, c, the number of LP objectives
+solved (counted by wrapping `linprog.solve_lp`), the number of phase-1 runs,
+one per distinct linear system the objectives were asked of (counted by
+wrapping `linprog._phase_1`), the number of `Polynomial` objects built
+(counted by wrapping `Polynomial.__init__`), the wall time and the
+verdict.
 
 Unit corners have rows with denominator 1.  A second table checks weighted
 corners {0 <= r_i <= 1, w_1 r_1 + ... + w_n r_n >= c} with rational
@@ -55,55 +56,46 @@ def weighted_levels(rng: random.Random, n: int):
 
 SEED = 1
 
-# the innermost of these functions on the stack names an LP's call site
-SITES = {"_positive_on_cell": "positivity", "simplify_cell": "simplify",
-         "_affine_hull_rows": "hull"}
+# the counted functions: LP objectives, phase-1 runs, Polynomials built
+COUNTED = ((linprog, "solve_lp", "lps"), (linprog, "_phase_1", "phase1"),
+           (Polynomial, "__init__", "polys"))
 
 
 def counted_allowability(region: Region):
-    """(verdict, LP calls per call site and Polynomial constructions as
-    "polys", seconds) of region.is_allowable()."""
-    original = linprog.solve_lp
-    init = Polynomial.__init__
+    """(verdict, the calls of each COUNTED function by its label, seconds)
+    of region.is_allowable()."""
     calls = Counter()
 
-    def building(*args, **kwargs):
-        calls["polys"] += 1
-        init(*args, **kwargs)
+    def counting(fn, label):
+        def counted(*args, **kwargs):
+            calls[label] += 1
+            return fn(*args, **kwargs)
+        return counted
 
-    def counting(*args, **kwargs):
-        frame = sys._getframe(1)
-        while frame is not None and frame.f_code.co_name not in SITES:
-            frame = frame.f_back
-        calls[SITES[frame.f_code.co_name] if frame is not None else "other"] += 1
-        return original(*args, **kwargs)
-
-    linprog.solve_lp = counting
-    Polynomial.__init__ = building
+    originals = [(owner, name, getattr(owner, name)) for owner, name, _ in COUNTED]
+    for (owner, name, fn), (_, _, label) in zip(originals, COUNTED):
+        setattr(owner, name, counting(fn, label))
     try:
         start = time.perf_counter()
         verdict = region.is_allowable()
         seconds = time.perf_counter() - start
     finally:
-        linprog.solve_lp = original
-        Polynomial.__init__ = init
+        for owner, name, fn in originals:
+            setattr(owner, name, fn)
     return verdict, calls, seconds
 
 
 def print_row(label: str, region: Region):
     verdict, calls, seconds = counted_allowability(region)
-    polys = calls.pop("polys", 0)
-    assert set(calls) <= set(SITES.values()), calls
-    print(f"{label} {calls.total():>6} {calls['simplify']:>8} "
-          f"{calls['positivity']:>10} {calls['hull']:>6} {polys:>6} {seconds:>8.3f}  {verdict}")
+    print(f"{label} {calls['lps']:>6} {calls['phase1']:>7} {calls['polys']:>6} "
+          f"{seconds:>8.3f}  {verdict}")
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-n", type=int, default=6)
     args = ap.parse_args()
-    columns = (f"{'LPs':>6} {'simplify':>8} {'positivity':>10} {'hull':>6} {'polys':>6} "
-               f"{'seconds':>8}  verdict")
+    columns = f"{'LPs':>6} {'phase 1':>7} {'polys':>6} {'seconds':>8}  verdict"
     print(f"{'n':>2} {'c':>2} {columns}")
     for n in range(3, args.max_n + 1):
         for c in (1, n):

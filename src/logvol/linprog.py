@@ -28,6 +28,13 @@ objective, the sum of the unscaled artificials.
 Rows kept in that form are passed as they are: a_ub (a_eq) holds the
 pairs `_as_integers([*row, rhs])` and b_ub (b_eq) is None, for the same
 tableau and result.
+
+Phase 1 runs once per linear system.  Phase 1 never reads the objective,
+so a `LinearSystem` keeps the tableau it ends with, and each objective
+asked of the system starts its phase 2 there (the two-phase warm start of
+Chvatal, Linear Programming, 1983, ch. 8).  Each result is the one
+`solve_lp` gives on the rows alone, and every objective still goes through
+`solve_lp`.
 """
 
 from __future__ import annotations
@@ -113,21 +120,34 @@ def _simplex(rows, basis, d):
         d = _pivot(rows, basis, best, col, d)
 
 
-def solve_lp(
-    objective: Sequence,
-    a_ub: Sequence[Sequence] | None = None,
-    b_ub: Sequence | None = None,
-    a_eq: Sequence[Sequence] | None = None,
-    b_eq: Sequence | None = None,
-    maximize: bool = True,
-) -> LPResult:
-    """Maximize (or minimize) objective . x over free variables x.
+_NOT_RUN = object()
 
-    Free variables are split x = u - v with u, v >= 0; equalities are kept as
-    exact rows with artificial variables in phase 1.  Coefficients are ints
-    or Fractions (or rows scaled already); the value and point are Fractions.
+
+class LinearSystem:
+    """The rows a.x <= b and a.x = b of LPs over nvars free variables,
+    asked for several objectives.  Phase 1 runs once, on the first
+    objective `solve_lp` is asked of the system, and every objective's
+    phase 2 starts from its final tableau.  Phase 1 does not depend on the
+    objective, so each result is the one-shot `solve_lp` result.  The
+    tableau lives as long as the system does; nothing is cached elsewhere.
     """
-    n = len(objective)
+
+    def __init__(self, nvars: int, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
+        self.nvars = nvars
+        self._rows = (a_ub, b_ub, a_eq, b_eq)
+        self._start = _NOT_RUN
+
+    def start(self):
+        """(rows, basis, d, nslack) after phase 1, or None when infeasible."""
+        if self._start is _NOT_RUN:
+            self._start = _phase_1(self.nvars, *self._rows)
+        return self._start
+
+
+def _phase_1(n, a_ub, b_ub, a_eq, b_eq):
+    """The integer tableau of the rows with their artificials driven to
+    zero: (rows, basis, d, nslack) with the artificial columns and the
+    rows whose artificial stayed basic dropped, or None when infeasible."""
     cons = [(row, True) for row in _scaled(a_ub, b_ub)]
     cons += [(row, False) for row in _scaled(a_eq, b_eq)]
     nslack = sum(1 for _, ub in cons if ub)
@@ -156,7 +176,6 @@ def solve_lp(
         rows.append(vec)
 
     d = 1
-    # Phase 1: drive artificials to zero.
     if arts:
         # maximize minus the sum of the unscaled artificials (each one of
         # the tableau over its row's scale), times the lcm of the scales,
@@ -170,7 +189,7 @@ def solve_lp(
         rows.append(cost)
         _, d = _simplex(rows, basis, d)
         if rows[-1][-1] != 0:  # the optimal -sum(artificials), negated
-            return LPResult(INFEASIBLE)
+            return None
         # pivot artificials out of the basis when possible
         for r, b in enumerate(basis):
             if b >= art0:
@@ -182,8 +201,35 @@ def solve_lp(
         live = [r for r, b in enumerate(basis) if b < art0]
         rows = [rows[r][:art0] + rows[r][-1:] for r in live]
         basis = [basis[r] for r in live]
+    return rows, basis, d, nslack
 
-    # Phase 2: the integer objective times d, expressed over the basis.
+
+def solve_lp(
+    objective: Sequence,
+    a_ub: Sequence[Sequence] | None = None,
+    b_ub: Sequence | None = None,
+    a_eq: Sequence[Sequence] | None = None,
+    b_eq: Sequence | None = None,
+    maximize: bool = True,
+    system: LinearSystem | None = None,
+) -> LPResult:
+    """Maximize (or minimize) objective . x over free variables x.
+
+    Free variables are split x = u - v with u, v >= 0; equalities are kept as
+    exact rows with artificial variables in phase 1.  Coefficients are ints
+    or Fractions (or rows scaled already); the value and point are Fractions.
+    The rows are given either as a_ub, b_ub, a_eq, b_eq or as a
+    `LinearSystem` whose phase 1 serves every objective asked of it.
+    """
+    n = len(objective)
+    start = (system or LinearSystem(n, a_ub, b_ub, a_eq, b_eq)).start()
+    if start is None:
+        return LPResult(INFEASIBLE)
+    rows, basis, d, nslack = start
+    # phase 2 pivots on copies: _pivot replaces rows, never edits one
+    rows, basis = list(rows), list(basis)
+
+    # The integer objective times d, expressed over the basis.
     obj, scale = _as_integers(objective)
     if not maximize:
         obj = [-v for v in obj]
@@ -205,9 +251,9 @@ def solve_lp(
     return LPResult(OPTIMAL, value if maximize else -value, point)
 
 
-def feasible_point(a_ub, b_ub, a_eq, b_eq, nvars: int):
+def feasible_point(system: LinearSystem):
     """A feasible point of the system, or None."""
-    res = solve_lp([Fraction(0)] * nvars, a_ub, b_ub, a_eq, b_eq)
+    res = solve_lp([Fraction(0)] * system.nvars, system=system)
     if res.status == INFEASIBLE:
         return None
     return res.point

@@ -8,7 +8,10 @@ zi_i) coordinates, the divisor H_i is {zr_i = zi_i = 0} and D_i is
 
 Every verdict rests on one question per cell: is it empty, and what are
 its affine hull and dimension; `_cell_hull` alone simplifies the cell and
-finds the hull of a linear one.  `_decide_cell` then settles the
+finds the hull of a linear one.  A linear cell only has its equalities
+propagated: the positivity pass of `simplify_cell` could only drop sign
+rows that hold strictly on it, or find an emptiness that the hull's own
+feasibility LP finds.  `_decide_cell` then settles the
 dimension in this order, each step exact unless it is the last:
 
 1. rank: a linear cell (after `simplify_cell`, or after the local
@@ -27,7 +30,10 @@ dimension in this order, each step exact unless it is the last:
 Steps 2 and 3 and the rewrites live in `logvol.certify`.
 
 Linear constraints travel as integer rows (`Constraint.row`) through all
-of it.
+of it.  The LPs asked of one linear system share one phase 1
+(`linprog.LinearSystem`): the feasibility and positivity LPs of a
+`simplify_cell` round, the feasibility and row LPs of `_affine_hull_rows`,
+and the 2n bounds of a cell in `Region._bounding_box`.
 """
 
 from __future__ import annotations
@@ -419,20 +425,23 @@ class Region:
         if self.box is not None:
             return [(float(lo), float(hi)) for lo, hi in self.box]
         box = []
+        systems = [None] * len(self.cells)  # one phase 1 per cell
         for v in range(self.n):
             lo_best = None
             hi_best = None
             obj = [Fraction(0)] * self.n
             obj[v] = Fraction(1)
             any_cell = False
-            for cell in self.cells:
+            for i, cell in enumerate(self.cells):
                 if not cell.is_linear():
                     raise RegionError(
                         "bounding box required: nonlinear cell without a declared box"
                     )
-                ub, eq = _linear_system(self, cell)
-                hi = linprog.solve_lp(obj, ub, a_eq=eq, maximize=True)
-                lo = linprog.solve_lp(obj, ub, a_eq=eq, maximize=False)
+                if systems[i] is None:
+                    ub, eq = _linear_system(self, cell)
+                    systems[i] = linprog.LinearSystem(self.n, ub, a_eq=eq)
+                hi = linprog.solve_lp(obj, system=systems[i], maximize=True)
+                lo = linprog.solve_lp(obj, system=systems[i], maximize=False)
                 if hi.status == linprog.INFEASIBLE:
                     continue
                 any_cell = True
@@ -802,13 +811,15 @@ def _affine_hull_rows(n: int, system, witnesses=()):
     The given `witnesses` that satisfy the system exactly are its first
     feasible points; only when none does is one solved for.  Each LP
     optimum joins them: a row a.x <= b with a.w < b at some witness w is
-    not an implicit equality, so its LP is skipped.
+    not an implicit equality, so its LP is skipped.  All the LPs share one
+    phase 1.
     """
     ub, eq = system
     nv = len((ub + eq)[0][0]) - 1 if ub or eq else n
+    lp = linprog.LinearSystem(nv, ub, a_eq=eq)
     witnesses = [w for w in witnesses if _holds(system, w)]
     if not witnesses:
-        first = linprog.feasible_point(ub, None, eq, None, nv)
+        first = linprog.feasible_point(lp)
         if first is None:
             return None
         witnesses.append(_as_integers(first))
@@ -816,7 +827,7 @@ def _affine_hull_rows(n: int, system, witnesses=()):
     for a, s in ub:
         if not any(a[:-1]) or any(_slack(a, w) > 0 for w in witnesses):
             continue
-        res = linprog.solve_lp([Fraction(-v, s) for v in a[:-1]], ub, a_eq=eq)
+        res = linprog.solve_lp([Fraction(-v, s) for v in a[:-1]], system=lp)
         if res.status != linprog.OPTIMAL:
             continue
         witnesses.append(_as_integers(res.point))
@@ -841,9 +852,15 @@ def _cell_hull(region: Region, cell: Cell, found: list | None = None):
     """None when the cell is empty, else (simplified cell, the equality
     rows (a, b) of its affine hull over the ambient coordinates, or None
     when the simplified cell is not linear).  The feasible points
-    `simplify_cell` found are appended to `found`, when given."""
+    `simplify_cell` found are appended to `found`, when given.
+
+    A linear cell only has its equalities propagated: on it the positivity
+    pass of `simplify_cell` can only drop a sign row that holds strictly
+    on the cell, or find an emptiness that the hull's own feasibility LP
+    finds, so `_affine_hull_rows` decides emptiness and the hull on one
+    system."""
     found = [] if found is None else found
-    simp = simplify_cell(region, cell, found)
+    simp = _propagated(cell, region.n) if cell.is_linear() else simplify_cell(region, cell, found)
     if simp is None:
         return None
     if not simp.is_linear():
@@ -858,19 +875,19 @@ def _cell_hull(region: Region, cell: Cell, found: list | None = None):
 # constraint simplification
 
 
-def _positive_on_cell(region: Region, cell: Cell, var: int, system, witnesses: list) -> bool:
-    """Certify var > 0 on the cell via its linear subsystem `system` plus a
-    one-step interval bound from constraints of the form c - k * monomial
-    <= 0.
+def _positive_on_cell(region: Region, cell: Cell, var: int, lp, witnesses: list) -> bool:
+    """Certify var > 0 on the cell via its linear subsystem, the
+    `linprog.LinearSystem` lp, plus a one-step interval bound from
+    constraints of the form c - k * monomial <= 0.
 
-    `witnesses` are feasible points of `system`.  One with w[var] <= 0
-    already bounds min var by 0, so the min-LP is skipped; otherwise the
-    LP runs and its optimum joins the witnesses.
+    `witnesses` are feasible points of lp.  One with w[var] <= 0 already
+    bounds min var by 0, so the min-LP is skipped; otherwise the LP runs
+    and its optimum joins the witnesses.
     """
     if all(w[0][var] > 0 for w in witnesses):
         obj = [0] * cell.nvars_total(region.n)
         obj[var] = 1
-        res = linprog.solve_lp(obj, system[0], a_eq=system[1], maximize=False)
+        res = linprog.solve_lp(obj, system=lp, maximize=False)
         if res.status == linprog.INFEASIBLE:
             return False
         if res.status == linprog.OPTIMAL:
@@ -922,60 +939,21 @@ def simplify_cell(region: Region, cell: Cell, found: list | None = None) -> Cell
     resolved and certified-positive monomial factors divided out.
     Returns None when the cell is provably empty.
 
-    Linear constraints are worked on as integer rows (`Constraint.row`),
-    one row operation per propagated equality; only nonlinear ones are
-    composed.  The feasible points of linear subsystems met on the way are
-    appended to `found`, when given, as witnesses (ints, q) of ints / q;
-    those that satisfy the returned cell's linear system spare
-    `_affine_hull_rows` its first LP."""
+    Each round runs `_propagate`, then the positivity pass, whose
+    feasibility and positivity LPs share one phase 1.  The feasible points
+    of linear subsystems met on the way are appended to `found`, when
+    given, as witnesses (ints, q) of ints / q; those that satisfy the
+    returned cell's linear system spare `_affine_hull_rows` its first LP."""
     constraints = list(cell.constraints)
     nv = cell.nvars_total(region.n)
     solved: set[int] = set()
     proven = None  # the constraint list last shown feasible
     witnesses = []  # feasible points of the linear subsystem
     for _ in range(max(8, 2 * len(constraints))):
-        changed = False
-
-        # resolve constant payloads: a row 0 <= b (or 0 = b)
-        kept = []
-        for c in constraints:
-            if c.row is not None and not any(c.row[0][:-1]):
-                if c.row[0][-1] < 0 or (c.equality and c.row[0][-1]):
-                    return None
-                changed = True
-                continue
-            kept.append(c)
-        constraints = kept
-
-        # propagate one linear equality e.x = e_b per round
-        for idx, c in enumerate(constraints):
-            if not c.equality or c.row is None:
-                continue
-            e = c.row[0]
-            pivot = next((v for v in range(nv) if e[v] and v not in solved), None)
-            if pivot is None:
-                continue
-            comps = None
-            new_constraints = []
-            for j, other in enumerate(constraints):
-                row = other.row
-                if j != idx and (row[0][pivot] if row else other.payload.uses_var(pivot)):
-                    if row:  # a - (a_pivot / e_pivot) e, over the scale s * e_pivot
-                        (a, s), p = row, e[pivot]
-                        other = Constraint(None, other.equality, _reduced(
-                            [x * p - a[pivot] * y for x, y in zip(a, e)], s * p))
-                    else:
-                        if comps is None:  # x_pivot = (e_b - sum_{v != pivot} e_v x_v) / e_pivot
-                            comps = [Polynomial.var(nv, v) for v in range(nv)]
-                            comps[pivot] = Constraint(None, row=(
-                                [x * (v != pivot) for v, x in enumerate(e)], -e[pivot])).payload
-                        other = Constraint(other.payload.compose(comps), other.equality)
-                    changed = True
-                new_constraints.append(other)
-            constraints = new_constraints
-            solved.add(pivot)
-            if changed:
-                break
+        step = _propagate(constraints, nv, solved)
+        if step is None:
+            return None
+        constraints, changed = step
 
         # divide out certified-positive monomial factors.  Feasible points
         # of the round's linear system settle most positivity LPs; they are
@@ -985,9 +963,10 @@ def simplify_cell(region: Region, cell: Cell, found: list | None = None) -> Cell
         contents = [_content(c) for c in constraints]
         if any(any(e) for e in contents):
             system = _linear_system(region, probe_cell)
+            lp = linprog.LinearSystem(nv, system[0], a_eq=system[1])
             witnesses = [w for w in witnesses if _holds(system, w)]
             if not witnesses and (system[0] or system[1]):
-                point = linprog.feasible_point(system[0], None, system[1], None, nv)
+                point = linprog.feasible_point(lp)
                 if point is None:
                     return None
                 witnesses.append(_as_integers(point))
@@ -1000,7 +979,7 @@ def simplify_cell(region: Region, cell: Cell, found: list | None = None) -> Cell
                 continue
             divisor = [0] * nv
             for v, e in enumerate(content):
-                if e > 0 and _positive_on_cell(region, probe_cell, v, system, witnesses):
+                if e > 0 and _positive_on_cell(region, probe_cell, v, lp, witnesses):
                     divisor[v] = e
             if any(divisor):  # a linear k x_v becomes the constant k
                 c = (Constraint(c.payload.divide_monomial(divisor), c.equality) if c.row is None
@@ -1018,13 +997,76 @@ def simplify_cell(region: Region, cell: Cell, found: list | None = None) -> Cell
     if constraints is not proven:
         ub, eq = _linear_system(region, probe_cell)
         if ub or eq:
-            point = linprog.feasible_point(ub, None, eq, None, nv)
+            point = linprog.feasible_point(linprog.LinearSystem(nv, ub, a_eq=eq))
             if point is None:
                 return None
             witnesses.append(_as_integers(point))
     if found is not None:
         found.extend(witnesses)
     return probe_cell
+
+
+def _propagate(constraints: list, nv: int, solved: set):
+    """One round of the linear rewrites of a cell's constraints: constant
+    rows resolved, then one linear equality e.x = e_b propagated on a
+    pivot not in `solved`, which gains it.  (constraints, changed), or None
+    when a constant row fails.
+
+    Linear constraints are worked on as integer rows (`Constraint.row`),
+    one row operation each; only nonlinear ones are composed."""
+    changed = False
+    kept = []
+    for c in constraints:
+        if c.row is not None and not any(c.row[0][:-1]):
+            if c.row[0][-1] < 0 or (c.equality and c.row[0][-1]):
+                return None
+            changed = True
+            continue
+        kept.append(c)
+    constraints = kept
+
+    for idx, c in enumerate(constraints):
+        if not c.equality or c.row is None:
+            continue
+        e = c.row[0]
+        pivot = next((v for v in range(nv) if e[v] and v not in solved), None)
+        if pivot is None:
+            continue
+        comps = None
+        new_constraints = []
+        for j, other in enumerate(constraints):
+            row = other.row
+            if j != idx and (row[0][pivot] if row else other.payload.uses_var(pivot)):
+                if row:  # a - (a_pivot / e_pivot) e, over the scale s * e_pivot
+                    (a, s), p = row, e[pivot]
+                    other = Constraint(None, other.equality, _reduced(
+                        [x * p - a[pivot] * y for x, y in zip(a, e)], s * p))
+                else:
+                    if comps is None:  # x_pivot = (e_b - sum_{v != pivot} e_v x_v) / e_pivot
+                        comps = [Polynomial.var(nv, v) for v in range(nv)]
+                        comps[pivot] = Constraint(None, row=(
+                            [x * (v != pivot) for v, x in enumerate(e)], -e[pivot])).payload
+                    other = Constraint(other.payload.compose(comps), other.equality)
+                changed = True
+            new_constraints.append(other)
+        constraints = new_constraints
+        solved.add(pivot)
+        if changed:
+            break
+    return constraints, changed
+
+
+def _propagated(cell: Cell, n: int) -> Cell | None:
+    """The cell after `_propagate` rounds until one changes nothing (each
+    round that changes drops a row or solves a pivot), or None when a
+    constant row fails."""
+    constraints, solved, changed = list(cell.constraints), set(), True
+    while changed:
+        step = _propagate(constraints, cell.nvars_total(n), solved)
+        if step is None:
+            return None
+        constraints, changed = step
+    return Cell(constraints, cell.extra)
 
 
 def _content(c: Constraint) -> tuple:

@@ -20,8 +20,8 @@ bound and the finiteness probe all read (the last two through
 from one cell of inequalities, they are sorted already and `join_touching`
 merges them without the sort.  `real_roots` is the one float root finder:
 it solves every column of a coefficient array at once, by closed forms for
-degree 1 and 2 and np.roots above, with one relative tolerance for
-imaginary parts.
+degree 1 and 2 and above by np.roots' companion matrices, one eigvals
+call per matrix size, with one relative tolerance for imaginary parts.
 """
 
 from __future__ import annotations
@@ -282,7 +282,8 @@ def real_roots(coef) -> np.ndarray:
     Trailing coefficients below 1e-300 are dropped, column by column.
     Degrees 1 and 2 use closed forms, the quadratic through the
     cancellation-free q = -(b + sign(b) sqrt(disc)) / 2, roots q / a then
-    c0 / q; higher degrees use np.roots, column by column, roots ascending.
+    c0 / q; higher degrees use np.roots' companion matrices, roots
+    ascending (`_high_roots`).
     A root counts as real when its imaginary part is below
     1e-9 * max(1, max|c|), so a quadratic whose complex pair lies inside
     that window gives the double root -b / 2a, twice, as np.roots would.
@@ -318,13 +319,35 @@ def real_roots(coef) -> np.ndarray:
         real = ~neg | pair
         out[0, quad] = np.where(real, x1, np.nan)
         out[1, quad] = np.where(real, x2, np.nan)
-    high = np.flatnonzero(degree > 2) if w > 3 else []
-    for j in high:
-        c = coef[: degree[j] + 1, j].tolist()
-        window = 1e-9 * max(1.0, max(map(abs, c)))
-        real = sorted(r.real for r in np.roots(c[::-1]).tolist() if abs(r.imag) < window)
-        out[: len(real), j] = real
+    if w > 3 and (degree > 2).any():
+        high = np.flatnonzero(degree > 2)
+        _high_roots(coef[:, high], degree[high], out, high)
     return out
+
+
+def _high_roots(cols, degree, out, where):
+    """np.roots, column by column, of the (w, m) ascending columns of
+    degree > 2 (rows above `degree` negligible), the real ones written
+    ascending into out[:, where].  As np.roots does, the zero coefficients
+    below the first nonzero one are roots at 0, put after the eigenvalues
+    of the companion matrix of the rest; the companion matrices of one
+    size are stacked into one eigvals call, which solves each as alone."""
+    window = 1e-9 * np.maximum(1.0, np.abs(cols).max(axis=0))
+    size = degree - np.argmax(cols != 0.0, axis=0)
+    for s in np.unique(size).tolist():
+        group = np.flatnonzero(size == s)
+        top = degree[group]
+        # a column's slots: s eigenvalues, its roots at 0, then nan
+        vals = np.where(np.arange(top.max()) < top[:, None], 0.0, np.nan)
+        if s:
+            p = cols[top[:, None] - np.arange(s + 1), group[:, None]]  # leading first
+            companion = np.zeros((len(group), s, s))
+            companion[:, np.arange(1, s), np.arange(s - 1)] = 1.0
+            companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+            roots = np.linalg.eigvals(companion)
+            vals[:, :s] = np.where(np.abs(roots.imag) < window[group, None], roots.real, np.nan)
+        vals.sort(axis=1, kind="stable")  # nan last
+        out[:top.max(), where[group]] = vals.T
 
 
 def _column_roots(coeffs) -> list:

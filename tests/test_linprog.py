@@ -3,6 +3,7 @@ simplex it replaced, kept here as the reference: the same pivots, so the
 same status, value and point on every LP."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -241,3 +242,59 @@ def test_solve_lp_named_cases(name, monkeypatch):
             assert sum(u * v for u, v in zip(a, got.point)) <= b
         for a, b in zip(lp.get("a_eq", []), lp.get("b_eq", [])):
             assert sum(u * v for u, v in zip(a, got.point)) == b
+
+
+def _objectives(n):
+    return st.lists(st.tuples(st.lists(_number, min_size=n, max_size=n), st.booleans()),
+                    min_size=1, max_size=4)
+
+
+def _ask_shared(system, objectives):
+    """Every objective asked of one LinearSystem, counting its phase 1s."""
+    with mock.patch.object(linprog, "_phase_1", wraps=linprog._phase_1) as phase_1:
+        got = [linprog.solve_lp(obj, system=system, maximize=mx) for obj, mx in objectives]
+    assert phase_1.call_count == 1
+    return got
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_shared_phase_1_matches_one_shot_lps(data):
+    """Several objectives, max and min, asked of one system (its rows given
+    as Fractions, or scaled already) run phase 1 once, and each gives the
+    one-shot solve_lp result and the rational simplex's, in status, value
+    and point."""
+    lp = data.draw(_lps())
+    n = len(lp["objective"])
+    objectives = [(lp["objective"], lp["maximize"])] + data.draw(_objectives(n))
+    rows = [lp[k] for k in ("a_ub", "b_ub", "a_eq", "b_eq")]
+    scaled = [[linprog._as_integers([*row, rhs]) for row, rhs in zip(a, b)]
+              for a, b in ((rows[0], rows[1]), (rows[2], rows[3]))]
+    for system_rows in (rows, [scaled[0], None, scaled[1], None]):
+        got = _ask_shared(linprog.LinearSystem(n, *system_rows), objectives)
+        for res, (obj, mx) in zip(got, objectives):
+            alone = linprog.solve_lp(obj, *rows, maximize=mx)
+            want = reference_solve_lp(obj, *rows, maximize=mx)
+            for other in (alone, want):
+                assert (res.status, res.value, res.point) == (other.status, other.value,
+                                                             other.point)
+
+
+@pytest.mark.parametrize("name", ["infeasible", "unbounded"])
+def test_shared_phase_1_answers_every_objective(name):
+    """An infeasible system answers infeasible to every objective, and an
+    unbounded one unbounded or optimal as each objective is, all after one
+    phase 1."""
+    lp = _CASES[name]
+    rows = [lp.get(k) for k in ("a_ub", "b_ub", "a_eq", "b_eq")]
+    objectives = [([1, 1], True), ([1, 1], False), ([0, 0], True), ([Fraction(1, 5), 0], True),
+                  ([Fraction(1, 5), 0], False), ([0, 1], False)]
+    got = _ask_shared(linprog.LinearSystem(2, *rows), objectives)
+    statuses = [res.status for res in got]
+    for res, (obj, mx) in zip(got, objectives):
+        want = reference_solve_lp(obj, *rows, maximize=mx)
+        assert (res.status, res.value, res.point) == (want.status, want.value, want.point)
+    if name == "infeasible":
+        assert statuses == [INFEASIBLE] * len(objectives)
+    else:
+        assert UNBOUNDED in statuses and OPTIMAL in statuses

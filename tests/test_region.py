@@ -715,7 +715,8 @@ def _reference_simplify_cell(region, cell):
             break
     probe_cell = Cell(constraints, cell.extra)
     a_ub, b_ub, a_eq, b_eq = _fraction_system(region_mod._linear_system(region, probe_cell))
-    if (a_ub or a_eq) and linprog.feasible_point(a_ub, b_ub, a_eq, b_eq, nv) is None:
+    if (a_ub or a_eq) and linprog.feasible_point(
+            linprog.LinearSystem(nv, a_ub, b_ub, a_eq, b_eq)) is None:
         return None
     return probe_cell
 
@@ -725,7 +726,7 @@ def _reference_affine_hull_rows(n, system):
     given as the integers `linprog` scales it to."""
     a_ub, b_ub, a_eq, b_eq = _fraction_system(system)
     nv = len(a_ub[0]) if a_ub else (len(a_eq[0]) if a_eq else n)
-    if linprog.feasible_point(a_ub, b_ub, a_eq, b_eq, nv) is None:
+    if linprog.feasible_point(linprog.LinearSystem(nv, a_ub, b_ub, a_eq, b_eq)) is None:
         return None
     rows = [(list(a), Fraction(b)) for a, b in zip(a_eq, b_eq)]
     for a, b in zip(a_ub, b_ub):
@@ -755,7 +756,10 @@ def test_exact_layer_matches_one_lp_reference(rows, boxed, face):
     without equalities and often infeasible: simplify_cell and the affine
     hull give exactly the reference output, the hull also when it starts
     from the feasible points simplify_cell found, of the cell or of its
-    simplified form (those points need not satisfy the system)."""
+    simplified form (those points need not satisfy the system).  On a
+    linear cell, `_cell_hull`, which runs no positivity pass, gives the
+    emptiness, rank and hull (row space, rhs included) of the reference
+    simplification followed by the reference hull."""
     names = ["r1", "r2", "x3"]
     texts = []
     for coeffs, const, op, factor in rows:
@@ -781,6 +785,17 @@ def test_exact_layer_matches_one_lp_reference(rows, boxed, face):
             want_rows = _reference_affine_hull_rows(3, system)
             for witnesses in ((), found):
                 assert region_mod._affine_hull_rows(3, system, witnesses) == want_rows
+    if cell.is_linear():
+        hull = region_mod._cell_hull(sub, cell)
+        want_rows = None if want is None else _reference_affine_hull_rows(
+            3, region_mod._linear_system(sub, want))
+        assert (hull is None) == (want_rows is None)
+        if hull is not None:
+            got_rows = hull[1]
+            assert region_mod._hull_rank(got_rows) == region_mod._hull_rank(want_rows)
+            space = [[[*a, b] for a, b in rows] for rows in (got_rows, want_rows)]
+            ranks = [linprog.rank_of_rows(m) if m else 0 for m in (*space, space[0] + space[1])]
+            assert ranks[0] == ranks[1] == ranks[2]
 
 
 @given(n=st.integers(2, 4), boxed=st.booleans(),
@@ -806,15 +821,16 @@ def test_weighted_corner_matches_face_rule(n, boxed, w, level):
     assert not v.heuristic and v.ok == (not want)
 
 
-def _count_lps(monkeypatch):
+def _count_lps(monkeypatch, name="solve_lp"):
+    """A list that grows by one on each call of linprog.<name>."""
     calls = []
-    original = linprog.solve_lp
+    original = getattr(linprog, name)
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(linprog, "solve_lp", counted)
+    monkeypatch.setattr(linprog, name, counted)
     return calls
 
 
@@ -830,21 +846,25 @@ def test_unit_corner_lp_counts(monkeypatch):
     The corner sum r >= 1 is violated on the faces of size 1 and 2 and
     nonempty on all but the last; witnesses settle most of its LPs (one LP
     per question took 342, and 75 before the affine hull started from the
-    feasible points simplify_cell had found)."""
+    feasible points simplify_cell had found).  A linear cell's hull runs no
+    positivity LPs, and the LPs of one system share one phase 1: the 4-d
+    corner took 51 LPs and 51 phase 1s before."""
     calls = _count_lps(monkeypatch)
+    phase_1s = _count_lps(monkeypatch, "_phase_1")
     v = _unit_corner(5, 5).is_allowable()
     assert v.ok and not v.heuristic
-    assert len(calls) <= 10
+    assert len(calls) <= 5 and len(phase_1s) <= 5
     calls.clear()
+    phase_1s.clear()
     v = _unit_corner(4, 1).is_allowable()
     assert [face for face, _, _ in v.violations] == [
         *combinations(range(4), 1), *combinations(range(4), 2)]
-    assert len(calls) <= 51
+    assert len(calls) <= 46 and len(phase_1s) <= 14
 
 
 def test_declared_box_adds_no_lps(monkeypatch):
     """Declaring the box [0, 1]^4 that the corner's rows already carry
-    leaves the verdict and the LP count of the undeclared corner (51); with
+    leaves the verdict and the LP count of the undeclared corner (46); with
     the box rows appended a second time it took 107 (before the affine hull
     started from simplify_cell's feasible points)."""
     calls = _count_lps(monkeypatch)
@@ -853,7 +873,7 @@ def test_declared_box_adds_no_lps(monkeypatch):
     calls.clear()
     v = _unit_corner(4, 1, [(0, 1)] * 4).is_allowable()
     assert v.violations == want.violations and v.ok == want.ok and not v.heuristic
-    assert len(calls) <= 51 and len(calls) <= bare_calls
+    assert len(calls) <= 46 and len(calls) <= bare_calls
 
 
 def test_unit_corner_builds_no_polynomials(monkeypatch):

@@ -334,6 +334,33 @@ def test_real_roots_of_a_column_do_not_depend_on_the_batch(columns):
         assert _bits(got) == _bits(real_roots(np.array(column)))
 
 
+def _np_roots_column(column) -> list:
+    """The real roots of one ascending column by its own np.roots call,
+    ascending: the per-column rule the batched companion matrices keep."""
+    c = list(column)
+    while len(c) > 1 and abs(c[-1]) < 1e-300:
+        c.pop()
+    window = 1e-9 * max(1.0, max(map(abs, c)))
+    return sorted(r.real for r in np.roots(c[::-1]).tolist() if abs(r.imag) < window)
+
+
+@given(columns=st.lists(st.lists(_COEFF, min_size=6, max_size=6), min_size=1, max_size=12),
+       width=st.integers(4, 6))
+@example(columns=[[0.0, 0.0, -1.0, 0.0, 1.0, 0.0], [-6.0, 11.0, -6.0, 1.0, 0.0, 0.0],
+                  [0.0, -0.0, 0.0, 2.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0, 1.0, 1e-301],
+                  [2.0, -3.0, 0.0, 1.0, 0.0, 0.0]], width=6)
+def test_high_degree_roots_match_np_roots_bit_for_bit(columns, width):
+    """Columns of degree above 2, some with roots at 0 (zero low
+    coefficients), solved together by stacked companion matrices, give bit
+    for bit the roots of one np.roots call per column, nan after them."""
+    coef = np.array(columns, dtype=float).T[:width]
+    roots = real_roots(coef)
+    for column, got in zip(coef.T, roots.T):
+        if np.any(np.abs(column[3:]) >= 1e-300):
+            want = _np_roots_column(column)
+            assert _bits(got[:len(want)]) == _bits(want) and np.isnan(got[len(want):]).all()
+
+
 @st.composite
 def _quadratic_cells(draw):
     """(region, points): one cell of 1-4 rows a2 r2^2 + a1 r2 + a0 <= 0 whose
