@@ -19,7 +19,11 @@ on every face and `is_almost_strictly_allowable` of each real region, and
 each complex one, each followed by how many cells each path of
 `region._decide_cell` decided (empty, rank, interior, hypersurface,
 probe; counted by wrapping it), so a diff shows where the certificates
-cover and where the probe still samples.  Two snapshots diffed against
+cover and where the probe still samples.  Last, for each (region, form, m)
+of the admissible corpus in TASKS, it prints how many real tasks
+`reduce_to_real_tasks` makes and how many of them are linear, and each
+task's `task_allowability` on the P faces and on all faces, so a diff shows
+what a change to the polar lift does to the tasks.  Two snapshots diffed against
 each other show whether a change moved any verdict, flag, note or value:
 
     python scripts/corpus_snapshot.py > before.txt
@@ -43,7 +47,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from logvol import integrate_log_form, parse_region  # noqa: E402
+from logvol import (  # noqa: E402
+    ComplexLogForm,
+    integrate_log_form,
+    parse_region,
+    reduce_to_real_tasks,
+    task_allowability,
+)
 from logvol import region as region_module  # noqa: E402
 from logvol.cli import parse_real_form, run  # noqa: E402
 
@@ -79,6 +89,15 @@ LADDERS = [
     ("s_one", "(r2*r2 - 1/3*r2 - 1/5*r1) ^ dr1/r1 ^ dr2/r2"),
     ("interval_across_zero", "(r1 - 1/3) ^ dr1/r1"),
     ("s_half", "(r1*r1*r1 - 1/5) ^ dr1/r1 ^ dr2/r2"),
+]
+
+# (region, R of the volume-like form dz/z ^ dzbar_R, m): the admissible
+# corpus of tests/test_complexint.py
+TASKS = [
+    ("disk_c1", (0,), 2),
+    ("quadrant_disk_c1", (0,), 2),
+    ("nested_annulus_c2", (0, 1), 4),
+    ("disk_times_circle_c2", (0,), 3),
 ]
 
 
@@ -150,6 +169,20 @@ def paths_text(paths: Counter) -> str:
     return " ".join(f"{path} {paths[path]}" for path in PATHS)
 
 
+def task_verdicts(name: str, R: tuple, m: int) -> None:
+    """The real tasks of one admissible integral: their count, how many
+    are linear, and the allowability of each on P faces and on all faces."""
+    region = parse_region((REGIONS / f"{name}.region").read_text())
+    tasks = reduce_to_real_tasks(region, ComplexLogForm.volume_like(region.n // 2, R), m)
+    linear = sum(all(cell.is_linear() for cell in task.region.cells) for task in tasks)
+    print(f"# {name} dzbar{list(R)} m={m}: {len(tasks)} tasks, {linear} linear")
+    for task in tasks:
+        p = task.partition
+        print(f"#   sector={task.sector} P={p.P} Q={p.Q} R={p.R}: "
+              f"P faces {task_allowability(task)}; "
+              f"all faces {task_allowability(task, faces='all')}")
+
+
 def main() -> None:
     for path in sorted(REGIONS.glob("*.region")):
         cli(["check", f"regions/{path.name}"])
@@ -165,6 +198,8 @@ def main() -> None:
         print(result.ladder.to_csv(), end="")
         print(f"# {name} {text} absolute")
         print(result.abs_ladder.to_csv())
+    for name, R, m in TASKS:
+        task_verdicts(name, R, m)
 
 
 if __name__ == "__main__":

@@ -5,10 +5,10 @@ Three kernels, one per kind of root the kernel solves for:
 - `s_a`: S_a = {0 <= r1 <= 1, 0 <= r2 <= 1/2, r1 + r2 >= 1}, the dilogarithm
   region of the real_ladder benchmark, along the axis its quadrature slices
   (degree-1 rows, one division);
-- `annulus`: the first slice task of `annulus_slice_decay` on
-  nested_annulus_c2 (dz1/z1 ^ dz2/z2 ^ dzbar2, m = 4, its default radii)
-  whose cells have rows of degree 2 along the sliced axis (the closed
-  form);
+- `annulus`: a slice cell of nested_annulus_c2 at |z1| = 1/4 in (r2, tau1,
+  tau2), written out with its denominators cleared but not reduced, so
+  that its annulus row has degree 2 along the sliced axis r2 (the closed
+  form); `annulus_slice_decay` itself now reduces that row to r2 - 1/4;
 - `cubic`: r2^3 - 3/2 r2^2 + 11/16 r2 - 3/32 - r1/100 <= 0, r1 >= 0 on the
   unit square, along r2 (np.roots).
 
@@ -35,14 +35,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from logvol import (  # noqa: E402
-    ComplexLogForm,
-    LogForm,
-    annulus_slice_decay,
-    integrate_log_form,
-    parse_region,
-    slicing,
-)
+from logvol import LogForm, integrate_log_form, parse_region, slicing  # noqa: E402
 from logvol.integrate import QuadConfig  # noqa: E402
 
 PANELS = (15, 120, 512)
@@ -50,6 +43,13 @@ PANELS = (15, 120, 512)
 S_A = """{"ambient_dim": 2, "divisor_count": 2, "box": [["0", "1"], ["0", "1/2"]],
   "cells": [{"constraints": ["-r1 <= 0", "r1 - 1 <= 0", "-r2 <= 0", "r2 - 1/2 <= 0",
                              "r1 + r2 >= 1"]}]}"""
+ANNULUS = """{"ambient_dim": 3, "divisor_count": 1,
+  "box": [["0", "6369051678894825/4503599627370496"], ["-1", "1"], ["-1", "1"]],
+  "cells": [{"constraints": [
+    "-15/16*x2^2 - 15/16 <= 0",
+    "r1^2*x2^2*x3^2 + r1^2*x2^2 + r1^2*x3^2 - 1/16*x2^2*x3^2 + r1^2 - 1/16*x2^2 - 1/16*x3^2 - 1/16 <= 0",
+    "r1 - 1/4 <= 0", "x2 - 1 <= 0", "-x2 - 1 <= 0", "-r1 <= 0",
+    "r1 - 6369051678894825/4503599627370496 <= 0", "x3 - 1 <= 0", "-x3 - 1 <= 0"]}]}"""
 CUBIC = """{"ambient_dim": 2, "divisor_count": 2, "box": [["0", "1"], ["0", "1"]],
   "cells": [{"constraints": ["r2^3 - 3/2*r2^2 + 11/16*r2 - 3/32 - 1/100*r1 <= 0",
                              "-r1 <= 0"]}]}"""
@@ -78,13 +78,8 @@ def kernels() -> dict:
     s_a = parse_region(S_A)
     form = LogForm.dlog(2, 2, 0).wedge(LogForm.dlog(2, 2, 1))
     ladder = _kernels_built(lambda: integrate_log_form(s_a, form, QuadConfig(ladder_len=3)))
-    annulus = parse_region((ROOT / "regions" / "nested_annulus_c2.region").read_text())
-    slices = _kernels_built(lambda: annulus_slice_decay(
-        annulus, ComplexLogForm.volume_like(2, (1,)), 4))
-    quadratic = next(built for built in slices
-                     if any(len(restriction.groups[1]) for _, restriction, _ in built[2].cells))
-    cubic = parse_region(CUBIC)
-    return {"s_a": ladder[0], "annulus": quadratic,
+    annulus, cubic = parse_region(ANNULUS), parse_region(CUBIC)
+    return {"s_a": ladder[0], "annulus": (annulus, 0, slicing.FiberKernel(annulus, 0)),
             "cubic": (cubic, 1, slicing.FiberKernel(cubic, 1))}
 
 

@@ -18,17 +18,24 @@ Regions transform exactly: a z-monomial of pair degree d contributes
 r^d * (affine in tau)^d / (tau^2+1)^(d/2); multiplying each constraint by
 the positive power (tau^2+1)^ceil(D/2) clears the denominators, with an
 auxiliary coordinate s_i = sqrt(tau_i^2 + 1) (s_i in [1, sqrt(2)],
-s_i^2 = tau_i^2 + 1) absorbing odd parities.  Dropped coordinates (tau_i
-for i in P, r_j for j in Q) are eliminated exactly when they enter every
-constraint affinely, and kept as existentially quantified auxiliaries
-otherwise.
+s_i^2 = tau_i^2 + 1) absorbing odd parities.  Each lifted row is then
+reduced once (`_reduce_lift`): the positive factors s_i and tau_i^2 + 1
+that divide it are divided out, an inequality row takes its strict
+transform (its monomial content in r is divided out, which changes the
+set only over z_i = 0), and a radial row c r_i^k + c0 or
+c r_i^k + c' r_j^k becomes linear when its root is rational.  The disk
+row |z|^2 <= rho^2 lifts to r <= rho and the annulus row
+|z2|^2 <= |z1|^2 to r2 <= r1, so s_i survives only on rows that are not
+radial, such as zr >= 1/2.  Dropped coordinates (tau_i for i in P, r_j
+for j in Q) are eliminated exactly when they enter every constraint
+affinely, and kept as existentially quantified auxiliaries otherwise.
 
 There is one map and one lift.  `_ROTATIONS` is the only statement of the
 sector rotation: `sector_constraints` reads the rows |y1| <= x1 off it,
 `_polar_xy` is the float map behind `polar_map` and pointwise
 coefficients, and `_polar_factor` gives the exact image of
 zr_i^a zi_i^b s_i^(2 mult) as a `Polynomial`, from which `_lift_payload`
-builds every lifted constraint.
+builds every lifted constraint, which `_lift_cells` reduces.
 
 One construction path serves every entry point: `_partitions` enumerates
 the (term, partition) choices of a form, and `_pull_back` turns a (sector
@@ -312,6 +319,121 @@ def _lift_payload(payload: Polynomial, alphas, nc: int) -> Polynomial:
     return Polynomial(3 * nc, work)
 
 
+def _reduce_lift(payload: Polynomial, equality: bool, nc: int) -> Polynomial:
+    """A lifted row over (r, tau, s) in its reduced form, worked on the term
+    dict: with the sign of the row on the polar domain {r >= 0} (off
+    {r_i = 0} for an inequality), so it cuts out the same lifted set there.
+
+    - The positive factors go: the power of s_i >= 1 that every term
+      carries and each exact power of tau_i^2 + 1.
+    - An inequality row takes its strict transform: its monomial content
+      in r is divided out, which changes the set only inside {r_i = 0},
+      the preimage of z_i = 0.  An equality row keeps its r factors.
+    - A radial row c r_i^k + c0 or c r_i^k + c' r_j^k, k >= 2, becomes
+      +-(r_i - lam) or r_i - lam r_j (r_i the term with c > 0), with
+      lam = (-c0/c)^(1/k) or (-c'/c)^(1/k), when lam is rational.
+
+    Reducing a reduced row gives it back unchanged."""
+    terms = payload.terms
+    if not terms:
+        return payload
+    # the content in s, and in r for an inequality, divides out at once:
+    # it commutes with the divisions by tau^2 + 1
+    s_vars = range(2 * nc, 3 * nc)
+    terms = _divided_by_content(terms, s_vars if equality else [*range(nc), *s_vars])
+    for t in range(nc, 2 * nc):
+        divided = _divided_by_tau_square(terms, t)
+        while divided is not None:
+            terms, divided = divided, _divided_by_tau_square(divided, t)
+    terms = _collapsed_radial(terms, nc) or terms
+    return payload if terms is payload.terms else Polynomial(3 * nc, terms)
+
+
+def _divided_by_content(terms: dict, variables) -> dict:
+    """terms divided by the largest monomial in `variables` that divides
+    every term; `terms` itself when that monomial is 1."""
+    content = [(v, min(exp[v] for exp in terms)) for v in variables]
+    content = [(v, e) for v, e in content if e]
+    if not content:
+        return terms
+    out = {}
+    for exp, c in terms.items():
+        exp = list(exp)
+        for v, e in content:
+            exp[v] -= e
+        out[tuple(exp)] = c
+    return out
+
+
+def _divided_by_tau_square(terms: dict, t: int) -> dict | None:
+    """terms / (x_t^2 + 1) when the division is exact, else None: synthetic
+    division in x_t, highest power first, each power of x_t a coefficient
+    over the other variables."""
+    top = max(exp[t] for exp in terms)
+    if top < 2:
+        return None
+    rest = dict(terms)
+    quotient = {}
+    for k in range(top, 1, -1):
+        for exp in [e for e in rest if e[t] == k]:
+            c = rest.pop(exp)
+            low = exp[:t] + (k - 2,) + exp[t + 1:]
+            quotient[low] = c
+            left = rest.get(low, 0) - c
+            if left:
+                rest[low] = left
+            else:
+                del rest[low]
+    return None if rest else quotient
+
+
+def _collapsed_radial(terms: dict, nc: int) -> dict | None:
+    """The linear row with the sign of a radial row c r_i^k + c0 or
+    c r_i^k + c' r_j^k (k >= 2) on {r >= 0}; None for any other row or an
+    irrational root."""
+    if len(terms) != 2:
+        return None
+    (e1, c1), (e2, c2) = terms.items()
+    radii = []
+    for exp in (e1, e2):
+        used = [v for v in range(nc) if exp[v]]
+        if len(used) > 1 or any(exp[nc:]):
+            return None
+        radii.append(used[0] if used else None)
+    v, w = radii
+    if v is None:  # the constant goes second
+        (v, e1, c1), (w, e2, c2) = (w, e2, c2), (v, e1, c1)
+    k = e1[v]
+    if k < 2 or (w is not None and e2[w] != k):
+        return None
+    lam = _rational_root(-c2 / c1, k)
+    if lam is None:
+        return None
+    unit_v = e1[:v] + (1,) + e1[v + 1:]
+    if w is None:  # sign(c) (r_v - lam)
+        sign = 1 if c1 > 0 else -1
+        return {unit_v: Fraction(sign), e2: -sign * lam}
+    unit_w = e2[:w] + (1,) + e2[w + 1:]
+    if c1 < 0:
+        unit_v, unit_w, lam = unit_w, unit_v, 1 / lam
+    return {unit_v: Fraction(1), unit_w: -lam}
+
+
+def _rational_root(x: Fraction, k: int) -> Fraction | None:
+    """The positive rational k-th root of x, None when there is none."""
+    if x <= 0:
+        return None
+    roots = []
+    for n in (x.numerator, x.denominator):  # Newton's iteration from above
+        root = 1 << -(-n.bit_length() // k)
+        while (step := ((k - 1) * root + n // root ** (k - 1)) // k) < root:
+            root = step
+        if root ** k != n:
+            return None
+        roots.append(root)
+    return Fraction(*roots)
+
+
 def _radius_bound(region: Region, i: int) -> float:
     box = region.bounding_box()
     zr_lo, zr_hi = box[2 * i]
@@ -320,15 +442,16 @@ def _radius_bound(region: Region, i: int) -> float:
 
 
 def _lift_cells(piece: Region, alphas) -> list:
-    """The lifted (payload, equality) constraints of each cell of a sector
-    piece; they do not depend on the partition or on any slice."""
+    """The lifted and reduced (payload, equality) constraints of each cell
+    of a sector piece; they do not depend on the partition or on any
+    slice."""
     nc = piece.n // 2
     lifted = []
     for cell in piece.cells:
         if cell.extra:
             raise ComplexIntError("complex cells with auxiliaries are not supported")
-        lifted.append([(_lift_payload(c.payload, alphas, nc), c.equality)
-                       for c in cell.constraints])
+        lifted.append([(_reduce_lift(_lift_payload(c.payload, alphas, nc), c.equality, nc),
+                        c.equality) for c in cell.constraints])
     return lifted
 
 
@@ -425,7 +548,8 @@ def transform_piece(piece: Region, alphas, partition: Partition,
             final.append(Constraint(c.payload.map_vars(full_map, total), c.equality))
         if not drop_ok:
             raise ComplexIntError("projection left a dangling variable")
-        task_cells.append(Cell(final, tuple(extras)))
+        # each row once: a lifted row and a slice bound may agree
+        task_cells.append(Cell(list(dict.fromkeys(final)), tuple(extras)))
 
     box = [
         (Fraction(0), Fraction(radius[i])) if kind == "r" else (Fraction(-1), Fraction(1))

@@ -32,7 +32,8 @@ from logvol import (
 from logvol import region as region_mod
 from logvol.cli import run as cli_run
 from logvol.complexint import (GATE_CONTRADICTION_FLAG, PROBE_GATE_FLAG, _lift_payload,
-                               sector_constraints)
+                               _reduce_lift, _sector_pieces, sector_constraints,
+                               transform_piece)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +310,135 @@ def test_lift_is_the_cleared_payload_at_the_polar_point(case, seed):
                                    ).eval_many(np.abs(zpts))
         got = lifted.eval_many(np.hstack([r, tau, s]))
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+def _polar_point(rng, nc: int, r_zero: bool):
+    """An exact point (r, tau, s) with s = sqrt(tau^2 + 1): tau = (p^2 -
+    q^2) / 2pq makes tau^2 + 1 the square of s = (p^2 + q^2) / 2pq.  Each r
+    is positive, or also 0 when r_zero."""
+    r, tau, s = [], [], []
+    for _ in range(nc):
+        p, q = (int(x) for x in rng.integers(1, 10, size=2))
+        r.append(Fraction(int(rng.integers(0 if r_zero else 1, 40)), int(rng.integers(1, 20))))
+        tau.append(Fraction(p * p - q * q, 2 * p * q))
+        s.append(Fraction(p * p + q * q, 2 * p * q))
+    return r + tau + s
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+@settings(max_examples=40)
+@given(_payloads(), st.integers(0, 2**32 - 1))
+@example((1, Polynomial(2, {(2, 0): 1, (0, 2): 1, (0, 0): Fraction(-9, 4)})), 0)
+@example((2, Polynomial(4, {(0, 0, 2, 0): 1, (0, 0, 0, 2): 1, (2, 0, 0, 0): -1,
+                            (0, 2, 0, 0): -1})), 1)
+@example((2, Polynomial(4, {(0, 0, 2, 0): 1, (0, 0, 0, 2): 1, (2, 0, 0, 0): -1,
+                            (0, 2, 0, 0): -1, (0, 0, 0, 0): Fraction(-9, 4)})), 2)
+@example((1, Polynomial(2, {(1, 0): 1, (0, 1): -1})), 3)
+@example((2, Polynomial(4, {(0, 0, 2, 0): 1, (0, 0, 0, 2): 1, (2, 0, 0, 0): -4,
+                            (0, 2, 0, 0): -4})), 4)
+@example((2, Polynomial(4, {(2, 0, 0, 0): 9, (0, 2, 0, 0): 9, (0, 0, 2, 0): -1,
+                            (0, 0, 0, 2): -1})), 5)
+@example((2, Polynomial(4, {(2, 0, 1, 0): 1, (0, 2, 1, 0): 1, (0, 0, 1, 0): -1})), 6)
+def test_reduced_lift_keeps_the_sign_of_the_lift(case, seed):
+    """For every sector assignment and both kinds of row, the reduced row
+    has the sign of the lifted row at exact polar points: with r > 0 for
+    an inequality (its strict transform may differ on {r_i = 0}), and with
+    r >= 0 for an equality, whose zero set on the polar domain is thus the
+    same.  Reducing a reduced row changes nothing."""
+    nc, payload = case
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    for alphas in iproduct((1, 2, 3, 4), repeat=nc):
+        lifted = _lift_payload(payload, alphas, nc)
+        for equality in (False, True):
+            reduced = _reduce_lift(lifted, equality, nc)
+            assert _reduce_lift(reduced, equality, nc) == reduced
+            for _ in range(6):
+                point = _polar_point(rng, nc, r_zero=equality)
+                assert _sign(reduced.eval(point)) == _sign(lifted.eval(point))
+
+
+def _reduced(payload: Polynomial, alphas, equality=False) -> Polynomial:
+    return _reduce_lift(_lift_payload(payload, alphas, len(alphas)), equality, len(alphas))
+
+
+def test_reduced_lift_examples():
+    """The disk row lifts to r - rho and the annulus row to r2 - r1 in
+    every sector; -r tau <= 0 becomes -tau <= 0 and r s <= 0 a constant
+    row that empties its cell, while the equality r s = 0 keeps its r."""
+    zr, zi = Polynomial.var(2, 0), Polynomial.var(2, 1)
+    r, tau, s = (Polynomial.var(3, v) for v in range(3))
+    for a in (1, 2, 3, 4):
+        assert _reduced(zr * zr + zi * zi - Fraction(9, 4), (a,)) == r - Fraction(3, 2)
+        assert _reduced(Fraction(9, 4) - zr * zr - zi * zi, (a,)) == Fraction(3, 2) - r
+    z4 = [Polynomial.var(4, v) for v in range(4)]
+    annulus = z4[2] ** 2 + z4[3] ** 2 - z4[0] ** 2 - z4[1] ** 2
+    r1, r2 = Polynomial.var(6, 0), Polynomial.var(6, 1)
+    for alphas in iproduct((1, 2, 3, 4), repeat=2):
+        assert _reduced(annulus, alphas) == r2 - r1
+        assert _reduced(annulus, alphas, equality=True) == r2 - r1
+        assert _reduced(annulus - 3 * z4[0] ** 2 - 3 * z4[1] ** 2, alphas) == r2 - 2 * r1
+        assert _reduced(-4 * annulus, alphas) == r1 - r2
+        # zr2 (|z1|^2 - 1) <= 0 in sector 1 of z2: s2 and the content r2 go first
+        assert _reduced(z4[2] * (z4[0] ** 2 + z4[1] ** 2 - 1), (alphas[0], 1)) == r1 - 1
+    # either term order of a two-radius row gives the same row
+    for first, second in (((2, 0), -4), ((0, 2), 1)), (((0, 2), 1), ((2, 0), -4)):
+        row = Polynomial(6, {first[0] + (0,) * 4: first[1], second[0] + (0,) * 4: second[1]})
+        assert _reduce_lift(row, False, 2) == r2 - 2 * r1
+    assert _lift_payload(-zi, (1,), 1) == -r * tau * s
+    assert _reduce_lift(-r * tau * s, False, 1) == -tau
+    assert _reduce_lift(-r * tau, False, 1) == -tau
+    assert _reduce_lift(r * s, False, 1) == Polynomial.const(3, 1)
+    assert _reduce_lift(r * s, True, 1) == r
+    assert _reduce_lift(r * r - 2, False, 1) == r * r - 2  # no rational root
+    # a non-radial row keeps its s: zr >= 1/2 lifts to (tau^2 + 1)/2 - r s
+    assert _reduced(Fraction(1, 2) - zr, (1,)) == (tau * tau + 1) * Fraction(1, 2) - r * s
+    shell = region_of(3, 1, [], [(0, 2), (-1, 1), (1, 2)])
+    assert region_mod.simplify_cell(shell, region_mod.Cell(
+        [region_mod.Constraint(_reduce_lift(r * s, False, 1))])) is None
+
+
+def test_quadrant_sectors_that_meet_it_at_the_origin_come_out_empty():
+    """Sectors 3 and 4 meet the quadrant only at 0; after the strict
+    transform their rows zr >= 0 or zi >= 0 read 1 <= 0."""
+    region = load_region("quadrant_disk_c1")
+    part = Partition((), (), (0,))
+    cells = {alphas: transform_piece(piece, alphas, part).cells
+             for alphas, _aug, piece in _sector_pieces(region)}
+    assert set(cells) == {(1,), (2,), (3,), (4,)}
+    assert cells[(3,)] == [] and cells[(4,)] == []
+    assert cells[(1,)] and cells[(2,)]
+
+
+def test_slice_cells_list_each_row_once():
+    """On the slice |z1| = 1/4 the annulus row r2 - r1 <= 0 becomes the
+    slice bound r2 - 1/4 <= 0, and each task cell lists that row once."""
+    region = load_region("nested_annulus_c2")
+    r1, r2 = Polynomial.var(4, 0), Polynomial.var(4, 1)
+    rows = [(r1 - Fraction(1, 4), True), (r2 - Fraction(1, 4), False)]
+    bound = region_mod.Constraint(Polynomial.var(3, 0) - Fraction(1, 4))
+    for alphas, _aug, piece in _sector_pieces(region):
+        for cell in transform_piece(piece, alphas, Partition((), (0,), (1,)), rows,
+                                    {0: 0.25}).cells:
+            assert cell.constraints.count(bound) == 1
+            assert len(set(cell.constraints)) == len(cell.constraints)
+
+
+@pytest.mark.parametrize("name, R, m, count", [
+    ("disk_c1", (0,), 2, 4),
+    ("quadrant_disk_c1", (0,), 2, 2),
+    ("nested_annulus_c2", (0, 1), 4, 16),
+])
+def test_radial_regions_lift_to_linear_cells(name, R, m, count):
+    """The disk, quadrant and annulus tasks are linear cells with no
+    auxiliary, so no derived s rides along."""
+    tasks = reduce_to_real_tasks(load_region(name), ComplexLogForm.volume_like(len(R), R), m)
+    assert len(tasks) == count
+    for task in tasks:
+        for cell in task.region.cells:
+            assert cell.is_linear() and not cell.extra
 
 
 # ---------------------------------------------------------------------------
@@ -775,6 +905,27 @@ def test_product_of_quadrant_disks_matches_square():
     cfg = QuadConfig(mc_budget=60000)
     res = integrate_admissible(prod, ComplexLogForm.volume_like(2, (0, 1)), 4, cfg)
     assert abs(res.value - complex(0, -8)) <= max(3 * res.error, 0.2)
+
+
+@pytest.mark.parametrize("seed, value", [
+    (0, complex(-0.049110715968297525, -7.969437420062743)),
+    (1, complex(0.014753413921507308, -8.077006962113337)),
+])
+def test_product_of_quadrant_disks_runs_four_tasks(seed, value):
+    """The strict transform leaves the 4 tasks of sectors 1 and 2 of each
+    factor, and their sum is, at each seed, the value that the 16 tasks of
+    the unreduced lift give."""
+    prod = region_of(
+        4, 2,
+        ["zr1^2 + zi1^2 - 1 <= 0", "-zr1 <= 0", "-zi1 <= 0",
+         "zr2^2 + zi2^2 - 1 <= 0", "-zr2 <= 0", "-zi2 <= 0"],
+        [(0, 1), (0, 1), (0, 1), (0, 1)],
+        kind="complex",
+    )
+    cfg = QuadConfig(mc_budget=60000, seed=seed)
+    res = integrate_admissible(prod, ComplexLogForm.volume_like(2, (0, 1)), 4, cfg)
+    assert res.tasks_run == 4
+    assert abs(res.value - value) <= 1e-12
 
 
 def test_annulus_value_against_mc_oracle():
