@@ -239,7 +239,11 @@ def make_proper(f: Polynomial, p: int, cap: int = 64,
     if f.is_zero():
         raise BlowupError("cannot make the zero polynomial proper")
     n = f.nvars
+    if not 0 <= p <= n:
+        raise BlowupError(f"divisor count {p} outside 0..{n}")
     divisors = tuple(divisors) if divisors is not None else tuple(range(p))
+    if any(not 0 <= i < p for i in divisors):
+        raise BlowupError(f"divisor indices {divisors} outside 0..{p - 1}")
     content = f.content_monomial()
     for i in divisors:
         if content[i] > 0:

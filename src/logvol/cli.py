@@ -213,8 +213,10 @@ def _cmd_blowup(args) -> int:
     if args.poly:
         if args.p is None:
             raise CliError("--poly needs --p (number of divisor coordinates)")
+        if args.n is not None and args.n < args.p:
+            raise CliError(f"--n {args.n} is below --p {args.p}")
         names = [f"r{i + 1}" for i in range(args.p)]
-        if args.n and args.n > args.p:
+        if args.n is not None and args.n > args.p:
             names += [f"x{i + 1}" for i in range(args.p, args.n)]
         f = parse_poly(args.poly, names)
         tower = make_proper(f, args.p, cap=args.cap)
@@ -346,8 +348,8 @@ _FLAGS = {
     "--cap": dict(type=_count(0), default=64),
     "--tol": dict(type=float),
     "--poly": dict(help="make the polynomial meet the faces properly"),
-    "--p": dict(type=int, help="number of divisor coordinates"),
-    "--n": dict(type=int, help="ambient dimension (defaults to p)"),
+    "--p": dict(type=_count(0), help="number of divisor coordinates"),
+    "--n": dict(type=_count(0), help="ambient dimension (defaults to p)"),
     "--witness": dict(action="append", help="witness polynomial (repeatable)"),
     "--map": dict(help="comma separated polynomial components"),
     "--f": dict(help="comma separated map components"),

@@ -308,15 +308,17 @@ def _lift_payload(payload: Polynomial, alphas, nc: int) -> Polynomial:
     the pair degree d_i."""
     mult = [(max((exp[2 * i] + exp[2 * i + 1] for exp in payload.terms), default=0) + 1) // 2
             for i in range(nc)]
-    # summed in one dict: cheaper than repeated additions
+    # summed in one dict: cheaper than repeated additions; zero sums go last,
+    # so a term that cancels and comes back keeps its place
     work: dict = {}
     for exp, coeff in payload.terms.items():
         term = Polynomial.const(3 * nc, coeff)
         for i in range(nc):
             term = _polar_factor(nc, i, alphas[i], exp[2 * i], exp[2 * i + 1], mult[i]) * term
         for key, c in term.terms.items():
-            work[key] = work.get(key, 0) + c
-    return Polynomial(3 * nc, work)
+            prev = work.get(key)
+            work[key] = c if prev is None else prev + c
+    return Polynomial._of(3 * nc, {key: c for key, c in work.items() if c})
 
 
 def _reduce_lift(payload: Polynomial, equality: bool, nc: int) -> Polynomial:
@@ -346,7 +348,7 @@ def _reduce_lift(payload: Polynomial, equality: bool, nc: int) -> Polynomial:
         while divided is not None:
             terms, divided = divided, _divided_by_tau_square(divided, t)
     terms = _collapsed_radial(terms, nc) or terms
-    return payload if terms is payload.terms else Polynomial(3 * nc, terms)
+    return payload if terms is payload.terms else Polynomial._of(3 * nc, terms)
 
 
 def _divided_by_content(terms: dict, variables) -> dict:

@@ -13,6 +13,16 @@ where the first p ambient coordinates are the divisor coordinates r and the
 rest are smooth coordinates x.  Terms are normalized so the log factors come
 first with ascending indices, then the smooth factors ascending; all signs
 are tracked relative to that normal form.  Indices are 0-based internally.
+
+A polynomial is built once and never changed.  The public constructor
+`Polynomial(nvars, terms)` validates its input: exponent tuples of the
+right length with no negative entry, exact coefficients, zero terms
+dropped and repeated keys merged.  Exact arithmetic (`+`, `-`, `*`, `**`,
+`partial`, `partial_eval`, `compose`, `map_vars`, `drop_vars`,
+`divide_monomial`) builds each result's term dict clean, in the order the
+validating constructor would keep, and wraps it with `Polynomial._of`,
+which checks nothing; a caller elsewhere may use `_of` only for a dict
+that is clean by construction.
 """
 
 from __future__ import annotations
@@ -35,6 +45,9 @@ class PolyParseError(PolyError):
         self.position = position
 
 
+_ZERO = Fraction(0)  # Fractions are immutable: one zero serves every default
+
+
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -43,6 +56,17 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, float):
         return Fraction(value)
     raise PolyError(f"cannot use {type(value).__name__} as an exact coefficient")
+
+
+def _accumulate(terms: dict, exp: tuple, c: Fraction) -> None:
+    """Add c to the term at exp in place; a sum that cancels is deleted."""
+    prev = terms.get(exp)
+    if prev is None:
+        terms[exp] = c
+    elif (s := prev + c):
+        terms[exp] = s
+    else:
+        del terms[exp]
 
 
 def power_table(points: np.ndarray, exps: np.ndarray) -> np.ndarray:
@@ -108,15 +132,27 @@ class Polynomial:
         self.terms = clean
         self._vec = None
 
+    @classmethod
+    def _of(cls, nvars: int, clean: dict) -> "Polynomial":
+        """A polynomial over a term dict that is already clean: keys are
+        distinct tuples of nvars non-negative ints, values nonzero
+        Fractions.  Nothing is checked or copied; the dict is kept."""
+        self = object.__new__(cls)
+        self.nvars = nvars
+        self.terms = clean
+        self._vec = None
+        return self
+
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero(nvars: int) -> "Polynomial":
-        return Polynomial(nvars)
+        return Polynomial._of(nvars, {})
 
     @staticmethod
     def const(nvars: int, value) -> "Polynomial":
-        return Polynomial(nvars, {(0,) * nvars: _as_fraction(value)})
+        value = _as_fraction(value)
+        return Polynomial._of(nvars, {(0,) * nvars: value} if value else {})
 
     @staticmethod
     def var(nvars: int, index: int) -> "Polynomial":
@@ -124,7 +160,7 @@ class Polynomial:
             raise PolyError(f"variable index {index} out of range for {nvars} variables")
         exp = [0] * nvars
         exp[index] = 1
-        return Polynomial(nvars, {tuple(exp): Fraction(1)})
+        return Polynomial._of(nvars, {tuple(exp): Fraction(1)})
 
     @staticmethod
     def monomial(nvars: int, exps: Sequence[int], coeff=1) -> "Polynomial":
@@ -136,18 +172,14 @@ class Polynomial:
         other = self._coerce(other)
         merged = dict(self.terms)
         for exp, c in other.terms.items():
-            s = merged.get(exp, Fraction(0)) + c
-            if s == 0:
-                merged.pop(exp, None)
-            else:
-                merged[exp] = s
-        return Polynomial(self.nvars, merged)
+            _accumulate(merged, exp, c)
+        return Polynomial._of(self.nvars, merged)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Polynomial._of(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -160,13 +192,8 @@ class Polynomial:
         out: dict[tuple, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(exp, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(exp, None)
-                else:
-                    out[exp] = s
-        return Polynomial(self.nvars, out)
+                _accumulate(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+        return Polynomial._of(self.nvars, out)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -209,7 +236,7 @@ class Polynomial:
         return all(all(e == 0 for e in exp) for exp in self.terms)
 
     def constant_value(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, Fraction(0))
+        return self.terms.get((0,) * self.nvars, _ZERO)
 
     def degree(self) -> int:
         if not self.terms:
@@ -226,8 +253,8 @@ class Polynomial:
 
     def as_affine(self):
         """Return (coeffs, offset) if degree <= 1, else None."""
-        coeffs = [Fraction(0)] * self.nvars
-        offset = Fraction(0)
+        coeffs = [_ZERO] * self.nvars
+        offset = _ZERO
         for exp, c in self.terms.items():
             total = sum(exp)
             if total == 0:
@@ -250,15 +277,16 @@ class Polynomial:
     # -- calculus and substitution ---------------------------------------
 
     def partial(self, index: int) -> "Polynomial":
+        if not -self.nvars <= index < self.nvars:
+            raise PolyError(f"variable index {index} out of range for {self.nvars} variables")
+        index %= self.nvars
+        # lowering one exponent is one to one on the terms that carry it
         out: dict[tuple, Fraction] = {}
         for exp, c in self.terms.items():
             e = exp[index]
-            if e == 0:
-                continue
-            new = list(exp)
-            new[index] = e - 1
-            out[tuple(new)] = out.get(tuple(new), Fraction(0)) + c * e
-        return Polynomial(self.nvars, out)
+            if e:
+                out[exp[:index] + (e - 1,) + exp[index + 1:]] = c * e
+        return Polynomial._of(self.nvars, out)
 
     def float_form(self) -> tuple:
         """(exps, coeffs): the exponent rows and float coefficients in the
@@ -311,13 +339,8 @@ class Polynomial:
                     break
             if not ok:
                 continue
-            key = tuple(new)
-            s = out.get(key, Fraction(0)) + coeff
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return Polynomial(self.nvars, out)
+            _accumulate(out, tuple(new), coeff)
+        return Polynomial._of(self.nvars, out)
 
     def compose(self, comps: Sequence["Polynomial"]) -> "Polynomial":
         """Substitute comps[i] for variable i; comps live in a common ambient."""
@@ -348,7 +371,7 @@ class Polynomial:
         out = {
             tuple(exp[i] for i in keep): c for exp, c in self.terms.items()
         }
-        return Polynomial(len(keep), out)
+        return Polynomial._of(len(keep), out)
 
     def map_vars(self, mapping: Sequence[int], new_nvars: int) -> "Polynomial":
         """Reindex: old variable i becomes mapping[i] in an ambient of new_nvars."""
@@ -359,17 +382,24 @@ class Polynomial:
                 if e:
                     new[mapping[i]] += e
             key = tuple(new)
-            out[key] = out.get(key, Fraction(0)) + c
-        return Polynomial(new_nvars, out)
+            prev = out.get(key)
+            out[key] = c if prev is None else prev + c
+        # zero sums go last, so a term that cancels and comes back keeps its place
+        return Polynomial._of(new_nvars, {key: c for key, c in out.items() if c})
 
     def divide_monomial(self, exps: Sequence[int]) -> "Polynomial":
+        exps = tuple(int(e) for e in exps)
+        if len(exps) != self.nvars:
+            raise PolyError(
+                f"exponent tuple {exps} does not match ambient dimension {self.nvars}"
+            )
         out = {}
         for exp, c in self.terms.items():
             new = tuple(a - b for a, b in zip(exp, exps))
             if any(e < 0 for e in new):
                 raise PolyError("monomial division is not exact")
             out[new] = c
-        return Polynomial(self.nvars, out)
+        return Polynomial._of(self.nvars, out)
 
     # -- display ----------------------------------------------------------
 

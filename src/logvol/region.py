@@ -83,8 +83,9 @@ class Constraint:
             (*a, b), scale = self._row
             terms = {tuple(int(u == v) for u in range(len(a))): Fraction(x, scale)
                      for v, x in enumerate(a) if x}
-            terms[(0,) * len(a)] = Fraction(-b, scale)
-            self._payload = Polynomial(len(a), terms)
+            if b:
+                terms[(0,) * len(a)] = Fraction(-b, scale)
+            self._payload = Polynomial._of(len(a), terms)
         return self._payload
 
     @property
@@ -291,8 +292,8 @@ class Region:
         self.kind = kind
         self.cells = list(cells)
         self.box = None if box is None else [
-            (Fraction(lo) if not isinstance(lo, float) else lo,
-             Fraction(hi) if not isinstance(hi, float) else hi)
+            (lo if isinstance(lo, (Fraction, float)) else Fraction(lo),
+             hi if isinstance(hi, (Fraction, float)) else Fraction(hi))
             for lo, hi in box
         ]
         self.name = name

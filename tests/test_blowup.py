@@ -160,6 +160,16 @@ def test_make_proper_divisibility_precondition():
         make_proper(parse_poly("r1*r2 + r1", R2), 2)
 
 
+@pytest.mark.parametrize("p,divisors", [(-1, None), (3, None), (2, [2]), (2, [-1]),
+                                        (1, [0, 1])])
+def test_make_proper_rejects_divisors_outside_the_ambient(p, divisors):
+    """0 <= p <= nvars and every divisor index in 0..p-1, or a
+    BlowupError: a negative p used to check no divisor and return an
+    empty tower."""
+    with pytest.raises(BlowupError):
+        make_proper(parse_poly("1 + r1*r2", R2), p, divisors=divisors)
+
+
 def test_make_proper_cap_flag():
     g = parse_poly("r1 + r2^2", R2)
     t = make_proper(g, 2, cap=1, base_box=[(0, 1), (0, 1)])

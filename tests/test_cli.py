@@ -166,11 +166,16 @@ def test_explicit_zero_cap_is_kept():
     ("probe-fibers", S_HALF, "--axis", "r1", "--samples", "many"),
     ("probe-fibers", S_HALF, "--axis", "r1", "--cap", "-1"),
     ("blowup", "--poly", "r1 + r2^2", "--p", "2", "--cap", "-1"),
+    ("blowup", "--poly", "x1*x2", "--p", "-1", "--n", "2"),
+    ("blowup", "--poly", "r1 + r2^2", "--p", "2", "--n", "-1"),
+    ("blowup", "--poly", "r1 + r2^2", "--p", "2", "--n", "1"),
     ("stokes", "--m", "0"),
 ])
 def test_out_of_range_counts_are_usage_errors(argv):
     """Counts below their least value exit 1 with an error and no output:
-    --samples >= 1, --cap >= 0, stokes --m >= 1."""
+    --samples >= 1, --cap >= 0, blowup --p >= 0 and --n >= --p, stokes
+    --m >= 1.  (A negative --p used to name the variables x0, x1, x2,
+    check no divisor and report a proper tower.)"""
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code, out = invoke(*argv)

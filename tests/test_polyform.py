@@ -357,6 +357,86 @@ def test_eval_commutes_at_hundred_points():
         assert (f * g).eval(pt) == f.eval(pt) * g.eval(pt)
 
 
+def _cancelling_polys(nvars=3, max_terms=5):
+    """Polynomials with a few small coefficients, so that sums, products
+    and merged variables often cancel."""
+    exps = st.tuples(*([st.integers(0, 2)] * nvars))
+    coeffs = st.sampled_from([Fraction(-2), Fraction(-1), Fraction(1, 2), Fraction(1)])
+    return st.dictionaries(exps, coeffs, max_size=max_terms).map(
+        lambda d: Polynomial(nvars, d)
+    )
+
+
+def _assert_built_clean(r: Polynomial):
+    """r's term dict is what the validating constructor makes of it, in the
+    same order, and its hash is the hash of its value."""
+    assert list(r.terms.items()) == list(Polynomial(r.nvars, dict(r.terms)).terms.items())
+    for exp, c in r.terms.items():
+        assert type(exp) is tuple and len(exp) == r.nvars
+        assert all(type(e) is int and e >= 0 for e in exp)
+        assert type(c) is Fraction and c != 0
+    assert hash(r) == hash((r.nvars, frozenset(r.terms.items())))
+    reordered = Polynomial(r.nvars, dict(reversed(list(r.terms.items()))))
+    assert reordered == r and hash(reordered) == hash(r)
+
+
+@given(_cancelling_polys(), _cancelling_polys(), _cancelling_polys(),
+       st.integers(0, 2), st.integers(0, 3),
+       st.lists(st.integers(0, 1), min_size=3, max_size=3),
+       st.fractions(min_value=-2, max_value=2, max_denominator=3))
+def test_arithmetic_results_are_built_clean(f, g, h, var, power, mapping, value):
+    """Every result of exact arithmetic is a polynomial the public
+    constructor would build from its own terms: the same terms in the same
+    order, int exponents of the right length, nonzero Fraction values."""
+    results = [f + g, f + (-f), (f + g) - f, f - g, -f, f * g, (f + g) * (f - g),
+               f ** power, f.map_vars(mapping, 2), (f - g).map_vars(mapping, 2),
+               f.partial(var), f.partial(var - 3), f.partial_eval({var: value}),
+               f.compose([g, h, f + 1]), f.partial_eval({var: value}).drop_vars([var]),
+               Polynomial.zero(3), Polynomial.const(3, value), Polynomial.var(3, var)]
+    if not f.is_zero():
+        results.append(f.divide_monomial(f.content_monomial()))
+    divided = (f * Polynomial.var(3, var)).divide_monomial([int(v == var) for v in range(3)])
+    assert divided == f
+    assert f.partial(var - 3) == f.partial(var)
+    for r in results + [divided]:
+        _assert_built_clean(r)
+
+
+def test_cancelling_sums_keep_their_term_order():
+    """A product term that cancels is deleted and, when it comes back, goes
+    last; a merged map_vars term that cancels and comes back keeps its
+    first place.  to_text, as_affine and the lift reduction read this order."""
+    x, y = Polynomial.var(2, 0), Polynomial.var(2, 1)
+    product = (x + y + x * y) * (x - y + 1)
+    assert list(product.terms) == [(2, 0), (1, 0), (0, 2), (0, 1), (2, 1), (1, 2), (1, 1)]
+    f = Polynomial(3, {(1, 0, 0): 1, (0, 0, 0): 3, (0, 1, 0): -1, (0, 0, 1): 2})
+    assert list(f.map_vars([0, 0, 0], 1).terms.items()) == [((1,), Fraction(2)),
+                                                            ((0,), Fraction(3))]
+    cancelled = Polynomial(3, {(1, 0, 0): 1, (0, 1, 0): 2, (0, 0, 1): -1}).map_vars([0, 1, 0], 2)
+    assert list(cancelled.terms.items()) == [((0, 1), Fraction(2))]
+
+
+def test_public_constructor_validates():
+    """Polynomial(nvars, terms) checks and normalizes what it is given."""
+    with pytest.raises(PolyError):
+        Polynomial(2, {(1, -1): 1})
+    with pytest.raises(PolyError):
+        Polynomial(2, {(1,): 1})
+    with pytest.raises(PolyError):
+        Polynomial(2, {(1, 0): "1"})
+    with pytest.raises(PolyError):
+        Polynomial.monomial(2, (1,))
+    with pytest.raises(PolyError):
+        Polynomial(2, {(1, 0): 1}).divide_monomial((1,))
+    for index in (2, -3):
+        with pytest.raises(PolyError):
+            Polynomial(2, {(1, 0): 1}).partial(index)
+    f = Polynomial(2, {(1, 0): 0, (0, 1): 3, (np.int64(2), 0): 0.1})
+    assert list(f.terms.items()) == [((0, 1), Fraction(3)), ((2, 0), Fraction(0.1))]
+    assert all(type(e) is int for exp in f.terms for e in exp)
+    assert all(type(c) is Fraction for c in f.terms.values())
+
+
 def smooth_forms(n=3, p=1, degree=1):
     smooth_idx = st.lists(
         st.integers(p, n - 1), min_size=degree, max_size=degree, unique=True
