@@ -14,6 +14,13 @@ coefficient times bounded smooth prefactors against the real measure
 
     prod_P dr_i/r_i  prod_Q dtau_j  prod_R dr_k dtau_k .
 
+With a constant coefficient the task's pointwise factor is angular,
+prod_R (tau_k + i) prod (tau^2+1)^(-e/2), and reads no radius, so it
+declares the tau positions it reads (`RealTask.reads`) and leaves the
+fiber integral over the radius integrated innermost: it is evaluated once
+per fiber and multiplies the closed form.  A non-constant coefficient
+reads the radii through the polar map and keeps the inner Gauss rule.
+
 Regions transform exactly: a z-monomial of pair degree d contributes
 r^d * (affine in tau)^d / (tau^2+1)^(d/2); multiplying each constraint by
 the positive power (tau^2+1)^ceil(D/2) clears the denominators, with an
@@ -719,9 +726,20 @@ class RealTask:
 
         return f
 
+    def reads(self) -> frozenset | None:
+        """The task positions `pointwise` reads: the tau positions of the
+        prefactor and of the polynomial part, or None (every coordinate)
+        with a pointwise coefficient."""
+        if self.coeff_eval is not None:
+            return None
+        used = {v for poly in (self.poly_re, self.poly_im) for v in range(poly.nvars)
+                if poly.uses_var(v)}
+        return frozenset(used.union(pos for pos, _ in self.prefactor))
+
     def integrand(self) -> Integrand:
         one = Polynomial.const(self.region.n, 1)
-        return Integrand(one, self.log_positions, self.pointwise(), complex_valued=True)
+        return Integrand(one, self.log_positions, self.pointwise(), complex_valued=True,
+                         reads=self.reads())
 
 
 _I_POWERS = {0: (1, 0), 1: (0, 1), 2: (-1, 0), 3: (0, -1)}

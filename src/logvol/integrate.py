@@ -29,13 +29,15 @@ all of the level's 1-d integrals (every rung, base point, piece and
 segment) in lockstep, and each bisection round sends the nodes of every
 open panel through one call of the next level, or, on the last outer
 level, through one kernel call that returns all their fibers as one span
-table, over which the closed form or, for pointwise integrands, the inner
-Gauss rule runs as one array program.  A fiber depends on its own base
-point and eps alone, and each integral's value and error records are
-summed in depth-first bisection order, so a rung does not depend on how
-its panels were batched nor on the rungs computed beside it.  Panels
-accepted only because the bisection reached _MAX_DEPTH are counted per
-rung and flagged.
+table, over which the closed form runs as one array program.  A pointwise
+factor that does not read the inner coordinate (`Integrand.reads`) leaves
+the fiber integral: it is evaluated once per fiber, at the base point, and
+multiplies the closed form; only a factor that reads it sends the spans to
+the inner Gauss rule.  A fiber depends on its own base point and eps
+alone, and each integral's value and error records are summed in
+depth-first bisection order, so a rung does not depend on how its panels
+were batched nor on the rungs computed beside it.  Panels accepted only
+because the bisection reached _MAX_DEPTH are counted per rung and flagged.
 
 On the last outer level the segments start at the breakpoints of the
 fiber structure (`_final_level_cuts`).  When the inner coordinate is a log
@@ -430,16 +432,27 @@ class Integrand:
     `coeff` is the polynomial coefficient of the top-degree term; the
     measure carries one 1/x factor per log variable.  `pointwise`, when
     given, multiplies the polynomial part and is evaluated at full points
-    (ambient plus derived auxiliaries); the inner integral then falls back
-    to Gauss nodes.
+    (ambient plus derived auxiliaries).  `reads` lists the ambient
+    coordinates the factor reads (reading a derived auxiliary reads its
+    source coordinate); None, the default, means every coordinate.  A
+    factor that does not read the inner coordinate leaves the fiber
+    integral: it is evaluated once per fiber and the inner integral stays
+    the closed form.  One that does sends the inner integral to Gauss nodes.
     """
 
     def __init__(self, coeff: Polynomial, log_vars: Sequence[int],
-                 pointwise: Callable | None = None, complex_valued: bool = False):
+                 pointwise: Callable | None = None, complex_valued: bool = False,
+                 reads: Sequence[int] | None = None):
         self.coeff = coeff
         self.log_vars = tuple(sorted(log_vars))
         self.pointwise = pointwise
         self.complex_valued = complex_valued
+        self.reads = None if reads is None else frozenset(reads)
+
+    def factor_reads(self, axis: int) -> bool:
+        """Whether the pointwise factor reads coordinate `axis` (False
+        without a factor)."""
+        return self.pointwise is not None and (self.reads is None or axis in self.reads)
 
 
 class _FiberSolver:
@@ -510,6 +523,10 @@ def _final_level_cuts(solver: "_FiberSolver", level_var: int, point: np.ndarray,
     return sorted(x for x in cuts if lo + 1e-13 < x < hi - 1e-13)
 
 
+# the value each weighted part takes of a (complex) integrand value
+_PART_OF = {"re": np.real, "im": np.imag, "abs": np.abs}
+
+
 def _fiber_integral(solver: _FiberSolver, bases: np.ndarray, eps: np.ndarray,
                     integrand: Integrand, parts: Sequence[str],
                     line: AxisRestriction | None) -> np.ndarray:
@@ -522,10 +539,14 @@ def _fiber_integral(solver: _FiberSolver, bases: np.ndarray, eps: np.ndarray,
     Each part weights the same integrand values: "re" and "im" take the
     real and imaginary part with the oriented measure, "abs" the modulus
     with the unoriented one.  The kept pieces of all fibers form one span
-    table.  Without a pointwise factor a span's integral is a closed form
-    in the coefficients `line` gives on the line, its signed value computed
-    once for "re" and "abs" (the coefficient is real, so "im" is zero).  With one, the inner Gauss nodes of every span are
-    evaluated in one batch.
+    table.  Unless a pointwise factor reads the inner coordinate, a span's
+    integral is a closed form in the coefficients `line` gives on the
+    line, times the factor w at the fiber's base point, which leaves the
+    integral by Fubini: "re" and "im" take Re(w) and Im(w) times the
+    signed closed form, "abs" takes |w| times the absolute one.  Without a
+    factor w = 1, so "im" is zero.  A factor that reads the inner
+    coordinate is evaluated at the inner Gauss nodes of every span, in
+    one batch.
     """
     region, axis = solver.region, solver.axis
     n = region.n
@@ -541,13 +562,17 @@ def _fiber_integral(solver: _FiberSolver, bases: np.ndarray, eps: np.ndarray,
     owner = fiber[piece]
     if not len(owner):
         return out
-    if integrand.pointwise is None:
+    if not integrand.factor_reads(axis):
         coef = line.table(points[:, : integrand.coeff.nvars])[0][:, owner]
         signed = _line_signed(coef, a, b, log_inner)
+        w = None if integrand.pointwise is None else integrand.pointwise(points)[owner]
         for j, part in enumerate(parts):
-            if part != "im":
-                weights = signed if part == "re" else _line_absolute(coef, a, b, log_inner, signed)
-                out[j] = np.bincount(owner, weights=weights, minlength=len(bases))
+            if part == "im" and w is None:
+                continue
+            weights = _line_absolute(coef, a, b, log_inner, signed) if part == "abs" else signed
+            if w is not None:
+                weights = _PART_OF[part](w) * weights
+            out[j] = np.bincount(owner, weights=weights, minlength=len(bases))
         return out
 
     xs, ws = _gauss_nodes()
@@ -566,10 +591,7 @@ def _fiber_integral(solver: _FiberSolver, bases: np.ndarray, eps: np.ndarray,
     else:
         vals = coeff.eval_many(pts[:, : coeff.nvars]) * integrand.pointwise(pts)
     for j, part in enumerate(parts):
-        if part == "abs":
-            weighted = weights * np.abs(vals)
-        else:
-            weighted = oriented * (np.real(vals) if part == "re" else np.imag(vals))
+        weighted = (weights if part == "abs" else oriented) * _PART_OF[part](vals)
         out[j] = np.bincount(owner, weights=weighted, minlength=len(bases))
     return out
 
@@ -615,7 +637,7 @@ def _rung_value(region: Region, integrand: Integrand, epss: Sequence[float],
     solver = _FiberSolver(region, inner)
     log_inner = inner in integrand.log_vars
     line = None
-    if integrand.pointwise is None:
+    if not integrand.factor_reads(inner):
         line = AxisRestriction([integrand.coeff], inner, integrand.coeff.nvars)
 
     def level(d: int, points: np.ndarray, eps: np.ndarray) -> tuple:
@@ -918,9 +940,12 @@ def default_t_ladder():
 
 def _decay_ts(ts: Sequence[float] | None) -> list:
     """The slice values of a decay report, `ts` or the default ladder.  A
-    decay law needs four positive ones; that is checked before any slice
-    is built."""
+    decay law needs four positive ones, and every value must be finite;
+    both are checked before any slice is built."""
     ts = list(ts) if ts is not None else default_t_ladder()
+    bad = [t for t in ts if not math.isfinite(t)]
+    if bad:
+        raise IntegrationError(f"slice values must be finite, got {bad[0]!r}")
     positive = sum(t > 0 for t in ts)
     if positive < 4:
         raise IntegrationError(

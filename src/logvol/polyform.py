@@ -182,7 +182,18 @@ class Polynomial:
         return Polynomial._of(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        """self + (-other), term for term and in the same order, without
+        negating the terms that self already has."""
+        merged = dict(self.terms)
+        for exp, c in self._coerce(other).terms.items():
+            prev = merged.get(exp)
+            if prev is None:
+                merged[exp] = -c
+            elif (s := prev - c):
+                merged[exp] = s
+            else:
+                del merged[exp]
+        return Polynomial._of(self.nvars, merged)
 
     def __rsub__(self, other):
         return self._coerce(other) - self

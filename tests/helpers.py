@@ -51,3 +51,26 @@ def li2_series(x: float, terms: int = 60) -> float:
 
 
 LI2_HALF = li2_series(0.5)  # 0.5822405264650125 with 60 terms
+
+
+def annulus_slice_tasks(ts=(2.0**-2, 2.0**-3, 2.0**-4, 2.0**-5)):
+    """The slice tasks, regions attached, that annulus_slice_decay hands to
+    its quadratures for dz1/z1 ^ dz2/z2 ^ dzbar2 on nested_annulus_c2
+    (m = 4) at the radii ts, recorded without running any quadrature."""
+    from logvol import ComplexLogForm, Ladder, annulus_slice_decay, complexint
+
+    tasks = []
+
+    def record(quadrature, task):
+        tasks.append(task)
+        return [(1.0, 0.0, Ladder([(0.0, 1.0, 0.0)], "converged", 1.0, 0.0, capped=[0]))
+                for _ in quadrature.kinds]
+
+    original = complexint._Quadratures.__call__
+    complexint._Quadratures.__call__ = record
+    try:
+        annulus_slice_decay(load_region("nested_annulus_c2"), ComplexLogForm.volume_like(2, (1,)),
+                            4, ts=list(ts))
+    finally:
+        complexint._Quadratures.__call__ = original
+    return tasks

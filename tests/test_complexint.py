@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import REGIONS, load_region, region_of
+from helpers import REGIONS, annulus_slice_tasks, load_region, region_of
 from logvol import (
     ComplexIntError,
     ComplexLogForm,
@@ -856,7 +856,8 @@ def test_annulus_gate_provenance_through_fallback(monkeypatch, cell, flagged):
 def test_one_pass_complex_ladders_match_part_by_part(name):
     """A complex task's signed ladder (real and imaginary parts) and its
     absolute ladder come from one quadrature program; each part
-    equals that part integrated on its own, as a real-valued integrand."""
+    equals that part integrated on its own, as a real-valued integrand
+    that reads the task's coordinates."""
     from logvol.integrate import Integrand, _build_ladder
 
     cfg = QuadConfig()
@@ -866,14 +867,117 @@ def test_one_pass_complex_ladders_match_part_by_part(name):
         integrand = task.integrand()
         signed, absolute = _build_ladder(task.region, integrand, cfg, ("signed", "absolute"))
         pw = integrand.pointwise
-        re, = _build_ladder(task.region, Integrand(integrand.coeff, integrand.log_vars,
-                                                   lambda pts: np.real(pw(pts))), cfg, ("signed",))
-        im, = _build_ladder(task.region, Integrand(integrand.coeff, integrand.log_vars,
-                                                   lambda pts: np.imag(pw(pts))), cfg, ("signed",))
+
+        def part(take):
+            return Integrand(integrand.coeff, integrand.log_vars, lambda pts: take(pw(pts)),
+                             reads=integrand.reads)
+
+        re, = _build_ladder(task.region, part(np.real), cfg, ("signed",))
+        im, = _build_ladder(task.region, part(np.imag), cfg, ("signed",))
         alone, = _build_ladder(task.region, integrand, cfg, ("absolute",))
         assert signed.entries == [(eps, complex(a, b), ea + eb)
                                   for (eps, a, ea), (_, b, eb) in zip(re.entries, im.entries)]
         assert absolute.entries == alone.entries
+
+
+def _closed_form_tasks(case):
+    """The tasks of integrate_admissible on disk_c1 and quadrant_disk_c1
+    (m = 2) and on nested_annulus_c2 (m = 4), or the slice tasks of
+    annulus_slice_decay on nested_annulus_c2."""
+    if case == "annulus_slices":
+        return annulus_slice_tasks()
+    if case == "nested_annulus_c2":
+        return reduce_to_real_tasks(load_region(case), ComplexLogForm.volume_like(2, (0, 1)), 4)
+    return reduce_to_real_tasks(load_region(case), ComplexLogForm.volume_like(1, (0,)), 2)
+
+
+def _inner(region):
+    """The coordinate _rung_value integrates innermost."""
+    return region.p - 1 if region.p else region.n - 1
+
+
+def _redraw(region, pts, keep, rng):
+    """pts with every ambient coordinate outside `keep` and every
+    existential auxiliary drawn anew, the derived auxiliaries filled."""
+    extras = region.cells[0].extra if region.cells else ()
+    out = pts.copy()
+    for v, (lo, hi) in enumerate(region.bounding_box()):
+        if v not in keep:
+            out[:, v] = rng.uniform(float(lo), float(hi), size=len(out))
+    for i, e in enumerate(extras):
+        out[:, region.n + i] = rng.uniform(e.lo, e.hi, size=len(out))
+    return region_mod.fill_derived(out, extras, region.n)
+
+
+@pytest.mark.parametrize("case", ["disk_c1", "quadrant_disk_c1", "nested_annulus_c2",
+                                  "annulus_slices"])
+def test_task_factor_reads_only_its_declared_coordinates(case):
+    """A task's pointwise factor declares the coordinates it reads, and the
+    declaration is true: redrawing every other coordinate, the inner r
+    among them, leaves its values bit for bit.  None of these factors
+    reads the inner coordinate, so their fibers keep the closed form."""
+    rng = np.random.Generator(np.random.Philox(key=29))
+    tasks = _closed_form_tasks(case)
+    assert tasks
+    for task in tasks:
+        integrand = task.integrand()
+        region = task.region
+        assert integrand.reads is not None and not integrand.factor_reads(_inner(region))
+        extras = region.cells[0].extra if region.cells else ()
+        pts = _redraw(region, np.zeros((64, region.n + len(extras))), (), rng)
+        moved = _redraw(region, pts, integrand.reads, rng)
+        assert not np.array_equal(pts[:, _inner(region)], moved[:, _inner(region)])
+        assert np.array_equal(integrand.pointwise(pts), integrand.pointwise(moved))
+
+
+def test_nonconstant_coefficient_declares_its_radius():
+    """A coefficient a = z1 on the R block reads r1 through the polar map:
+    its task declares every coordinate as read, and redrawing r alone
+    does move its factor, so its fibers take the inner Gauss rule."""
+    region = load_region("disk_c1")
+    form = ComplexLogForm(1, 1, [(Polynomial.var(2, 0), Polynomial.var(2, 1), (0,))])
+    rng = np.random.Generator(np.random.Philox(key=29))
+    for task in reduce_to_real_tasks(region, form, 2):
+        integrand = task.integrand()
+        r = _inner(task.region)
+        assert integrand.reads is None and integrand.factor_reads(r)
+        pts = _redraw(task.region, np.zeros((64, task.region.n)), (), rng)
+        moved = _redraw(task.region, pts, set(range(task.region.n)) - {r}, rng)
+        assert not np.array_equal(integrand.pointwise(pts), integrand.pointwise(moved))
+
+
+@pytest.mark.parametrize("case", ["disk_c1", "quadrant_disk_c1", "nested_annulus_c2",
+                                  "annulus_slices"])
+def test_closed_form_fibers_match_the_inner_gauss_rule(case):
+    """Every rung of every ladder of a task whose factor leaves the fiber
+    integral lies within 1e-12 relative (of the absolute rung) of the same
+    rung with the inner coordinate declared as read, which evaluates the
+    factor at the inner Gauss nodes, at more points than the one per fiber
+    of the closed form; the capped panels agree.  The 4-d tasks of
+    nested_annulus_c2 take the Monte-Carlo rung, which reads no fibers, so
+    theirs agree exactly, at as many points."""
+    from logvol.integrate import Integrand, _build_ladder
+
+    cfg = QuadConfig(mc_budget=256)
+    for task in _closed_form_tasks(case):
+        closed = task.integrand()
+        points = []
+
+        def counted(pts, factor=closed.pointwise):
+            points[-1] += len(pts)
+            return factor(pts)
+
+        ladders = []
+        for reads in (closed.reads, closed.reads | {_inner(task.region)}):
+            points.append(0)
+            integrand = Integrand(closed.coeff, closed.log_vars, counted, True, reads)
+            ladders.append(_build_ladder(task.region, integrand, cfg, ("signed", "absolute")))
+        assert (points[1] > points[0]) == (task.region.n <= 3)
+        (signed, absolute), (signed_g, absolute_g) = ladders
+        for ours, theirs in ((signed, signed_g), (absolute, absolute_g)):
+            assert ours.params() == theirs.params() and ours.capped == theirs.capped
+            for a, b, scale in zip(ours.values(), theirs.values(), absolute_g.values()):
+                assert abs(a - b) <= 1e-12 * scale
 
 
 def test_full_disk_vanishes():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import LI2_HALF, box_region, load_region, region_of
+from helpers import LI2_HALF, annulus_slice_tasks, box_region, load_region, region_of
 from logvol import (
     IntegrationError,
     LogForm,
@@ -587,9 +587,12 @@ def _fiber_integral_case(case):
     """(region, integrand, parts): dr1/r1 ^ dr2/r2 on s_half, whose inner
     integral is a closed form; the same with a coefficient quadratic in the
     inner coordinate on s_one, whose absolute part is cut at the
-    coefficient's roots; the s_half integrand times a pointwise factor; or
-    a complex task of the nested annulus, whose integrand is evaluated
-    pointwise and has no log coordinate."""
+    coefficient's roots; the s_half integrand times a pointwise factor; a
+    complex task of the nested annulus ("pointwise") or one of its slice
+    tasks ("angular"), whose angular factors do not read the inner
+    coordinate, so each leaves its fibers' closed form, and which have no
+    log coordinate; or the nested annulus task with its inner coordinate
+    declared as read, which sends its fibers to the inner Gauss rule."""
     from logvol import ComplexLogForm, reduce_to_real_tasks
     from logvol.integrate import Integrand, _top_integrand
 
@@ -608,12 +611,20 @@ def _fiber_integral_case(case):
             return np.cos(pts[:, 0] - 3 * pts[:, 1])
 
         return region, Integrand(top.coeff, top.log_vars, factor), ("re", "abs")
+    if case == "angular":
+        task = annulus_slice_tasks()[0]
+        return task.region, task.integrand(), ("re", "im", "abs")
     task = reduce_to_real_tasks(load_region("nested_annulus_c2"),
                                 ComplexLogForm.volume_like(2, (0, 1)), 4)[0]
-    return task.region, task.integrand(), ("re", "im", "abs")
+    integrand = task.integrand()
+    if case == "pointwise_inner":
+        integrand = Integrand(integrand.coeff, integrand.log_vars, integrand.pointwise, True,
+                              integrand.reads | {task.region.p - 1})
+    return task.region, integrand, ("re", "im", "abs")
 
 
-@pytest.mark.parametrize("case", ["closed_form", "polynomial", "pointwise_log", "pointwise"])
+@pytest.mark.parametrize("case", ["closed_form", "polynomial", "pointwise_log", "pointwise",
+                                  "angular", "pointwise_inner"])
 def test_fiber_integral_is_independent_of_the_batch(case):
     """One _fiber_integral call on the bases of three panels, each excised
     at its own eps as the panels of different rungs are, gives each base
@@ -626,7 +637,7 @@ def test_fiber_integral_is_independent_of_the_batch(case):
     inner = region.p - 1 if region.p else region.n - 1
     solver = _FiberSolver(region, inner)
     line = None
-    if integrand.pointwise is None:
+    if not integrand.factor_reads(inner):
         line = AxisRestriction([integrand.coeff], inner, integrand.coeff.nvars)
     box = region.bounding_box()
     rng = np.random.Generator(np.random.Philox(key=11))
@@ -809,6 +820,23 @@ def test_slice_decay_needs_four_slice_values_before_any_slice(monkeypatch):
     with pytest.raises(IntegrationError, match="at least 4"):
         slice_decay_report(load_region("s_one"), {0: 1}, LogForm.dlog(2, 2, 1), ts=[0.5, 0.25])
     assert calls == []
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("report", ["slice", "annulus"])
+def test_decay_reports_reject_non_finite_slice_values(report, bad):
+    """A slice value that is nan or infinite is an IntegrationError of
+    either decay report, not a float conversion error from inside the
+    slicing."""
+    from logvol import ComplexLogForm, annulus_slice_decay
+
+    ts = [0.5, 0.25, 0.125, 0.0625, bad]
+    with pytest.raises(IntegrationError, match="finite"):
+        if report == "slice":
+            slice_decay_report(load_region("s_half"), {0: 1}, LogForm.dlog(2, 2, 1), ts=ts)
+        else:
+            annulus_slice_decay(load_region("nested_annulus_c2"),
+                                ComplexLogForm.volume_like(2, (1,)), 4, ts=ts)
 
 
 def test_slice_decay_gate_fires():

@@ -387,7 +387,9 @@ def _assert_built_clean(r: Polynomial):
 def test_arithmetic_results_are_built_clean(f, g, h, var, power, mapping, value):
     """Every result of exact arithmetic is a polynomial the public
     constructor would build from its own terms: the same terms in the same
-    order, int exponents of the right length, nonzero Fraction values."""
+    order, int exponents of the right length, nonzero Fraction values.
+    A difference has the term items, in order, of the sum with the negated
+    operand."""
     results = [f + g, f + (-f), (f + g) - f, f - g, -f, f * g, (f + g) * (f - g),
                f ** power, f.map_vars(mapping, 2), (f - g).map_vars(mapping, 2),
                f.partial(var), f.partial(var - 3), f.partial_eval({var: value}),
@@ -400,6 +402,8 @@ def test_arithmetic_results_are_built_clean(f, g, h, var, power, mapping, value)
     assert f.partial(var - 3) == f.partial(var)
     for r in results + [divided]:
         _assert_built_clean(r)
+    for a, b in ((f, g), (f, f), (f + g, f), (g, f * g), (f, 1)):
+        assert list((a - b).terms.items()) == list((a + (-b)).terms.items())
 
 
 def test_cancelling_sums_keep_their_term_order():
