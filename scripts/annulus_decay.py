@@ -6,7 +6,9 @@ The last lines give the wall time of the fit next to its counters, which
 do not vary between runs: the slice tasks run and the quadratures they
 needed (tasks that lift to the same cells with integrands equal up to a
 unit phase share one), the fibers solved and the points at which the
-tasks' pointwise factor is evaluated.
+tasks' pointwise factor is evaluated; then the outer jobs with the share of
+them accepted in the first round and the cut tables built
+(scripts/quad_counts.py).
 """
 
 import argparse
@@ -20,6 +22,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import logvol.complexint as complexint
 import logvol.integrate as integrate
 from logvol import ComplexLogForm, QuadConfig, annulus_slice_decay, parse_region
+from quad_counts import count_cut_tables, count_outer_jobs, outer_line
 
 
 def count_fibers() -> list:
@@ -71,6 +74,8 @@ def main():
     ts = [2.0**-k for k in range(args.kmin, args.kmax + 1)]
     fibers = count_fibers()
     points = count_factor_points()
+    jobs = count_outer_jobs()
+    tables = count_cut_tables()
     start = time.perf_counter()
     report = annulus_slice_decay(region, form, 4, ts=ts, cfg=QuadConfig(seed=args.seed))
     wall = time.perf_counter() - start
@@ -81,6 +86,7 @@ def main():
     print(f"wall {wall:.3f} s, {report.tasks_run} slice tasks, "
           f"{report.ladders_computed} quadratures")
     print(f"fibers solved {fibers[0]}, factor points {points[0]}")
+    print(outer_line(jobs, tables))
 
 
 if __name__ == "__main__":

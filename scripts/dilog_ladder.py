@@ -3,9 +3,11 @@
 The region {0 <= r1 <= 1, 0 <= r2 <= 1/2, r1 + r2 >= 1} integrated against
 dr1/r1 ^ dr2/r2 converges to Li2(1/2); each rung excises |r_i| < eps and
 the ladder extrapolates the limit.  The ladder's wall time is printed with
-three counters, which do not vary between runs: the bisection rounds (calls
-of `_adaptive_1d`'s integrand, each of which evaluates every open panel),
-the _fiber_integral calls and the fibers they solve.
+counters, which do not vary between runs: the bisection rounds (calls of
+`_adaptive_1d`'s integrand, each of which evaluates every open panel), the
+_fiber_integral calls and the fibers they solve, the outer jobs with the
+share of them accepted in the first round, and the cut tables built
+(scripts/quad_counts.py).
 """
 
 import argparse
@@ -17,6 +19,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import logvol.integrate as integrate
 from logvol import LogForm, QuadConfig, integrate_log_form, parse_region
+from quad_counts import count_cut_tables, count_outer_jobs, outer_line
 
 
 def count_fibers() -> list:
@@ -34,23 +37,6 @@ def count_fibers() -> list:
     return tally
 
 
-def count_rounds() -> list:
-    """Wrap the integrand that integrate._adaptive_1d receives so that it
-    counts the bisection rounds; returns the live [rounds]."""
-    tally = [0]
-    original = integrate._adaptive_1d
-
-    def counted(f, *args):
-        def round_(*nodes):
-            tally[0] += 1
-            return f(*nodes)
-
-        return original(round_, *args)
-
-    integrate._adaptive_1d = counted
-    return tally
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--eps0", type=float, default=2.0**-4)
@@ -63,7 +49,8 @@ def main():
     form = LogForm.dlog(2, 2, 0).wedge(LogForm.dlog(2, 2, 1))
     cfg = QuadConfig(eps0=args.eps0, ladder_len=args.rungs, seed=args.seed)
     tally = count_fibers()
-    rounds = count_rounds()
+    jobs = count_outer_jobs()
+    tables = count_cut_tables()
     start = time.perf_counter()
     result = integrate_log_form(region, form, cfg)
     wall = time.perf_counter() - start
@@ -74,7 +61,8 @@ def main():
     print(f"series   {series:.10f}  (60 terms)")
     print(f"difference {abs(result.value - series):.2e}")
     print(f"wall     {wall:.3f} s")
-    print(f"bisection rounds {rounds[0]}, fiber_integral calls {tally[0]}, fibers solved {tally[1]}")
+    print(f"bisection rounds {jobs[0]}, fiber_integral calls {tally[0]}, fibers solved {tally[1]}")
+    print(outer_line(jobs, tables))
 
 
 if __name__ == "__main__":

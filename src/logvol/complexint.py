@@ -594,21 +594,23 @@ def _task_index(partition: Partition, eliminated=frozenset()):
 
 @dataclass(frozen=True)
 class _LiftedPiece:
-    """A sector piece with its cells lifted once.  `key` is all that
-    transform_piece reads of the piece: the lifted constraints and the
-    radius bounds of the polar domain."""
+    """A sector piece with its cells lifted once.  `key` interns all that
+    transform_piece reads of the piece, the lifted constraints and the
+    radius bounds of the polar domain, as its index among the distinct ones
+    of the call that owns `made`: it is hashed once per piece, not per
+    lookup."""
 
     piece: Region
     alphas: tuple
     cells: list
-    key: tuple
+    key: int
 
 
-def _lifted_piece(piece: Region, alphas) -> _LiftedPiece:
+def _lifted_piece(made: dict, piece: Region, alphas) -> _LiftedPiece:
     cells = _lift_cells(piece, alphas)
     key = (tuple(tuple(rows) for rows in cells),
            tuple(_radius_bound(piece, i) for i in range(piece.n // 2)))
-    return _LiftedPiece(piece, tuple(alphas), cells, key)
+    return _LiftedPiece(piece, tuple(alphas), cells, made.setdefault(key, len(made)))
 
 
 def _transform_once(made: dict, lifted: _LiftedPiece, partition: Partition,
@@ -619,10 +621,11 @@ def _transform_once(made: dict, lifted: _LiftedPiece, partition: Partition,
     owns `made`: sector pieces that lift alike share one Region."""
     key = (lifted.key, partition.P, partition.Q, partition.R,
            tuple(rows), tuple(sorted((eliminate or {}).items())))
-    if key not in made:
-        made[key] = transform_piece(lifted.piece, lifted.alphas, partition, rows, eliminate,
-                                    lifted=lifted.cells)
-    return made[key]
+    region = made.get(key)
+    if region is None:
+        region = made[key] = transform_piece(lifted.piece, lifted.alphas, partition, rows,
+                                             eliminate, lifted=lifted.cells)
+    return region
 
 
 def _turned(value, k: int) -> complex:
@@ -974,7 +977,7 @@ def reduce_to_real_tasks(region: Region, form: ComplexLogForm, m: int,
     made: dict = {}
     tasks = []
     for alphas, _piece, originals in _sector_pieces(region):
-        lifted = _lifted_piece(originals, alphas)
+        lifted = _lifted_piece(made, originals, alphas)
         for re, im, part in _partitions(form):
             task_region = _transform_once(made, lifted, part)
             if task_region.cells:
@@ -1154,15 +1157,15 @@ def annulus_slice_decay(region: Region, form: ComplexLogForm, m: int,
     # r_1 = t is fixed on the slice, so dr_1 restricts to zero: only the
     # partitions with z_1 in Q contribute.  The lift does not depend on t,
     # so each piece is lifted once.
+    made: dict = {}
     pieces = [
-        (_lifted_piece(orig, alphas),
+        (_lifted_piece(made, orig, alphas),
          [_pull_back(re, im, part, alphas, eliminated={("r", 0)})
           for re, im, part in _partitions(form) if 0 in part.Q])
         for alphas, _aug, orig in _sector_pieces(region)
     ]
     r1 = Polynomial.var(2 * nc, 0)
     r2 = Polynomial.var(2 * nc, 1)
-    made: dict = {}
     quadrature = _Quadratures(cfg, ("absolute",))
     entries = []
     ladders = []

@@ -40,14 +40,16 @@ were batched nor on the rungs computed beside it.  Panels accepted only
 because the bisection reached _MAX_DEPTH are counted per rung and flagged.
 
 On the last outer level the segments start at the breakpoints of the
-fiber structure (`_final_level_cuts`).  When the inner coordinate is a log
-one, a fiber bounded below by an affine l(x) = alpha + beta x gives the
-outer integrand a term -log l(x), singular at l's zero x0, only
-eps / |beta| past the excision cut.  Bisection would zoom onto x0 one
-level per round, so rung k alone would take about k + 3 rounds; the cuts
-instead also grade geometrically toward x0, with ratio _GRADE, and every
-panel of a ladder passes the same halves-against-whole test in the first
-round.  The non-final outer levels of 3-d regions are not graded.
+fiber structure, every one an entry of one cut table per fiber solver,
+affine in the base point and evaluated for all rows at once
+(`_FiberSolver.cuts`).  When the inner coordinate is a log one, a fiber
+bounded below by an affine l(x) = alpha + beta x gives the outer integrand
+a term -log l(x), singular at l's zero x0, only eps / |beta| past the
+excision cut.  Bisection would zoom onto x0 one level per round, so rung k
+alone would take about k + 3 rounds; the cuts instead also grade
+geometrically toward x0, with ratio _GRADE, and every panel of a ladder
+passes the same halves-against-whole test in the first round, decided on
+arrays.  The non-final outer levels of 3-d regions are not graded.
 
 Above three dimensions a stratified Monte-Carlo estimator with a
 counter-based generator replaces the tensor quadrature, rung by rung; it
@@ -64,6 +66,7 @@ round sums its panels in one contraction, `_panel_sums`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -95,7 +98,7 @@ _NODES = 15  # points of the Gauss rule, on the outer panels and the inner fiber
 _FIBER_BATCH = 512  # fibers per _fiber_integral call: bounds the arrays of one call
 _MAX_DEPTH = 24  # bisections of an outer Gauss panel before it is accepted as capped
 _QUAD_TOL = 1e-8  # relative error budget of an outermost Gauss integral
-_GRADE = 8  # ratio of the graded cuts toward a log inner bound's zero (_final_level_cuts)
+_GRADE = 8  # ratio of the graded cuts toward a log inner bound's zero (_FiberSolver.cuts)
 
 
 @dataclass(frozen=True)
@@ -119,6 +122,9 @@ class QuadConfig:
             raise IntegrationError("eps0 must be finite and positive")
         if self.ladder_len < 3:
             raise IntegrationError("the ladder needs at least 3 rungs")
+        if self.eps0 * _RATIO**-(self.ladder_len - 1) < sys.float_info.min:
+            raise IntegrationError("the last rung, eps0 * 2**-(ladder_len - 1), underflows: "
+                                   "raise eps0 or shorten the ladder")
         if self.mc_budget < 1:
             raise IntegrationError("mc_budget must be at least 1")
         if self.seed < 0:
@@ -239,102 +245,74 @@ def _panel_sums(vals: np.ndarray, half: np.ndarray) -> np.ndarray:
     return half[:, None] * np.einsum("kpm,m->pk", vals.reshape(len(vals), len(half), len(ws)), ws)
 
 
-class _Node:
-    """A range of one lockstep integral: its Gauss value `whole`, error
-    budget and remaining depth; the (value, records) of its two halves once
-    evaluated; then either the accepted (total, record) or its two
-    children."""
-
-    __slots__ = ("job", "lo", "hi", "whole", "budget", "depth", "halves", "accepted", "children")
-
-    def __init__(self, job: int, lo: float, hi: float, depth: int, whole=None, budget=None):
-        self.job, self.lo, self.hi, self.depth = job, lo, hi, depth
-        self.whole, self.budget = whole, budget
-        self.accepted = self.children = None
-
-
 def _adaptive_1d(f: Callable, jobs: Sequence[tuple], depth: int, k: int) -> list:
     """Adaptive _NODES-point Gauss with bisection on a vector-valued
     integrand, run in lockstep on many independent 1-d integrals.
 
-    jobs are (a, b, tol).  Each component's budget tol * max(1, |whole|)
-    halves with each split, so its accepted panel errors sum below it, and
-    a panel is accepted only when every component is within budget or the
-    bisection has split it `depth` times.  Each round evaluates the halves
-    of every open panel of every job in one call f(nodes, owners): nodes
-    is the (panels, _NODES) array of their nodes, owners the job of each
-    panel, and f returns the (k, panels * _NODES) values with, per node,
-    the list of accepted-panel records (err, budget) of the integrals
-    behind that node (None when there are none).
+    jobs are (a, b, tol), a sequence or a (jobs, 3) array.  Each
+    component's budget tol * max(1, |whole|) halves with each split, so its
+    accepted panel errors sum below it, and a panel is accepted only when
+    every component is within budget or the bisection has split it `depth`
+    times.  Each round is one array program: one call f(nodes, owners)
+    evaluates the halves of every open panel of every job (in the first
+    round each whole range too), nodes the (panels, _NODES) array of their
+    nodes and owners the job of each panel, and returns the (k, panels *
+    _NODES) values with, per node, the list of accepted-panel records (err,
+    budget) of the integrals behind that node (None when there are none);
+    the sums (`_panel_sums`), errors, budgets and acceptance follow on arrays.
 
     Returns one (value, records) per job.  The value sums the accepted
     panels pairwise up the bisection tree, and the records list the job's
     accepted panels together with those behind its nodes, both in the
-    order a depth-first bisection visits them, so neither depends on how
-    the jobs were batched.  `_panel_sums` states the Gauss sum once, as one
-    contraction per round; past it, list arithmetic on the few components
-    beats numpy on arrays this small.
+    order a depth-first bisection visits them (a range, its halves, then
+    their (err, budget) or the subtrees), so neither depends on how the
+    jobs were batched.
     """
     xs, _ = _gauss_nodes()
     m = len(xs)
+    jobs = np.asarray(jobs, dtype=float).reshape(-1, 3)
+    live = (jobs[:, 0] < jobs[:, 1]).nonzero()[0]
+    job, ends, whole = live, jobs[live][:, [0, 0, 1]], None  # open panels: job, (lo, mid, hi)
+    rounds = []  # per round and panel: accepted, total, err, budget, records, child
+    while len(job):
+        ends[:, 1] = 0.5 * (ends[:, 0] + ends[:, 2])
+        ia, ib = ([0, 1], [1, 2]) if rounds else ([0, 0, 1], [2, 1, 2])  # (lo, mid, hi) columns
+        a, b = ends[:, ia].ravel(), ends[:, ib].ravel()
+        half = 0.5 * (b - a)
+        vals, behind = f((0.5 * (a + b))[:, None] + half[:, None] * xs, job.repeat(len(ia)))
+        sums = _panel_sums(vals, half).reshape(len(job), len(ia), k)
+        if whole is None:
+            whole = sums[:, 0]
+            budget = jobs[live, 2:] * np.fmax(1.0, np.abs(whole))  # max(1.0, nan) is 1.0
+        total = sums[:, -2] + sums[:, -1]
+        err = np.abs(total - whole)
+        ok = (err <= budget).all(1) | (len(rounds) >= depth)
+        records = [()] * len(a) if behind is None else [
+            [r for node in behind[p * m:p * m + m] for r in node] for p in range(len(a))]
+        split = ~ok
+        rounds.append((ok.tolist(), total, err, budget, records, (split.cumsum() - 1).tolist()))
+        if not split.any():
+            break
+        # the halves of each rejected panel open the next round
+        job, ends = job[split].repeat(2), ends[split][:, [0, 1, 1, 1, 2, 2]].reshape(-1, 3)
+        whole, budget = sums[split, -2:].reshape(-1, k), (0.5 * budget[split]).repeat(2, 0)
 
-    def evaluate(spans):
-        """(value, records) of the Gauss rule on each (job, lo, hi)."""
-        if not spans:
-            return iter(())
-        job, lo, hi = np.array(spans).T
-        half = 0.5 * (hi - lo)
-        vals, behind = f(0.5 * (lo + hi)[:, None] + half[:, None] * xs, job.astype(np.int64))
-        records = [[] if behind is None else [r for node in behind[p * m:p * m + m] for r in node]
-                   for p in range(len(spans))]
-        return zip(_panel_sums(vals, half).tolist(), records)
-
-    def halves(node):
-        mid = 0.5 * (node.lo + node.hi)
-        return [(node.job, node.lo, mid), (node.job, mid, node.hi)]
-
-    # the first round evaluates each job's whole range with its two halves
-    roots = [_Node(j, a, b, depth) for j, (a, b, _) in enumerate(jobs) if a < b]
-    evals = evaluate([span for node in roots for span in [(node.job, node.lo, node.hi), *halves(node)]])
-    root_records = []
-    for node in roots:
-        node.whole, records = next(evals)
-        node.budget = [jobs[node.job][2] * max(1.0, abs(w)) for w in node.whole]
-        node.halves = next(evals), next(evals)
-        root_records.append(records)
-    fresh = roots
-    while fresh:
-        split = []
-        for node in fresh:
-            (left, _), (right, _) = node.halves
-            total = [x + y for x, y in zip(left, right)]
-            err = [abs(t - w) for t, w in zip(total, node.whole)]
-            if node.depth <= 0 or all(e <= b for e, b in zip(err, node.budget)):
-                node.accepted = total, (err, node.budget)
-                continue
-            budget = [0.5 * b for b in node.budget]
-            (_, lo, mid), (_, _, hi) = halves(node)
-            node.children = (_Node(node.job, lo, mid, node.depth - 1, left, budget),
-                             _Node(node.job, mid, hi, node.depth - 1, right, budget))
-            split += node.children
-        evals = evaluate([span for node in split for span in halves(node)])
-        for node in split:
-            node.halves = next(evals), next(evals)
-        fresh = split
-
-    def walk(node, records):
-        records += node.halves[0][1]
-        records += node.halves[1][1]
-        if node.accepted is not None:
-            records.append(node.accepted[1])
-            return node.accepted[0]
-        left = walk(node.children[0], records)
-        right = walk(node.children[1], records)
+    def walk(r, p, out):
+        """The value of panel p of round r; its records and its subtree's join out."""
+        ok, total, err, budget, records, child = rounds[r]
+        g = len(records) // len(ok)  # records per panel, its halves' last
+        out += records[g * p + g - 2]
+        out += records[g * p + g - 1]
+        if ok[p]:
+            out.append((err[p].tolist(), budget[p].tolist()))
+            return total[p].tolist()
+        left, right = walk(r + 1, 2 * child[p], out), walk(r + 1, 2 * child[p] + 1, out)
         return [x + y for x, y in zip(left, right)]
 
-    out = [([0.0] * k, []) for _ in jobs]
-    for node, records in zip(roots, root_records):
-        out[node.job] = walk(node, records), records
+    out = [([0.0] * k, []) for _ in range(len(jobs))]
+    for p, j in enumerate(live.tolist()):
+        records = list(rounds[0][4][3 * p])  # the whole range's
+        out[j] = walk(0, p, records), records
     return out
 
 
@@ -457,70 +435,87 @@ class Integrand:
 
 class _FiberSolver:
     """The fibers along one axis through the base points of one Gauss
-    panel (FiberKernel), and the affine rows (coefficients, rhs) of the
-    linear cells, which `_final_level_cuts` reads."""
+    panel (FiberKernel) and, given the last outer coordinate, the cut
+    table of the linear cells' fiber structure along it (`cuts`)."""
 
-    def __init__(self, region: Region, axis: int):
+    def __init__(self, region: Region, axis: int, outer: int | None = None):
         self.region = region
         self.axis = axis
         self.kernel = FiberKernel(region, axis)
-        affine = [[c.payload.as_affine() for c in cell.constraints]
-                  for cell in region.cells if cell.is_linear()]
-        self.linear = [[(np.array(coeffs, dtype=float), float(-offset)) for coeffs, offset in rows]
-                       for rows in affine]
+        self.table = None if outer is None else self._cut_table(outer)
 
     def intervals(self, points: np.ndarray) -> tuple:
         """The span table (a, b, owner) of the fibers through the rows of
         `points` (FiberKernel.intervals_many)."""
         return self.kernel.intervals_many(points)[:3]
 
+    def _cut_table(self, var: int) -> tuple:
+        """The cuts along `var` for every base point: with v = (rhs - base @
+        weights) / div (alpha of each candidate, the zero of each flat row,
+        x0 of each graded candidate) extended by (lo_box, hi_box, e, -e, 0),
+        cut c is (v[J[c]] - v[I[c]]) / D[c].  Last, the graded |ci / cl|."""
+        affine = [(i, *c.payload.as_affine()) for i, cell in enumerate(self.region.cells)
+                  if cell.is_linear() for c in cell.constraints]
+        rows = np.array([coeffs for _, coeffs, _ in affine], dtype=float).reshape(-1, self.region.n)
+        rhs = 0.0 - np.array([offset for _, _, offset in affine], dtype=float)  # a 0 stays +0.0
+        ci, cl = rows[:, self.axis].tolist(), rows[:, var].tolist()
+        inner = [r for r, c in enumerate(ci) if abs(c) > 1e-12]
+        flat = [r for r, c in enumerate(ci) if abs(c) <= 1e-12 and abs(cl[r]) > 1e-12]
+        graded = [r for r in inner if abs(cl[r] / ci[r]) > 1e-12]
+        cols = inner + flat + graded
+        slope = [-cl[r] / ci[r] for r in inner]
+        # a candidate crosses the box and the clip, of slope 0, and its cell's earlier candidates
+        table = [(j, len(cols) + c, 0.0 - s) for j, s in enumerate(slope) if abs(0.0 - s) > 1e-12
+                 for c in range(4)]
+        table += [(j, i, slope[i] - slope[j]) for j in range(len(inner)) for i in range(j)
+                  if affine[inner[i]][0] == affine[inner[j]][0]
+                  and abs(slope[i] - slope[j]) > 1e-12]
+        table += [(len(inner) + j, len(cols) + 4, 1.0) for j in range(len(flat))]  # flat zeros
+        J, I, D = np.array(table, dtype=float).reshape(-1, 3).T
+        weights = rows[cols].T
+        weights[[self.axis, var]] = 0.0
+        return (weights, rhs[cols],
+                np.array([ci[r] for r in inner] + [cl[r] for r in flat + graded]),
+                J.astype(np.int64), I.astype(np.int64), D, np.abs([ci[r] / cl[r] for r in graded]))
 
-def _final_level_cuts(solver: "_FiberSolver", level_var: int, point: np.ndarray,
-                      lo: float, hi: float, clip: Sequence[float] = ()) -> list:
-    """Breakpoints, in the level variable, of the fiber structure of the
-    linear cells through the base point (its ambient coordinates; those of
-    the level and inner variables are ignored): crossings of the affine
-    inner-bound candidates, the box and the excision bounds `clip` of the
-    inner variable, and feasibility flips of rows without the inner
-    variable.  Between consecutive cuts the one-level-up integrand is
-    analytic.
-
-    With a clip at +-e (a log inner variable), a fiber bounded by an affine
-    candidate l(x) = alpha + beta x contributes -log l(x) to the level
-    integrand, which is singular at l's zero x0, only e / |beta| past the
-    clip cut.  The cuts then also grade toward x0, at x0 +- (e / |beta|) *
-    _GRADE**j for j >= 1, so bisection starts from panels whose width
-    follows the distance to the singularity instead of zooming onto it one
-    level per round."""
-    vec = point.copy()
-    vec[solver.axis] = 0.0
-    vec[level_var] = 0.0
-    e = max((abs(c) for c in clip), default=0.0)
-    cuts = set()
-    for rows in solver.linear:
-        cands = [(x, 0.0) for x in (solver.kernel.lo_box, solver.kernel.hi_box, *clip)]
-        for a, rhs in rows:
-            ci = a[solver.axis]
-            cl = a[level_var]
-            rem = rhs - float(a @ vec)
-            if abs(ci) > 1e-12:
-                cands.append((rem / ci, -cl / ci))
-                if e > 0 and abs(cl / ci) > 1e-12:
-                    # graded cuts x0 +- d toward the zero x0 of this candidate
-                    x0, d = rem / cl, e * abs(ci / cl) * _GRADE
-                    reach = max(abs(lo - x0), abs(hi - x0))
-                    while d < reach:
-                        cuts.update((x0 + d, x0 - d))
-                        d *= _GRADE
-            elif abs(cl) > 1e-12:
-                cuts.add(rem / cl)
-        for i in range(len(cands)):
-            ai, bi = cands[i]
-            for j in range(i + 1, len(cands)):
-                aj, bj = cands[j]
-                if abs(bi - bj) > 1e-12:
-                    cuts.add((aj - ai) / (bi - bj))
-    return sorted(x for x in cuts if lo + 1e-13 < x < hi - 1e-13)
+    def cuts(self, points, clip, a, b, owner) -> tuple:
+        """The distinct breakpoints x, a + 1e-13 < x < b - 1e-13, of the
+        linear cells' fiber structure along the table's outer coordinate on
+        each piece (a, b) through the row `owner` of `points`, as (piece, x)
+        by piece, ascending.  A row with a coefficient ci over 1e-12 on the
+        inner axis bounds the fiber by a candidate l(x) = alpha + beta x; the
+        cuts are its crossings, within a cell, with the other candidates,
+        the box and the excision bounds +-e of the inner axis (e per row of
+        points in `clip`; 0 clips nothing), the zeros of the rows without the
+        inner axis and, with e > 0, the graded cuts x0 +- (e / |beta|) *
+        _GRADE**j, j >= 1, toward l's zero x0 within the piece's reach of x0.
+        One contraction, not a BLAS matmul that maps its buffers on first
+        use, evaluates the table for all rows (n <= 3: each product has one
+        nonzero factor)."""
+        weights, rhs, div, J, I, D, ratio = self.table
+        v = np.empty((len(points), len(div) + 5))
+        v[:, :len(div)] = (rhs - np.einsum("pn,nc->pc", points[:, :self.region.n], weights)) / div
+        v[:, len(div):] = self.kernel.lo_box, self.kernel.hi_box, np.nan, np.nan, 0.0
+        e = np.where(clip > 0, clip, np.nan)  # nan makes no cut
+        v[:, -3], v[:, -2] = e, -e
+        v = v[owner]
+        x = (v[:, J] - v[:, I]) / D
+        if len(ratio) and (clip > 0).any():
+            x0 = v[:, len(div) - len(ratio):len(div)]
+            reach = np.maximum(np.abs(a[:, None] - x0), np.abs(b[:, None] - x0))
+            step = v[:, -3:-2] * ratio * _GRADE
+            step[step == 0] = np.nan  # an e that underflows grades nothing
+            while (step < reach).any():
+                near = np.where(step < reach, step, np.nan)
+                x = np.concatenate([x, x0 + near, x0 - near], axis=1)
+                step = step * _GRADE
+        piece, col = ((a[:, None] + 1e-13 < x) & (x < b[:, None] - 1e-13)).nonzero()
+        x = x[piece, col]
+        order = np.lexsort((x, piece))
+        piece, x = piece[order], x[order]
+        new = np.ones(len(x), dtype=bool)  # distinct, as in a set
+        new[1:] = (piece[1:] != piece[:-1]) | (x[1:] != x[:-1])
+        return piece[new], x[new]
 
 
 # the value each weighted part takes of a (complex) integrand value
@@ -627,14 +622,13 @@ def _rung_value(region: Region, integrand: Integrand, epss: Sequence[float],
     parts = [part for group in groups for part in group]
     # a negative log piece flips the orientation of the signed parts only
     flip = np.array([1.0 if part == "abs" else -1.0 for part in parts])
-    keep = np.ones(len(parts))
     # divisor coordinates go innermost: constraints coupling the radii then
     # produce kinks (not jumps) in the outer integrands, and the singular
     # direction is integrated by the exact closed form.
     quad_vars = [v for v in range(n) if v >= region.p] + list(range(region.p))
     inner = quad_vars[-1]
     outers = quad_vars[:-1]
-    solver = _FiberSolver(region, inner)
+    solver = _FiberSolver(region, inner, outers[-1] if outers else None)
     log_inner = inner in integrand.log_vars
     line = None
     if not integrand.factor_reads(inner):
@@ -651,23 +645,25 @@ def _rung_value(region: Region, integrand: Integrand, epss: Sequence[float],
         tol_d = _QUAD_TOL * _NESTED_SHRINK**d
         final = d == len(outers) - 1
         ranges = np.broadcast_to(np.array(box[var], dtype=float), (len(points), 2))
-        pieces = _rung_pieces(ranges, eps, var in integrand.log_vars)
-        row_eps = eps.tolist()
-        jobs, piece_of = [], []  # piece_of: the piece of each job
-        for p, (a, b, sgn, row, u_lo, u_hi) in enumerate(
-                zip(*(x.tolist() for x in (*pieces, *_u_range(*pieces[:3]))))):
-            cuts = []
-            if final:
-                # the excision clips the fibers of a log inner variable at +-eps
-                e = row_eps[row]
-                clip = (e, -e) if log_inner and e > 0 else ()
-                cuts = _u_of(_final_level_cuts(solver, var, points[row], a, b, clip), sgn).tolist()
-            segs = [u_lo] + sorted(u for u in cuts if u_lo < u < u_hi) + [u_hi]
-            budget = tol_d / max(1, len(segs) - 1)
-            for a2, b2 in zip(segs, segs[1:]):
-                jobs.append((a2, b2, budget))
-                piece_of.append(p)
-        job_sgn, job_row = pieces[2][piece_of], pieces[3][piece_of]
+        a, b, sgn, row = _rung_pieces(ranges, eps, var in integrand.log_vars)
+        u_lo, u_hi = _u_range(a, b, sgn)
+        piece, u = np.zeros(0, dtype=np.int64), np.zeros(0)
+        if final:
+            # the excision clips the fibers of a log inner variable at +-eps
+            piece, x = solver.cuts(points, eps if log_inner else 0.0 * eps, a, b, row)
+            u = _u_of(x, sgn[piece])
+            inside = (u_lo[piece] < u) & (u < u_hi[piece])
+            piece, u = piece[inside], u[inside]
+        # each piece's segments run from u_lo over its cuts to u_hi and share its budget
+        edge_piece = np.concatenate([np.arange(len(a)), piece, np.arange(len(a))])
+        edges = np.concatenate([u_lo, u, u_hi])
+        order = np.lexsort((edges, np.arange(len(edges)) >= len(a) + len(u), edge_piece))
+        edge_piece, edges = edge_piece[order], edges[order]
+        start = (edge_piece[1:] == edge_piece[:-1]).nonzero()[0]  # each segment's first edge
+        piece_of = edge_piece[start]
+        jobs = np.column_stack([edges[start], edges[start + 1],
+                                tol_d / np.bincount(piece_of)[piece_of]])
+        job_sgn, job_row = sgn[piece_of], row[piece_of]
 
         def f(nodes: np.ndarray, jobs_of: np.ndarray) -> tuple:
             picked = job_row[jobs_of]
@@ -681,12 +677,13 @@ def _rung_value(region: Region, integrand: Integrand, epss: Sequence[float],
                     for i in range(0, len(sub), _FIBER_BATCH)], axis=1), None
             return level(d + 1, sub, sub_eps)
 
+        out = _adaptive_1d(f, jobs, _MAX_DEPTH, len(parts))
+        values = np.array([value for value, _ in out]).reshape(len(out), len(parts))
         totals = np.zeros((len(parts), len(points)))
+        np.add.at(totals.T, job_row, np.where(job_sgn[:, None] < 0, flip, 1.0) * values)
         records = [[] for _ in points]
-        for (value, behind), row, sgn in zip(_adaptive_1d(f, jobs, _MAX_DEPTH, len(parts)),
-                                             job_row.tolist(), job_sgn.tolist()):
-            totals[:, row] += (flip if sgn < 0 else keep) * value
-            records[row] += behind
+        for r, (_, behind) in zip(job_row.tolist(), out):
+            records[r] += behind
         return totals, records
 
     # one base row per rung
@@ -805,6 +802,9 @@ def _build_ladder(region: Region, integrand: Integrand, cfg: QuadConfig,
                 in _rung_value(region, integrand, [0.0], ladders, cfg)[0]]
     scale = _log_scale(region, integrand)
     epss = [eps * scale for eps in cfg.rungs()]
+    if epss[-1] < sys.float_info.min:
+        raise IntegrationError(f"the last rung, eps0 * 2**-(ladder_len - 1) = {cfg.rungs()[-1]!r}, "
+                               f"underflows at the region's scale {scale!r}: raise eps0")
     box = region.bounding_box()
     blind = any(box[v][0] < box[v][1] and not len(_rung_pieces([box[v]], epss[0], True)[3])
                 for v in integrand.log_vars)

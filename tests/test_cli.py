@@ -244,6 +244,20 @@ def test_non_finite_eps0_is_a_usage_error(eps0):
         QuadConfig(eps0=float(eps0))
 
 
+
+@pytest.mark.parametrize("args", [("--eps0", "1e-310"), ("--eps0", "5e-324", "--ladder", "3"),
+                                  ("--ladder", "1085")])
+def test_an_underflowing_last_rung_is_a_usage_error(args):
+    """A last rung eps0 * 2**-(ladder - 1) below the least normal float
+    exits 1 with an error naming --eps0 and --ladder, no output and no
+    traceback (each of these used to end in a numpy MemoryError)."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = invoke("integrate", S_HALF, "--form", "dr1/r1 ^ dr2/r2", *args)
+    assert code == 1 and out == ""
+    assert "eps0" in err.getvalue() and "ladder" in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
 def test_every_shipped_region_round_trips():
     for path in sorted(REGIONS.glob("*.region")):
         region = parse_region(path.read_text())

@@ -1172,7 +1172,7 @@ def test_annulus_decay_shares_equal_slice_tasks():
         rows = [(r1 - Fraction(t0), True), (r2 - Fraction(t0), False)]
         alone = 0.0
         for alphas, _aug, piece in _sector_pieces(region):
-            lifted = _lifted_piece(piece, alphas)
+            lifted = _lifted_piece(made, piece, alphas)
             for re, im, part in _partitions(form):
                 if 0 not in part.Q:
                     continue

@@ -501,6 +501,145 @@ def test_lockstep_gauss_matches_depth_first_bisection(jobs, depth):
     assert len(calls) <= depth + 1
 
 
+def _nested_integrand(adaptive, kind, calls):
+    """f for _adaptive_1d (or its reference `adaptive`): a kinked and a
+    smooth component; zero, whose errors meet a zero budget exactly; or,
+    "nested", the inner adaptive integral over 0 <= y <= 1 + x^2 of a
+    kinked and a smooth component at each node x, with the inner
+    integrals' records and one marker per inner node behind each node, as
+    the lockstep levels of a rung give them.  Every call's panels are kept
+    in `calls`."""
+
+    def f(nodes, owners):
+        calls.append((nodes.tolist(), owners.tolist()))
+        x = nodes.ravel()
+        if kind == "zero":
+            return np.zeros((2, len(x))), None
+        if kind == "kinked":
+            return np.array([np.abs(x - 0.3) ** 1.5, np.cos(3.0 * x)]), None
+
+        def inner(ys, own):
+            at = x[own, None]
+            vals = np.array([np.abs(ys - at) ** 1.5, np.cos(ys * at)]).reshape(2, -1)
+            return vals, [[("inner", y)] for y in ys.ravel().tolist()]
+
+        out = adaptive(inner, [(0.0, 1.0 + t * t, 1e-4) for t in x.tolist()], 3, 2)
+        return np.array([value for value, _ in out]).T, [records for _, records in out]
+
+    return f
+
+
+@given(jobs=st.lists(st.tuples(st.floats(-2, 2), st.floats(-2, 2),
+                               st.sampled_from([0.0, 1e-2, 1e-8])), min_size=1, max_size=4),
+       depth=st.integers(0, 6), kind=st.sampled_from(["kinked", "zero", "nested"]))
+@settings(max_examples=30)
+@example(jobs=[(0.0, 1.0, 1e-8), (1.0, 1.0, 1e-8), (0.5, 0.75, 1e-2), (-1.5, 0.3, 1e-8)],
+         depth=6, kind="nested")
+@example(jobs=[(0.5, 0.75, 1e-2), (-1.5, 0.3, 1e-8)], depth=0, kind="nested")
+@example(jobs=[(0.0, 1.0, 0.0)], depth=2, kind="zero")
+def test_array_rounds_match_the_node_by_node_reference(jobs, depth, kind):
+    """_adaptive_1d decides each round on arrays: its (value, records) per
+    job, accepted in the first round, split or capped at depth 0, equals the
+    node-by-node reference (`helpers.adaptive_1d`) float for float and in
+    order, also with the nested records of an inner lockstep level behind
+    the nodes, and f sees the same panels in the same calls."""
+    from helpers import adaptive_1d
+    from logvol.integrate import _adaptive_1d
+
+    calls, want_calls = [], []
+    got = _adaptive_1d(_nested_integrand(_adaptive_1d, kind, calls), jobs, depth, 2)
+    want = adaptive_1d(_nested_integrand(adaptive_1d, kind, want_calls), jobs, depth, 2)
+    assert got == want
+    assert calls == want_calls
+
+
+_RATIONAL = st.sampled_from([0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-1, 3),
+                             Fraction(5, 7), Fraction(1, 10**13)])
+
+
+@st.composite
+def _cut_cases(draw):
+    """(region, axis, var, points, clip, a, b, owner): one to three cells
+    of random affine rows in n = 2 or 3 coordinates (zeros among the
+    coefficients, so some rows miss the inner axis or var; a nonlinear row
+    makes its cell nonlinear), base points, pieces (a, b) of var through
+    them, and per base point the clip e of a log inner axis (some 0) or 0
+    throughout for a linear one."""
+    from logvol.region import Cell, Constraint
+
+    n = draw(st.integers(2, 3))
+    axis, var = draw(st.permutations(range(n)))[:2]
+    box = [draw(st.sampled_from([(-1, 1), (0, 1), (Fraction(1, 4), 2)])) for _ in range(n)]
+    cells = []
+    for _ in range(draw(st.integers(1, 3))):
+        rows = []
+        for _ in range(draw(st.integers(1, 4))):
+            row = draw(st.lists(_RATIONAL, min_size=n + 1, max_size=n + 1))
+            terms = {tuple(int(i == v) for i in range(n)): Fraction(c)
+                     for v, c in enumerate(row[:n])}
+            terms[(0,) * n] = Fraction(row[n])
+            if draw(st.integers(0, 9)) == 0:
+                terms[tuple(2 * int(i == axis) for i in range(n))] = Fraction(1)
+            rows.append(Constraint(Polynomial(n, {e: c for e, c in terms.items() if c})))
+        cells.append(Cell(rows))
+    region = Region(n, n, cells, "real", box)
+    size = draw(st.integers(1, 4))
+    points = np.array(draw(st.lists(st.lists(st.floats(-1, 2), min_size=n, max_size=n),
+                                    min_size=size, max_size=size)))
+    log_inner = draw(st.booleans())
+    clip = np.array([draw(st.sampled_from([0.0, 1e-6, 1e-3, 0.25])) if log_inner else 0.0
+                     for _ in range(size)])
+    pieces = draw(st.lists(st.tuples(st.integers(0, size - 1), st.floats(-1.5, 2.5),
+                                     st.floats(-1.5, 2.5)), min_size=1, max_size=5))
+    owner = np.array([p for p, _, _ in pieces])
+    a = np.array([min(x, y) for _, x, y in pieces])
+    b = np.array([max(x, y) for _, x, y in pieces])
+    return region, axis, var, points, clip, a, b, owner
+
+
+@given(case=_cut_cases())
+@settings(max_examples=150)
+def test_cut_table_matches_the_scalar_cuts(case):
+    """The cut table of a fiber solver, evaluated for many base points and
+    pieces at once, gives each piece the cuts of the scalar reference
+    (`helpers.final_level_cuts`, one base point, piece and candidate pair
+    at a time) float for float, in order and as a set: the crossings of
+    the inner-bound candidates with each other, the box and the clip, the
+    zeros of the rows without the inner axis and the graded cuts, counted
+    from each piece's reach."""
+    from helpers import final_level_cuts
+    from logvol.integrate import _FiberSolver
+
+    region, axis, var, points, clip, a, b, owner = case
+    piece, x = _FiberSolver(region, axis, var).cuts(points, clip, a, b, owner)
+    assert np.all(np.diff(piece) >= 0)
+    for i, (lo, hi, row) in enumerate(zip(a.tolist(), b.tolist(), owner.tolist())):
+        e = clip[row]
+        want = final_level_cuts(region, axis, var, points[row], lo, hi, (e, -e) if e > 0 else ())
+        assert x[piece == i].tolist() == want
+
+
+@pytest.mark.parametrize("eps0, ladder", [(1e-310, 12), (5e-324, 3), (2.0**-4, 1085)])
+def test_a_last_rung_that_underflows_is_rejected(eps0, ladder):
+    """The last rung eps0 * 2**-(ladder_len - 1) must be a normal float:
+    a subnormal or zero eps used to build rungs whose graded cuts and
+    log-scaled panels ran out of memory."""
+    with pytest.raises(IntegrationError, match="underflows"):
+        QuadConfig(eps0=eps0, ladder_len=ladder)
+    QuadConfig(eps0=2.0**-1011, ladder_len=12)  # its last rung is 2**-1022, the least normal float
+
+
+def test_a_rung_that_underflows_at_the_region_scale_is_rejected():
+    """The rungs are relative to the region's scale: s_half scaled by
+    1e-300 with eps0 = 1e-10 puts its last rung at 5e-314, a subnormal
+    eps, which _build_ladder rejects before any quadrature."""
+    c = Fraction(1, 10**300)
+    region = region_of(2, 2, ["-r1 <= 0", f"r1 - {c} <= 0", "-r2 <= 0", f"r2 - {c / 2} <= 0",
+                              f"{c} - r1 - r2 <= 0"], [(0, c), (0, c / 2)])
+    with pytest.raises(IntegrationError, match="underflows"):
+        integrate_log_form(region, dlog2(), QuadConfig(eps0=1e-10))
+
+
 def _line_signed_reference(coeffs, a: float, b: float, log_weight: bool) -> float:
     """Exact integral of sum c_k x^k (over x if log_weight) on [a, b], one
     span at a time: the reference for the array closed form."""
