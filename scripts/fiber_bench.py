@@ -6,9 +6,10 @@ Three kernels, one per kind of root the kernel solves for:
   region of the real_ladder benchmark, along the axis its quadrature slices
   (degree-1 rows, one division);
 - `annulus`: a slice cell of nested_annulus_c2 at |z1| = 1/4 in (r2, tau1,
-  tau2), written out with its denominators cleared but not reduced, so
-  that its annulus row has degree 2 along the sliced axis r2 (the closed
-  form); `annulus_slice_decay` itself now reduces that row to r2 - 1/4;
+  tau2) under the quarter-plane sector map of earlier versions, written
+  out with its denominators cleared but not reduced, so that its annulus
+  row has degree 2 along the sliced axis r2 (the closed form);
+  `annulus_slice_decay` itself now lifts that row to r2 - 1/4;
 - `cubic`: r2^3 - 3/2 r2^2 + 11/16 r2 - 3/32 - r1/100 <= 0, r1 >= 0 on the
   unit square, along r2 (np.roots).
 

@@ -204,9 +204,16 @@ def _cmd_integrate_complex(args) -> int:
     print(f"error    {result.error:.3g}")
     print(f"absolute {result.absolute:.9g}")
     print(f"verdict  {result.verdict}")
+    _print_task_counts(result)
     for flag in result.flags:
         print(f"note     {flag}")
     return 0 if result.verdict == "converged" else 2
+
+
+def _print_task_counts(result):
+    """How much work a complex result cost: the real tasks integrated and
+    the quadratures that actually ran (the others shared one)."""
+    print(f"tasks    {result.tasks_run} run, {result.ladders_computed} quadrature(s)")
 
 
 def _cmd_blowup(args) -> int:
@@ -265,6 +272,7 @@ def _cmd_decay_complex(args) -> int:
     print(str(report))
     for t, v in report.entries:
         print(f"  t={t:.6g} vol={v:.9g}")
+    _print_task_counts(report)
     for flag in report.flags:
         print(f"note     {flag}")
     return 0 if report.verdict in ("decays to zero", "identically zero") else 2

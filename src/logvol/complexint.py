@@ -1,57 +1,67 @@
 """Reduction of complex logarithmic integrals to real quadrature tasks.
 
-The complex plane is covered by four closed sectors S_a = i^(a-1) * S_1
-with S_1 = {x >= |y|}; on each sector the semi-algebraic polar change of
-variables (r, tau) -> i^(a-1) * (r + i r tau) / sqrt(tau^2 + 1) is an
-isomorphism off the origin.  Under it
+The complex plane is covered by two closed half-planes, {zr >= 0} (sigma =
+1) and {zr <= 0} (sigma = -1); on each the half-angle polar change of
+variables
 
-    dz/z = dr/r + i dtau/(tau^2 + 1)
-    dz/z ^ dzbar = i^(1-a) * (-2)(tau + i) / (tau^2 + 1)^(3/2) dr ^ dtau
+    (r, t) -> z = sigma r (1 - t^2 + 2 i t) / (1 + t^2),  r >= 0, |t| <= 1,
 
-so a logarithmic (n, m-n)-form pulls back, per sector assignment and per
-partition (P, Q, R) of the coordinates, to a constant times a polynomial
-coefficient times bounded smooth prefactors against the real measure
+with t = tan(theta / 2), is an isomorphism off the origin.  Under it
 
-    prod_P dr_i/r_i  prod_Q dtau_j  prod_R dr_k dtau_k .
+    dz/z = dr/r + 2 i dt / (1 + t^2)
+    dz/z ^ dzbar = 4 i sigma (t + i)^2 / (1 + t^2)^2 dr ^ dt
+
+so a logarithmic (n, m-n)-form pulls back, per half-plane assignment and
+per partition (P, Q, R) of the coordinates, to a constant times a
+polynomial coefficient times bounded smooth prefactors against the real
+measure
+
+    prod_P dr_i/r_i  prod_Q dt_j  prod_R dr_k dt_k .
 
 With a constant coefficient the task's pointwise factor is angular,
-prod_R (tau_k + i) prod (tau^2+1)^(-e/2), and reads no radius, so it
-declares the tau positions it reads (`RealTask.reads`) and leaves the
-fiber integral over the radius integrated innermost: it is evaluated once
-per fiber and multiplies the closed form.  A non-constant coefficient
-reads the radii through the polar map and keeps the inner Gauss rule.
+prod_R (t_k + i)^2 prod (1 + t^2)^(-e), and reads no radius, so it declares
+the t positions it reads (`RealTask.reads`) and leaves the fiber integral
+over the radius integrated innermost: it is evaluated once per fiber and
+multiplies the closed form.  A non-constant coefficient reads the radii
+through the polar map and keeps the inner Gauss rule.
 
-Regions transform exactly: a z-monomial of pair degree d contributes
-r^d * (affine in tau)^d / (tau^2+1)^(d/2); multiplying each constraint by
-the positive power (tau^2+1)^ceil(D/2) clears the denominators, with an
-auxiliary coordinate s_i = sqrt(tau_i^2 + 1) (s_i in [1, sqrt(2)],
-s_i^2 = tau_i^2 + 1) absorbing odd parities.  Each lifted row is then
-reduced once (`_reduce_lift`): the positive factors s_i and tau_i^2 + 1
-that divide it are divided out, an inequality row takes its strict
-transform (its monomial content in r is divided out, which changes the
-set only over z_i = 0), and a radial row c r_i^k + c0 or
-c r_i^k + c' r_j^k becomes linear when its root is rational.  The disk
-row |z|^2 <= rho^2 lifts to r <= rho and the annulus row
-|z2|^2 <= |z1|^2 to r2 <= r1, so s_i survives only on rows that are not
-radial, such as zr >= 1/2.  Dropped coordinates (tau_i for i in P, r_j
-for j in Q) are eliminated exactly when they enter every constraint
-affinely, and kept as existentially quantified auxiliaries otherwise.
+Regions transform exactly and rationally: a z-monomial zr^a zi^b
+contributes sigma^(a+b) r^(a+b) (1 - t^2)^a (2t)^b / (1 + t^2)^(a+b), so
+multiplying each constraint by the positive (1 + t^2)^d, d its pair
+degree, clears the denominators.  Each lifted row is then reduced once
+(`_reduce_lift`): the exact powers of the positive 1 + t_i^2 are divided
+out, and an inequality row takes its strict transform: its monomial content
+in r is divided out, which changes the set only over z_i = 0.  When
+m = 2n no task projects a t_i out (every coordinate is in R), so the
+edge t_i = +-1, the imaginary axis, is a null set of each task measure,
+and the row also sheds its powers of 1 - t_i^2 >= 0 (the edge rule),
+which changes the set only on that edge.  With m < 2n some task projects
+t_i out, and a lower-dimensional A may lie on the axis, where both
+half-planes meet it, so the rows keep the factor.  A
+radial row c r_i^k + c0 or c r_i^k + c' r_j^k becomes linear when its root
+is rational: the disk row |z|^2 <= rho^2 lifts to r <= rho, the annulus row
+|z2|^2 <= |z1|^2 to r2 <= r1, and, under the edge rule, the row zr >= 0
+to a constant.
+Dropped coordinates (t_i for i in P, r_j for j in Q) are eliminated
+exactly when they enter every constraint affinely, and kept as
+existentially quantified auxiliaries otherwise.
 
 There is one map and one lift.  `_ROTATIONS` is the only statement of the
-sector rotation: `sector_constraints` reads the rows |y1| <= x1 off it,
+half-plane sign: `sector_constraints` reads the row sigma zr >= 0 off it,
 `_polar_xy` is the float map behind `polar_map` and pointwise
 coefficients, and `_polar_factor` gives the exact image of
-zr_i^a zi_i^b s_i^(2 mult) as a `Polynomial`, from which `_lift_payload`
+zr_i^a zi_i^b (1 + t_i^2)^d as a `Polynomial`, from which `_lift_payload`
 builds every lifted constraint, which `_lift_cells` reduces.
 
 One construction path serves every entry point: `_partitions` enumerates
-the (term, partition) choices of a form, and `_pull_back` turns a (sector
-assignment, term, partition) into a `RealTask` laid out by `_task_index`,
-the same layout `transform_piece` gives the transformed region.
-`reduce_to_real_tasks` attaches each sector piece's transformed region,
-`annulus_slice_decay` builds its tasks and lifts each piece once and
-transforms it per radius, and `pullback_complex_log_form` returns the
-tasks without a region.
+the (term, partition) choices of a form, and `_pull_back` turns a
+(half-plane assignment, term, partition) into a `RealTask` laid out by
+`_task_index`, the same layout `transform_piece` gives the transformed
+region.  `reduce_to_real_tasks` attaches each half-plane piece's
+transformed region, `annulus_slice_decay` builds its tasks and lifts each
+piece once and transforms it per radius, and `pullback_complex_log_form`
+returns the tasks without a region.  The auxiliary and flag names keep
+the coordinate name tau for t.
 """
 
 from __future__ import annotations
@@ -93,78 +103,65 @@ class ComplexIntError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# sectors and the polar map
+# half-planes and the polar map
 
 
-# rotation z = i^(a-1) zeta: (zr, zi) in terms of (x1, y1) = (re, im of zeta).
-# The only statement of the sector map: the exact lift, the float map and
-# the sector rows are all read off this table.
-_ROTATIONS = {
-    1: ((1, 0), (0, 1)),    # zr = x1,  zi = y1
-    2: ((0, -1), (1, 0)),   # zr = -y1, zi = x1
-    3: ((-1, 0), (0, -1)),  # zr = -x1, zi = -y1
-    4: ((0, 1), (-1, 0)),   # zr = y1,  zi = -x1
-}
+# the half-plane sign sigma of each sector: z = sigma zeta with zeta in
+# {zr >= 0}.  The only statement of the map: the exact lift, the float map
+# and the sector row are all read off this table.
+_ROTATIONS = {1: 1, 2: -1}
 
 
-def _polar_xy(r, tau, sector: int):
-    """(zr, zi) of the polar point (r, tau) of a sector, elementwise on
-    arrays: x1 = r/s and y1 = r tau/s with s = sqrt(tau^2 + 1), rotated."""
-    s = np.sqrt(tau * tau + 1.0)
-    x1, y1 = r / s, r * tau / s
-    (a11, a12), (a21, a22) = _ROTATIONS[sector]
-    return a11 * x1 + a12 * y1, a21 * x1 + a22 * y1
+def _polar_xy(r, t, sector: int):
+    """(zr, zi) of the polar point (r, t) of a half-plane, elementwise on
+    arrays: z = sigma r (1 - t^2 + 2 i t) / (1 + t^2)."""
+    scale = _ROTATIONS[sector] * r / (1.0 + t * t)
+    return scale * (1.0 - t * t), scale * (2.0 * t)
 
 
-# how far beyond a sector edge, relative to |tau| = 1, a point still counts
-# as on the edge: polar_inverse accepts such points and polar_map their tau
+# how far beyond a half-plane edge, relative to |t| = 1, a point still
+# counts as on the edge: polar_inverse accepts such points and polar_map
+# their t
 _EDGE_TOL = 1e-9
 
 
-def polar_map(r: float, tau: float, sector: int = 1):
-    """Point of the closed sector with |z| = r and angular parameter tau."""
-    if not abs(tau) <= 1.0 + _EDGE_TOL:
-        raise ComplexIntError("tau must lie in [-1, 1]")
+def polar_map(r: float, t: float, sector: int = 1):
+    """Point of the closed half-plane with |z| = r and angular parameter
+    t = tan(theta / 2)."""
+    if not abs(t) <= 1.0 + _EDGE_TOL:
+        raise ComplexIntError("t must lie in [-1, 1]")
     if r < 0:
         raise ComplexIntError("r must be nonnegative")
-    zr, zi = _polar_xy(r, tau, sector)
+    zr, zi = _polar_xy(r, t, sector)
     return (float(zr), float(zi))
 
 
 def polar_inverse(x: float, y: float, sector: int = 1):
-    """Inverse of polar_map on the closed sector minus the origin."""
+    """Inverse of polar_map on the closed half-plane minus the origin:
+    t = y1 / (r + x1) for sigma z = x1 + i y1."""
     if x == 0.0 and y == 0.0:
         raise ComplexIntError("the polar map collapses the origin")
-    (a11, a12), (a21, a22) = _ROTATIONS[sector]
-    # rotate back: zeta = i^(1-a) z; the rotation matrix is orthogonal
-    x1 = a11 * x + a21 * y
-    y1 = a12 * x + a22 * y
-    if not x1 > 0 or abs(y1 / x1) > 1.0 + _EDGE_TOL:
+    sigma = _ROTATIONS[sector]
+    r = math.hypot(x, y)
+    # r + x1 loses no digits while x1 >= 0, and is 0 on the far axis
+    t = sigma * y / (r + sigma * x) if r + sigma * x > 0 else math.inf
+    if not abs(t) <= 1.0 + _EDGE_TOL:
         raise ComplexIntError(f"point ({x}, {y}) is outside sector {sector}")
-    return (math.hypot(x, y), y1 / x1)
+    return (r, t)
 
 
-def sector_constraints(sector: int, nvars: int, zr: int, zi: int) -> list:
-    """Two linear inequalities cutting the closed sector out of the plane:
-    |y1| <= x1 for zeta = i^(1-a) z, whose x1 = a11 zr + a21 zi and
-    y1 = a12 zr + a22 zi each read one coordinate."""
+def sector_constraints(sector: int, nvars: int, zr: int) -> list:
+    """The linear inequality sigma zr >= 0 cutting the closed half-plane
+    out of the plane."""
     if sector not in _ROTATIONS:
         raise ComplexIntError(f"unknown sector {sector}")
-    (a11, a12), (a21, a22) = _ROTATIONS[sector]
-    y_var = zr if a12 else zi
-    x_var, x_sign = (zr, a11) if a11 else (zi, a21)
-
-    def unit(v):
-        return tuple(int(k == v) for k in range(nvars))
-
-    return [Constraint(Polynomial(nvars, {unit(y_var): sign, unit(x_var): -x_sign}),
-                       equality=False)
-            for sign in (1, -1)]
+    unit = tuple(int(k == zr) for k in range(nvars))
+    return [Constraint(Polynomial(nvars, {unit: -_ROTATIONS[sector]}), equality=False)]
 
 
 def sector_decompose(region: Region) -> list:
-    """Pieces A cap (S_a1 x ... x S_an); provably empty pieces dropped,
-    undecided ones kept."""
+    """Pieces A cap (S_a1 x ... x S_an) over the half-planes; provably empty
+    pieces dropped, undecided ones kept."""
     if region.kind != "complex":
         raise ComplexIntError("sector decomposition expects a complex region")
     out = []
@@ -177,19 +174,18 @@ def _sector_pieces(region: Region):
     """(assignment, augmented piece, surviving original cells) triples.
 
     The original cells are what the polar transform consumes: the polar
-    domain {r >= 0, |tau| <= 1} maps onto the closed sector, so the sector
-    membership rows are implied and would only smuggle auxiliary variables
-    into the transformed constraints.
+    domain {r >= 0, |t| <= 1} maps onto the closed half-plane, so its row
+    is implied.
     """
     nc = region.n // 2
-    for alphas in iproduct((1, 2, 3, 4), repeat=nc):
+    for alphas in iproduct(_ROTATIONS, repeat=nc):
         cells = []
         originals = []
         for cell in region.cells:
             nv = cell.nvars_total(region.n)
             consts = list(cell.constraints)
             for i, a in enumerate(alphas):
-                consts.extend(sector_constraints(a, nv, 2 * i, 2 * i + 1))
+                consts.extend(sector_constraints(a, nv, 2 * i))
             simp = simplify_cell(region, Cell(consts, cell.extra))
             if simp is not None:
                 cells.append(simp)
@@ -292,52 +288,50 @@ def conjugate_region(region: Region) -> Region:
 
 
 @lru_cache(maxsize=None)
-def _polar_factor(nc: int, i: int, sector: int, a: int, b: int, mult: int) -> Polynomial:
-    """zr_i^a zi_i^b s_i^(2 mult) over (r_1..r_n, tau_1..tau_n, s_1..s_n).
-
-    The polar map gives zr_i = r_i c1(tau_i) / s_i and zi_i = r_i c2(tau_i)
-    / s_i with c1, c2 the rows of the sector's rotation, so the factor is
-    r^(a+b) c1^a c2^b (tau^2 + 1)^k s^e with 2k + e = 2 mult - a - b.
-    """
-    nv = 3 * nc
+def _polar_factor(nc: int, i: int, sector: int, a: int, b: int, d: int) -> Polynomial:
+    """zr_i^a zi_i^b (1 + t_i^2)^d over (r_1..r_n, t_1..t_n), d >= a + b:
+    sigma^(a+b) r^(a+b) (1 - t^2)^a (2t)^b (1 + t^2)^(d - a - b)."""
+    nv = 2 * nc
     r = Polynomial.var(nv, i)
-    tau = Polynomial.var(nv, nc + i)
-    (a11, a12), (a21, a22) = _ROTATIONS[sector]
-    k, e = divmod(2 * mult - a - b, 2)
-    return (r ** (a + b) * (a11 + a12 * tau) ** a * (a21 + a22 * tau) ** b
-            * (tau * tau + 1) ** k * Polynomial.var(nv, 2 * nc + i) ** e)
+    t = Polynomial.var(nv, nc + i)
+    square = t * t
+    return (_ROTATIONS[sector] ** (a + b) * r ** (a + b) * (1 - square) ** a * (2 * t) ** b
+            * (square + 1) ** (d - a - b))
 
 
 def _lift_payload(payload: Polynomial, alphas, nc: int) -> Polynomial:
     """A constraint payload over (zr, zi) pulled back to (r_1..r_n,
-    tau_1..tau_n, s_1..s_n) with its denominators cleared: the payload at
-    the polar point times prod_i s_i^(2 mult_i), mult_i = ceil(d_i / 2) for
-    the pair degree d_i."""
-    mult = [(max((exp[2 * i] + exp[2 * i + 1] for exp in payload.terms), default=0) + 1) // 2
-            for i in range(nc)]
+    t_1..t_n) with its denominators cleared: the payload at the polar point
+    times prod_i (1 + t_i^2)^(d_i) for the pair degree d_i."""
+    degree = [max((exp[2 * i] + exp[2 * i + 1] for exp in payload.terms), default=0)
+              for i in range(nc)]
     # summed in one dict: cheaper than repeated additions; zero sums go last,
     # so a term that cancels and comes back keeps its place
     work: dict = {}
     for exp, coeff in payload.terms.items():
-        term = Polynomial.const(3 * nc, coeff)
+        term = Polynomial.const(2 * nc, coeff)
         for i in range(nc):
-            term = _polar_factor(nc, i, alphas[i], exp[2 * i], exp[2 * i + 1], mult[i]) * term
+            term = _polar_factor(nc, i, alphas[i], exp[2 * i], exp[2 * i + 1], degree[i]) * term
         for key, c in term.terms.items():
             prev = work.get(key)
             work[key] = c if prev is None else prev + c
-    return Polynomial._of(3 * nc, {key: c for key, c in work.items() if c})
+    return Polynomial._of(2 * nc, {key: c for key, c in work.items() if c})
 
 
-def _reduce_lift(payload: Polynomial, equality: bool, nc: int) -> Polynomial:
-    """A lifted row over (r, tau, s) in its reduced form, worked on the term
-    dict: with the sign of the row on the polar domain {r >= 0} (off
-    {r_i = 0} for an inequality), so it cuts out the same lifted set there.
+def _reduce_lift(payload: Polynomial, equality: bool, nc: int,
+                 full_dim: bool = False) -> Polynomial:
+    """A lifted row over (r, t) in its reduced form, worked on the term
+    dict: with the sign of the row on the polar domain {r >= 0, |t| <= 1}
+    (off {r_i = 0} for an inequality, and off {t_i = +-1} too when
+    full_dim), so it cuts out the same lifted set there.
 
-    - The positive factors go: the power of s_i >= 1 that every term
-      carries and each exact power of tau_i^2 + 1.
+    - The positive factors go: each exact power of 1 + t_i^2.
     - An inequality row takes its strict transform: its monomial content
       in r is divided out, which changes the set only inside {r_i = 0},
-      the preimage of z_i = 0.  An equality row keeps its r factors.
+      the preimage of z_i = 0.  With full_dim (m = 2n: no task projects a
+      t_i out, so the edge is null for every task measure) each exact
+      power of 1 - t_i^2 >= 0 is divided out as well, which changes the
+      set only on the edge t_i = +-1.  An equality row keeps both.
     - A radial row c r_i^k + c0 or c r_i^k + c' r_j^k, k >= 2, becomes
       +-(r_i - lam) or r_i - lam r_j (r_i the term with c > 0), with
       lam = (-c0/c)^(1/k) or (-c'/c)^(1/k), when lam is rational.
@@ -346,16 +340,17 @@ def _reduce_lift(payload: Polynomial, equality: bool, nc: int) -> Polynomial:
     terms = payload.terms
     if not terms:
         return payload
-    # the content in s, and in r for an inequality, divides out at once:
-    # it commutes with the divisions by tau^2 + 1
-    s_vars = range(2 * nc, 3 * nc)
-    terms = _divided_by_content(terms, s_vars if equality else [*range(nc), *s_vars])
+    if not equality:
+        terms = _divided_by_content(terms, range(nc))
     for t in range(nc, 2 * nc):
-        divided = _divided_by_tau_square(terms, t)
-        while divided is not None:
-            terms, divided = divided, _divided_by_tau_square(divided, t)
+        for unit in (1, -1) if full_dim and not equality else (1,):
+            # x_t^2 - 1 = -(1 - x_t^2): each division by it flips the sign
+            divided = _divided_by_square(terms, t, unit)
+            while divided is not None:
+                terms = divided if unit > 0 else {e: -c for e, c in divided.items()}
+                divided = _divided_by_square(terms, t, unit)
     terms = _collapsed_radial(terms, nc) or terms
-    return payload if terms is payload.terms else Polynomial._of(3 * nc, terms)
+    return payload if terms is payload.terms else Polynomial._of(2 * nc, terms)
 
 
 def _divided_by_content(terms: dict, variables) -> dict:
@@ -374,10 +369,10 @@ def _divided_by_content(terms: dict, variables) -> dict:
     return out
 
 
-def _divided_by_tau_square(terms: dict, t: int) -> dict | None:
-    """terms / (x_t^2 + 1) when the division is exact, else None: synthetic
-    division in x_t, highest power first, each power of x_t a coefficient
-    over the other variables."""
+def _divided_by_square(terms: dict, t: int, unit: int) -> dict | None:
+    """terms / (x_t^2 + unit) when the division is exact, else None:
+    synthetic division in x_t, highest power first, each power of x_t a
+    coefficient over the other variables."""
     top = max(exp[t] for exp in terms)
     if top < 2:
         return None
@@ -388,7 +383,7 @@ def _divided_by_tau_square(terms: dict, t: int) -> dict | None:
             c = rest.pop(exp)
             low = exp[:t] + (k - 2,) + exp[t + 1:]
             quotient[low] = c
-            left = rest.get(low, 0) - c
+            left = rest.get(low, 0) - c if unit > 0 else rest.get(low, 0) + c
             if left:
                 rest[low] = left
             else:
@@ -450,17 +445,17 @@ def _radius_bound(region: Region, i: int) -> float:
     return math.hypot(max(abs(zr_lo), abs(zr_hi)), max(abs(zi_lo), abs(zi_hi)))
 
 
-def _lift_cells(piece: Region, alphas) -> list:
+def _lift_cells(piece: Region, alphas, full_dim: bool = False) -> list:
     """The lifted and reduced (payload, equality) constraints of each cell
     of a sector piece; they do not depend on the partition or on any
-    slice."""
+    slice.  full_dim (m = 2n) applies the edge rule of `_reduce_lift`."""
     nc = piece.n // 2
     lifted = []
     for cell in piece.cells:
         if cell.extra:
             raise ComplexIntError("complex cells with auxiliaries are not supported")
-        lifted.append([(_reduce_lift(_lift_payload(c.payload, alphas, nc), c.equality, nc),
-                        c.equality) for c in cell.constraints])
+        lifted.append([(_reduce_lift(_lift_payload(c.payload, alphas, nc), c.equality, nc,
+                                     full_dim), c.equality) for c in cell.constraints])
     return lifted
 
 
@@ -468,13 +463,14 @@ def transform_piece(piece: Region, alphas, partition: Partition,
                     extra_polar_constraints: Sequence[tuple] = (),
                     eliminate: Mapping[int, float] | None = None,
                     lifted: Sequence | None = None) -> Region:
-    """One sector piece in the task coordinates of a partition.
+    """One half-plane piece in the task coordinates of a partition.
 
-    extra_polar_constraints are (payload-over-(r, tau), equality) pairs in
-    the full polar variable order r_1..r_n, tau_1..tau_n, applied before
+    extra_polar_constraints are (payload-over-(r, t), equality) pairs in
+    the full polar variable order r_1..r_n, t_1..t_n, applied before
     projection (used for annulus slices).  `eliminate` fixes full-polar
     coordinates to values before projection.  `lifted` is
-    `_lift_cells(piece, alphas)` when the caller already has it.
+    `_lift_cells(piece, alphas, full_dim)` when the caller already has it;
+    without it the cells are lifted with no edge rule.
     """
     nc = piece.n // 2
     if sorted(partition.P + partition.Q + partition.R) != list(range(nc)):
@@ -482,23 +478,15 @@ def transform_piece(piece: Region, alphas, partition: Partition,
     eliminate = eliminate or {}
     eliminated = {("r", v) if v < nc else ("tau", v - nc) for v in eliminate}
     index, n_task = _task_index(partition, eliminated)
-    # full polar order: r_1..r_n, tau_1..tau_n
+    # full polar order: r_1..r_n, t_1..t_n
     layout = {(i if kind == "r" else nc + i): pos for (kind, i), pos in index.items()}
     drops = [v for v in range(2 * nc) if v not in layout and v not in eliminate]
     radius = [_radius_bound(piece, i) * (1 + 1e-9) for i in range(nc)]
 
+    nv = 2 * nc
     task_cells = []
     for cell_rows in lifted if lifted is not None else _lift_cells(piece, alphas):
-        # keep the s_i some constraint uses, packed after r and tau
-        s_order = [i for i in range(nc)
-                   if any(p.uses_var(2 * nc + i) for p, _ in cell_rows)]
-        nv = 2 * nc + len(s_order)
-        pack = list(range(2 * nc)) + [0] * nc
-        for j, i in enumerate(s_order):
-            pack[2 * nc + i] = 2 * nc + j
-        constraints = [Constraint(p.map_vars(pack, nv), eq) for p, eq in cell_rows]
-        for payload, eq in extra_polar_constraints:
-            constraints.append(Constraint(payload.map_vars(list(range(2 * nc)), nv), eq))
+        constraints = [Constraint(p, eq) for p, eq in (*cell_rows, *extra_polar_constraints)]
         # polar domain rows
         for i in range(nc):
             r = Polynomial.var(nv, i)
@@ -517,17 +505,13 @@ def transform_piece(piece: Region, alphas, partition: Partition,
 
         existential = []
         for v in drops:
-            tau_of_s = v - nc if v >= nc else None
-            if tau_of_s is not None and tau_of_s in s_order:
-                existential.append(v)  # an s depends on this tau: keep it
-                continue
             attempt = eliminate_var_linear(constraints, v, nv)
             if attempt is None:
                 existential.append(v)
             else:
                 constraints = attempt
 
-        # task coordinates, then existential auxiliaries, then the s_i
+        # task coordinates, then existential auxiliaries
         mapping = dict(layout)
         extras = []
         for pos, v in enumerate(existential):
@@ -536,16 +520,7 @@ def transform_piece(piece: Region, alphas, partition: Partition,
                 extras.append(ExtraVar(f"tau{v - nc + 1}", -1.0, 1.0))
             else:
                 extras.append(ExtraVar(f"r{v + 1}", 0.0, radius[v]))
-        for j, i in enumerate(s_order):
-            mapping[2 * nc + j] = n_task + len(existential) + j
-        total = n_task + len(existential) + len(s_order)
-        for j, i in enumerate(s_order):
-            tau_idx = mapping.get(nc + i)
-            if tau_idx is None:
-                raise ComplexIntError("internal: s-variable without its tau")
-            extras.append(
-                ExtraVar(f"s{i + 1}", 1.0, math.sqrt(2.0) + 1e-12, derived_from=tau_idx)
-            )
+        total = n_task + len(existential)
 
         full_map = [mapping.get(v, 0) for v in range(nv)]
         final = []
@@ -594,8 +569,8 @@ def _task_index(partition: Partition, eliminated=frozenset()):
 
 @dataclass(frozen=True)
 class _LiftedPiece:
-    """A sector piece with its cells lifted once.  `key` interns all that
-    transform_piece reads of the piece, the lifted constraints and the
+    """A half-plane piece with its cells lifted once.  `key` interns all
+    that transform_piece reads of the piece, the lifted constraints and the
     radius bounds of the polar domain, as its index among the distinct ones
     of the call that owns `made`: it is hashed once per piece, not per
     lookup."""
@@ -606,23 +581,36 @@ class _LiftedPiece:
     key: int
 
 
-def _lifted_piece(made: dict, piece: Region, alphas) -> _LiftedPiece:
-    cells = _lift_cells(piece, alphas)
+def _lifted_piece(made: dict, piece: Region, alphas, full_dim: bool) -> _LiftedPiece:
+    cells = _lift_cells(piece, alphas, full_dim)
     key = (tuple(tuple(rows) for rows in cells),
            tuple(_radius_bound(piece, i) for i in range(piece.n // 2)))
     return _LiftedPiece(piece, tuple(alphas), cells, made.setdefault(key, len(made)))
 
 
+def _slice_rows(nc: int, radius: float, bound_z2: bool) -> list:
+    """The polar rows of the annulus slice |z_1| = radius, and of
+    |z_2| <= radius when bound_z2, as (payload over (r, t), equality)."""
+    rows = [(Polynomial.var(2 * nc, 0) - Fraction(radius), True)]
+    if bound_z2:
+        rows.append((Polynomial.var(2 * nc, 1) - Fraction(radius), False))
+    return rows
+
+
 def _transform_once(made: dict, lifted: _LiftedPiece, partition: Partition,
-                    rows: Sequence[tuple] = (), eliminate: Mapping[int, float] | None = None
-                    ) -> Region:
+                    radius: float | None = None, bound_z2: bool = False) -> Region:
     """transform_piece of a lifted piece, made once per distinct (lifted
-    cells, partition, polar rows, eliminated values) within the call that
-    owns `made`: sector pieces that lift alike share one Region."""
-    key = (lifted.key, partition.P, partition.Q, partition.R,
-           tuple(rows), tuple(sorted((eliminate or {}).items())))
+    cells, partition, slice) within the call that owns `made`: pieces that
+    lift alike share one Region.  Without a radius the whole piece is
+    transformed; with one, its slice |z_1| = radius (r_1 eliminated there),
+    bounded by |z_2| <= radius when bound_z2.  A slice is keyed by its
+    radius and flag, and its rows are built only when it is transformed."""
+    key = (lifted.key, partition.P, partition.Q, partition.R, radius, bound_z2)
     region = made.get(key)
     if region is None:
+        rows, eliminate = (), None
+        if radius is not None:
+            rows, eliminate = _slice_rows(lifted.piece.n // 2, radius, bound_z2), {0: radius}
         region = made[key] = transform_piece(lifted.piece, lifted.alphas, partition, rows,
                                              eliminate, lifted=lifted.cells)
     return region
@@ -696,19 +684,20 @@ class _Quadratures:
 
 @dataclass
 class RealTask:
-    """phi_{P,Q,R} of one (sector, term, partition) choice as a quadrature
-    job in real coordinates: a polynomial complex coefficient (split into
-    real and imaginary parts over the task coordinates), the bounded smooth
-    prefactor prod (tau^2+1)^(-e/2), and the positions of the task
-    coordinates carrying dr/r factors.  `region` is the transformed sector
-    piece, None when the record comes from pullback_complex_log_form."""
+    """phi_{P,Q,R} of one (half-plane, term, partition) choice as a
+    quadrature job in real coordinates: a polynomial complex coefficient
+    (split into real and imaginary parts over the task coordinates), the
+    bounded smooth prefactor prod (t^2+1)^(-e), and the positions of the
+    task coordinates carrying dr/r factors.  `region` is the transformed
+    half-plane piece, None when the record comes from
+    pullback_complex_log_form."""
 
     sector: tuple
     partition: Partition
     region: Region | None
-    poly_re: Polynomial        # over task + auxiliary variables
+    poly_re: Polynomial        # over the task coordinates
     poly_im: Polynomial
-    prefactor: list            # (tau position, half power e): (tau^2+1)^(-e/2)
+    prefactor: list            # (t position, power e): (t^2+1)^(-e)
     log_positions: tuple       # task positions carrying dr/r
     coeff_eval: Callable | None = None
 
@@ -716,13 +705,11 @@ class RealTask:
         pre = list(self.prefactor)
         re, im = self.poly_re, self.poly_im
         extra = self.coeff_eval
-        width = re.nvars  # auxiliary columns (if any) are appended after
 
         def f(pts: np.ndarray) -> np.ndarray:
-            ambient = pts[:, :width]
-            vals = re.eval_many(ambient) + 1j * im.eval_many(ambient)
+            vals = re.eval_many(pts) + 1j * im.eval_many(pts)
             for pos, e in pre:
-                vals = vals * (pts[:, pos] ** 2 + 1.0) ** (-0.5 * e)
+                vals = vals * (pts[:, pos] ** 2 + 1.0) ** -e
             if extra is not None:
                 vals = vals * extra(pts)
             return vals
@@ -730,7 +717,7 @@ class RealTask:
         return f
 
     def reads(self) -> frozenset | None:
-        """The task positions `pointwise` reads: the tau positions of the
+        """The task positions `pointwise` reads: the t positions of the
         prefactor and of the polynomial part, or None (every coordinate)
         with a pointwise coefficient."""
         if self.coeff_eval is not None:
@@ -748,50 +735,35 @@ class RealTask:
 _I_POWERS = {0: (1, 0), 1: (0, 1), 2: (-1, 0), 3: (0, -1)}
 
 
-def _cx(re=0, im=0):
-    return (Fraction(re), Fraction(im))
-
-
-def _cx_mul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _i_power(k: int):
-    return _cx(*_I_POWERS[k % 4])
-
-
 def _partition_form(partition: Partition, alphas, n_task: int, task_index: Mapping,
                     nc: int):
     """(poly_re, poly_im, prefactor, log_positions) of one pulled-back task.
 
     The task is integrated against Lebesgue measure in the parametrization
-    order (r_P, tau_Q, (r, tau)_R), which the sector maps carry with
-    positive Jacobian; reordering the coordinates flips the form
-    coefficient and the orientation by the same parity, so no permutation
-    sign appears here.  Only the sign from moving each dzbar_k next to its
-    dz_k/z_k survives.
+    order (r_P, t_Q, (r, t)_R), which the half-plane maps carry with
+    positive Jacobian 2r / (1 + t^2); reordering the coordinates flips the
+    form coefficient and the orientation by the same parity, so no
+    permutation sign appears here.  Only the sign from moving each dzbar_k
+    next to its dz_k/z_k survives.
     """
     P, Q, R = partition.P, partition.Q, partition.R
-    const = _cx(1)
-    # moving each dzbar_k (ascending k) next to its dz_k/z_k
+    # 2i per Q factor, 4 i sigma_k per R pair, and the sign of moving each
+    # dzbar_k (ascending k) next to its dz_k/z_k
+    scale = 2 ** len(Q) * 4 ** len(R)
     for k in R:
-        if (nc - 1 - k) % 2:
-            const = _cx_mul(const, _cx(-1))
-    # i per Q factor, i^(1-alpha) and -2 per R pair
-    const = _cx_mul(const, _i_power(len(Q)))
-    for k in R:
-        const = _cx_mul(const, _i_power(1 - alphas[k]))
-        const = _cx_mul(const, _cx(-2))
+        scale *= _ROTATIONS[alphas[k]] * (-1) ** (nc - 1 - k)
+    unit_re, unit_im = _I_POWERS[(len(Q) + len(R)) % 4]
 
-    # polynomial part: prod over R of (tau_k + i)
-    re = Polynomial.const(n_task, const[0])
-    im = Polynomial.const(n_task, const[1])
+    # polynomial part: prod over R of (t_k + i)^2
+    re = Polynomial.const(n_task, scale * unit_re)
+    im = Polynomial.const(n_task, scale * unit_im)
     for k in R:
-        tau = Polynomial.var(n_task, task_index[("tau", k)])
-        re, im = re * tau - im, im * tau + re
+        t = Polynomial.var(n_task, task_index[("tau", k)])
+        for _ in range(2):
+            re, im = re * t - im, im * t + re
 
-    prefactor = [(task_index[("tau", j)], 2) for j in Q]
-    prefactor += [(task_index[("tau", k)], 3) for k in R]
+    prefactor = [(task_index[("tau", j)], 1) for j in Q]
+    prefactor += [(task_index[("tau", k)], 2) for k in R]
     log_positions = tuple(task_index[("r", i)] for i in P)
     return re, im, prefactor, log_positions
 
@@ -799,7 +771,7 @@ def _partition_form(partition: Partition, alphas, n_task: int, task_index: Mappi
 def _coefficient_eval(re: Polynomial, im: Polynomial, partition: Partition,
                       alphas, task_index: Mapping, nc: int) -> Callable | None:
     """Pointwise a(polar point) for non-constant coefficients; supported when
-    the coefficient only involves coordinates whose r and tau both survive."""
+    the coefficient only involves coordinates whose r and t both survive."""
     if re.is_constant() and im.is_constant():
         return None
     needed = set()
@@ -827,7 +799,7 @@ def _coefficient_eval(re: Polynomial, im: Polynomial, partition: Partition,
 
 def _partitions(form: ComplexLogForm):
     """(re, im, partition) for every term a * (dz/z ...) ^ dzbar_R of the form
-    and every split of its remaining coordinates into dr/r (P) and dtau (Q)."""
+    and every split of its remaining coordinates into dr/r (P) and dt (Q)."""
     for re, im, R in form.terms:
         rest = [i for i in range(form.n) if i not in R]
         for bits in iproduct((0, 1), repeat=len(rest)):
@@ -856,12 +828,12 @@ def _pull_back(re: Polynomial, im: Polynomial, partition: Partition, alphas,
 
 def pullback_complex_log_form(form: ComplexLogForm, alphas,
                               partition: Partition) -> list:
-    """Pull one sector's worth of the form back to real task data.
+    """Pull one half-plane's worth of the form back to real task data.
 
     Returns one RealTask (without a region) per form term whose dzbar block
-    matches the partition's R; the polynomial part carries i per dtau factor
-    and i^(1-alpha) (-2)(tau_k + i) per paired block, and the denominators
-    (tau^2+1) and (tau^2+1)^(3/2) ride along as pointwise prefactors.
+    matches the partition's R; the polynomial part carries 2i per dt factor
+    and 4 i sigma (t_k + i)^2 per paired block, and the denominators
+    (t^2+1) and (t^2+1)^2 ride along as pointwise prefactors.
     """
     if partition.degree() != form.degree:
         raise ComplexIntError(
@@ -977,7 +949,7 @@ def reduce_to_real_tasks(region: Region, form: ComplexLogForm, m: int,
     made: dict = {}
     tasks = []
     for alphas, _piece, originals in _sector_pieces(region):
-        lifted = _lifted_piece(made, originals, alphas)
+        lifted = _lifted_piece(made, originals, alphas, m == region.n)
         for re, im, part in _partitions(form):
             task_region = _transform_once(made, lifted, part)
             if task_region.cells:
@@ -1034,7 +1006,7 @@ def _integrate_task(task: RealTask, cfg: QuadConfig, ladders: Sequence[str]) -> 
 def _existentials(region: Region) -> set:
     """The names of the existential auxiliaries of a task's cells: a task
     that keeps one cannot be sliced, so it is left out of the sums."""
-    return {e.name for cell in region.cells for e in cell.extra if e.derived_from is None}
+    return {e.name for cell in region.cells for e in cell.extra}
 
 
 def _unsliced_flag(unsliced: Sequence[set]) -> str:
@@ -1159,25 +1131,20 @@ def annulus_slice_decay(region: Region, form: ComplexLogForm, m: int,
     # so each piece is lifted once.
     made: dict = {}
     pieces = [
-        (_lifted_piece(made, orig, alphas),
+        (_lifted_piece(made, orig, alphas, m == region.n),
          [_pull_back(re, im, part, alphas, eliminated={("r", 0)})
           for re, im, part in _partitions(form) if 0 in part.Q])
         for alphas, _aug, orig in _sector_pieces(region)
     ]
-    r1 = Polynomial.var(2 * nc, 0)
-    r2 = Polynomial.var(2 * nc, 1)
     quadrature = _Quadratures(cfg, ("absolute",))
     entries = []
     ladders = []
     unsliced = []
     for t in ts:
-        rows = [(r1 - Fraction(t), True)]
-        if bound_z2:
-            rows.append((r2 - Fraction(t), False))
         vol = 0.0
         for lifted, tasks in pieces:
             for task in tasks:
-                task_region = _transform_once(made, lifted, task.partition, rows, {0: t})
+                task_region = _transform_once(made, lifted, task.partition, t, bound_z2)
                 if not task_region.cells:
                     continue
                 unsliced.append(_existentials(task_region))

@@ -75,7 +75,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .polyform import LogForm, Polynomial
-from .region import ProbeConfig, Region, RegionError, fill_derived
+from .region import ProbeConfig, Region, RegionError
 from .slicing import AxisRestriction, FiberKernel, real_roots
 from .slicing import slice_fiber  # noqa: F401  (kept importable from this module)
 
@@ -409,10 +409,9 @@ class Integrand:
 
     `coeff` is the polynomial coefficient of the top-degree term; the
     measure carries one 1/x factor per log variable.  `pointwise`, when
-    given, multiplies the polynomial part and is evaluated at full points
-    (ambient plus derived auxiliaries).  `reads` lists the ambient
-    coordinates the factor reads (reading a derived auxiliary reads its
-    source coordinate); None, the default, means every coordinate.  A
+    given, multiplies the polynomial part and is evaluated at points of the
+    ambient coordinates.  `reads` lists the coordinates the factor reads;
+    None, the default, means every coordinate.  A
     factor that does not read the inner coordinate leaves the fiber
     integral: it is evaluated once per fiber and the inner integral stays
     the closed form.  One that does sends the inner integral to Gauss nodes.
@@ -543,14 +542,9 @@ def _fiber_integral(solver: _FiberSolver, bases: np.ndarray, eps: np.ndarray,
     coordinate is evaluated at the inner Gauss nodes of every span, in
     one batch.
     """
-    region, axis = solver.region, solver.axis
-    n = region.n
-    extras = region.cells[0].extra if region.cells else ()
+    axis = solver.axis
     log_inner = axis in integrand.log_vars
-    points = np.zeros((len(bases), n + len(extras)))
-    points[:, :n] = bases[:, :n]
-    a, b, fiber = solver.intervals(points)
-    fill_derived(points, extras, n)
+    a, b, fiber = solver.intervals(bases)
     out = np.zeros((len(parts), len(bases)))
     # the span table: the kept pieces of every fiber, fiber after fiber
     a, b, sgn, piece = _rung_pieces(np.stack([a, b], 1), eps[fiber], log_inner)
@@ -558,9 +552,9 @@ def _fiber_integral(solver: _FiberSolver, bases: np.ndarray, eps: np.ndarray,
     if not len(owner):
         return out
     if not integrand.factor_reads(axis):
-        coef = line.table(points[:, : integrand.coeff.nvars])[0][:, owner]
+        coef = line.table(bases)[0][:, owner]
         signed = _line_signed(coef, a, b, log_inner)
-        w = None if integrand.pointwise is None else integrand.pointwise(points)[owner]
+        w = None if integrand.pointwise is None else integrand.pointwise(bases)[owner]
         for j, part in enumerate(parts):
             if part == "im" and w is None:
                 continue
@@ -577,14 +571,13 @@ def _fiber_integral(solver: _FiberSolver, bases: np.ndarray, eps: np.ndarray,
     # the signed parts carry the orientation of x -> u on the negative side
     oriented = ((half * sgn)[:, None] * ws).ravel() if log_inner else weights
     owner = np.repeat(owner, len(xs))
-    pts = points[owner]
+    pts = bases[owner]
     pts[:, axis] = _x_of(mid[:, None] + half[:, None] * xs, sgn[:, None]).ravel()
-    fill_derived(pts, extras, n)
     coeff = integrand.coeff
     if coeff.is_constant():
         vals = float(coeff.constant_value()) * integrand.pointwise(pts)
     else:
-        vals = coeff.eval_many(pts[:, : coeff.nvars]) * integrand.pointwise(pts)
+        vals = coeff.eval_many(pts) * integrand.pointwise(pts)
     for j, part in enumerate(parts):
         weighted = (weights if part == "abs" else oriented) * _PART_OF[part](vals)
         out[j] = np.bincount(owner, weights=weighted, minlength=len(bases))
@@ -718,7 +711,7 @@ def _mc_rung(region: Region, integrand: Integrand, eps: float,
     absolute = [parts == ("abs",) for parts in _ladder_parts(integrand, ladders)]
     box = region.bounding_box()
     n = region.n
-    if region.cells and any(e.derived_from is None for c in region.cells for e in c.extra):
+    if any(c.extra for c in region.cells):
         raise IntegrationError("Monte-Carlo path cannot handle existential variables")
     pieces = [_rung_pieces([box[v]], eps, v in integrand.log_vars) for v in range(n)]
     # the (u_lo, u_hi, sgn) of each piece of each coordinate

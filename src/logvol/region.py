@@ -22,8 +22,8 @@ dimension in this order, each step exact unless it is the last:
 3. hypersurface: with one nonlinear equality g = 0, a rational point of
    the relative interior of P on g = 0, where every nonlinear inequality
    is strict and grad g is not normal to H, shows dim = dim H - 1;
-4. probe: otherwise (existential or derived auxiliaries, two or more
-   nonlinear equalities, or no candidate point certified) a seeded
+4. probe: otherwise (existential auxiliaries, two or more nonlinear
+   equalities, or no candidate point certified) a seeded
    sampling probe answers, and every verdict that used it carries a
    "heuristic" flag and names the faces it touched.
 
@@ -39,7 +39,7 @@ and the 2n bounds of a cell in `Region._bounding_box`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
@@ -118,18 +118,14 @@ class Constraint:
 
 @dataclass(frozen=True)
 class ExtraVar:
-    """Auxiliary cell variable beyond the ambient coordinates.
-
-    derived_from holds the index of a coordinate t such that the variable
-    equals sqrt(t^2 + 1); otherwise the variable is existentially
-    quantified over [lo, hi] (the cell is the projection of the lifted
-    constraint set to the ambient).
+    """Auxiliary cell variable beyond the ambient coordinates, existentially
+    quantified over [lo, hi]: the cell is the projection of the lifted
+    constraint set to the ambient.
     """
 
     name: str
     lo: float
     hi: float
-    derived_from: int | None = None
 
 
 class Cell:
@@ -152,19 +148,6 @@ class Cell:
 
     def __repr__(self):
         return f"Cell({self.constraints!r})"
-
-
-def fill_derived(pts: np.ndarray, extras: Sequence[ExtraVar], n: int) -> np.ndarray:
-    """Complete the derived auxiliary columns s = sqrt(t^2 + 1) in place.
-
-    pts is one point (1-d) or a batch of points (2-d, one per row) over the
-    ambient coordinates followed by the auxiliaries in `extras` order;
-    existential auxiliaries are left as they are.  Returns pts.
-    """
-    for i, e in enumerate(extras):
-        if e.derived_from is not None:
-            pts[..., n + i] = np.sqrt(pts[..., e.derived_from] ** 2 + 1.0)
-    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +365,7 @@ class Region:
                 consts.append(Constraint(payload, c.equality))
             if empty:
                 continue
-            extra = tuple(
-                replace(e, derived_from=_shift_index(e.derived_from, index))
-                for e in cell.extra
-            )
-            cells.append(Cell(consts, extra))
+            cells.append(Cell(consts, cell.extra))
         new_p = self.p - 1 if index < self.p and self.kind == "real" else self.p
         box = None
         if self.box is not None:
@@ -396,7 +375,7 @@ class Region:
     # -- boxes --------------------------------------------------------------
 
     def bounding_box(self) -> list:
-        """The declared box, or an exact LP-derived one for linear regions;
+        """The declared box, or an exact one from LPs for linear regions;
         computed on first use, each call returns a fresh list."""
         if self._bbox is None:
             self._bbox = self._bounding_box()
@@ -682,12 +661,6 @@ class Region:
             cells_doc.append({"constraints": rows})
         doc["cells"] = cells_doc
         return doc
-
-
-def _shift_index(idx, removed):
-    if idx is None:
-        return None
-    return idx - 1 if idx > removed else idx
 
 
 def _num_out(v):
@@ -1085,15 +1058,11 @@ def _content(c: Constraint) -> tuple:
 
 
 def _cell_members(region: Region, cell: Cell, pts: np.ndarray) -> np.ndarray:
-    """Membership of ambient points, derived extras computed; a cell with
-    existential extras has no pointwise membership test."""
-    n = region.n
-    if any(e.derived_from is None for e in cell.extra):
+    """Membership of ambient points; a cell with existential extras has no
+    pointwise membership test."""
+    if cell.extra:
         raise RegionError("cannot test membership in a cell with existential variables")
-    full = np.zeros((pts.shape[0], cell.nvars_total(n)))
-    full[:, :n] = pts
-    fill_derived(full, cell.extra, n)
-    return _eval_constraints(cell, full)
+    return _eval_constraints(cell, pts)
 
 
 def _eval_constraints(cell: Cell, full: np.ndarray, eq_tol_scale: float = 1.0) -> np.ndarray:
@@ -1111,21 +1080,11 @@ def _newton_project(cell: Cell, region: Region, pts: np.ndarray) -> np.ndarray:
     """Project points onto the zero set of the cell's equality constraints.
 
     Gauss-Newton with the minimum-norm step, batched over all points.
-    Derived auxiliaries s = sqrt(t^2 + 1) are not free unknowns: their
-    columns are folded into the source variable by the chain rule and the
-    values recomputed after every step.
     """
-    n = region.n
     eqs = [c.payload for c in cell.constraints if c.equality]
     if not eqs:
         return pts
     total = pts.shape[1]
-    derived = {
-        n + i: e.derived_from
-        for i, e in enumerate(cell.extra)
-        if e.derived_from is not None
-    }
-    free = [v for v in range(total) if v not in derived]
     # the equalities, then their partials, as columns of one power table:
     # each is summed as eval_many sums it, bit for bit, from its own columns
     # taken C-ordered (einsum rounds an F-ordered fancy-index slice otherwise)
@@ -1147,20 +1106,10 @@ def _newton_project(cell: Cell, region: Region, pts: np.ndarray) -> np.ndarray:
         gvals = values(table, cols[:k])  # (N, k)
         if np.max(np.abs(gvals)) < _EQ_TOL * 0.1:
             break
-        full_jac = values(table, cols[k:]).reshape(len(out), k, total)
-        jac = full_jac[:, :, free].copy()
-        for d_idx, src in derived.items():
-            # d = sqrt(x_src^2 + 1): dd/dx_src = x_src / d
-            factor = out[:, src] / out[:, d_idx]
-            col = free.index(src) if src in free else None
-            if col is not None:
-                jac[:, :, col] += full_jac[:, :, d_idx] * factor[:, None]
+        jac = values(table, cols[k:]).reshape(len(out), k, total)
         gram = jac @ np.transpose(jac, (0, 2, 1)) + 1e-12 * eye
         y = np.linalg.solve(gram, gvals[:, :, None])
-        step = (np.transpose(jac, (0, 2, 1)) @ y)[:, :, 0]  # (N, len(free))
-        for col, v in enumerate(free):
-            out[:, v] -= step[:, col]
-        fill_derived(out, cell.extra, n)
+        out -= (np.transpose(jac, (0, 2, 1)) @ y)[:, :, 0]  # (N, total)
     return out
 
 
@@ -1252,9 +1201,7 @@ def _probe_cell_dimension(region: Region, cell: Cell, cfg: ProbeConfig) -> int:
     radius = diam / _RADIUS_DIVISOR
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
 
-    exist = [n + i for i, e in enumerate(cell.extra) if e.derived_from is None]
-    pts = fill_derived(rng.uniform(lo, hi, size=(_SAMPLES, total)), cell.extra, n)
-    pts = _newton_project(cell, region, pts)
+    pts = _newton_project(cell, region, rng.uniform(lo, hi, size=(_SAMPLES, total)))
     good = _eval_constraints(cell, pts, eq_tol_scale=10.0)
     inside_box = np.all((pts >= lo - radius) & (pts <= hi + radius), axis=1)
     accepted = pts[good & inside_box]
@@ -1267,7 +1214,6 @@ def _probe_cell_dimension(region: Region, cell: Cell, cfg: ProbeConfig) -> int:
         ball = rng.uniform(-radius, radius, size=(_LOCAL_CLOUD, total))
         cloud = center[None, :] + ball
         np.clip(cloud, lo, hi, out=cloud)
-        fill_derived(cloud, cell.extra, n)
         cloud = _newton_project(cell, region, cloud)
         keep = _eval_constraints(cell, cloud, eq_tol_scale=10.0)
         keep &= np.linalg.norm(cloud - center[None, :], axis=1) <= 2.5 * radius

@@ -33,7 +33,7 @@ from typing import Mapping
 import numpy as np
 
 from .polyform import Polynomial, PolyError, power_table
-from .region import Region, RegionError, fill_derived
+from .region import Region, RegionError
 
 
 # ---------------------------------------------------------------------------
@@ -495,11 +495,9 @@ def _check_axis(region: Region, axis: int):
         raise RegionError(f"axis {axis} is out of range 0..{region.n - 1}")
 
 
-def _check_sliceable(cell, axis: int):
-    if any(e.derived_from is None for e in cell.extra):
+def _check_sliceable(cell):
+    if cell.extra:
         raise RegionError("cannot slice a cell with existential variables")
-    if any(e.derived_from == axis for e in cell.extra):
-        raise RegionError("cannot slice along a coordinate with a derived companion")
 
 
 _ZERO = 1e-12      # a restricted coefficient this small vanishes
@@ -512,11 +510,11 @@ class FiberKernel:
     (region, axis) and solved for many base points (a Gauss panel, a
     sample) in one call.
 
-    A solve completes each cell's derived auxiliaries s = sqrt(t^2 + 1),
-    restricts its constraints (one AxisRestriction per cell) to every line
-    at once and applies `_cell_fiber`'s rule, with a coefficient up to
-    1e-12 vanishing and a payload up to 1e-9 holding: point by point for a
-    cell with an equality, for all rows and points together otherwise.
+    A solve restricts each cell's constraints (one AxisRestriction per
+    cell) to every line at once and applies `_cell_fiber`'s rule, with a
+    coefficient up to 1e-12 vanishing and a payload up to 1e-9 holding:
+    point by point for a cell with an equality, for all rows and points
+    together otherwise.
     """
 
     def __init__(self, region: Region, axis: int):
@@ -526,10 +524,9 @@ class FiberKernel:
         self.n = region.n
         self.cells = []
         for cell in region.cells:
-            _check_sliceable(cell, axis)
-            restriction = AxisRestriction([c.payload for c in cell.constraints], axis,
-                                          cell.nvars_total(region.n))
-            self.cells.append((cell.extra, restriction, [c.equality for c in cell.constraints]))
+            _check_sliceable(cell)
+            restriction = AxisRestriction([c.payload for c in cell.constraints], axis, region.n)
+            self.cells.append((restriction, [c.equality for c in cell.constraints]))
 
     def intervals_many(self, points: np.ndarray) -> tuple:
         """(a, b, owner, degenerate): the span table of the fibers through
@@ -541,13 +538,8 @@ class FiberKernel:
         degenerate = np.zeros(k, dtype=bool)
         spans = []  # (a, b, owner) of each inequality cell
         found = []  # (lo, hi, row) of the equality cells
-        for extras, restriction, equalities in self.cells:
-            full = points[:, : self.n]
-            if extras:
-                full = np.zeros((k, self.n + len(extras)))
-                full[:, : self.n] = points[:, : self.n]
-                fill_derived(full, extras, self.n)
-            coef = restriction.table(full)
+        for restriction, equalities in self.cells:
+            coef = restriction.table(points[:, : self.n])
             if any(equalities):
                 for j in range(k):
                     restricted = [(coef[i, :w, j].tolist(), eq)
@@ -648,13 +640,11 @@ def slice_fiber(region: Region, base, axis: int, mode: str = "exact") -> FiberSl
     if isinstance(base, (list, tuple)):
         base = {v: x for v, x in enumerate(base) if v != axis}
     base = dict(base)
-    n = region.n
-    point = np.zeros(n + max((len(cell.extra) for cell in region.cells), default=0))
-    for v, x in base.items():
-        if v < n:
-            point[v] = float(x)
     if mode != "exact":
-        a, b, _, degenerate = FiberKernel(region, axis).intervals_many(point[None, :n])
+        point = np.zeros((1, region.n))
+        for v, x in base.items():
+            point[0, v] = float(x)
+        a, b, _, degenerate = FiberKernel(region, axis).intervals_many(point)
         return FiberSlices(base, axis, list(zip(a.tolist(), b.tolist())), bool(degenerate[0]))
 
     _check_axis(region, axis)
@@ -664,11 +654,8 @@ def slice_fiber(region: Region, base, axis: int, mode: str = "exact") -> FiberSl
     pieces = []
     degenerate = False
     for cell in region.cells:
-        _check_sliceable(cell, axis)
-        derived = fill_derived(point.copy(), cell.extra, n)
-        full_base = dict(base)
-        full_base.update({n + i: Fraction(float(derived[n + i])) for i in range(len(cell.extra))})
-        restricted = [(_restrict_to_axis(c.payload, full_base, axis), c.equality)
+        _check_sliceable(cell)
+        restricted = [(_restrict_to_axis(c.payload, base, axis), c.equality)
                       for c in cell.constraints]
         degenerate |= _cell_fiber(restricted, lo_box, hi_box, _exact_roots, 0, 0, pieces)
     a, b = np.array(pieces, dtype=object).reshape(-1, 2).T

@@ -99,6 +99,19 @@ def test_integrate_complex_quadrant():
     assert out.splitlines()[0].split()[1] == "-2"
 
 
+def test_complex_commands_print_their_task_counts():
+    """integrate-complex and decay-complex say how many real tasks ran and
+    how many quadratures they took: the quarter disk runs one task, and the
+    annulus slices four per radius, sharing one quadrature per radius."""
+    code, out = invoke("integrate-complex", QUAD, "--form", "dz1/z1 ^ dzbar1", "--m", "2")
+    assert code == 0 and "tasks    1 run, 1 quadrature(s)" in out.splitlines()
+    code, out = invoke("decay-complex", str(REGIONS / "nested_annulus_c2.region"),
+                       "--form", "dz1/z1 ^ dz2/z2 ^ dzbar2", "--m", "4")
+    lines = out.splitlines()
+    radii = sum(line.startswith("  t=") for line in lines)
+    assert code == 0 and f"tasks    {4 * radii} run, {radii} quadrature(s)" in lines
+
+
 def test_blowup_poly_mode():
     code, out = invoke("blowup", "--poly", "r1 + r2^2", "--p", "2")
     assert code == 0

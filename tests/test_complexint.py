@@ -31,9 +31,9 @@ from logvol import (
 )
 from logvol import region as region_mod
 from logvol.cli import run as cli_run
-from logvol.complexint import (GATE_CONTRADICTION_FLAG, PROBE_GATE_FLAG, _lift_payload,
-                               _reduce_lift, _sector_pieces, sector_constraints,
-                               transform_piece)
+from logvol.complexint import (GATE_CONTRADICTION_FLAG, PROBE_GATE_FLAG, _lift_cells,
+                               _lift_payload, _polar_factor, _reduce_lift, _sector_pieces,
+                               sector_constraints, transform_piece)
 
 
 # ---------------------------------------------------------------------------
@@ -45,91 +45,97 @@ def test_polar_axis_point():
 
 
 def test_polar_diagonal_point():
-    x, y = polar_map(1.0, 1.0, 1)
+    x, y = polar_map(1.0, 2**0.5 - 1, 1)  # t = tan(pi / 8)
     assert (x, y) == pytest.approx((2**-0.5, 2**-0.5))
 
 
 def test_polar_collapses_origin():
-    assert polar_map(0.0, 0.7, 3) == pytest.approx((0.0, 0.0))
+    assert polar_map(0.0, 0.7, 2) == pytest.approx((0.0, 0.0))
 
 
 def test_polar_inverse_examples():
     assert polar_inverse(1.0, 0.0, 1) == pytest.approx((1.0, 0.0))
-    assert polar_inverse(2**-0.5, 2**-0.5, 1) == pytest.approx((1.0, 1.0))
-    # the second sector's convention: tau = -x/y
-    assert polar_inverse(0.0, 1.0, 2) == pytest.approx((1.0, 0.0))
-    assert polar_inverse(-0.5, 1.0, 2)[1] == pytest.approx(0.5)
+    assert polar_inverse(2**-0.5, 2**-0.5, 1) == pytest.approx((1.0, 2**0.5 - 1))
+    assert polar_inverse(0.0, 1.0, 1) == pytest.approx((1.0, 1.0))  # on the edge
+    # the second half-plane is the first turned by a half turn
+    assert polar_inverse(-1.0, 0.0, 2) == pytest.approx((1.0, 0.0))
+    assert polar_inverse(0.0, 1.0, 2) == pytest.approx((1.0, -1.0))
+    assert polar_inverse(-0.6, -0.8, 2) == pytest.approx((1.0, 0.5))
 
 
 def test_polar_inverse_rejects_origin_and_outside():
     with pytest.raises(ComplexIntError):
         polar_inverse(0.0, 0.0, 1)
     with pytest.raises(ComplexIntError):
-        polar_inverse(0.0, 1.0, 1)  # sector 1 needs x >= |y|
+        polar_inverse(-0.5, 1.0, 1)  # half-plane 1 needs x >= 0
+    with pytest.raises(ComplexIntError):
+        polar_inverse(-1.0, 0.0, 1)  # the far axis, where r + x = 0
 
 
 def test_polar_round_trip_all_sectors():
     rng = np.random.Generator(np.random.Philox(key=9))
-    for sector in (1, 2, 3, 4):
+    for sector in (1, 2):
         rs = rng.uniform(0.05, 3.0, size=1000)
-        taus = rng.uniform(-1.0, 1.0, size=1000)
-        for r, tau in zip(rs, taus):
-            x, y = polar_map(r, tau, sector)
-            r2, tau2 = polar_inverse(x, y, sector)
+        ts = rng.uniform(-1.0, 1.0, size=1000)
+        for r, t in zip(rs, ts):
+            x, y = polar_map(r, t, sector)
+            r2, t2 = polar_inverse(x, y, sector)
             assert abs(r2 - r) <= 1e-14 * max(1.0, r)
-            assert abs(tau2 - tau) <= 1e-13
+            assert abs(t2 - t) <= 1e-13
 
 
-@pytest.mark.parametrize("sector", [1, 2, 3, 4])
+@pytest.mark.parametrize("sector", [1, 2])
 @pytest.mark.parametrize("edge", [1.0, -1.0])
 def test_polar_round_trip_at_sector_edges(sector, edge):
-    """A point on a sector edge, or within the edge tolerance beyond it,
-    maps to a tau that polar_map accepts, and back to the same point; a
-    point further out is outside for both functions."""
+    """A point on a half-plane edge (the imaginary axis), or within the
+    edge tolerance beyond it, maps to a t that polar_map accepts, and back
+    to the same point; a point further out is outside for both
+    functions."""
     for beyond in (0.0, 5e-10):
-        tau = edge * (1.0 + beyond)
-        x, y = polar_map(1.3, tau, sector)
-        r2, tau2 = polar_inverse(x, y, sector)
+        t = edge * (1.0 + beyond)
+        x, y = polar_map(1.3, t, sector)
+        r2, t2 = polar_inverse(x, y, sector)
         assert r2 == pytest.approx(1.3, rel=1e-15)
-        assert tau2 == pytest.approx(tau, abs=1e-15)
-        assert polar_map(r2, tau2, sector) == pytest.approx((x, y), abs=1e-15)
-    with pytest.raises(ComplexIntError):
-        polar_map(1.3, edge * (1.0 + 1e-8), sector)
-    # the far point i^(sector-1) (1 + i far), turned from the sector's axis
-    x, y = polar_map(1.0, 0.0, sector)
+        assert t2 == pytest.approx(t, abs=1e-15)
+        assert polar_map(r2, t2, sector) == pytest.approx((x, y), abs=1e-15)
     far = edge * (1.0 + 1e-8)
+    with pytest.raises(ComplexIntError):
+        polar_map(1.3, far, sector)
+    # the point at t = far, written out by the half-angle formula
+    sigma = polar_map(1.0, 0.0, sector)[0]
+    x, y = sigma * (1 - far * far) / (1 + far * far), sigma * 2 * far / (1 + far * far)
     with pytest.raises(ComplexIntError, match="outside"):
-        polar_inverse(x - far * y, y + far * x, sector)
+        polar_inverse(x, y, sector)
 
 
 def test_polar_jacobian_identity():
-    """|det d(polar_map)| = r / (tau^2 + 1), by central finite differences."""
+    """|det d(polar_map)| = 2r / (t^2 + 1), by central finite differences."""
     rng = np.random.Generator(np.random.Philox(key=4))
     h = 1e-6
     for _ in range(100):
         r = float(rng.uniform(0.2, 2.0))
-        tau = float(rng.uniform(-0.9, 0.9))
-        sector = int(rng.integers(1, 5))
+        t = float(rng.uniform(-0.9, 0.9))
+        sector = int(rng.integers(1, 3))
 
         def jac_col(dr, dt):
-            x1, y1 = polar_map(r + dr, tau + dt, sector)
-            x0, y0 = polar_map(r - dr, tau - dt, sector)
+            x1, y1 = polar_map(r + dr, t + dt, sector)
+            x0, y0 = polar_map(r - dr, t - dt, sector)
             return ((x1 - x0) / (2 * (dr + dt)), (y1 - y0) / (2 * (dr + dt)))
 
         a, c = jac_col(h, 0.0)
         b, d = jac_col(0.0, h)
         det = abs(a * d - b * c)
-        assert det == pytest.approx(r / (tau**2 + 1), rel=1e-6)
+        assert det == pytest.approx(2 * r / (t**2 + 1), rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
-# sectors
+# half-planes
 
 
-def test_disk_decomposes_into_four_quarters():
+def test_disk_decomposes_into_two_halves():
     pieces = sector_decompose(load_region("disk_c1"))
-    assert len(pieces) == 4
-    assert sorted(alphas for alphas, _ in pieces) == [(1,), (2,), (3,), (4,)]
+    assert len(pieces) == 2
+    assert sorted(alphas for alphas, _ in pieces) == [(1,), (2,)]
 
 
 def test_interior_region_single_sector():
@@ -143,13 +149,14 @@ def test_interior_region_single_sector():
     assert [alphas for alphas, _ in pieces] == [(1,)]
 
 
-def test_nested_annulus_keeps_sixteen_pieces():
+def test_nested_annulus_keeps_four_pieces():
     pieces = sector_decompose(load_region("nested_annulus_c2"))
-    assert len(pieces) == 16
+    assert len(pieces) == 4
 
 
 def test_sector_tiling_measures_disk():
-    """Monte-Carlo area of the disk equals the sum over its sector pieces."""
+    """Monte-Carlo area of the disk equals the sum over its half-plane
+    pieces."""
     rng = np.random.Generator(np.random.Philox(key=21))
     pts = rng.uniform(-1.0, 1.0, size=(200000, 2))
     disk = load_region("disk_c1")
@@ -158,37 +165,35 @@ def test_sector_tiling_measures_disk():
     piece_area = 0.0
     for _, piece in pieces:
         piece_area += 4.0 * piece.members(pts).mean()
-    # overlaps are the four diagonal rays: measure zero
+    # the overlap is the imaginary axis: measure zero
     stderr = 4.0 * math.sqrt(0.25 / len(pts))
     assert piece_area == pytest.approx(total_area, abs=6 * stderr)
     assert total_area == pytest.approx(math.pi, abs=6 * stderr)
 
 
 def test_sector_rows_match_the_hand_written_rows():
-    """The rows read off the rotation table are the four sectors' |y| <= x
-    rows as once written out by hand, in the same order and term order."""
-    x, y = Polynomial.var(3, 0), Polynomial.var(3, 1)
-    want = {1: [y - x, -y - x], 2: [x - y, -x - y], 3: [y + x, -y + x], 4: [x + y, -x + y]}
-    for sector, rows in want.items():
-        got = sector_constraints(sector, 3, 0, 1)
-        assert [list(c.payload.terms.items()) for c in got] == \
-            [list(row.terms.items()) for row in rows]
-        assert not any(c.equality for c in got)
+    """The row read off the sign table is each half-plane's sigma x >= 0,
+    as written out by hand."""
+    x = Polynomial.var(3, 0)
+    want = {1: -x, 2: x}
+    for sector, row in want.items():
+        (got,) = sector_constraints(sector, 3, 0)
+        assert got.payload == row and not got.equality
     with pytest.raises(ComplexIntError):
-        sector_constraints(5, 3, 0, 1)
+        sector_constraints(3, 3, 0)
 
 
 # ---------------------------------------------------------------------------
 # the exact polar lift
 
 # Reference lift: a sparse algebra on sorted ((kind, index), exponent) keys
-# that states the sector map z = i^(a-1) r (1 + i tau) / s with
-# zr = r c1(tau) / s and zi = r c2(tau) / s, (constant, tau coefficient).
-_REF_AFFINES = {1: ((1, 0), (0, 1)), 2: ((0, -1), (1, 0)),
-                3: ((-1, 0), (0, -1)), 4: ((0, 1), (-1, 0))}
+# that states the half-angle map z = sigma r (1 - t^2 + 2 i t) / (1 + t^2)
+# with zr = sigma r (1 - t^2) / (1 + t^2) and zi = sigma r 2t / (1 + t^2),
+# the numerators as {power of t: coefficient}.
+_REF_SIGNS = {1: 1, 2: -1}
 
 
-def _ref_mul_in(term_map, var, power=1):
+def _ref_mul_in(term_map, var, power):
     out = {}
     for key, c in term_map.items():
         kd = dict(key)
@@ -197,67 +202,61 @@ def _ref_mul_in(term_map, var, power=1):
     return out
 
 
-def _ref_mul_affine(term_map, affine, tau_var):
-    c0, c1 = affine
+def _ref_mul_poly(term_map, poly, t_var):
     out = {}
-    for key, c in term_map.items():
-        if c0 != 0:
+    for power, c0 in poly.items():
+        shifted = _ref_mul_in(term_map, t_var, power) if power else term_map
+        for key, c in shifted.items():
             out[key] = out.get(key, Fraction(0)) + c * c0
-        if c1 != 0:
-            kd = dict(key)
-            kd[tau_var] = kd.get(tau_var, 0) + 1
-            k2 = tuple(sorted(kd.items()))
-            out[k2] = out.get(k2, Fraction(0)) + c * c1
     return {k: v for k, v in out.items() if v != 0}
 
 
-def _ref_mul_tau_sq_plus_1(term_map, tau_var, power):
-    for _ in range(power):
-        out = dict(_ref_mul_in(_ref_mul_in(term_map, tau_var), tau_var))
-        for key, c in term_map.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        term_map = {k: v for k, v in out.items() if v != 0}
-    return term_map
+def _ref_factor(i, nc, sigma, a_e, b_e, d):
+    """zr_i^a zi_i^b (1 + t_i^2)^d over (r, t) as {exponent: coefficient},
+    every factor multiplied out."""
+    t_var = ("v", nc + i)
+    factor = _ref_mul_in({(): Fraction(1)}, ("v", i), a_e + b_e) if a_e + b_e else {(): 1}
+    for _ in range(a_e):
+        factor = _ref_mul_poly(factor, {0: sigma, 2: -sigma}, t_var)
+    for _ in range(b_e):
+        factor = _ref_mul_poly(factor, {1: 2 * sigma}, t_var)
+    for _ in range(d - a_e - b_e):
+        factor = _ref_mul_poly(factor, {0: 1, 2: 1}, t_var)
+    out = {}
+    for key, c in factor.items():
+        exp = [0] * (2 * nc)
+        for (_, idx), e in key:
+            exp[idx] = e
+        out[tuple(exp)] = c
+    return out
 
 
 def _ref_lift(payload, alphas, nc):
-    """(lifted polynomial over r, tau, s_1..s_n; the set of s_i it needs)."""
-    mult = [(max((e[2 * i] + e[2 * i + 1] for e in payload.terms), default=0) + 1) // 2
-            for i in range(nc)]
-    s_needed = set()
-    work = {}
+    """(the lift over (r, t) with its terms in order, the monomials whose
+    running sum cancelled and came back).  Each coordinate factor is the
+    reference algebra's, taken in the order of `_polar_factor`'s terms, and
+    multiplied in as `_lift_payload` does, the last coordinate outermost;
+    a monomial sits where it first appears, a cancelled one included."""
+    degree = [max((e[2 * i] + e[2 * i + 1] for e in payload.terms), default=0)
+              for i in range(nc)]
+    work, returned = {}, set()
     for exp, coeff in payload.terms.items():
-        factor = {(): coeff}
+        factors = []
         for i in range(nc):
             a_e, b_e = exp[2 * i], exp[2 * i + 1]
-            d = a_e + b_e
-            if d == 0 and mult[i] == 0:
-                continue
-            c1, c2 = _REF_AFFINES[alphas[i]]
-            tau_var = ("v", nc + i)
-            if d:
-                factor = _ref_mul_in(factor, ("v", i), d)
-                for _ in range(a_e):
-                    factor = _ref_mul_affine(factor, c1, tau_var)
-                for _ in range(b_e):
-                    factor = _ref_mul_affine(factor, c2, tau_var)
-            resid = 2 * mult[i] - d
-            if resid:
-                factor = _ref_mul_tau_sq_plus_1(factor, tau_var, resid // 2)
-                if resid % 2:
-                    s_needed.add(i)
-                    factor = _ref_mul_in(factor, ("s", i))
-        for key, c in factor.items():
-            work[key] = work.get(key, Fraction(0)) + c
-    terms = {}
-    for key, c in work.items():
-        if c == 0:
-            continue
-        exp = [0] * (3 * nc)
-        for (kind, idx), e in key:
-            exp[2 * nc + idx if kind == "s" else idx] = e
-        terms[tuple(exp)] = c
-    return Polynomial(3 * nc, terms), s_needed
+            want = _ref_factor(i, nc, _REF_SIGNS[alphas[i]], a_e, b_e, degree[i])
+            got = _polar_factor(nc, i, alphas[i], a_e, b_e, degree[i]).terms
+            assert got == want
+            factors.append(list(got.items()))
+        for combo in iproduct(*reversed(factors)):
+            key = tuple(map(sum, zip(*(e for e, _ in combo))))
+            c = coeff * math.prod(c for _, c in combo)
+            prev = work.get(key)
+            if prev == 0:
+                returned.add(key)
+            work[key] = c if prev is None else prev + c
+    terms = {key: c for key, c in work.items() if c}
+    return Polynomial(2 * nc, terms), returned & set(terms)
 
 
 @st.composite
@@ -269,60 +268,71 @@ def _payloads(draw):
     return nc, Polynomial(2 * nc, terms)
 
 
+# zi1^2 zi2^2 / 4 + zi1^2 zr2^2 / 2 + zr1^2 zr2^2 / 2: the monomial
+# r1^2 r2^2 t1^2 t2^2 of its lift reads 4, then 4 - 4 = 0, then 2
+_RETURNING = Polynomial(4, {(0, 2, 0, 2): Fraction(1, 4), (0, 2, 2, 0): Fraction(1, 2),
+                            (2, 0, 2, 0): Fraction(1, 2)})
+
+
 @settings(max_examples=60)
 @given(_payloads())
-@example((2, Polynomial(4, {(2, 0, 2, 0): 1, (2, 0, 0, 2): -1, (0, 2, 2, 0): 1,
-                            (0, 2, 0, 2): 1, (2, 2, 2, 2): 1})))
+@example((2, _RETURNING))
 def test_lift_matches_reference(case):
-    """Same polynomial, same term order and same s variables as the
-    reference algebra, for every sector assignment.  In the explicit
-    example the monomial r1^2 r2^2 tau1^2 tau2^2 cancels after two payload
-    terms and comes back with the third; it keeps its first position."""
+    """The same polynomial and the same term order as the reference
+    algebra, with no zero term stored, for every half-plane assignment.  In
+    the explicit example monomials cancel between payload terms and come
+    back with later ones; each keeps its first position."""
     nc, payload = case
-    for alphas in iproduct((1, 2, 3, 4), repeat=nc):
+    for alphas in iproduct((1, 2), repeat=nc):
         got = _lift_payload(payload, alphas, nc)
-        want, s_needed = _ref_lift(payload, alphas, nc)
+        want, returned = _ref_lift(payload, alphas, nc)
+        assert got.nvars == 2 * nc and all(got.terms.values())
         assert list(got.terms.items()) == list(want.terms.items())
-        assert {i for i in range(nc) if got.uses_var(2 * nc + i)} == s_needed
 
 
-_ROTATION = {1: 1, 2: 1j, 3: -1, 4: -1j}  # i^(a-1)
+def test_lift_keeps_the_first_position_of_a_returning_monomial():
+    """The first payload term of the explicit example of
+    test_lift_matches_reference lifts to the one monomial
+    16 r1^2 r2^2 t1^2 t2^2 / 4; the second cancels it and the third brings
+    it back.  It keeps the first position, ahead of the monomials the
+    second term brought in."""
+    for alphas in iproduct((1, 2), repeat=2):
+        assert _ref_lift(_RETURNING, alphas, 2)[1] == {(2, 2, 2, 2)}
+        lift = _lift_payload(_RETURNING, alphas, 2)
+        assert next(iter(lift.terms.items())) == ((2, 2, 2, 2), 2)
+
+
+def _polar_point(rng, nc: int, r_zero: bool, t_edge: bool):
+    """An exact point (r, t) with each r > 0, or r >= 0 when r_zero, and
+    each |t| < 1, or |t| <= 1 when t_edge."""
+    r, t = [], []
+    for _ in range(nc):
+        q = int(rng.integers(1, 13))
+        r.append(Fraction(int(rng.integers(0 if r_zero else 1, 40)), int(rng.integers(1, 20))))
+        t.append(Fraction(int(rng.integers(-q if t_edge else 1 - q, q + 1 if t_edge else q)), q))
+    return r + t
 
 
 @settings(max_examples=30)
 @given(_payloads(), st.integers(0, 2**32 - 1))
 def test_lift_is_the_cleared_payload_at_the_polar_point(case, seed):
-    """At random (r, tau) the lift equals s^(2 mult) payload(z) with
-    z = i^(a-1) r (1 + i tau) / s, within 1e-12 of the payload's scale."""
+    """At rational (r, t), edges included, the lift equals
+    prod (1 + t_i^2)^(d_i) payload(z) exactly, for the pair degrees d_i and
+    z = sigma r (1 - t^2 + 2 i t) / (1 + t^2)."""
     nc, payload = case
     rng = np.random.Generator(np.random.Philox(key=seed))
-    mult = [(max(e[2 * i] + e[2 * i + 1] for e in payload.terms) + 1) // 2 for i in range(nc)]
-    for alphas in iproduct((1, 2, 3, 4), repeat=nc):
+    degree = [max(e[2 * i] + e[2 * i + 1] for e in payload.terms) for i in range(nc)]
+    for alphas in iproduct((1, 2), repeat=nc):
         lifted = _lift_payload(payload, alphas, nc)
-        r = rng.uniform(0.1, 2.0, size=(8, nc))
-        tau = rng.uniform(-1.0, 1.0, size=(8, nc))
-        s = np.sqrt(tau**2 + 1.0)
-        z = np.array([_ROTATION[a] for a in alphas]) * r * (1 + 1j * tau) / s
-        zpts = np.stack([z.real, z.imag], axis=2).reshape(8, 2 * nc)
-        clear = np.prod(s ** (2 * np.array(mult)), axis=1)
-        want = clear * payload.eval_many(zpts)
-        scale = clear * Polynomial(2 * nc, {e: abs(c) for e, c in payload.terms.items()}
-                                   ).eval_many(np.abs(zpts))
-        got = lifted.eval_many(np.hstack([r, tau, s]))
-        assert np.all(np.abs(got - want) <= 1e-12 * scale)
-
-
-def _polar_point(rng, nc: int, r_zero: bool):
-    """An exact point (r, tau, s) with s = sqrt(tau^2 + 1): tau = (p^2 -
-    q^2) / 2pq makes tau^2 + 1 the square of s = (p^2 + q^2) / 2pq.  Each r
-    is positive, or also 0 when r_zero."""
-    r, tau, s = [], [], []
-    for _ in range(nc):
-        p, q = (int(x) for x in rng.integers(1, 10, size=2))
-        r.append(Fraction(int(rng.integers(0 if r_zero else 1, 40)), int(rng.integers(1, 20))))
-        tau.append(Fraction(p * p - q * q, 2 * p * q))
-        s.append(Fraction(p * p + q * q, 2 * p * q))
-    return r + tau + s
+        for _ in range(8):
+            point = _polar_point(rng, nc, r_zero=True, t_edge=True)
+            z, clear = [], Fraction(1)
+            for i, a in enumerate(alphas):
+                r, t = point[i], point[nc + i]
+                scale = _REF_SIGNS[a] * r / (1 + t * t)
+                z += [scale * (1 - t * t), scale * 2 * t]
+                clear *= (1 + t * t) ** degree[i]
+            assert lifted.eval(point) == clear * payload.eval(z)
 
 
 def _sign(x) -> int:
@@ -342,74 +352,90 @@ def _sign(x) -> int:
 @example((2, Polynomial(4, {(2, 0, 0, 0): 9, (0, 2, 0, 0): 9, (0, 0, 2, 0): -1,
                             (0, 0, 0, 2): -1})), 5)
 @example((2, Polynomial(4, {(2, 0, 1, 0): 1, (0, 2, 1, 0): 1, (0, 0, 1, 0): -1})), 6)
+@example((1, Polynomial(2, {(1, 0): -1, (0, 1): 2})), 7)
+@example((1, Polynomial(2, {(3, 0): 1, (1, 2): -3})), 8)
 def test_reduced_lift_keeps_the_sign_of_the_lift(case, seed):
-    """For every sector assignment and both kinds of row, the reduced row
-    has the sign of the lifted row at exact polar points: with r > 0 for
-    an inequality (its strict transform may differ on {r_i = 0}), and with
-    r >= 0 for an equality, whose zero set on the polar domain is thus the
-    same.  Reducing a reduced row changes nothing."""
+    """For every half-plane assignment, both kinds of row and both edge
+    rules, the reduced row has the sign of the lifted row at exact polar
+    points: with r > 0 for an inequality (its strict transform may differ
+    on {r_i = 0}), and with |t| < 1 as well under the edge rule (which may
+    differ on the edges t_i = +-1); with r >= 0 and |t| <= 1 for an
+    equality, whose zero set on the polar domain is thus the same.
+    Reducing a reduced row changes nothing."""
     nc, payload = case
     rng = np.random.Generator(np.random.Philox(key=seed))
-    for alphas in iproduct((1, 2, 3, 4), repeat=nc):
+    for alphas in iproduct((1, 2), repeat=nc):
         lifted = _lift_payload(payload, alphas, nc)
-        for equality in (False, True):
-            reduced = _reduce_lift(lifted, equality, nc)
-            assert _reduce_lift(reduced, equality, nc) == reduced
+        for equality, full_dim in iproduct((False, True), repeat=2):
+            reduced = _reduce_lift(lifted, equality, nc, full_dim)
+            assert _reduce_lift(reduced, equality, nc, full_dim) == reduced
             for _ in range(6):
-                point = _polar_point(rng, nc, r_zero=equality)
+                point = _polar_point(rng, nc, r_zero=equality,
+                                     t_edge=equality or not full_dim)
                 assert _sign(reduced.eval(point)) == _sign(lifted.eval(point))
 
 
-def _reduced(payload: Polynomial, alphas, equality=False) -> Polynomial:
-    return _reduce_lift(_lift_payload(payload, alphas, len(alphas)), equality, len(alphas))
+def _reduced(payload: Polynomial, alphas, equality=False, full_dim=True) -> Polynomial:
+    return _reduce_lift(_lift_payload(payload, alphas, len(alphas)), equality, len(alphas),
+                        full_dim)
 
 
 def test_reduced_lift_examples():
     """The disk row lifts to r - rho and the annulus row to r2 - r1 in
-    every sector; -r tau <= 0 becomes -tau <= 0 and r s <= 0 a constant
-    row that empties its cell, while the equality r s = 0 keeps its r."""
+    every half-plane.  Under the edge rule the half-plane row zr >= 0 reads
+    -1 <= 0 in its own half-plane and 1 <= 0, which empties the cell, in
+    the other; without it the row keeps the factor 1 - t^2, and the
+    equality zr = 0 keeps its factors r and 1 - t^2 either way.  The cone
+    row 2 zi <= zr becomes the quadratic t^2 + 4t - 1 <= 0."""
     zr, zi = Polynomial.var(2, 0), Polynomial.var(2, 1)
-    r, tau, s = (Polynomial.var(3, v) for v in range(3))
-    for a in (1, 2, 3, 4):
+    r, t = Polynomial.var(2, 0), Polynomial.var(2, 1)
+    for a in (1, 2):
         assert _reduced(zr * zr + zi * zi - Fraction(9, 4), (a,)) == r - Fraction(3, 2)
         assert _reduced(Fraction(9, 4) - zr * zr - zi * zi, (a,)) == Fraction(3, 2) - r
     z4 = [Polynomial.var(4, v) for v in range(4)]
     annulus = z4[2] ** 2 + z4[3] ** 2 - z4[0] ** 2 - z4[1] ** 2
-    r1, r2 = Polynomial.var(6, 0), Polynomial.var(6, 1)
-    for alphas in iproduct((1, 2, 3, 4), repeat=2):
+    r1, r2 = Polynomial.var(4, 0), Polynomial.var(4, 1)
+    for alphas in iproduct((1, 2), repeat=2):
         assert _reduced(annulus, alphas) == r2 - r1
         assert _reduced(annulus, alphas, equality=True) == r2 - r1
         assert _reduced(annulus - 3 * z4[0] ** 2 - 3 * z4[1] ** 2, alphas) == r2 - 2 * r1
         assert _reduced(-4 * annulus, alphas) == r1 - r2
-        # zr2 (|z1|^2 - 1) <= 0 in sector 1 of z2: s2 and the content r2 go first
+        # zr2 (|z1|^2 - 1) <= 0 in half-plane 1 of z2: the content r2 and the
+        # edge factor 1 - t2^2 go first
         assert _reduced(z4[2] * (z4[0] ** 2 + z4[1] ** 2 - 1), (alphas[0], 1)) == r1 - 1
     # either term order of a two-radius row gives the same row
     for first, second in (((2, 0), -4), ((0, 2), 1)), (((0, 2), 1), ((2, 0), -4)):
-        row = Polynomial(6, {first[0] + (0,) * 4: first[1], second[0] + (0,) * 4: second[1]})
+        row = Polynomial(4, {first[0] + (0,) * 2: first[1], second[0] + (0,) * 2: second[1]})
         assert _reduce_lift(row, False, 2) == r2 - 2 * r1
-    assert _lift_payload(-zi, (1,), 1) == -r * tau * s
-    assert _reduce_lift(-r * tau * s, False, 1) == -tau
-    assert _reduce_lift(-r * tau, False, 1) == -tau
-    assert _reduce_lift(r * s, False, 1) == Polynomial.const(3, 1)
-    assert _reduce_lift(r * s, True, 1) == r
+    assert _lift_payload(-zi, (1,), 1) == -2 * r * t
+    assert _reduce_lift(-2 * r * t, False, 1) == -2 * t
+    assert _reduce_lift(-2 * r * t, True, 1) == -2 * r * t
+    assert _reduced(-zr, (1,)) == Polynomial.const(2, -1)
+    assert _reduced(-zr, (2,)) == Polynomial.const(2, 1)
+    assert _reduced(-zr, (2,), equality=True) == r - r * t * t
+    assert _reduced(-zr, (1,), full_dim=False) == t * t - 1
+    assert _reduced(-zr, (2,), full_dim=False) == 1 - t * t
+    assert _reduced(-zr, (2,), equality=True, full_dim=False) == r - r * t * t
     assert _reduce_lift(r * r - 2, False, 1) == r * r - 2  # no rational root
-    # a non-radial row keeps its s: zr >= 1/2 lifts to (tau^2 + 1)/2 - r s
-    assert _reduced(Fraction(1, 2) - zr, (1,)) == (tau * tau + 1) * Fraction(1, 2) - r * s
-    shell = region_of(3, 1, [], [(0, 2), (-1, 1), (1, 2)])
+    # a non-radial row stays as it lifts: zr >= 1/2 is (t^2 + 1)/2 - r (1 - t^2)
+    assert _reduced(Fraction(1, 2) - zr, (1,)) == (t * t + 1) * Fraction(1, 2) - r * (1 - t * t)
+    assert _reduced(2 * zi - zr, (1,)) == t * t + 4 * t - 1
+    shell = region_of(2, 1, [], [(0, 2), (-1, 1)])
     assert region_mod.simplify_cell(shell, region_mod.Cell(
-        [region_mod.Constraint(_reduce_lift(r * s, False, 1))])) is None
+        [region_mod.Constraint(_reduced(-zr, (2,)))])) is None
 
 
-def test_quadrant_sectors_that_meet_it_at_the_origin_come_out_empty():
-    """Sectors 3 and 4 meet the quadrant only at 0; after the strict
-    transform their rows zr >= 0 or zi >= 0 read 1 <= 0."""
+def test_quadrant_half_plane_that_meets_it_on_its_edge_comes_out_empty():
+    """The left half-plane meets the quadrant only on the segment zr = 0,
+    the edge t = -1 of its polar domain; after the edge rule its row
+    zr >= 0 reads 1 <= 0, so it makes no task."""
     region = load_region("quadrant_disk_c1")
     part = Partition((), (), (0,))
-    cells = {alphas: transform_piece(piece, alphas, part).cells
+    cells = {alphas: transform_piece(piece, alphas, part,
+                                     lifted=_lift_cells(piece, alphas, True)).cells
              for alphas, _aug, piece in _sector_pieces(region)}
-    assert set(cells) == {(1,), (2,), (3,), (4,)}
-    assert cells[(3,)] == [] and cells[(4,)] == []
-    assert cells[(1,)] and cells[(2,)]
+    assert set(cells) == {(1,), (2,)}
+    assert cells[(2,)] == [] and cells[(1,)]
 
 
 def test_slice_cells_list_each_row_once():
@@ -427,13 +453,13 @@ def test_slice_cells_list_each_row_once():
 
 
 @pytest.mark.parametrize("name, R, m, count", [
-    ("disk_c1", (0,), 2, 4),
-    ("quadrant_disk_c1", (0,), 2, 2),
-    ("nested_annulus_c2", (0, 1), 4, 16),
+    ("disk_c1", (0,), 2, 2),
+    ("quadrant_disk_c1", (0,), 2, 1),
+    ("nested_annulus_c2", (0, 1), 4, 4),
 ])
 def test_radial_regions_lift_to_linear_cells(name, R, m, count):
     """The disk, quadrant and annulus tasks are linear cells with no
-    auxiliary, so no derived s rides along."""
+    auxiliary."""
     tasks = reduce_to_real_tasks(load_region(name), ComplexLogForm.volume_like(len(R), R), m)
     assert len(tasks) == count
     for task in tasks:
@@ -446,18 +472,19 @@ def test_radial_regions_lift_to_linear_cells(name, R, m, count):
 
 
 def test_volume_pair_pullback_matches_identity():
-    """n = 1, R = {1}: the pulled-back coefficient is -2 (tau + i) against
-    the prefactor (tau^2 + 1)^(-3/2)."""
+    """n = 1, R = {1}: the pulled-back coefficient is 4 i sigma (t + i)^2 =
+    sigma (-8t + 4i (t^2 - 1)) against the prefactor (t^2 + 1)^(-2)."""
     from logvol import pullback_complex_log_form
 
     form = ComplexLogForm.volume_like(1, (0,))
     part = Partition((), (), (0,))
-    (pulled,) = pullback_complex_log_form(form, (1,), part)
-    tau = Polynomial.var(2, 1)
-    assert pulled.poly_re == -2 * tau
-    assert pulled.poly_im == Polynomial.const(2, -2)
-    assert pulled.prefactor == [(1, 3)]
-    assert pulled.log_positions == ()
+    t = Polynomial.var(2, 1)
+    for sector, sigma in ((1, 1), (2, -1)):
+        (pulled,) = pullback_complex_log_form(form, (sector,), part)
+        assert pulled.poly_re == -8 * sigma * t
+        assert pulled.poly_im == 4 * sigma * (t * t - 1)
+        assert pulled.prefactor == [(1, 2)]
+        assert pulled.log_positions == ()
 
 
 def _pullback_cases():
@@ -528,7 +555,7 @@ def test_single_dz_splits_into_two_tasks():
         if t.partition.P == (0,):
             assert t.log_positions == (0,)  # the dr/r task
         else:
-            assert t.prefactor == [(0, 2)]  # the i dtau/(tau^2+1) task
+            assert t.prefactor == [(0, 1)]  # the 2i dt/(t^2+1) task
 
 
 def test_nonconstant_coefficient_matches_polar_composition():
@@ -583,7 +610,7 @@ def test_counterexample_fails_exactly_at_first_radius():
             assert not verdict.ok
             assert verdict.violations[0][0] == (0,)  # the face {r_1}
             hit += 1
-    assert hit == 4  # one per surviving sector of the disk factor
+    assert hit == 2  # one per half-plane of the disk factor
 
 
 def test_unsliceable_tasks_give_an_inconclusive_verdict():
@@ -630,14 +657,10 @@ def test_unsliceable_annulus_slices_give_an_inconclusive_verdict():
 def _reference_newton_project(cell, region, pts):
     """The Gauss-Newton projection with one eval_many call per equality and
     per partial in every iteration."""
-    n = region.n
     eqs = [c.payload for c in cell.constraints if c.equality]
     if not eqs:
         return pts
     total = pts.shape[1]
-    derived = {n + i: e.derived_from for i, e in enumerate(cell.extra)
-               if e.derived_from is not None}
-    free = [v for v in range(total) if v not in derived]
     partials = [[g.partial(v) for v in range(total)] for g in eqs]
     out = pts.copy()
     eye = np.eye(len(eqs))
@@ -645,31 +668,24 @@ def _reference_newton_project(cell, region, pts):
         gvals = np.stack([g.eval_many(out) for g in eqs], axis=1)
         if np.max(np.abs(gvals)) < region_mod._EQ_TOL * 0.1:
             break
-        full_jac = np.stack([np.stack([pg.eval_many(out) for pg in row], axis=1)
-                             for row in partials], axis=1)
-        jac = full_jac[:, :, free].copy()
-        for d_idx, src in derived.items():
-            factor = out[:, src] / out[:, d_idx]
-            if src in free:
-                jac[:, :, free.index(src)] += full_jac[:, :, d_idx] * factor[:, None]
+        jac = np.stack([np.stack([pg.eval_many(out) for pg in row], axis=1)
+                        for row in partials], axis=1)
         gram = jac @ np.transpose(jac, (0, 2, 1)) + 1e-12 * eye
         y = np.linalg.solve(gram, gvals[:, :, None])
         step = (np.transpose(jac, (0, 2, 1)) @ y)[:, :, 0]
-        for col, v in enumerate(free):
-            out[:, v] -= step[:, col]
-        region_mod.fill_derived(out, cell.extra, n)
+        for v in range(total):
+            out[:, v] -= step[:, v]
     return out
 
 
 def test_newton_projection_is_bit_identical_to_per_polynomial_evaluation():
     """One power table per Gauss-Newton iteration projects every point
-    exactly as separate eval_many calls did: on the counterexample task
-    cells of disk_times_circle_c2 (a derived auxiliary) and on a face cell
-    of nested_annulus_c2."""
+    exactly as separate eval_many calls did: on the task cells of
+    disk_times_circle_c2 (the counterexample ones keep the existential
+    auxiliary tau2) and on a face cell of nested_annulus_c2."""
     region = load_region("disk_times_circle_c2")
     tasks = reduce_to_real_tasks(region, ComplexLogForm.volume_like(2, (0,)), 3)
-    cases = [(t.region, cell) for t in tasks if t.partition.P == (1,)
-             for cell in t.region.cells]
+    cases = [(t.region, cell) for t in tasks for cell in t.region.cells]
     annulus = load_region("nested_annulus_c2").face_intersection((1,))
     cases += [(annulus, cell) for cell in annulus.cells]
     rng = np.random.default_rng(7)
@@ -679,7 +695,6 @@ def test_newton_projection_is_bit_identical_to_per_polynomial_evaluation():
             continue
         box = np.array(sub.cell_boxes(cell))
         pts = rng.uniform(box[:, 0], box[:, 1], size=(256, len(box)))
-        region_mod.fill_derived(pts, cell.extra, sub.n)
         got = region_mod._newton_project(cell, sub, pts)
         assert np.array_equal(got, _reference_newton_project(cell, sub, pts))
         checked += 1
@@ -897,16 +912,12 @@ def _inner(region):
 
 
 def _redraw(region, pts, keep, rng):
-    """pts with every ambient coordinate outside `keep` and every
-    existential auxiliary drawn anew, the derived auxiliaries filled."""
-    extras = region.cells[0].extra if region.cells else ()
+    """pts with every coordinate outside `keep` drawn anew."""
     out = pts.copy()
     for v, (lo, hi) in enumerate(region.bounding_box()):
         if v not in keep:
             out[:, v] = rng.uniform(float(lo), float(hi), size=len(out))
-    for i, e in enumerate(extras):
-        out[:, region.n + i] = rng.uniform(e.lo, e.hi, size=len(out))
-    return region_mod.fill_derived(out, extras, region.n)
+    return out
 
 
 @pytest.mark.parametrize("case", ["disk_c1", "quadrant_disk_c1", "nested_annulus_c2",
@@ -923,8 +934,7 @@ def test_task_factor_reads_only_its_declared_coordinates(case):
         integrand = task.integrand()
         region = task.region
         assert integrand.reads is not None and not integrand.factor_reads(_inner(region))
-        extras = region.cells[0].extra if region.cells else ()
-        pts = _redraw(region, np.zeros((64, region.n + len(extras))), (), rng)
+        pts = _redraw(region, np.zeros((64, region.n)), (), rng)
         moved = _redraw(region, pts, integrand.reads, rng)
         assert not np.array_equal(pts[:, _inner(region)], moved[:, _inner(region)])
         assert np.array_equal(integrand.pointwise(pts), integrand.pointwise(moved))
@@ -996,6 +1006,62 @@ def test_quadrant_disk_value():
     assert res.verdict == "converged"
 
 
+def _quadrant_or_half_disk(which):
+    """The unit quarter disk turned by `which` quarter turns, or the
+    "right" or "left" half disk."""
+    if which in ("right", "left"):
+        sr = 1 if which == "right" else -1
+        return region_of(2, 1, ["zr1^2 + zi1^2 - 1 <= 0", f"{-sr}*zr1 <= 0"],
+                         [sorted((0, sr)), (-1, 1)], kind="complex")
+    sr, si = ((1, 1), (-1, 1), (-1, -1), (1, -1))[which]
+    return region_of(2, 1, ["zr1^2 + zi1^2 - 1 <= 0", f"{-sr}*zr1 <= 0", f"{-si}*zi1 <= 0"],
+                     [sorted((0, sr)), sorted((0, si))], kind="complex")
+
+
+@pytest.mark.parametrize("which, value", [
+    (0, complex(-2, -2)), (1, complex(-2, 2)), (2, complex(2, 2)), (3, complex(2, -2)),
+    ("right", complex(0, -4)), ("left", complex(0, 4)),
+])
+def test_quadrants_and_half_disks_run_one_task(which, value):
+    """dz/z ^ dzbar over the unit quadrant turned by k quarter turns is
+    (-i)^k (-2 - 2i), over the right half disk -4i and over the left one
+    4i: each lies in one half-plane and meets the other only on the edge
+    zr = 0, from either side, so it runs one task."""
+    region = _quadrant_or_half_disk(which)
+    res = integrate_admissible(region, ComplexLogForm.volume_like(1, (0,)), 2)
+    assert res.tasks_run == 1
+    assert abs(res.value - value) <= 1e-9
+    assert res.verdict == "converged"
+
+
+def test_cone_value_through_a_quadratic_row():
+    """The cone {0 <= 2 zi <= zr, |z| <= 1} of angle atan(1/2): its row
+    2 zi <= zr lifts to the quadratic t^2 + 4t - 1 <= 0, with the
+    irrational root sqrt(5) - 2, and dz/z ^ dzbar over it is
+    2 (e^(-i atan(1/2)) - 1) = 2 ((2 - i) / sqrt(5) - 1)."""
+    region = region_of(2, 1, ["zr1^2 + zi1^2 - 1 <= 0", "-zi1 <= 0", "2*zi1 - zr1 <= 0"],
+                       [(0, 1), (0, Fraction(1, 2))], kind="complex")
+    res = integrate_admissible(region, ComplexLogForm.volume_like(1, (0,)), 2)
+    assert abs(res.value - 2 * ((2 - 1j) / math.sqrt(5) - 1)) <= 1e-9
+    assert res.verdict == "converged"
+
+
+@pytest.mark.parametrize("rows", [["zr1 <= 0", "-zr1 <= 0"], ["zr1^2 <= 0"]])
+def test_segment_on_the_imaginary_axis_is_not_cut_by_the_edge_rule(rows):
+    """A = {zr = 0, 1/4 <= |z|^2 <= 1, zi >= 0} is a segment on the edge
+    of both half-planes, and dz/z over it at m = 1 is ln 2.  Its P tasks
+    project t out, so the edge rule would empty both half-planes and report
+    0; without it the rows pin t = +-1 through 1 - t^2, t stays an
+    existential auxiliary, and the verdict is inconclusive, not a value."""
+    region = region_of(2, 1, rows + ["zr1^2 + zi1^2 - 1 <= 0", "1/4 - zr1^2 - zi1^2 <= 0",
+                                     "-zi1 <= 0"], [(-1, 1), (-1, 1)], kind="complex")
+    form = ComplexLogForm.volume_like(1, ())
+    assert len(reduce_to_real_tasks(region, form, 1)) == 4
+    res = integrate_admissible(region, form, 1)
+    assert res.verdict == "inconclusive" and cmath.isnan(res.value)
+    assert any("not integrated" in flag and "tau1" in flag for flag in res.flags)
+
+
 def test_product_of_quadrant_disks_matches_square():
     """Fubini on the product: the value is minus the square of the quadrant
     value, hence -8i; the 4-d tasks run through the Monte-Carlo path."""
@@ -1012,13 +1078,13 @@ def test_product_of_quadrant_disks_matches_square():
 
 
 @pytest.mark.parametrize("seed, value", [
-    (0, complex(-0.049110715968297525, -7.969437420062743)),
-    (1, complex(0.014753413921507308, -8.077006962113337)),
+    (0, complex(-0.1597509165081302, -7.865570124040222)),
+    (1, complex(-0.06719070975307576, -8.222780431699917)),
 ])
-def test_product_of_quadrant_disks_runs_four_tasks(seed, value):
-    """The strict transform leaves the 4 tasks of sectors 1 and 2 of each
-    factor, and their sum is, at each seed, the value that the 16 tasks of
-    the unreduced lift give."""
+def test_product_of_quadrant_disks_runs_one_task(seed, value):
+    """The edge rule leaves one task, the right half-plane of each factor
+    (each left one meets its quadrant only on the edge zr = 0), and its
+    Monte-Carlo value at each seed is pinned."""
     prod = region_of(
         4, 2,
         ["zr1^2 + zi1^2 - 1 <= 0", "-zr1 <= 0", "-zi1 <= 0",
@@ -1028,7 +1094,7 @@ def test_product_of_quadrant_disks_runs_four_tasks(seed, value):
     )
     cfg = QuadConfig(mc_budget=60000, seed=seed)
     res = integrate_admissible(prod, ComplexLogForm.volume_like(2, (0, 1)), 4, cfg)
-    assert res.tasks_run == 4
+    assert res.tasks_run == 1
     assert abs(res.value - value) <= 1e-12
 
 
@@ -1090,9 +1156,9 @@ def test_annulus_decay_linear_rate():
 
 def test_annulus_decay_solves_each_rung_level_in_few_batches(monkeypatch):
     """Counters, which do not vary between runs: on the annulus slices the
-    16 sector pieces of a radius lift to equal cells, and their integrands
-    agree, so of the 64 slice tasks 4 are transformed and 4 rungs are
-    integrated, one per radius; the rest share them.  Each outer level of
+    4 half-plane pieces of a radius lift to equal cells, and their
+    integrands agree, so of the 16 slice tasks 4 are transformed and 4 rungs
+    are integrated, one per radius; the rest share them.  Each outer level of
     a rung runs as one lockstep program, so the 2,025 fibers of each rung
     are solved in four _fiber_integral calls of at most 512 fibers (one
     call per Gauss panel made 8,640 per 64 rungs): 8,100 fibers."""
@@ -1124,7 +1190,7 @@ def test_annulus_decay_solves_each_rung_level_in_few_batches(monkeypatch):
     assert sum(fibers) == 8_100
     assert len(rungs) == 4
     assert len(transforms) == 4
-    assert (report.tasks_run, report.ladders_computed) == (64, 4)
+    assert (report.tasks_run, report.ladders_computed) == (16, 4)
     for t, vol in report.entries:
         assert vol == pytest.approx(8 * math.pi**2 * t, rel=1e-9)
 
@@ -1152,9 +1218,9 @@ def _shared_and_solo(tasks, kinds, cfg=None):
 
 
 def test_annulus_decay_shares_equal_slice_tasks():
-    """Each slice volume is, float for float, the in-order sum over the 16
-    sector pieces of their tasks integrated alone, and every shared task's
-    ladder equals its own."""
+    """Each slice volume is, float for float, the in-order sum over the 4
+    half-plane pieces of their tasks integrated alone, and every shared
+    task's ladder equals its own."""
     from dataclasses import replace
 
     from logvol.complexint import (_Quadratures, _integrate_task, _lifted_piece, _partitions,
@@ -1172,7 +1238,7 @@ def test_annulus_decay_shares_equal_slice_tasks():
         rows = [(r1 - Fraction(t0), True), (r2 - Fraction(t0), False)]
         alone = 0.0
         for alphas, _aug, piece in _sector_pieces(region):
-            lifted = _lifted_piece(made, piece, alphas)
+            lifted = _lifted_piece(made, piece, alphas, True)
             for re, im, part in _partitions(form):
                 if 0 not in part.Q:
                     continue
@@ -1181,25 +1247,25 @@ def test_annulus_decay_shares_equal_slice_tasks():
                     replace(task, region=transform_piece(piece, alphas, part, rows, {0: t0})),
                     cfg, ("absolute",))
                 shared, = quadrature(replace(task, region=_transform_once(made, lifted, part,
-                                                                          rows, {0: t0})))
+                                                                          t0, True)))
                 _assert_same_result(shared, solo)
                 alone += abs(solo[0])
         assert t == t0 and vol == alone
-    assert (quadrature.tasks_run, quadrature.ladders_computed) == (64, 4)
-    assert (report.tasks_run, report.ladders_computed) == (64, 4)
+    assert (quadrature.tasks_run, quadrature.ladders_computed) == (16, 4)
+    assert (report.tasks_run, report.ladders_computed) == (16, 4)
 
 
 def test_disk_sectors_share_with_a_phase():
-    """On the full disk, the four sectors lift to the same region, and
-    their integrands differ by unit phases i^k: sectors 2 to 4 reuse the
-    ladders of sector 1 turned by i^k, each equal to its own."""
+    """On the full disk, the two half-planes lift to the same region, and
+    their integrands differ by the unit phase -1 = i^2: half-plane 2 reuses
+    the ladders of half-plane 1 turned by i^2, each equal to its own."""
     from logvol.complexint import _integrate_task
 
     region = load_region("disk_c1")
     form = ComplexLogForm.volume_like(1, (0,))
     kinds = ("signed", "absolute")
     res = integrate_admissible(region, form, 2)
-    assert (res.tasks_run, res.ladders_computed) == (4, 1)
+    assert (res.tasks_run, res.ladders_computed) == (2, 1)
     total, absolute = 0j, 0.0
     for task, value, err in res.tasks:
         (value0, err0, _), (abs0, _, _) = _integrate_task(task, QuadConfig(), kinds)
@@ -1236,17 +1302,17 @@ def test_shared_ladders_turn_a_multi_rung_signed_ladder():
 def test_monte_carlo_tasks_share_with_a_phase():
     """The C^2 volume form on the nested annulus has four task coordinates,
     so each task takes the Monte-Carlo rung, whose sample stream is the
-    same for every task: its 16 tasks run 1 quadrature, each shared
-    ladder equal to the task's own."""
+    same for every task: its 4 tasks run 1 quadrature, each shared ladder
+    equal to the task's own."""
     tasks = reduce_to_real_tasks(load_region("nested_annulus_c2"),
                                  ComplexLogForm.volume_like(2, (0, 1)), 4)
     quadrature = _shared_and_solo(tasks, ("signed", "absolute"), QuadConfig(mc_budget=4000))
-    assert (quadrature.tasks_run, quadrature.ladders_computed) == (16, 1)
+    assert (quadrature.tasks_run, quadrature.ladders_computed) == (4, 1)
 
 
 def test_quadrant_disk_shares_nothing(monkeypatch):
-    """The sectors the quarter disk keeps all lift differently: nothing is
-    shared, and one rung program runs per task, as before sharing."""
+    """The quarter disk keeps one half-plane: nothing is shared, and one
+    rung program runs per task, as before sharing."""
     import logvol.integrate as integrate
 
     rungs = []

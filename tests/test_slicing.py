@@ -169,23 +169,6 @@ def test_axis_out_of_range_is_rejected(axis):
         FiberKernel(A, axis)
 
 
-def test_derived_auxiliary_fiber():
-    """A cell with s = sqrt(r1^2 + 1) next to a plain cell: r2 <= s - 1
-    gives [0, 1/4] at r1 = 3/4 in both modes; slicing along r1 is refused."""
-    from logvol.region import Cell, Constraint, ExtraVar, Region
-    from logvol import Polynomial
-
-    r1, r2, s = (Polynomial.var(3, i) for i in range(3))
-    lifted = Cell([Constraint(r2 - s + 1), Constraint(-r2)], (ExtraVar("s", 1.0, 2.0, 0),))
-    plain = Cell([Constraint(Polynomial.var(2, 1) - F(1, 10)), Constraint(-Polynomial.var(2, 1))])
-    A = Region(2, 1, [lifted, plain], "real", [(0, 1), (0, 1)])
-    for mode in ("exact", "float"):
-        fs = slice_fiber(A, {0: F(3, 4)}, 1, mode=mode)
-        assert [(float(lo), float(hi)) for lo, hi in fs.intervals] == [(0.0, pytest.approx(0.25))]
-        with pytest.raises(RegionError):
-            slice_fiber(A, {1: F(1, 2)}, 0, mode=mode)
-
-
 # ---------------------------------------------------------------------------
 # the span table
 
@@ -398,7 +381,7 @@ def test_inequality_kernel_matches_the_scalar_cell_rule(case):
     region, points = case
     kernel = FiberKernel(region, 1)
     table = kernel.intervals_many(points)
-    (_, restriction, _), = kernel.cells
+    (restriction, _), = kernel.cells
     coef = restriction.table(points)
     for j, (intervals, flag) in enumerate(zip(_fibers(table, len(points)), table[3].tolist())):
         restricted = [(coef[i, :w, j].tolist(), False) for i, w in enumerate(restriction.widths)]
@@ -435,7 +418,7 @@ def test_join_touching_matches_the_sweep(case):
     have no spans, a whole-box line keeps the box."""
     region, points = case
     kernel = FiberKernel(region, 1)
-    (_, restriction, _), = kernel.cells
+    (restriction, _), = kernel.cells
     a, b, owner, _ = kernel._inequality_pieces(restriction.table(points), restriction)
     got, want = join_touching(a, b, owner), merge_spans(a, b, owner)
     for g, w in zip(got, want):
@@ -454,7 +437,7 @@ def test_join_touching_joins_the_pieces_of_a_double_root():
     region = Region(2, 2, [Cell([Constraint(row)])], "real", [(-1, 1), (-1, 1)])
     points = np.array([[0.0, 0.0], [0.5, 0.0], [-0.5, 0.0]])
     kernel = FiberKernel(region, 1)
-    (_, restriction, _), = kernel.cells
+    (restriction, _), = kernel.cells
     a, b, owner, whole = kernel._inequality_pieces(restriction.table(points), restriction)
     assert list(zip(a.tolist(), b.tolist(), owner.tolist())) == [
         (-1.0, 1.0, 0), (-1.0, 0.5, 1), (0.5, 1.0, 1)]
